@@ -1,24 +1,27 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m), m in {1,2,3,4,6,8,12}.
 
-Elements are stored reduced modulo the m-th cyclotomic polynomial, so equality
-is plain data comparison.  The sign of a nonzero element of the real subfield
-is decided by interval evaluation at increasing precision; exact zero is
-detected first from the canonical form, so the loop always terminates.
+An element is a vector of integer numerators over one positive common
+denominator, in the basis 1, zeta, ..., zeta^(d-1) with d = deg Phi_m,
+normalised so that the numerators and the denominator have no common factor.
+Equal elements therefore have equal data.  Every Phi_m is monic with integer
+coefficients, so reduction, complex conjugation and the other Galois
+automorphisms act on the numerators by integer rows.
+
+The real subfield of every supported field is Q, Q(sqrt 2) (m = 8) or
+Q(sqrt 3) (m = 12).  A real element is (a + b sqrt d) / (2 den) with integers
+a, b read off its numerators, so its sign is decided from integers alone.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-
-import mpmath
+from math import gcd, lcm
 
 from .errors import ConductorMismatchError, NotRealError
 
-try:  # gmpy2 rationals are several times faster; Fraction is the fallback
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
+# The exact rational type of `reduced`, `coeffs` and `as_rational`.
+_Q = Fraction
 
 SUPPORTED_CONDUCTORS = (1, 2, 3, 4, 6, 8, 12)
 
@@ -33,119 +36,130 @@ _CYCLOTOMIC = {
     12: (1, 0, -1, 0, 1),
 }
 
-_ZERO = _Q(0)
-_ONE = _Q(1)
-
-
-def _coerce_scalar(value):
-    if type(value) is _Q:
-        return value
-    if isinstance(value, Fraction):
-        return _Q(value.numerator, value.denominator)
-    if isinstance(value, int):
-        return _Q(value)
-    if isinstance(value, str):
-        return _Q(Fraction(value))
-    return _Q(value)
-
-
-@functools.lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta_m^k expressed in the basis 1..zeta^(d-1), for k up to max(m-1, 2d-2)."""
-    phi = _CYCLOTOMIC[m]
-    d = len(phi) - 1
-    # x^d = -(phi_0 + phi_1 x + ... + phi_{d-1} x^{d-1})
-    top = tuple(_Q(-c) for c in phi[:d])
-    table = []
-    row = [_ZERO] * d
-    row[0] = _ONE
-    table.append(tuple(row))
-    for _ in range(max(m - 1, 2 * d - 2)):
-        prev = table[-1]
-        row = [_ZERO] * d
-        for i in range(d - 1):
-            row[i + 1] = prev[i]
-        lead = prev[d - 1]
-        if lead:
-            row = [row[i] + lead * top[i] for i in range(d)]
-        table.append(tuple(row))
-    return tuple(table)
-
 
 def _degree(m: int) -> int:
     return len(_CYCLOTOMIC[m]) - 1
 
 
-def _reduce(m: int, coeffs) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list in powers of zeta_m to the canonical basis."""
-    table = _power_table(m)
-    d = _degree(m)
-    out = [_ZERO] * d
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        row = table[k] if k < len(table) else table[k % m]
-        for i in range(d):
-            if row[i]:
-                out[i] += c * row[i]
-    return tuple(out)
+def _power_rows(m: int) -> tuple:
+    """zeta_m^k for k = 0..m-1 in the canonical basis, as sparse integer rows
+    ((i, v), ...) of the nonzero coefficients."""
+    phi = _CYCLOTOMIC[m]
+    row = [1] + [0] * (_degree(m) - 1)
+    rows = []
+    for _ in range(m):
+        rows.append(tuple((i, v) for i, v in enumerate(row) if v))
+        # times zeta, with zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^(d-1))
+        lead = row[-1]
+        row = [r - lead * c for r, c in zip([0] + row[:-1], phi)]
+    return tuple(rows)
+
+
+_ROWS = {m: _power_rows(m) for m in _CYCLOTOMIC}
+# The Galois group of Q(zeta_m) is zeta -> zeta^a for a in (Z/m)^*; these are
+# the a other than 1.
+_OTHER_UNITS = {m: tuple(a for a in range(2, m) if gcd(a, m) == 1) for m in _CYCLOTOMIC}
+
+
+def _check_conductor(m: int) -> None:
+    if m not in _CYCLOTOMIC:
+        raise ConductorMismatchError(f"unsupported conductor {m}")
+
+
+def _combine(m: int, a: int, nums) -> list[int]:
+    """Canonical numerators of sum_k nums[k] * zeta^(a k).
+
+    With a = 1 this reduces a power-basis vector of any length; with a unit a
+    it applies the automorphism zeta -> zeta^a.
+    """
+    rows = _ROWS[m]
+    out = [0] * _degree(m)
+    for k, c in enumerate(nums):
+        if c:
+            for i, v in rows[a * k % m]:
+                out[i] += c * v
+    return out
+
+
+def _mul_nums(m: int, a, b) -> list[int]:
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    return _combine(m, 1, conv)
+
+
+def _make(m: int, nums, den: int) -> CycNum:
+    """The element nums / den for canonical numerators and any nonzero den,
+    normalised to a positive denominator with no common factor."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    x = object.__new__(CycNum)
+    x.m = m
+    if g == 1:
+        x._n = tuple(nums)
+        x._d = den
+    else:
+        x._n = tuple(n // g for n in nums)
+        x._d = den // g
+    x._hash = None
+    return x
 
 
 class CycNum:
     """An element of Q(zeta_m) in canonical reduced form."""
 
-    __slots__ = ("m", "_c", "_hash", "_conj")
+    __slots__ = ("m", "_n", "_d", "_hash")
 
-    def __init__(self, m: int, coeffs, reduce: bool = True):
-        if m not in _CYCLOTOMIC:
-            raise ConductorMismatchError(f"unsupported conductor {m}")
-        self.m = m
-        cs = [c if type(c) is _Q else _coerce_scalar(c) for c in coeffs]
-        if reduce or len(cs) != _degree(m):
-            self._c = _reduce(m, cs)
-        else:
-            self._c = tuple(cs)
-        self._hash = None
-        self._conj = None
+    def __init__(self, m: int, coeffs):
+        """sum_k coeffs[k] * zeta_m^k for rational (int or Fraction) coeffs of any length."""
+        _check_conductor(m)
+        pairs = [(c.numerator, c.denominator) for c in coeffs]
+        den = lcm(*(q for _, q in pairs))
+        x = _make(m, _combine(m, 1, [p * (den // q) for p, q in pairs]), den)
+        self.m, self._n, self._d, self._hash = m, x._n, x._d, None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, m: int, value) -> CycNum:
-        return cls(m, (_coerce_scalar(value),), reduce=True)
+        _check_conductor(m)
+        return _make(m, [value.numerator] + [0] * (_degree(m) - 1), value.denominator)
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> CycNum:
-        table = _power_table(m)
-        return cls(m, table[power % m], reduce=False)
+        _check_conductor(m)
+        # zeta^power is the image of zeta under zeta -> zeta^power
+        return _make(m, _combine(m, power, (0, 1)), 1)
 
     # -- canonical data ----------------------------------------------------
 
     @property
-    def reduced(self) -> tuple:
-        return self._c
+    def reduced(self) -> tuple[Fraction, ...]:
+        """Coefficients in the canonical basis 1..zeta^(d-1)."""
+        return tuple(_Q(n, self._d) for n in self._n)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Length-m coefficient vector in the power basis (canonical form padded)."""
-        padded = self._c + (_ZERO,) * (self.m - len(self._c))
-        return tuple(Fraction(int(c.numerator), int(c.denominator)) for c in padded)
+        return self.reduced + (_Q(0),) * (self.m - len(self._n))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._c)
+        return not any(self._n)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self._c[1:])
+        return not any(self._n[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise NotRealError(f"{self!r} is not rational")
-        c = self._c[0]
-        return Fraction(int(c.numerator), int(c.denominator))
+        return _Q(self._n[0], self._d)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.m, self._c))
+            self._hash = hash((self.m, self._n, self._d))
         return self._hash
 
     def __eq__(self, other):
@@ -153,10 +167,10 @@ class CycNum:
             other = CycNum.rational(self.m, other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.m == other.m and self._c == other._c
+        return self.m == other.m and self._n == other._n and self._d == other._d
 
     def __repr__(self):
-        terms = [f"{c}*z^{k}" for k, c in enumerate(self._c) if c]
+        terms = [f"{c}*z^{k}" for k, c in enumerate(self.reduced) if c]
         return f"CycNum({self.m}; {' + '.join(terms) or '0'})"
 
     # -- field operations --------------------------------------------------
@@ -166,68 +180,56 @@ class CycNum:
             if other.m != self.m:
                 raise ConductorMismatchError(f"conductor {self.m} vs {other.m}")
             return other
-        if isinstance(other, (int, Fraction)) or type(other) is _Q:
+        if isinstance(other, (int, Fraction)):
             return CycNum.rational(self.m, other)
         raise TypeError(f"cannot coerce {type(other).__name__} to CycNum")
 
     def __add__(self, other):
         o = self._coerce(other)
-        return CycNum(self.m, tuple(a + b for a, b in zip(self._c, o._c)), reduce=False)
+        da, db = self._d, o._d
+        return _make(self.m, [x * db + y * da for x, y in zip(self._n, o._n)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.m, tuple(-a for a in self._c), reduce=False)
+        return _make(self.m, [-x for x in self._n], self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return CycNum(self.m, tuple(a - b for a, b in zip(self._c, o._c)), reduce=False)
+        da, db = self._d, o._d
+        return _make(self.m, [x * db - y * da for x, y in zip(self._n, o._n)], da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
-        a, b = self._c, o._c
+        a, b = self._n, o._n
+        den = self._d * o._d
         # scalar fast paths: no convolution or reduction needed
-        if o.is_rational():
+        if not any(b[1:]):
             s = b[0]
-            return CycNum(self.m, tuple(x * s for x in a), reduce=False)
-        if self.is_rational():
+            return _make(self.m, [x * s for x in a], den)
+        if not any(a[1:]):
             s = a[0]
-            return CycNum(self.m, tuple(x * s for x in b), reduce=False)
-        d = len(a)
-        conv = [_ZERO] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-        return CycNum(self.m, conv)
+            return _make(self.m, [x * s for x in b], den)
+        return _make(self.m, _mul_nums(self.m, a, b), den)
 
     __rmul__ = __mul__
 
     def inv(self) -> CycNum:
-        """Field inverse via the extended Euclidean algorithm mod Phi_m."""
+        """Field inverse in norm form: x times the product of its other Galois
+        conjugates is the rational norm N(x), so 1/x is that product over N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        m, n = self.m, self._n
         if self.is_rational():
-            return CycNum.rational(self.m, 1 / self._c[0])
-        phi = [_Q(c) for c in _CYCLOTOMIC[self.m]]
-        a = list(self._c)
-        # extended gcd of a and phi in Q[x]; gcd is a nonzero constant.
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [_ZERO], [_ONE]
-        # invariant: s_k * a == r_k  (mod phi)
-        while _poly_deg(r1) > 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _poly_deg(r1) != 0 or not r1[0]:
-            raise ZeroDivisionError("element is not invertible")
-        c = r1[0]
-        return CycNum(self.m, [x / c for x in s1])
+            return _make(m, [self._d] + [0] * (len(n) - 1), n[0])
+        others = [1] + [0] * (len(n) - 1)
+        for a in _OTHER_UNITS[m]:
+            others = _mul_nums(m, others, _combine(m, a, n))
+        norm = _mul_nums(m, n, others)[0]
+        return _make(m, [self._d * c for c in others], norm)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
@@ -247,115 +249,43 @@ class CycNum:
             n >>= 1
         return out
 
+    def _conj_nums(self) -> tuple[int, ...]:
+        return tuple(_combine(self.m, -1, self._n))
+
     def conj(self) -> CycNum:
-        """Complex conjugation, zeta -> zeta^(-1)."""
-        if self._conj is not None:
-            return self._conj
-        if self.is_rational():
-            self._conj = self
-            return self
-        m = self.m
-        coeffs = [_ZERO] * m
-        for k, c in enumerate(self._c):
-            coeffs[(m - k) % m] += c
-        out = CycNum(m, coeffs)
-        out._conj = self
-        self._conj = out
-        return out
+        """Complex conjugation, zeta -> zeta^(-1); a real element is its own conjugate."""
+        nums = self._conj_nums()
+        return self if nums == self._n else _make(self.m, nums, self._d)
 
     def is_real(self) -> bool:
-        return self == self.conj()
-
-
-def _trim(p):
-    while len(p) > 1 and not p[-1]:
-        p = p[:-1]
-    return list(p)
-
-
-def _poly_deg(p):
-    return len(_trim(p)) - 1
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [_ZERO] * (n - len(p))
-    q = list(q) + [_ZERO] * (n - len(q))
-    return _trim([a - b for a, b in zip(p, q)])
-
-
-def _poly_mul(p, q):
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def _poly_divmod(p, q):
-    p = _trim(p)
-    q = _trim(q)
-    quot = [_ZERO] * max(1, len(p) - len(q) + 1)
-    rem = list(p)
-    dq = len(q) - 1
-    while len(rem) - 1 >= dq and any(rem):
-        rem = _trim(rem)
-        if len(rem) - 1 < dq:
-            break
-        k = len(rem) - 1 - dq
-        c = rem[-1] / q[-1]
-        quot[k] = c
-        for i in range(len(q)):
-            rem[k + i] -= c * q[i]
-        rem = rem[:-1]
-    return _trim(quot), _trim(rem)
+        return self._conj_nums() == self._n
 
 
 # -- sign determination ----------------------------------------------------
 
-_MAX_PREC = 1 << 16
-
-
-@functools.lru_cache(maxsize=None)
-def _cos_interval(prec: int, m: int, k: int):
-    old = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        val = mpmath.iv.cos(2 * mpmath.iv.pi * k / m)
-    finally:
-        mpmath.iv.prec = old
-    return val
-
-
-def _interval_value(x: CycNum, prec: int):
-    """Enclosing interval of the real number x = sum c_k cos(2 pi k / m)."""
-    old = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        total = mpmath.iv.mpf(0)
-        for k, c in enumerate(x.reduced):
-            if c:
-                term = _cos_interval(prec, x.m, k) * mpmath.iv.mpf(int(c.numerator))
-                total += term / int(c.denominator)
-    finally:
-        mpmath.iv.prec = old
-    return total
-
 
 @functools.lru_cache(maxsize=1 << 14)
 def _sign_cached(x: CycNum) -> int:
-    prec = 64
-    while prec <= _MAX_PREC:
-        box = _interval_value(x, prec)
-        if box.a > 0:
-            return 1
-        if box.b < 0:
-            return -1
-        prec *= 2
-    raise ArithmeticError(f"sign of {x!r} undecided at {_MAX_PREC} bits")
+    """Sign of a real element outside Q, so m is 8 or 12.
+
+    With den * x = sum n_k zeta^k, 2 * den * x = a + b sqrt(d), where
+    m = 8:  zeta = (1 + i)/sqrt 2, zeta^2 = i, zeta^3 = (-1 + i)/sqrt 2;
+    m = 12: zeta = (sqrt 3 + i)/2, zeta^2 = (1 + i sqrt 3)/2, zeta^3 = i.
+    """
+    n = x._n
+    if x.m == 8:
+        a, b, d = 2 * n[0], n[1] - n[3], 2
+    else:
+        a, b, d = 2 * n[0] + n[2], n[1], 3
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: a + b sqrt d has the sign of a exactly when a^2 > d b^2
+    # (never equal: sqrt d is irrational and b != 0)
+    return sa if a * a > d * b * b else -sa
 
 
 def sign_real(x: CycNum) -> int:
@@ -365,14 +295,5 @@ def sign_real(x: CycNum) -> int:
     if x.is_zero():
         return 0
     if x.is_rational():
-        c = x.as_rational()
-        return 1 if c > 0 else -1
+        return 1 if x._n[0] > 0 else -1
     return _sign_cached(x)
-
-
-def is_positive(x: CycNum) -> bool:
-    return sign_real(x) > 0
-
-
-def is_nonnegative(x: CycNum) -> bool:
-    return sign_real(x) >= 0

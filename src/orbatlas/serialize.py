@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .atlas import Atlas, Chart, Embedding, Span
 from .errors import ParseError
-from .field import CycNum
+from .field import SUPPORTED_CONDUCTORS, CycNum
 from .gallery import WitnessSpan
 from .geometry import AffineMap, Ball, Point, PolyMap
 from .groupoids import ActionGroupoid, GroupoidPresentation
@@ -44,11 +44,23 @@ def cyc_to_doc(x: CycNum) -> list[str]:
     return [_frac_str(c) for c in x.coeffs]
 
 
+def _conductor(value) -> int:
+    try:
+        m = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad conductor {value!r}") from exc
+    if m not in SUPPORTED_CONDUCTORS:
+        raise ParseError(f"unsupported conductor {m}")
+    return m
+
+
 def cyc_from_doc(m: int, doc, where="scalar") -> CycNum:
     if isinstance(doc, str):
         return CycNum.rational(m, _parse_frac(doc, where))
     if not isinstance(doc, list):
         raise ParseError("expected coefficient array", where)
+    if len(doc) != m:
+        raise ParseError(f"coefficient array of length {len(doc)}, expected {m}", where)
     return CycNum(m, [_parse_frac(c, where) for c in doc])
 
 
@@ -194,11 +206,18 @@ def atlas_to_doc(atlas: Atlas) -> dict:
     }
 
 
+def _kind(doc):
+    """The "kind" field of a document, which must be a JSON object."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"document is a JSON {type(doc).__name__}, not an object")
+    return doc.get("kind")
+
+
 def atlas_from_doc(doc) -> Atlas:
-    if doc.get("kind") != "atlas":
+    if _kind(doc) != "atlas":
         raise ParseError("document is not an atlas")
     try:
-        m = int(doc["conductor"])
+        m = _conductor(doc["conductor"])
         dim = int(doc["dimension"])
         charts = [chart_from_doc(m, c) for c in doc["charts"]]
         reps = [
@@ -252,7 +271,7 @@ def groupoid_to_doc(g: GroupoidPresentation) -> dict:
 
 
 def groupoid_from_doc(doc) -> GroupoidPresentation:
-    if doc.get("kind") != "groupoid":
+    if _kind(doc) != "groupoid":
         raise ParseError("document is not a groupoid presentation")
     strategy = doc.get("strategy")
     if strategy == "translation":
@@ -269,7 +288,7 @@ def groupoid_from_doc(doc) -> GroupoidPresentation:
                 raise ParseError("component table does not match the atlas")
         return g
     if strategy == "action":
-        m = int(doc["conductor"])
+        m = _conductor(doc["conductor"])
         ball = Ball(
             point_from_doc(m, doc["ball"]["center"], "ball"),
             cyc_from_doc(m, doc["ball"]["radius2"], "ball radius"),
@@ -318,7 +337,7 @@ def _atlas_ref_from_doc(ref, base_dir: Path | None):
 
 
 def system_from_doc(doc, base_dir: Path | None = None) -> CompatibleSystem:
-    if doc.get("kind") != "system":
+    if _kind(doc) != "system":
         raise ParseError("document is not a compatible system")
     src = _atlas_ref_from_doc(doc["src"], base_dir)
     dst = _atlas_ref_from_doc(doc["dst"], base_dir)
@@ -345,7 +364,7 @@ def cell_to_doc(delta: OrbNatTrans) -> dict:
 
 
 def cell_from_doc(doc, base_dir: Path | None = None) -> OrbNatTrans:
-    if doc.get("kind") != "cell":
+    if _kind(doc) != "cell":
         raise ParseError("document is not a 2-cell")
     f1 = system_from_doc(doc["src_system"], base_dir)
     f2 = system_from_doc(doc["dst_system"], base_dir)
@@ -372,7 +391,7 @@ def witnesses_to_doc(witnesses) -> dict:
 
 
 def witnesses_from_doc(doc, m: int) -> list[WitnessSpan]:
-    if doc.get("kind") != "witnesses":
+    if _kind(doc) != "witnesses":
         raise ParseError("document is not a witness file")
     out = []
     for entry in doc["spans"]:
@@ -423,7 +442,7 @@ def parse_atlas(path) -> Atlas:
 
 def parse_any(path, base_dir: Path | None = None):
     doc = load_document(path)
-    kind = doc.get("kind")
+    kind = _kind(doc)
     base = base_dir if base_dir is not None else Path(path).parent
     if kind == "atlas":
         return atlas_from_doc(doc)

@@ -119,27 +119,37 @@ class TestSign:
         with pytest.raises(NotRealError):
             sign_real(z())
 
+    def test_near_cancellation_at_large_height(self):
+        # s = zeta - zeta^3 = sqrt 2 in Q(zeta_8); (1 - s)^n has about 0.38 n
+        # decimal digits in each coordinate and a value of magnitude 0.41^n
+        s = CycNum.zeta(8) - CycNum.zeta(8, 3)
+        assert s * s == CycNum.rational(8, 2)
+        assert sign_real((1 - s) ** 30000) == 1
+        assert sign_real((1 - s) ** 30001) == -1
+
     def test_agrees_with_fixed_precision_interval(self):
-        # independent 256-bit interval evaluation of the same real number
+        # independent 256-bit interval evaluation of the same real number, in
+        # both fields with an irrational real subfield
         import random
 
         rng = random.Random(7)
         old = mpmath.iv.prec
         mpmath.iv.prec = 256
         try:
-            for _ in range(300):
-                coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
-                x = CycNum(CONDUCTOR, coeffs)
-                x = x + x.conj()  # land in the real subfield
-                if x.is_zero():
-                    continue
-                box = mpmath.iv.mpf(0)
-                for k, c in enumerate(x.reduced):
-                    term = mpmath.iv.cos(2 * mpmath.iv.pi * k / CONDUCTOR) * int(c.numerator)
-                    box += term / int(c.denominator)
-                want = 1 if box.a > 0 else (-1 if box.b < 0 else 0)
-                if want == 0:
-                    continue
-                assert sign_real(x) == want
+            for m in (12, 8):
+                for _ in range(300):
+                    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+                    x = CycNum(m, coeffs)
+                    x = x + x.conj()  # land in the real subfield
+                    if x.is_zero():
+                        continue
+                    box = mpmath.iv.mpf(0)
+                    for k, c in enumerate(x.reduced):
+                        term = mpmath.iv.cos(2 * mpmath.iv.pi * k / m) * int(c.numerator)
+                        box += term / int(c.denominator)
+                    want = 1 if box.a > 0 else (-1 if box.b < 0 else 0)
+                    if want == 0:
+                        continue
+                    assert sign_real(x) == want
         finally:
             mpmath.iv.prec = old

@@ -134,6 +134,18 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_atlas(p)
 
+    def test_non_object_documents(self):
+        for parse in (atlas_from_doc, groupoid_from_doc, system_from_doc, cell_from_doc):
+            with pytest.raises(ParseError):
+                parse([])
+        with pytest.raises(ParseError):
+            witnesses_from_doc("witnesses", 3)
+
+    def test_coefficient_array_length(self):
+        with pytest.raises(ParseError):
+            cyc_from_doc(3, ["1/1"])
+        assert cyc_from_doc(3, ["1/1", "0/1", "0/1"]) == cyc_from_doc(3, "1")
+
     def test_hash_mismatch(self):
         tg = TranslationGroupoid(cone(3))
         doc = json.loads(serialize(tg))
@@ -248,6 +260,22 @@ class TestCli:
     def test_missing_file_is_parse_error(self, cli_dir):
         out = run_cli("validate", "missing.json", cwd=cli_dir)
         assert out.returncode == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: [],
+            lambda doc: {**doc, "conductor": 5},
+            lambda doc: {**doc, "charts": [{**doc["charts"][0], "center": [doc["charts"][0]["center"][0][:1]]}]},
+        ],
+        ids=["non-object", "unsupported-conductor", "short-coefficient-array"],
+    )
+    def test_malformed_document_is_parse_error(self, cli_dir, mutate):
+        doc = json.loads((cli_dir / "cone3.json").read_text())
+        (cli_dir / "bad.json").write_text(json.dumps(mutate(doc)))
+        out = run_cli("validate", "bad.json", cwd=cli_dir)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: "), out.stderr
 
     def test_samples_environment_variable(self, cli_dir):
         env = cli_env(ORBATLAS_SAMPLES="17")
