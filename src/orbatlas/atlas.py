@@ -88,6 +88,18 @@ class Span:
     right: Embedding
 
 
+@dataclass(frozen=True)
+class Transport:
+    """The transition right . left^(-1) from chart left.dst to chart right.dst
+    through a common chart k, defined on the image of k's ball under left."""
+
+    k: str
+    left: Embedding
+    right: Embedding
+    map: AffineMap
+    domain: Ball
+
+
 class Atlas:
     """A finite family of charts with stored representative embeddings,
     a refinement oracle, coverage witnesses and declared unit witness points."""
@@ -119,6 +131,7 @@ class Atlas:
             cid: tuple((unit_points or {}).get(cid, ())) for cid in self.charts
         }
         self._family_cache: dict[tuple[str, str], tuple[Embedding, ...]] = {}
+        self._transport_cache: dict[tuple[str, str], tuple[Transport, ...]] = {}
 
     # -- chart and embedding enumeration ------------------------------------
 
@@ -149,6 +162,29 @@ class Atlas:
             fam = ()
         self._family_cache[key] = fam
         return fam
+
+    def transports(self, ca: str, cb: str) -> tuple[Transport, ...]:
+        """Every transition from chart ca to chart cb: k in chart order, then
+        the invertible left legs k -> ca, then the right legs k -> cb, both in
+        family order.  The span search, the common refinement and the
+        translation groupoid's reconstruction data all read this one table."""
+        key = (ca, cb)
+        cached = self._transport_cache.get(key)
+        if cached is not None:
+            return cached
+        table = []
+        for k, chart in self.charts.items():
+            rights = self.family(k, cb)
+            for left in self.family(k, ca):
+                if not left.map.is_invertible():
+                    continue
+                inv = left.map.inverse()
+                domain = map_ball(left.map, chart.ball)
+                table.extend(
+                    Transport(k, left, right, right.map.compose(inv), domain) for right in rights
+                )
+        out = self._transport_cache[key] = tuple(table)
+        return out
 
     def family_from(self, src: str) -> list[Embedding]:
         out = []

@@ -8,7 +8,6 @@ membership and disjointness question below is decided exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatchError, NotSimilarityError
 from .field import CycNum, sign_real
@@ -427,17 +426,6 @@ class PolyMap:
     def then(self, f: AffineMap) -> PolyMap:
         """f after self (post-compose with an affine map)."""
         return PolyMap.from_affine(f).compose(self)
-
-    def coeff_norm1_bound(self) -> CycNum:
-        """sum over coordinates i of sum |c| upper bounds via |c|^2: conservative
-        scalar used by the lift containment warning; exactness is not needed here,
-        so the bound is the real number sum of sqrt(c conj c) replaced by
-        sum (1 + c conj c)/2 >= sum |c|."""
-        total = CycNum.rational(self.m, 0)
-        for poly in self.coords:
-            for c in poly.values():
-                total = total + (1 + c * c.conj()) * Fraction(1, 2)
-        return total
 
 
 def solve_linear(a: list[list[CycNum]], b: list[CycNum]) -> list[CycNum] | None:

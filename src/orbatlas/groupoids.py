@@ -91,6 +91,15 @@ class GroupoidPresentation(ABC):
     @abstractmethod
     def arrows_from(self, u: UnitPoint) -> list[Arrow]: ...
 
+    @abstractmethod
+    def transports(self, ca: str, cb: str) -> list[tuple[AffineMap, Ball]]:
+        """(map, domain ball) pairs carrying identifications from unit
+        component ca to cb."""
+
+    @abstractmethod
+    def self_transports(self, c: str) -> list[AffineMap]:
+        """The maps generating the identifications within unit component c."""
+
     # -- shared derived operations -------------------------------------------
 
     def unit_component(self, label: str) -> UnitComponent:
@@ -220,6 +229,12 @@ class ActionGroupoid(GroupoidPresentation):
 
     def arrows_from(self, u):
         return [Arrow(lab, u.point) for lab in self.labels]
+
+    def transports(self, ca, cb):
+        return [(self.rep[lab], self.ball) for lab in self.labels]
+
+    def self_transports(self, c):
+        return [self.rep[lab] for lab in self.labels]
 
     def is_faithful(self) -> bool:
         maps = list(self.rep.values())
@@ -510,16 +525,7 @@ def structural_predicates(g: GroupoidPresentation, samples: int = 50, seed: int 
 
     eff_ok = True
     detail = ""
-    for _ in range(samples):
-        u = g.random_unit(rng)
-        iso = g.isotropy(u)
-        germs = [g.local_bisection(a) for a in iso]
-        for i in range(len(germs)):
-            for j in range(i + 1, len(germs)):
-                if germs[i] == germs[j]:
-                    eff_ok = False
-                    detail = f"two isotropy arrows at {u!r} share a germ"
-    for u in g.unit_witness_points():
+    for u in [g.random_unit(rng) for _ in range(samples)] + g.unit_witness_points():
         iso = g.isotropy(u)
         germs = [g.local_bisection(a) for a in iso]
         for i in range(len(germs)):

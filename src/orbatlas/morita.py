@@ -19,8 +19,6 @@ from .atlas import (
     Embedding,
     Span,
     find_conjugator,
-    stabilizer,
-    validate_atlas,
     validate_chart,
 )
 from .errors import (
@@ -43,7 +41,6 @@ from .geometry import (
     point_in_ball,
 )
 from .groupoids import (
-    ActionGroupoid,
     GroupoidMorphism,
     GroupoidPresentation,
     UnitPoint,
@@ -351,32 +348,26 @@ def _relate_witness_charts(u1: Atlas, wa: WitnessSpan, wb: WitnessSpan) -> Embed
     """Embedding chart_a -> chart_b when the first sits inside the second,
     through the transports of the anchoring atlas; None when exactly disjoint;
     error on partial overlap."""
-    ca, cb = wa.left.dst, wb.left.dst
-    for k in u1.chart_ids():
-        for mu_a in u1.family(k, ca):
-            if not mu_a.map.is_invertible():
-                continue
-            dom = map_ball(mu_a.map, u1.chart(k).ball)
-            if balls_disjoint(dom, map_ball(wa.left.map, wa.chart.ball)):
-                continue
-            for mu_b in u1.family(k, cb):
-                transport = mu_b.map.compose(mu_a.map.inverse())
-                s = wb.left.map.inverse().compose(transport).compose(wa.left.map)
-                image = map_ball(s, wa.chart.ball)
-                if balls_disjoint(image, wb.chart.ball):
-                    continue
-                if ball_in_ball(image, wb.chart.ball):
-                    e = Embedding(wa.chart.cid, wb.chart.cid, s)
-                    if _validate_embedding_between(e, wa.chart, wb.chart):
-                        raise WitnessInvalidError(
-                            f"transport of {wa.chart.cid} into {wb.chart.cid} is not an embedding"
-                        )
-                    return e
-                if ball_in_ball(wb.chart.ball, image):
-                    return None  # recorded from the other side
+    footprint = map_ball(wa.left.map, wa.chart.ball)
+    for t in u1.transports(wa.left.dst, wb.left.dst):
+        if balls_disjoint(t.domain, footprint):
+            continue
+        s = wb.left.map.inverse().compose(t.map).compose(wa.left.map)
+        image = map_ball(s, wa.chart.ball)
+        if balls_disjoint(image, wb.chart.ball):
+            continue
+        if ball_in_ball(image, wb.chart.ball):
+            e = Embedding(wa.chart.cid, wb.chart.cid, s)
+            if _validate_embedding_between(e, wa.chart, wb.chart):
                 raise WitnessInvalidError(
-                    f"witness charts {wa.chart.cid}, {wb.chart.cid} partially overlap"
+                    f"transport of {wa.chart.cid} into {wb.chart.cid} is not an embedding"
                 )
+            return e
+        if ball_in_ball(wb.chart.ball, image):
+            return None  # recorded from the other side
+        raise WitnessInvalidError(
+            f"witness charts {wa.chart.cid}, {wb.chart.cid} partially overlap"
+        )
     return None
 
 
@@ -524,34 +515,6 @@ class Reconstruction:
     anchors: dict[str, str] = field(default_factory=dict)  # new chart id -> unit component
 
 
-def _self_transports(g: GroupoidPresentation, component: str) -> list[AffineMap]:
-    if isinstance(g, TranslationGroupoid):
-        return list(g.atlas.chart(component).group)
-    if isinstance(g, ActionGroupoid):
-        return [g.rep[lab] for lab in g.labels]
-    raise UnsupportedPresentationError(f"strategy {g.strategy!r} not reconstructible")
-
-
-def _cross_transports(g: GroupoidPresentation, ca: str, cb: str):
-    """(map, domain ball) pairs carrying identifications from component ca to cb."""
-    out = []
-    if isinstance(g, TranslationGroupoid):
-        atlas = g.atlas
-        for k in atlas.chart_ids():
-            for mu_a in atlas.family(k, ca):
-                if not mu_a.map.is_invertible():
-                    continue
-                dom = map_ball(mu_a.map, atlas.chart(k).ball)
-                for mu_b in atlas.family(k, cb):
-                    out.append((mu_b.map.compose(mu_a.map.inverse()), dom))
-    elif isinstance(g, ActionGroupoid):
-        for lab in g.labels:
-            out.append((g.rep[lab], g.ball))
-    else:
-        raise UnsupportedPresentationError(f"strategy {g.strategy!r} not reconstructible")
-    return out
-
-
 def reconstruct_atlas(
     g: GroupoidPresentation, samples: int = 3, seed: int = 0
 ) -> Reconstruction:
@@ -580,7 +543,7 @@ def reconstruct_atlas(
         comp = g.unit_component(u.component)
         germs = [g.local_bisection(a) for a in g.isotropy(u)]
         moved = [
-            t for t in _self_transports(g, u.component) if t(u.point) != u.point
+            t for t in g.self_transports(u.component) if t(u.point) != u.point
         ]
         r2 = Fraction(1, 4)
         for _ in range(256):
@@ -598,13 +561,14 @@ def reconstruct_atlas(
         for j in range(len(entries)):
             if i == j:
                 continue
+            ui, uj = entries[i][1], entries[j][1]
+            transports = g.transports(ui.component, uj.component)
             for _ in range(256):
-                cid_i, ui, r2i, _g = entries[i]
-                cid_j, uj, r2j, _h = entries[j]
+                r2i, r2j = entries[i][2], entries[j][2]
                 bi = Ball(ui.point, _rational(g.conductor, r2i))
                 bj = Ball(uj.point, _rational(g.conductor, r2j))
                 clash = False
-                for t, dom in _cross_transports(g, ui.component, uj.component):
+                for t, dom in transports:
                     if balls_disjoint(bi, dom):
                         continue
                     if not balls_disjoint(map_ball(t, bi), bj):
@@ -681,7 +645,7 @@ def isotropy_signature(g: GroupoidPresentation) -> tuple[int, tuple[int, ...]]:
     orders = set()
     probes: list[UnitPoint] = list(g.unit_witness_points())
     for comp in g.unit_components():
-        for t in _self_transports(g, comp.label):
+        for t in g.self_transports(comp.label):
             p = fixed_point(t)
             if p is not None and point_in_ball(p, comp.ball):
                 probes.append(UnitPoint(comp.label, p))

@@ -18,8 +18,6 @@ from .geometry import Point, point_in_ball
 
 
 class RefinementOracle(ABC):
-    kind: str = "abstract"
-
     @abstractmethod
     def refine(self, atlas, ci: str, x: Point, cj: str, y: Point):
         """Span identifying (ci, x) with (cj, y), or None."""
@@ -28,52 +26,37 @@ class RefinementOracle(ABC):
     def locate(self, atlas, ci: str, x: Point, cj: str):
         """Some point of chart cj identified with (ci, x), or None."""
 
-    def params(self) -> dict:
-        return {}
-
 
 class SpanSearchOracle(RefinementOracle):
-    """One-step search over the atlas's own embedding families.
+    """One-step search over the atlas's transport table.
 
     Two points are identified iff some chart embeds into both of their charts
-    carrying one marked point to each; for a valid atlas the stored families
-    realize every identification in one step.
+    carrying one marked point to each, that is, iff some transport between the
+    two charts is defined at the first point and carries it to the second; for
+    a valid atlas the stored families realize every identification in one step.
     """
-
-    kind = "span_search"
 
     def refine(self, atlas, ci, x, cj, y):
         from .atlas import Span
 
-        for k in atlas.chart_ids():
-            ball_k = atlas.chart(k).ball
-            for left in atlas.family(k, ci):
-                if not left.map.is_invertible():
-                    continue
-                z = left.map.inverse()(x)
-                if not point_in_ball(z, ball_k):
-                    continue
-                if left(z) != x:
-                    continue
-                for right in atlas.family(k, cj):
-                    if right(z) == y:
-                        return Span(k, z, left, right)
+        left = None
+        for t in atlas.transports(ci, cj):
+            if t.left is not left:
+                left, inside = t.left, point_in_ball(x, t.domain)
+            if inside and t.map(x) == y:
+                return Span(t.k, left.map.inverse()(x), left, t.right)
         return None
 
     def locate(self, atlas, ci, x, cj):
         if ci == cj:
             return x
-        for k in atlas.chart_ids():
-            ball_k = atlas.chart(k).ball
-            fam_j = atlas.family(k, cj)
-            if not fam_j:
-                continue
-            for left in atlas.family(k, ci):
-                if not left.map.is_invertible():
-                    continue
-                z = left.map.inverse()(x)
-                if point_in_ball(z, ball_k) and left(z) == x:
-                    return fam_j[0](z)
+        left = None
+        for t in atlas.transports(ci, cj):
+            # the first transport of each left leg uses the first right leg
+            if t.left is not left:
+                left = t.left
+                if point_in_ball(x, t.domain):
+                    return t.map(x)
         return None
 
 
@@ -84,13 +67,8 @@ class SpanTableOracle(RefinementOracle):
     possibly after translating the span point by a span-chart group element.
     """
 
-    kind = "span_table"
-
     def __init__(self, entries=()):
         self.entries = tuple(entries)
-
-    def params(self) -> dict:
-        return {"entries": len(self.entries)}
 
     def _matches(self, atlas, span, ci, x, cj, y):
         if span.left.dst != ci or span.right.dst != cj:
@@ -111,7 +89,7 @@ class SpanTableOracle(RefinementOracle):
             hit = self._matches(atlas, span, ci, x, cj, y)
             if hit is not None:
                 return hit
-            hit = self._matches(atlas, _flip(span), cj, y, ci, x)
+            hit = self._matches(atlas, span, cj, y, ci, x)
             if hit is not None:
                 return _flip(hit)
         return None
@@ -140,8 +118,6 @@ class PushforwardOracle(RefinementOracle):
     """Oracle of a pushed-forward atlas: identifications are unchanged because
     the relabeling homeomorphism is bijective; only the space labels move."""
 
-    kind = "pushforward"
-
     def __init__(self, inner: RefinementOracle, relabel: dict[str, str]):
         values = list(relabel.values())
         if len(set(values)) != len(values):
@@ -149,31 +125,9 @@ class PushforwardOracle(RefinementOracle):
         self.inner = inner
         self.relabel = dict(relabel)
 
-    def params(self) -> dict:
-        return {"relabel": self.relabel, "inner": {"kind": self.inner.kind, "params": self.inner.params()}}
-
     def refine(self, atlas, ci, x, cj, y):
         return self.inner.refine(atlas, ci, x, cj, y)
 
     def locate(self, atlas, ci, x, cj):
         return self.inner.locate(atlas, ci, x, cj)
 
-
-ORACLE_KINDS = {
-    "span_search": SpanSearchOracle,
-    # aliases kept for gallery files: both are realized by the span search
-    "global_quotient": SpanSearchOracle,
-    "gluing": SpanSearchOracle,
-}
-
-
-def oracle_from_doc(kind: str, params: dict, span_parser=None):
-    if kind in ORACLE_KINDS:
-        return ORACLE_KINDS[kind]()
-    if kind == "span_table":
-        entries = params.get("spans", [])
-        return SpanTableOracle(tuple(span_parser(s) for s in entries) if span_parser else ())
-    if kind == "pushforward":
-        inner = oracle_from_doc(params["inner"]["kind"], params["inner"].get("params", {}), span_parser)
-        return PushforwardOracle(inner, params.get("relabel", {}))
-    raise InvalidRelabelingError(f"unknown oracle kind {kind!r}")

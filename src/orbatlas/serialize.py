@@ -274,20 +274,22 @@ def groupoid_from_doc(doc) -> GroupoidPresentation:
     if _kind(doc) != "groupoid":
         raise ParseError("document is not a groupoid presentation")
     strategy = doc.get("strategy")
-    if strategy == "translation":
-        atlas_doc = doc["atlas"]
-        want = doc.get("atlas_hash")
-        if want is not None and doc_hash(atlas_doc) != want:
-            raise ParseError("atlas hash mismatch in groupoid document")
-        g = TranslationGroupoid(atlas_from_doc(atlas_doc))
-        stated = doc.get("components")
-        if stated is not None:
-            actual = sorted(c.label for c in g.arrow_components())
-            listed = [(c["chart"], tuple(c["left"]), tuple(c["right"])) for c in stated]
-            if listed != actual:
-                raise ParseError("component table does not match the atlas")
-        return g
-    if strategy == "action":
+    if strategy not in ("translation", "action"):
+        raise ParseError(f"unknown groupoid strategy {strategy!r}")
+    try:
+        if strategy == "translation":
+            atlas_doc = doc["atlas"]
+            want = doc.get("atlas_hash")
+            if want is not None and doc_hash(atlas_doc) != want:
+                raise ParseError("atlas hash mismatch in groupoid document")
+            g = TranslationGroupoid(atlas_from_doc(atlas_doc))
+            stated = doc.get("components")
+            if stated is not None:
+                actual = sorted(c.label for c in g.arrow_components())
+                listed = [(c["chart"], tuple(c["left"]), tuple(c["right"])) for c in stated]
+                if listed != actual:
+                    raise ParseError("component table does not match the atlas")
+            return g
         m = _conductor(doc["conductor"])
         ball = Ball(
             point_from_doc(m, doc["ball"]["center"], "ball"),
@@ -300,8 +302,10 @@ def groupoid_from_doc(doc) -> GroupoidPresentation:
         for key, val in doc["mult"].items():
             a, b = key.split("|")
             mult[(a, b)] = val
-        return ActionGroupoid(m, ball, elements, mult=mult, inv=dict(doc["inv"]))
-    raise ParseError(f"unknown groupoid strategy {strategy!r}")
+        inv = dict(doc["inv"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed groupoid document: {exc}") from exc
+    return ActionGroupoid(m, ball, elements, mult=mult, inv=inv)
 
 
 # -- compatible systems and 2-cells -------------------------------------------------
@@ -339,16 +343,20 @@ def _atlas_ref_from_doc(ref, base_dir: Path | None):
 def system_from_doc(doc, base_dir: Path | None = None) -> CompatibleSystem:
     if _kind(doc) != "system":
         raise ParseError("document is not a compatible system")
-    src = _atlas_ref_from_doc(doc["src"], base_dir)
-    dst = _atlas_ref_from_doc(doc["dst"], base_dir)
-    m = dst.conductor
-    assign = {}
-    for entry in doc.get("assignment", []):
-        i, j = entry["pair"]
-        ti, tj = entry["dst_pair"]
-        assign[(i, j)] = Embedding(ti, tj, affine_from_doc(m, entry, "assignment"))
-    lifts = {cid: poly_from_doc(m, p) for cid, p in doc["lifts"].items()}
-    return CompatibleSystem(src, dst, doc["theta"], assign, lifts)
+    try:
+        src = _atlas_ref_from_doc(doc["src"], base_dir)
+        dst = _atlas_ref_from_doc(doc["dst"], base_dir)
+        m = dst.conductor
+        assign = {}
+        for entry in doc.get("assignment", []):
+            i, j = entry["pair"]
+            ti, tj = entry["dst_pair"]
+            assign[(i, j)] = Embedding(ti, tj, affine_from_doc(m, entry, "assignment"))
+        lifts = {cid: poly_from_doc(m, p) for cid, p in doc["lifts"].items()}
+        theta = doc["theta"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed system document: {exc}") from exc
+    return CompatibleSystem(src, dst, theta, assign, lifts)
 
 
 def cell_to_doc(delta: OrbNatTrans) -> dict:
@@ -366,13 +374,16 @@ def cell_to_doc(delta: OrbNatTrans) -> dict:
 def cell_from_doc(doc, base_dir: Path | None = None) -> OrbNatTrans:
     if _kind(doc) != "cell":
         raise ParseError("document is not a 2-cell")
-    f1 = system_from_doc(doc["src_system"], base_dir)
-    f2 = system_from_doc(doc["dst_system"], base_dir)
-    m = f1.dst.conductor
-    comps = {
-        cid: Embedding(e["src"], e["dst"], affine_from_doc(m, e, "component"))
-        for cid, e in doc["components"].items()
-    }
+    try:
+        f1 = system_from_doc(doc["src_system"], base_dir)
+        f2 = system_from_doc(doc["dst_system"], base_dir)
+        m = f1.dst.conductor
+        comps = {
+            cid: Embedding(e["src"], e["dst"], affine_from_doc(m, e, "component"))
+            for cid, e in doc["components"].items()
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed 2-cell document: {exc}") from exc
     return OrbNatTrans(f1, f2, comps)
 
 

@@ -186,6 +186,12 @@ class TranslationGroupoid(GroupoidPresentation):
                 out.append(self.arrow_of(Triple(span.left, span.point, right)))
         return out
 
+    def transports(self, ca, cb):
+        return [(t.map, t.domain) for t in self.atlas.transports(ca, cb)]
+
+    def self_transports(self, c):
+        return list(self.atlas.chart(c).group)
+
     def unit_witness_points(self):
         out = []
         for cid in self.atlas.chart_ids():

@@ -1,5 +1,6 @@
 """Charts, embeddings, the chart-group lemmas and the span machinery."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from orbatlas.atlas import (
     Atlas,
     Chart,
     Embedding,
+    Span,
     common_span,
     find_conjugator,
     has_trivial_stabilizer,
@@ -26,9 +28,10 @@ from orbatlas.errors import (
     PointOutsideDomainError,
 )
 from orbatlas.field import CycNum
-from orbatlas.gallery import cone, rotation_group
-from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball
-from orbatlas.oracles import SpanSearchOracle
+from orbatlas.gallery import cone, football, rotation_group, teardrop
+from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, point_in_ball
+from orbatlas.oracles import SpanSearchOracle, SpanTableOracle
+from orbatlas.sampling import random_chart_point
 
 M = 12
 
@@ -292,3 +295,125 @@ class TestAtlasValidation:
                 assert ident.map.compose(span.left.map) == left.map.compose(span.right.map)
                 assert span.left(span.point) == p
                 assert span.right(span.point) == raw.point
+
+
+def _reference_refine(atlas, ci, x, cj, y):
+    """The chart x family x family span search, written out directly."""
+    for k in atlas.chart_ids():
+        ball_k = atlas.chart(k).ball
+        for left in atlas.family(k, ci):
+            if not left.map.is_invertible():
+                continue
+            z = left.map.inverse()(x)
+            if not point_in_ball(z, ball_k) or left(z) != x:
+                continue
+            for right in atlas.family(k, cj):
+                if right(z) == y:
+                    return Span(k, z, left, right)
+    return None
+
+
+def _reference_locate(atlas, ci, x, cj):
+    if ci == cj:
+        return x
+    for k in atlas.chart_ids():
+        ball_k = atlas.chart(k).ball
+        fam_j = atlas.family(k, cj)
+        if not fam_j:
+            continue
+        for left in atlas.family(k, ci):
+            if not left.map.is_invertible():
+                continue
+            z = left.map.inverse()(x)
+            if point_in_ball(z, ball_k) and left(z) == x:
+                return fam_j[0](z)
+    return None
+
+
+def _span_key(span):
+    if span is None:
+        return None
+    return (span.chart, span.point, span.left.dst, span.left.map, span.right.dst, span.right.map)
+
+
+class TestTransportTable:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: cone(3),
+            lambda: cone(6),
+            lambda: football(2, 3),
+            lambda: teardrop(3),
+            lambda: cone(4, conductor=12),
+        ],
+        ids=["cone3", "cone6", "football23", "teardrop3", "cone4-m12"],
+    )
+    def test_span_search_matches_reference(self, make):
+        # the span search reads the transport table but picks the same first
+        # span and the same located point as the direct triple loop
+        atlas = make()
+        rng = random.Random(23)
+        hits = 0
+        for _ in range(60):
+            ci = rng.choice(atlas.chart_ids())
+            x = random_chart_point(rng, atlas, ci)
+            for cj in atlas.chart_ids():
+                y = atlas.locate(ci, x, cj)
+                assert y == _reference_locate(atlas, ci, x, cj)
+                targets = [random_chart_point(rng, atlas, cj)]
+                if y is not None:
+                    targets += [g(y) for g in atlas.chart(cj).group]
+                for t in targets:
+                    span = atlas.refine(ci, x, cj, t)
+                    assert _span_key(span) == _span_key(_reference_refine(atlas, ci, x, cj, t))
+                    hits += span is not None
+        assert hits > 0
+
+    def test_table_order_and_maps(self):
+        atlas = football(2, 3)
+        for ca in atlas.chart_ids():
+            for cb in atlas.chart_ids():
+                expected = [
+                    (k, left.map, right.map)
+                    for k in atlas.chart_ids()
+                    for left in atlas.family(k, ca)
+                    for right in atlas.family(k, cb)
+                ]
+                table = atlas.transports(ca, cb)
+                assert [(t.k, t.left.map, t.right.map) for t in table] == expected
+                for t in table:
+                    assert t.map == t.right.map.compose(t.left.map.inverse())
+                    assert t.domain == map_ball(t.left.map, atlas.chart(t.k).ball)
+                assert atlas.transports(ca, cb) is table
+
+
+def _two_disc_table_atlas():
+    """Two discs with no stored embedding between them, identified at one
+    point only by a recorded span."""
+    ident = AffineMap.identity(M, 1)
+    a = Chart("a", Ball.of(M, [0], 1), (ident,))
+    b = Chart("b", Ball.of(M, [0], 1), (ident,))
+    p = Point.of(M, Fraction(1, 3))
+    entry = Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident))
+    return Atlas(M, 1, [a, b], [], SpanTableOracle([entry])), entry
+
+
+class TestSpanTableOracle:
+    def test_serialize_round_trip_is_byte_identical(self):
+        from orbatlas.serialize import atlas_from_doc, serialize
+
+        atlas, _ = _two_disc_table_atlas()
+        payload = serialize(atlas)
+        assert b'"span_table"' in payload
+        again = atlas_from_doc(json.loads(payload))
+        assert isinstance(again.oracle, SpanTableOracle)
+        assert serialize(again) == payload
+
+    def test_query_answered_only_by_the_table(self):
+        atlas, entry = _two_disc_table_atlas()
+        p = entry.point
+        assert SpanSearchOracle().refine(atlas, "a", p, "b", p) is None
+        assert _span_key(atlas.refine("a", p, "b", p)) == _span_key(entry)
+        flipped = atlas.refine("b", p, "a", p)
+        assert _span_key(flipped) == _span_key(Span("a", p, entry.right, entry.left))
+        assert atlas.refine("a", p, "b", Point.of(M, Fraction(1, 5))) is None

@@ -317,3 +317,6 @@ class TestBijectionDemo:
         assert isotropy_signature(TranslationGroupoid(football(2, 3))) == (1, (1, 2, 3))
         assert isotropy_signature(TranslationGroupoid(teardrop(4))) == (1, (1, 4))
         assert isotropy_signature(TranslationGroupoid(point_atlas()))[0] == 0
+        # an action groupoid declares only its center as a witness point, so
+        # the trivial isotropy of its generic points is not probed
+        assert isotropy_signature(z3_action()) == (1, (3,))

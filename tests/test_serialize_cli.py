@@ -267,8 +267,20 @@ class TestCli:
             lambda doc: [],
             lambda doc: {**doc, "conductor": 5},
             lambda doc: {**doc, "charts": [{**doc["charts"][0], "center": [doc["charts"][0]["center"][0][:1]]}]},
+            lambda doc: {"kind": "cell"},
+            lambda doc: {"kind": "system"},
+            lambda doc: {"kind": "groupoid", "strategy": "action", "conductor": 3},
+            lambda doc: {"kind": "groupoid", "strategy": "translation"},
         ],
-        ids=["non-object", "unsupported-conductor", "short-coefficient-array"],
+        ids=[
+            "non-object",
+            "unsupported-conductor",
+            "short-coefficient-array",
+            "cell-missing-fields",
+            "system-missing-fields",
+            "action-groupoid-missing-fields",
+            "translation-groupoid-missing-atlas",
+        ],
     )
     def test_malformed_document_is_parse_error(self, cli_dir, mutate):
         doc = json.loads((cli_dir / "cone3.json").read_text())
