@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import OrbAtlasError, ParseError
+from .errors import OrbAtlasError, ParseError, UnsupportedParamsError
 from .gallery import GalleryParams, gallery
 from .report import Report
 from .serialize import (
@@ -28,7 +28,27 @@ from .serialize import (
     witnesses_from_doc,
 )
 
-DEFAULT_SAMPLES = int(os.environ.get("ORBATLAS_SAMPLES", "500"))
+DEFAULT_SAMPLES = 500
+
+
+def _sample_count(text: str) -> int:
+    """A --samples value or ORBATLAS_SAMPLES: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"sample count {text!r} (from --samples or ORBATLAS_SAMPLES) is not an integer >= 1"
+        )
+    return n
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
 
 
 def _reports_to_doc(reports: list[Report], strict: bool) -> dict:
@@ -84,7 +104,7 @@ def cmd_gallery(args) -> int:
         p=args.p,
         q=args.q,
         dim=args.dim,
-        radius2=Fraction(args.radius2),
+        radius2=args.radius2,
         conductor=args.conductor,
     )
     atlas = gallery(params)
@@ -217,7 +237,14 @@ def cmd_bijection(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    # a string default goes through _sample_count too, so a bad ORBATLAS_SAMPLES
+    # is a usage error; an explicit --samples takes precedence over it
+    common.add_argument(
+        "--samples",
+        type=_sample_count,
+        default=os.environ.get("ORBATLAS_SAMPLES", str(DEFAULT_SAMPLES)),
+        help=f"samples per check, at least 1 (default: ORBATLAS_SAMPLES or {DEFAULT_SAMPLES})",
+    )
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write the machine-readable report here")
     common.add_argument("--strict", action="store_true", help="warnings become failures")
@@ -232,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=int, default=1)
     g.add_argument("--q", type=int, default=1)
     g.add_argument("--dim", type=int, default=1)
-    g.add_argument("--radius2", default="1")
+    g.add_argument("--radius2", type=_fraction, default="1")
     g.add_argument("--conductor", type=int, default=None)
     g.set_defaults(fn=cmd_gallery)
 
@@ -274,7 +301,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, UnsupportedParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OrbAtlasError as exc:

@@ -264,19 +264,28 @@ class CycNum:
 # -- sign determination ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _sign_cached(x: CycNum) -> int:
-    """Sign of a real element outside Q, so m is 8 or 12.
+def real_parts(x: CycNum) -> tuple[int, int, int, int]:
+    """Integers (a, b, d, e) with x = (a + b sqrt d) / e and e > 0, for an
+    element x of the real subfield; NotRealError for any other x.
 
-    With den * x = sum n_k zeta^k, 2 * den * x = a + b sqrt(d), where
+    d is 2 for m = 8 and 3 for m = 12; for the other m the real subfield is Q,
+    so d = 1 and b = 0.  With den * x = sum n_k zeta^k and e = 2 * den:
     m = 8:  zeta = (1 + i)/sqrt 2, zeta^2 = i, zeta^3 = (-1 + i)/sqrt 2;
     m = 12: zeta = (sqrt 3 + i)/2, zeta^2 = (1 + i sqrt 3)/2, zeta^3 = i.
     """
+    if not x.is_real():
+        raise NotRealError(f"{x!r} is not fixed by conjugation")
     n = x._n
     if x.m == 8:
-        a, b, d = 2 * n[0], n[1] - n[3], 2
-    else:
-        a, b, d = 2 * n[0] + n[2], n[1], 3
+        return 2 * n[0], n[1] - n[3], 2, 2 * x._d
+    if x.m == 12:
+        return 2 * n[0] + n[2], n[1], 3, 2 * x._d
+    return 2 * n[0], 0, 1, 2 * x._d
+
+
+def sign_quadratic(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b sqrt d for integers a, b and d > 0, where b = 0 or
+    d is not a perfect square."""
     sa = (a > 0) - (a < 0)
     sb = (b > 0) - (b < 0)
     if sa == sb or sb == 0:
@@ -288,12 +297,16 @@ def _sign_cached(x: CycNum) -> int:
     return sa if a * a > d * b * b else -sa
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _sign_cached(x: CycNum) -> int:
+    """Sign of an element outside Q, which is real only for m = 8 or 12."""
+    a, b, d, _ = real_parts(x)
+    return sign_quadratic(a, b, d)
+
+
 def sign_real(x: CycNum) -> int:
     """Exact sign of an element of the real subfield: -1, 0 or +1."""
-    if not x.is_real():
-        raise NotRealError(f"{x!r} is not fixed by conjugation")
-    if x.is_zero():
-        return 0
     if x.is_rational():
-        return 1 if x._n[0] > 0 else -1
+        n = x._n[0]
+        return (n > 0) - (n < 0)
     return _sign_cached(x)

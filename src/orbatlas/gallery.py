@@ -96,13 +96,16 @@ def gallery(params: GalleryParams) -> Atlas:
     """Build the named gallery atlas; always validated by construction."""
     if params.name not in GALLERY_NAMES:
         raise UnsupportedParamsError(f"unknown gallery atlas {params.name!r}")
+    m = _conductor_for(params)
     if params.name == "point":
-        m = params.conductor or 1
         chart = Chart("pt", Ball(Point(()), CycNum.rational(m, 1)), (AffineMap((), Point(())),))
         return Atlas(m, 0, [chart], [], SpanSearchOracle(), witnesses=[_self_span(chart)])
-    m = _conductor_for(params)
     if params.name in ("cone", "global_quotient"):
         dim = 1 if params.name == "cone" else params.dim
+        if dim < 1:
+            raise UnsupportedParamsError(f"dimension {dim} is below 1")
+        if params.radius2 <= 0:
+            raise UnsupportedParamsError(f"squared radius {params.radius2} is not positive")
         cid = f"{params.name}{params.p}" if params.name == "cone" else f"quot{params.p}d{dim}"
         chart = Chart(
             cid,

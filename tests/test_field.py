@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbatlas.errors import ConductorMismatchError, NotRealError
-from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum, sign_real
+from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum, real_parts, sign_quadratic, sign_real
 
 CONDUCTOR = 12
 
@@ -126,6 +126,48 @@ class TestSign:
         assert s * s == CycNum.rational(8, 2)
         assert sign_real((1 - s) ** 30000) == 1
         assert sign_real((1 - s) ** 30001) == -1
+
+    def test_quadratic_sign_rule_edges(self):
+        assert sign_quadratic(0, 0, 2) == 0
+        assert sign_quadratic(-5, 0, 3) == -1  # b = 0
+        assert sign_quadratic(0, -1, 2) == -1  # a = 0
+        assert sign_quadratic(0, 7, 3) == 1
+        assert sign_quadratic(2, 3, 2) == 1  # same signs
+        assert sign_quadratic(-2, -3, 2) == -1
+        assert sign_quadratic(3, -2, 2) == 1  # opposite signs: 9 > 8
+        assert sign_quadratic(-3, 2, 2) == -1
+        assert sign_quadratic(2, -1, 3) == 1  # 4 > 3
+        assert sign_quadratic(1, -1, 3) == -1  # 1 < 3
+        # large heights: the convergents p/q of sqrt 2 alternate around it
+        p, q = 1, 1
+        for k in range(200):
+            p, q = p + 2 * q, p + q
+            want = -1 if k % 2 else 1  # 3/2, 7/5, 17/12, ...: above, below, above
+            assert sign_quadratic(p, -q, 2) == want
+            assert sign_quadratic(-p, q, 2) == -want
+
+    def test_real_parts_reconstruct_the_element(self):
+        import random
+
+        rng = random.Random(11)
+        for m in SUPPORTED_CONDUCTORS:
+            root = {8: CycNum.zeta(8) - CycNum.zeta(8, 3), 12: z() + z().conj()}.get(m)
+            for _ in range(40):
+                x = CycNum(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)])
+                x = x + x.conj()
+                a, b, d, e = real_parts(x)
+                assert e > 0
+                assert d == {8: 2, 12: 3}.get(m, 1)
+                rebuilt = CycNum.rational(m, Fraction(a, e))
+                if root is not None:
+                    assert root * root == CycNum.rational(m, d)
+                    rebuilt = rebuilt + root * Fraction(b, e)
+                else:
+                    assert b == 0
+                assert rebuilt == x
+            if m > 2:
+                with pytest.raises(NotRealError):
+                    real_parts(CycNum.zeta(m))
 
     def test_agrees_with_fixed_precision_interval(self):
         # independent 256-bit interval evaluation of the same real number, in

@@ -118,6 +118,16 @@ class TestGalleryParams:
         with pytest.raises(UnsupportedParamsError):
             cone(3, conductor=4)
 
+    def test_non_positive_radius_and_dimension_rejected(self):
+        from orbatlas.errors import UnsupportedParamsError
+
+        for r2 in (0, -1):
+            with pytest.raises(UnsupportedParamsError):
+                cone(3, radius2=r2)
+        with pytest.raises(UnsupportedParamsError):
+            global_quotient(2, 0)
+        assert global_quotient(2, 1).dim == 1
+
 
 class TestParseErrors:
     def test_zero_denominator(self):
@@ -166,13 +176,13 @@ def cli_env(**extra):
     return env
 
 
-def run_cli(*argv, cwd):
+def run_cli(*argv, cwd, **env):
     return subprocess.run(
         [sys.executable, "-m", "orbatlas.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=cli_env(),
+        env=cli_env(**env),
         timeout=600,
     )
 
@@ -291,8 +301,44 @@ class TestCli:
 
     def test_samples_environment_variable(self, cli_dir):
         env = cli_env(ORBATLAS_SAMPLES="17")
+        code = "from orbatlas import cli; print(cli.build_parser().parse_args(['validate', 'x.json']).samples)"
         out = subprocess.run(
-            [sys.executable, "-c", "from orbatlas import cli; print(cli.DEFAULT_SAMPLES)"],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
         )
-        assert out.stdout.strip() == "17"
+        assert out.stdout.strip() == "17", out.stderr
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (("validate", "cone3.json"), {"ORBATLAS_SAMPLES": "abc"}),
+            (("groupoid", "cone3.json"), {"ORBATLAS_SAMPLES": "-4"}),
+            (("groupoid", "cone3.json", "--samples", "-3"), {}),
+            (("validate", "cone3.json", "--samples", "0"), {}),
+            (("validate", "cone3.json", "--samples", "2.5"), {}),
+        ],
+        ids=["env-not-integer", "env-negative", "option-negative", "option-zero", "option-not-integer"],
+    )
+    def test_bad_sample_count_is_usage_error(self, cli_dir, argv, env):
+        out = run_cli(*argv, cwd=cli_dir, **env)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert "sample count" in out.stderr and "Traceback" not in out.stderr, out.stderr
+
+    def test_samples_option_overrides_environment(self, cli_dir):
+        out = run_cli("validate", "cone3.json", "--samples", "5", cwd=cli_dir, ORBATLAS_SAMPLES="abc")
+        assert out.returncode == 0, out.stdout + out.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cone", "--p", "5"),
+            ("cone", "--p", "3", "--radius2", "-1"),
+            ("cone", "--p", "3", "--radius2", "1/0"),
+            ("global_quotient", "--p", "2", "--dim", "0"),
+            ("point", "--conductor", "5"),
+        ],
+        ids=["unsupported-order", "negative-radius", "radius-not-rational", "dimension-zero", "point-conductor"],
+    )
+    def test_gallery_usage_error(self, cli_dir, argv):
+        out = run_cli("gallery", *argv, cwd=cli_dir)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert out.stdout == "" and "Traceback" not in out.stderr, out.stderr
