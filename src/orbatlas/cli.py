@@ -15,8 +15,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from .atlas import Atlas
 from .errors import OrbAtlasError, ParseError, UnsupportedParamsError
 from .gallery import GalleryParams, gallery
+from .groupoids import GroupoidPresentation
 from .report import Report
 from .serialize import (
     atlas_to_doc,
@@ -27,6 +29,7 @@ from .serialize import (
     serialize,
     witnesses_from_doc,
 )
+from .translation import TranslationGroupoid, build_translation_groupoid
 
 DEFAULT_SAMPLES = 500
 
@@ -77,22 +80,20 @@ def _emit(reports: list[Report], args) -> int:
 
 
 def _load_atlas(path: str):
+    """A validated atlas: an invalid one raises InvalidAtlasError (exit 1)."""
     obj = parse_any(path)
-    from .atlas import Atlas
-
     if not isinstance(obj, Atlas):
         raise ParseError(f"{path} is not an atlas document")
-    return obj
+    return build_translation_groupoid(obj).atlas
 
 
 def _load_groupoid(path: str):
-    from .atlas import Atlas
-    from .groupoids import GroupoidPresentation
-    from .translation import TranslationGroupoid
-
+    """A groupoid document or an atlas's translation groupoid; atlases are validated."""
     obj = parse_any(path)
+    if isinstance(obj, TranslationGroupoid):
+        obj = obj.atlas
     if isinstance(obj, Atlas):
-        return TranslationGroupoid(obj)
+        return build_translation_groupoid(obj)
     if isinstance(obj, GroupoidPresentation):
         return obj
     raise ParseError(f"{path} is not an atlas or groupoid document")
@@ -118,8 +119,8 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .atlas import Atlas, validate_atlas
-    from .groupoids import GroupoidPresentation, check_groupoid_axioms
+    from .atlas import validate_atlas
+    from .groupoids import check_groupoid_axioms
     from .systems import CompatibleSystem, OrbNatTrans, validate_compatible_system, validate_orb_nat_trans
 
     obj = parse_any(args.file)
@@ -139,11 +140,7 @@ def cmd_validate(args) -> int:
 
 def cmd_groupoid(args) -> int:
     from .groupoids import check_groupoid_axioms, structural_predicates
-    from .translation import (
-        TranslationGroupoid,
-        action_groupoid_oracle_report,
-        multiplication_well_defined_report,
-    )
+    from .translation import action_groupoid_oracle_report, multiplication_well_defined_report
 
     g = _load_groupoid(args.file)
     reports = [

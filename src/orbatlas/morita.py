@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedPresentationError,
     WitnessInvalidError,
 )
+from .field import CycNum
 from .gallery import WitnessSpan
 from .geometry import (
     AffineMap,
@@ -47,7 +48,7 @@ from .groupoids import (
 )
 from .report import Report
 from .sampling import random_point_in_ball
-from .translation import TranslationGroupoid, Triple
+from .translation import TranslationGroupoid
 
 
 # -- sub-atlas inclusions -------------------------------------------------------
@@ -78,8 +79,7 @@ def subatlas_inclusion_morphism(sub: Atlas, full: Atlas) -> GroupoidMorphism:
     }
 
     def arrow_map(a):
-        t = src.triple_of(a)
-        return dst.arrow_of(Triple(t.left, t.point, t.right))
+        return dst.arrow_of(src.triple_of(a))
 
     return GroupoidMorphism(src, dst, unit_maps, arrow_map)
 
@@ -547,7 +547,7 @@ def reconstruct_atlas(
         ]
         r2 = Fraction(1, 4)
         for _ in range(256):
-            ball = Ball(u.point, _rational(g.conductor, r2))
+            ball = Ball(u.point, CycNum.rational(g.conductor, r2))
             if ball_in_ball(ball, comp.ball) and all(
                 balls_disjoint(map_ball(t, ball), ball) for t in moved
             ):
@@ -565,8 +565,8 @@ def reconstruct_atlas(
             transports = g.transports(ui.component, uj.component)
             for _ in range(256):
                 r2i, r2j = entries[i][2], entries[j][2]
-                bi = Ball(ui.point, _rational(g.conductor, r2i))
-                bj = Ball(uj.point, _rational(g.conductor, r2j))
+                bi = Ball(ui.point, CycNum.rational(g.conductor, r2i))
+                bj = Ball(uj.point, CycNum.rational(g.conductor, r2j))
                 clash = False
                 for t, dom in transports:
                     if balls_disjoint(bi, dom):
@@ -585,7 +585,7 @@ def reconstruct_atlas(
     unit_points = {}
     span_witnesses = []
     for cid, u, r2, germs in entries:
-        chart = Chart(cid, Ball(u.point, _rational(g.conductor, r2)), tuple(germs))
+        chart = Chart(cid, Ball(u.point, CycNum.rational(g.conductor, r2)), tuple(germs))
         charts.append(chart)
         anchors[cid] = u.component
         unit_points[cid] = (u.point,)
@@ -605,12 +605,6 @@ def reconstruct_atlas(
     return Reconstruction(atlas, anchors)
 
 
-def _rational(m: int, value: Fraction):
-    from .field import CycNum
-
-    return CycNum.rational(m, value)
-
-
 def reconstruction_morita_morphism(
     g: GroupoidPresentation, recon: Reconstruction | None = None
 ) -> GroupoidMorphism:
@@ -623,10 +617,10 @@ def reconstruction_morita_morphism(
     unit_maps = {cid: (recon.anchors[cid], ident) for cid in recon.atlas.chart_ids()}
 
     def arrow_map(a):
-        t = src.triple_of(a)
-        germ = t.right.map.compose(t.left.map.inverse())
-        u1 = UnitPoint(recon.anchors[t.left.dst], t.left(t.point))
-        u2 = UnitPoint(recon.anchors[t.right.dst], t.right(t.point))
+        germ = src.local_bisection(a)
+        s, t = src.source(a), src.target(a)
+        u1 = UnitPoint(recon.anchors[s.component], s.point)
+        u2 = UnitPoint(recon.anchors[t.component], t.point)
         for cand in g.arrows_between(u1, u2):
             if g.local_bisection(cand) == germ:
                 return cand

@@ -234,6 +234,26 @@ def atlas_from_doc(doc) -> Atlas:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"malformed atlas document: {exc}") from exc
+    if not charts:
+        raise ParseError("atlas has no charts")
+    unknown = sorted(set(unit_points) - {c.cid for c in charts})
+    if unknown:
+        raise ParseError(f"unit points name unknown charts {unknown}")
+    # a map's matrix is square of its translation's length by construction
+    points = [("unit point", q) for pts in unit_points.values() for q in pts]
+    for c in charts:
+        if not c.group:
+            raise ParseError(f"chart {c.cid} has an empty group")
+        points += [(f"chart {c.cid}", q) for q in (c.ball.center, *(g.b for g in c.group))]
+    points += [(f"embedding {e.src}->{e.dst}", e.map.b) for e in reps]
+    table = oracle
+    while isinstance(table, PushforwardOracle):
+        table = table.inner
+    spans = witnesses + list(table.entries if isinstance(table, SpanTableOracle) else ())
+    points += [(f"span via {w.chart}", q) for w in spans for q in (w.point, w.left.map.b, w.right.map.b)]
+    for where, q in points:
+        if q.dim != dim:
+            raise ParseError(f"length {q.dim}, expected dimension {dim}", where)
     return Atlas(m, dim, charts, reps, oracle, witnesses=witnesses, unit_points=unit_points)
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NoConjugatorError,
     NotUniqueError,
 )
-from .geometry import AffineMap, PolyMap, map_ball, point_in_ball
+from .geometry import AffineMap, PolyMap, ball_in_ball, map_ball, point_in_ball
 from .report import Report
 from .sampling import random_point_in_ball
 
@@ -144,8 +144,7 @@ def validate_compatible_system(
         inside = all(point_in_ball(lift(p), target.ball) for p in pts)
         rep.add(f"lift of {cid} maps witness points into the target ball", inside)
         if lift.is_affine() and src.dim == dst.dim:
-            aff = lift.to_affine()
-            if not _affine_image_inside(aff, src.chart(cid).ball, target.ball):
+            if not ball_in_ball(map_ball(lift.to_affine(), src.chart(cid).ball), target.ball):
                 rep.warn(f"affine lift of {cid}: image ball not contained in the target")
         elif not _poly_ball_sufficient(lift, src.chart(cid).ball, target.ball):
             rep.warn(f"lift of {cid}: coefficient-norm containment bound not met")
@@ -187,12 +186,6 @@ def validate_compatible_system(
                 ok_func, detail = False, f"functoriality fails on {a}->{b}->{c}"
     rep.add("functoriality on composites", ok_func, detail)
     return rep
-
-
-def _affine_image_inside(aff: AffineMap, src_ball, dst_ball) -> bool:
-    from .geometry import ball_in_ball
-
-    return ball_in_ball(map_ball(aff, src_ball), dst_ball)
 
 
 def _poly_ball_sufficient(lift: PolyMap, src_ball, dst_ball) -> bool:

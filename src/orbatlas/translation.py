@@ -1,10 +1,11 @@
 """The translation groupoid of an atlas and the functor into groupoids.
 
-Arrows are equivalence classes of triples (left embedding, marked point, right
-embedding) over a common source chart.  Equality of classes is decided by
-completing the left legs to a commuting span and measuring the right-leg
-mismatch by the unique conjugator in the target chart group; multiplication
-composes through a span completion of the middle legs.
+Arrows are classes of triples (left embedding, marked point, right embedding)
+over a common chart.  A reduced atlas gives an effective groupoid, where an
+arrow is the germ of its transition right . left^(-1) at its source point; as
+transitions are similarities, equal germs are equal maps.  Equality compares
+source unit, target chart and germ; multiplication looks the composed germ up
+in the transport table.  multiply_triples keeps the span-completion product.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .atlas import Atlas, Embedding, common_span, find_conjugator, stabilizer
+from .atlas import Atlas, Embedding, Span, common_span, stabilizer, validate_atlas
 from .errors import (
     AtlasMismatchError,
     IllTypedError,
@@ -116,9 +117,16 @@ class TranslationGroupoid(GroupoidPresentation):
         return self.arrow_of(Triple(t.right, t.point, t.left))
 
     def multiply(self, a: Arrow, b: Arrow) -> Arrow:
+        """The first transport record carrying germ(b) . germ(a) over s(a)."""
         if not self.composable(a, b):
             raise NotComposableError("t(first) != s(second)")
-        return self.arrow_of(self.multiply_triples(self.triple_of(a), self.triple_of(b)))
+        germ = self.local_bisection(b).compose(self.local_bisection(a))
+        x = self.source(a)
+        ck = self.arrow_component(b.component).t_component
+        for t in self.atlas.transports(x.component, ck):
+            if t.map == germ and point_in_ball(x.point, t.domain):
+                return self.arrow_of(Triple(t.left, t.left.map.inverse()(x.point), t.right))
+        raise InvalidAtlasError(f"no transport {x.component}->{ck} carries the composed germ")
 
     def multiply_triples(self, p: Triple, q: Triple, span=None) -> Triple:
         """[left_p . f_left, x_f, right_q . f_right] for a span completion of the
@@ -139,28 +147,16 @@ class TranslationGroupoid(GroupoidPresentation):
         return e
 
     def arrow_equal(self, a: Arrow, b: Arrow) -> bool:
-        if a.component == b.component:
-            # equivalence is trivial within one component
-            return a.point == b.point
-        return self.triples_equal(self.triple_of(a), self.triple_of(b))
+        """Equal germs: same target chart, same source unit, same transition."""
+        return (
+            self.arrow_component(a.component).t_component
+            == self.arrow_component(b.component).t_component
+            and self.unit_equal(self.source(a), self.source(b))
+            and self.local_bisection(a) == self.local_bisection(b)
+        )
 
     def triples_equal(self, p: Triple, q: Triple) -> bool:
-        sp = UnitPoint(p.left.dst, p.left(p.point))
-        sq = UnitPoint(q.left.dst, q.left(q.point))
-        if not self.unit_equal(sp, sq):
-            return False
-        tp = UnitPoint(p.right.dst, p.right(p.point))
-        tq = UnitPoint(q.right.dst, q.right(q.point))
-        if not self.unit_equal(tp, tq):
-            return False
-        span = common_span(self.atlas, p.left, p.point, q.left, q.point)
-        target = self.atlas.chart(p.right.dst)
-        g = find_conjugator(
-            target,
-            p.right.map.compose(span.left.map),
-            q.right.map.compose(span.right.map),
-        )
-        return g.is_identity()
+        return self.arrow_equal(self.arrow_of(p), self.arrow_of(q))
 
     def arrows_between(self, u1: UnitPoint, u2: UnitPoint) -> list[Arrow]:
         span = self.atlas.refine(u1.component, u1.point, u2.component, u2.point)
@@ -207,11 +203,10 @@ class TranslationGroupoid(GroupoidPresentation):
 def build_translation_groupoid(atlas: Atlas, validate: bool = True) -> TranslationGroupoid:
     """Translation groupoid of a validated atlas."""
     if validate:
-        from .atlas import validate_atlas
-
         rep = validate_atlas(atlas)
         if not rep.ok:
-            raise InvalidAtlasError("; ".join(n for n, _ in rep.failures()))
+            failed = (f"{n} ({d})" if d else n for n, d in rep.failures())
+            raise InvalidAtlasError("invalid atlas: " + "; ".join(failed))
     return TranslationGroupoid(atlas)
 
 
@@ -406,8 +401,6 @@ def multiplication_well_defined_report(
     rep = Report("multiplication well-definedness")
     tg = TranslationGroupoid(atlas)
     rng = random.Random(seed)
-    from .atlas import Span
-
     ok = True
     tested = 0
     for _ in range(products):

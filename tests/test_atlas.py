@@ -409,6 +409,18 @@ class TestSpanTableOracle:
         assert isinstance(again.oracle, SpanTableOracle)
         assert serialize(again) == payload
 
+    def test_table_span_of_wrong_length_is_parse_error(self):
+        from orbatlas.errors import ParseError
+        from orbatlas.serialize import atlas_from_doc, atlas_to_doc
+
+        doc = atlas_to_doc(_two_disc_table_atlas()[0])
+        doc["oracle"]["params"]["spans"][0]["point"] = []
+        with pytest.raises(ParseError, match="expected dimension 1"):
+            atlas_from_doc(doc)
+        doc["oracle"] = {"kind": "pushforward", "params": {"relabel": {}, "inner": doc["oracle"]}}
+        with pytest.raises(ParseError, match="expected dimension 1"):
+            atlas_from_doc(doc)
+
     def test_query_answered_only_by_the_table(self):
         atlas, entry = _two_disc_table_atlas()
         p = entry.point

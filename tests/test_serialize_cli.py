@@ -281,6 +281,11 @@ class TestCli:
             lambda doc: {"kind": "system"},
             lambda doc: {"kind": "groupoid", "strategy": "action", "conductor": 3},
             lambda doc: {"kind": "groupoid", "strategy": "translation"},
+            lambda doc: {**doc, "dimension": 2},
+            lambda doc: {**doc, "charts": [{**doc["charts"][0], "group": []}]},
+            lambda doc: {**doc, "charts": []},
+            lambda doc: {**doc, "charts": [{**doc["charts"][0], "center": []}]},
+            lambda doc: {**doc, "unit_points": {**doc["unit_points"], "nowhere": doc["unit_points"]["cone3"]}},
         ],
         ids=[
             "non-object",
@@ -290,6 +295,11 @@ class TestCli:
             "system-missing-fields",
             "action-groupoid-missing-fields",
             "translation-groupoid-missing-atlas",
+            "dimension-mismatch",
+            "empty-group",
+            "no-charts",
+            "empty-centre",
+            "unknown-unit-point-chart",
         ],
     )
     def test_malformed_document_is_parse_error(self, cli_dir, mutate):
@@ -298,6 +308,40 @@ class TestCli:
         out = run_cli("validate", "bad.json", cwd=cli_dir)
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith("error: "), out.stderr
+
+    @pytest.fixture(scope="class")
+    def bad_football(self, cli_dir):
+        """football(2, 3) with the glue chart's radius2 raised to 100: it parses,
+        but the glue embeddings leave their target domains."""
+        payload = serialize(football(2, 3))
+        (cli_dir / "fb.json").write_bytes(payload)
+        doc = json.loads(payload)
+        for chart in doc["charts"]:
+            if chart["id"] == "glue":
+                chart["radius2"] = "100/1"
+        (cli_dir / "fb_bad.json").write_bytes(canonical_bytes(doc))
+        tg = TranslationGroupoid(atlas_from_doc(doc))
+        (cli_dir / "fb_bad_groupoid.json").write_bytes(serialize(tg))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("laws", "fb_bad.json"),
+            ("groupoid", "fb_bad.json"),
+            ("groupoid", "fb_bad_groupoid.json"),
+            ("reconstruct", "fb_bad.json"),
+            ("morita", "fb_bad.json", "fb.json"),
+            ("bijection", "fb.json", "fb_bad.json"),
+        ],
+        ids=["laws", "groupoid", "groupoid-document", "reconstruct", "morita", "bijection"],
+    )
+    def test_invalid_atlas_fails_before_any_suite(self, cli_dir, bad_football, argv):
+        out = run_cli(*argv, "--samples", "20", cwd=cli_dir)
+        assert out.returncode == 1, out.stdout + out.stderr
+        assert out.stdout == "", out.stdout
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+        assert "image inside target domain" in lines[0], out.stderr
 
     def test_samples_environment_variable(self, cli_dir):
         env = cli_env(ORBATLAS_SAMPLES="17")

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from orbatlas.atlas import Embedding
+from orbatlas.atlas import Embedding, common_span, find_conjugator
 from orbatlas.errors import NotComposableError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient
-from orbatlas.geometry import AffineMap, Point
+from orbatlas.geometry import AffineMap, Point, point_in_ball
 from orbatlas.groupoids import UnitPoint, validate_grp_nat_trans
 from orbatlas.systems import rotation_fixture, rotation_system, OrbNatTrans
 from orbatlas.translation import (
@@ -146,6 +146,90 @@ class TestArrowEquality:
             full.identity_embedding("cone3"), x, Embedding("cone3", "cone3", rot.compose(rot))
         )
         assert not g.triples_equal(over_half, other)
+
+
+def span_conjugator_equal(g, p, q):
+    """The span-and-conjugator rule for triples: the same source and target
+    units, and right legs over a commuting span of the left legs that differ by
+    the identity of the target chart group."""
+    sp = UnitPoint(p.left.dst, p.left(p.point))
+    sq = UnitPoint(q.left.dst, q.left(q.point))
+    if not g.unit_equal(sp, sq):
+        return False
+    tp = UnitPoint(p.right.dst, p.right(p.point))
+    tq = UnitPoint(q.right.dst, q.right(q.point))
+    if not g.unit_equal(tp, tq):
+        return False
+    span = common_span(g.atlas, p.left, p.point, q.left, q.point)
+    c = find_conjugator(
+        g.atlas.chart(p.right.dst),
+        p.right.map.compose(span.left.map),
+        q.right.map.compose(span.right.map),
+    )
+    return c.is_identity()
+
+
+GALLERY_FIXTURES = ["cone3", "football23", "teardrop3", "quotient22", "point_chart_atlas", "sub_full_cone3"]
+
+
+def gallery_groupoid(request, name):
+    atlas = request.getfixturevalue(name)
+    if name == "sub_full_cone3":
+        atlas = atlas[1]
+    return build_translation_groupoid(atlas)
+
+
+def arrows_with_source(g, u, products=6):
+    """Arrows out of u: one per transport record whose domain holds u (so
+    every arrow under several representatives), then a few products."""
+    out = []
+    for cj in g.atlas.chart_ids():
+        for t in g.atlas.transports(u.component, cj):
+            if point_in_ball(u.point, t.domain):
+                out.append(g.arrow_of(Triple(t.left, t.left.map.inverse()(u.point), t.right)))
+    firsts = g.arrows_from(u)
+    for a in firsts[:products]:
+        out.append(g.multiply(a, g.arrows_from(g.target(a))[-1]))
+    return out
+
+
+class TestGermRule:
+    """arrow_equal and multiply decide by germs; they must agree with the
+    span-and-conjugator rule and the span-completion product."""
+
+    @pytest.mark.parametrize("name", GALLERY_FIXTURES)
+    def test_arrow_equal_matches_span_conjugator_rule(self, request, name):
+        g = gallery_groupoid(request, name)
+        rng = random.Random(41)
+        units = g.unit_witness_points()[:3] + [g.random_unit(rng) for _ in range(2)]
+        outcomes = set()
+        target_only = 0  # pairs with one source and one germ but different target charts
+        for u in units:
+            arrows = arrows_with_source(g, u)
+            for a in arrows:
+                for b in arrows:
+                    want = span_conjugator_equal(g, g.triple_of(a), g.triple_of(b))
+                    assert g.arrow_equal(a, b) == want, (u, a, b)
+                    outcomes.add(want)
+                    if not want and g.local_bisection(a) == g.local_bisection(b):
+                        target_only += 1
+        # the point atlas has a single arrow over each unit
+        assert outcomes == ({True} if name == "point_chart_atlas" else {True, False})
+        if name == "sub_full_cone3":
+            assert target_only > 0
+
+    @pytest.mark.parametrize("name", GALLERY_FIXTURES)
+    def test_multiply_matches_span_completion_product(self, request, name):
+        g = gallery_groupoid(request, name)
+        rng = random.Random(43)
+        for _ in range(8):
+            a, b = g.random_composable_pair(rng)
+            product = g.multiply(a, b)
+            expected = g.arrow_of(g.multiply_triples(g.triple_of(a), g.triple_of(b)))
+            assert span_conjugator_equal(g, g.triple_of(product), g.triple_of(expected))
+            for c in [expected] + g.arrows_from(g.source(a)):
+                want = span_conjugator_equal(g, g.triple_of(product), g.triple_of(c))
+                assert g.arrow_equal(product, c) == want, (a, b, c)
 
 
 class TestMultiplication:
