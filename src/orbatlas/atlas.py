@@ -131,6 +131,7 @@ class Atlas:
             cid: tuple((unit_points or {}).get(cid, ())) for cid in self.charts
         }
         self._family_cache: dict[tuple[str, str], tuple[Embedding, ...]] = {}
+        self._position_cache: dict[tuple[str, str], dict[AffineMap, int]] = {}
         self._transport_cache: dict[tuple[str, str], tuple[Transport, ...]] = {}
 
     # -- chart and embedding enumeration ------------------------------------
@@ -192,14 +193,24 @@ class Atlas:
             out.extend(self.family(src, dst))
         return out
 
+    def _family_positions(self, src: str, dst: str) -> dict[AffineMap, int]:
+        """map -> first position of that map in family(src, dst)."""
+        positions = self._position_cache.get((src, dst))
+        if positions is None:
+            positions = {}
+            for k, f in enumerate(self.family(src, dst)):
+                positions.setdefault(f.map, k)
+            self._position_cache[(src, dst)] = positions
+        return positions
+
     def in_family(self, e: Embedding) -> bool:
-        return any(f.map == e.map for f in self.family(e.src, e.dst))
+        return e.map in self._family_positions(e.src, e.dst)
 
     def family_index(self, e: Embedding) -> int:
-        for k, f in enumerate(self.family(e.src, e.dst)):
-            if f.map == e.map:
-                return k
-        raise InvalidAtlasError(f"{e!r} is not a stored embedding of the atlas")
+        k = self._family_positions(e.src, e.dst).get(e.map)
+        if k is None:
+            raise InvalidAtlasError(f"{e!r} is not a stored embedding of the atlas")
+        return k
 
     # -- identification -----------------------------------------------------
 

@@ -124,6 +124,8 @@ def cmd_validate(args) -> int:
     from .systems import CompatibleSystem, OrbNatTrans, validate_compatible_system, validate_orb_nat_trans
 
     obj = parse_any(args.file)
+    if isinstance(obj, TranslationGroupoid):
+        obj = build_translation_groupoid(obj.atlas)
     rng = random.Random(args.seed)
     if isinstance(obj, Atlas):
         reports = [validate_atlas(obj, samples=min(args.samples, 50), rng=rng)]

@@ -155,27 +155,35 @@ def check_morita(m: GroupoidMorphism, samples: int = 100, seed: int = 0) -> Mori
 
 
 def _hits_witness(m: GroupoidMorphism, w: UnitPoint) -> bool:
-    """Does some source unit point map to a point connected to the witness?"""
-    src, dst = m.src, m.dst
-    candidates = [dst.identity(w)] + dst.arrows_from(w)
-    for arrow in candidates:
-        z = dst.target(arrow)
-        for comp in src.unit_components():
-            label, mp = m.unit_maps[comp.label]
-            if label != z.component:
-                continue
-            if comp.ball.dim == 0:
-                if mp(comp.ball.center) == z.point:
-                    return True
-                continue
-            if not mp.is_affine():
-                continue
-            aff = mp.to_affine()
-            if not aff.is_invertible():
-                continue
-            y = aff.inverse()(z.point)
-            if point_in_ball(y, comp.ball) and mp(y) == z.point:
+    """Does some source unit point map to a point connected to the witness?
+
+    The witness itself (the identity's target) is tested first; the arrows
+    out of it are built only when that misses, and the search stops at the
+    first target reached."""
+    dst = m.dst
+    if _reaches(m, dst.target(dst.identity(w))):
+        return True
+    return any(_reaches(m, dst.target(a)) for a in dst.arrows_from(w))
+
+
+def _reaches(m: GroupoidMorphism, z: UnitPoint) -> bool:
+    """Is z the image of a source unit point under the unit map?"""
+    for comp in m.src.unit_components():
+        label, mp = m.unit_maps[comp.label]
+        if label != z.component:
+            continue
+        if comp.ball.dim == 0:
+            if mp(comp.ball.center) == z.point:
                 return True
+            continue
+        if not mp.is_affine():
+            continue
+        aff = mp.to_affine()
+        if not aff.is_invertible():
+            continue
+        y = aff.inverse()(z.point)
+        if point_in_ball(y, comp.ball) and mp(y) == z.point:
+            return True
     return False
 
 

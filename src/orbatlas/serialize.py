@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from pathlib import Path
 
 from .atlas import Atlas, Chart, Embedding, Span
@@ -32,16 +34,27 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# Documents repeat a handful of coefficient strings many times over.
+_fraction_of = lru_cache(maxsize=1024)(Fraction)
+
+
 def _parse_frac(s, where="rational") -> Fraction:
     try:
-        f = Fraction(str(s))
+        f = _fraction_of(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}", where) from exc
     return f
 
 
 def cyc_to_doc(x: CycNum) -> list[str]:
-    return [_frac_str(c) for c in x.coeffs]
+    """The length-m power-basis coefficients as reduced "n/d" strings, read
+    off the numerators over the common denominator."""
+    d = x._d
+    out = []
+    for n in x._n:
+        g = gcd(n, d)
+        out.append(f"{n // g}/{d // g}")
+    return out + ["0/1"] * (x.m - len(out))
 
 
 def _conductor(value) -> int:
@@ -424,12 +437,18 @@ def witnesses_to_doc(witnesses) -> dict:
 def witnesses_from_doc(doc, m: int) -> list[WitnessSpan]:
     if _kind(doc) != "witnesses":
         raise ParseError("document is not a witness file")
+    spans = doc.get("spans")
+    if not isinstance(spans, list):
+        raise ParseError("witness document has no list of spans")
     out = []
-    for entry in doc["spans"]:
-        chart = chart_from_doc(m, entry["chart"])
-        left = Embedding(chart.cid, entry["left"]["dst"], affine_from_doc(m, entry["left"], "leg"))
-        right = Embedding(chart.cid, entry["right"]["dst"], affine_from_doc(m, entry["right"], "leg"))
-        out.append(WitnessSpan(chart, left, right))
+    try:
+        for entry in spans:
+            chart = chart_from_doc(m, entry["chart"])
+            left = Embedding(chart.cid, entry["left"]["dst"], affine_from_doc(m, entry["left"], "leg"))
+            right = Embedding(chart.cid, entry["right"]["dst"], affine_from_doc(m, entry["right"], "leg"))
+            out.append(WitnessSpan(chart, left, right))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed witness document: {exc}") from exc
     return out
 
 

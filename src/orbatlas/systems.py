@@ -43,16 +43,22 @@ class CompatibleSystem:
         return self.lifts[cid]
 
     def group_map(self, cid: str) -> dict[AffineMap, AffineMap]:
-        """g -> f(g) on the chart group, pinned by lift . g = f(g) . lift."""
+        """g -> f(g) on the chart group, pinned by lift . g = f(g) . lift.
+
+        Each side is composed once: h . lift for every target element h, and
+        lift . g for every source element g, which is then matched against
+        those images."""
         cached = self._group_maps.get(cid)
         if cached is not None:
             return cached
         chart = self.src.chart(cid)
         target = self.dst.chart(self.theta[cid])
         lift = self.lift(cid)
+        images = [(h, lift.then(h)) for h in target.group]
         table = {}
         for g in chart.group:
-            hits = [h for h in target.group if lift.compose(g) == lift.then(h)]
+            lhs = lift.compose(g)
+            hits = [h for h, image in images if image == lhs]
             if not hits:
                 raise NoConjugatorError(
                     f"no target element tracks {g!r} through the lift of {cid}"

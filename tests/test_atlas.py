@@ -23,12 +23,13 @@ from orbatlas.atlas import (
     validate_embedding,
 )
 from orbatlas.errors import (
+    InvalidAtlasError,
     NoConjugatorError,
     OracleRefusedError,
     PointOutsideDomainError,
 )
 from orbatlas.field import CycNum
-from orbatlas.gallery import cone, football, rotation_group, teardrop
+from orbatlas.gallery import cone, football, global_quotient, rotation_group, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, point_in_ball
 from orbatlas.oracles import SpanSearchOracle, SpanTableOracle
 from orbatlas.sampling import random_chart_point
@@ -429,3 +430,70 @@ class TestSpanTableOracle:
         flipped = atlas.refine("b", p, "a", p)
         assert _span_key(flipped) == _span_key(Span("a", p, entry.right, entry.left))
         assert atlas.refine("a", p, "b", Point.of(M, Fraction(1, 5))) is None
+
+
+def _reference_family_index(atlas, e):
+    """The linear scan of the family, first match wins."""
+    for k, f in enumerate(atlas.family(e.src, e.dst)):
+        if f.map == e.map:
+            return k
+    raise InvalidAtlasError(f"{e!r} is not a stored embedding of the atlas")
+
+
+def _index_outcome(fn):
+    try:
+        return fn()
+    except InvalidAtlasError as exc:
+        return str(exc)
+
+
+def _duplicate_family_atlas():
+    """A chart group listing zeta twice, and a degenerate representative that
+    collapses the whole torsor onto one map."""
+    ident = AffineMap.identity(M, 1)
+    a = Chart("a", Ball.of(M, [0], 1), (zrot(4), ident, zrot(4), zrot(8)))
+    b = Chart("b", Ball.of(M, [0], 1), (ident, zrot(6)))
+    flat = Embedding("a", "b", AffineMap.scaling(M, 1, CycNum.rational(M, 0)))
+    return Atlas(M, 1, [a, b], [flat], SpanSearchOracle())
+
+
+class TestFamilyIndex:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: cone(3, conductor=12),
+            lambda: football(2, 3),
+            lambda: teardrop(3),
+            lambda: global_quotient(2, 2),
+            _duplicate_family_atlas,
+        ],
+        ids=["cone3-m12", "football23", "teardrop3", "quotient22", "duplicates"],
+    )
+    def test_matches_linear_scan(self, make):
+        atlas = make()
+        shift = AffineMap.translation(atlas.conductor, Point.of(atlas.conductor, *[Fraction(1, 7)] * atlas.dim))
+        queries = []
+        for src in atlas.chart_ids():
+            for dst in atlas.chart_ids():
+                for f in atlas.family(src, dst):
+                    queries += [f, Embedding(src, dst, shift.compose(f.map))]
+                    # a map of one family asked about in every other pair
+                    queries += [Embedding(s, d, f.map) for s in atlas.chart_ids() for d in atlas.chart_ids()]
+        members = 0
+        for e in queries:
+            expected = _index_outcome(lambda: _reference_family_index(atlas, e))
+            assert _index_outcome(lambda: atlas.family_index(e)) == expected
+            assert atlas.in_family(e) == any(f.map == e.map for f in atlas.family(e.src, e.dst))
+            members += isinstance(expected, int)
+        assert 0 < members < len(queries)
+
+    def test_first_index_wins_on_duplicates(self):
+        atlas = _duplicate_family_atlas()
+        assert atlas.family_index(Embedding("a", "a", zrot(4))) == 0
+        assert atlas.family_index(Embedding("a", "a", zrot(8))) == 3
+        flat = atlas.family("a", "b")
+        assert len(flat) == 2 and flat[0].map == flat[1].map
+        assert atlas.family_index(flat[1]) == 0
+        with pytest.raises(InvalidAtlasError):
+            atlas.family_index(Embedding("a", "a", zrot(2)))
+        assert not atlas.in_family(Embedding("a", "a", zrot(2)))

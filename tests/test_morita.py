@@ -18,7 +18,7 @@ from orbatlas.gallery import (
     teardrop,
     teardrop_pair,
 )
-from orbatlas.geometry import AffineMap, Ball, Point, PolyMap
+from orbatlas.geometry import AffineMap, Ball, Point, PolyMap, point_in_ball
 from orbatlas.groupoids import (
     ActionGroupoid,
     GroupoidMorphism,
@@ -27,6 +27,7 @@ from orbatlas.groupoids import (
     validate_groupoid_morphism,
 )
 from orbatlas.morita import (
+    _hits_witness,
     atlases_equivalent,
     bijection_demo,
     check_morita,
@@ -39,6 +40,7 @@ from orbatlas.morita import (
     reconstruct_atlas,
     reconstruction_morita_morphism,
     subatlas_inclusion_morphism,
+    union_atlas,
     RefinementData,
 )
 from orbatlas.translation import TranslationGroupoid
@@ -320,3 +322,105 @@ class TestBijectionDemo:
         # an action groupoid declares only its center as a witness point, so
         # the trivial isotropy of its generic points is not probed
         assert isotropy_signature(z3_action()) == (1, (3,))
+
+
+def _reference_hits_witness(m, w):
+    """The witness search as first written: every arrow out of the witness,
+    the identity included, is built before any target is tested."""
+    src, dst = m.src, m.dst
+    candidates = [dst.identity(w)] + dst.arrows_from(w)
+    for arrow in candidates:
+        z = dst.target(arrow)
+        for comp in src.unit_components():
+            label, mp = m.unit_maps[comp.label]
+            if label != z.component:
+                continue
+            if comp.ball.dim == 0:
+                if mp(comp.ball.center) == z.point:
+                    return True
+                continue
+            if not mp.is_affine():
+                continue
+            aff = mp.to_affine()
+            if not aff.is_invertible():
+                continue
+            y = aff.inverse()(z.point)
+            if point_in_ball(y, comp.ball) and mp(y) == z.point:
+                return True
+    return False
+
+
+def _chain_morphisms(u1, u2, ws):
+    ref = common_refinement(u1, u2, ws)
+    union1 = union_atlas(u1, ref.atlas, ref.into_first)
+    union2 = union_atlas(u2, ref.atlas, ref.into_second)
+    return [
+        subatlas_inclusion_morphism(ref.atlas, union1),
+        subatlas_inclusion_morphism(u1, union1),
+        subatlas_inclusion_morphism(ref.atlas, union2),
+        subatlas_inclusion_morphism(u2, union2),
+    ]
+
+
+def _reconstruction_morphism(g):
+    return reconstruction_morita_morphism(g, reconstruct_atlas(g, samples=2, seed=0))
+
+
+def _point_to_cone():
+    tg = TranslationGroupoid(cone(3))
+    pt = TranslationGroupoid(point_atlas())
+    origin = UnitPoint("cone3", Point.origin(tg.conductor, 1))
+    const = PolyMap(tg.conductor, 0, 1, [{(): 0}])
+    return GroupoidMorphism(pt, tg, {"pt": ("cone3", const)}, lambda a: tg.identity(origin))
+
+
+class TestWitnessSearchReference:
+    """Condition (i) of check_morita against the witness search written out
+    as it was before the witness itself was tested first."""
+
+    CASES = {
+        "cone-pair": lambda: _chain_morphisms(*cone_pair(3)),
+        "teardrop-pair": lambda: _chain_morphisms(*teardrop_pair(3)),
+        "pushforward-pair": lambda: _chain_morphisms(*pushforward_pair(football(2, 3))),
+        "reconstructions": lambda: [
+            _reconstruction_morphism(g)
+            for g in (
+                TranslationGroupoid(cone(3)),
+                TranslationGroupoid(football(2, 3)),
+                TranslationGroupoid(teardrop(3)),
+                TranslationGroupoid(cone(4, conductor=12)),
+                z3_action(),
+            )
+        ],
+        "point-to-cone": lambda: [_point_to_cone()],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_condition_i_matches_reference(self, case):
+        for m in self.CASES[case]():
+            witnesses = m.dst.unit_witness_points()
+            hits = [_hits_witness(m, w) for w in witnesses]
+            assert hits == [_reference_hits_witness(m, w) for w in witnesses]
+            unreached = [w for w, hit in zip(witnesses, hits) if not hit]
+            report = check_morita(m, samples=2, seed=0)
+            assert report.condition_i.checks[1] == (
+                "every target witness point is reached from the source",
+                not unreached,
+                f"unreached {unreached[:3]}" if unreached else "",
+            )
+            if case == "point-to-cone":
+                assert unreached and not report.verdict
+            else:
+                assert not unreached and report.verdict, report.lines()
+
+    def test_arrows_built_only_when_the_witness_itself_misses(self, sub_full_cone3):
+        sub, full = sub_full_cone3
+        m = subatlas_inclusion_morphism(sub, full)
+        built = []
+        arrows_from = m.dst.arrows_from
+        m.dst.arrows_from = lambda u: built.append(u) or arrows_from(u)
+        for w in m.dst.unit_witness_points():
+            assert _hits_witness(m, w)
+        # the chart shared with the sub-atlas reaches its witnesses directly;
+        # only the witnesses of the restricted chart need the arrows out of them
+        assert built and all(u.component == "half" for u in built)

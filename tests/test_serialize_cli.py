@@ -5,18 +5,24 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbatlas.errors import ParseError
+from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas
 from orbatlas.morita import pushforward_atlas
 from orbatlas.serialize import (
+    _parse_frac,
     atlas_from_doc,
     canonical_bytes,
     cell_from_doc,
     cyc_from_doc,
+    cyc_to_doc,
     groupoid_from_doc,
     load_document,
     parse_atlas,
@@ -129,6 +135,32 @@ class TestGalleryParams:
         assert global_quotient(2, 1).dim == 1
 
 
+class TestCoefficientStrings:
+    """The coefficient strings against the Fraction route they replace."""
+
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cyc_to_doc_matches_fraction_route(self, m, data):
+        coeffs = data.draw(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=2 * m))
+        scale = data.draw(st.integers(min_value=1, max_value=10**30))
+        x = CycNum(m, [c * scale for c in coeffs])
+        assert cyc_to_doc(x) == [f"{c.numerator}/{c.denominator}" for c in x.coeffs]
+
+    @pytest.mark.parametrize("text", ["3", " -2/4 ", "1.5", "1e2", "1/0", "abc", ""])
+    def test_parse_frac_matches_fraction(self, text):
+        try:
+            expected = Fraction(str(text))
+        except (ValueError, ZeroDivisionError):
+            expected = ParseError
+        for _ in range(2):  # the second call is answered from the memo
+            try:
+                got = _parse_frac(text)
+            except ParseError:
+                got = ParseError
+            assert got == expected and type(got) is type(expected)
+
+
 class TestParseErrors:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
@@ -155,6 +187,23 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             cyc_from_doc(3, ["1/1"])
         assert cyc_from_doc(3, ["1/1", "0/1", "0/1"]) == cyc_from_doc(3, "1")
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: {"kind": "witnesses"},
+            lambda doc: {**doc, "spans": [{k: v for k, v in doc["spans"][0].items() if k != "left"}]},
+            lambda doc: {**doc, "spans": {}},
+        ],
+        ids=["missing-spans", "span-without-left", "spans-not-a-list"],
+    )
+    def test_malformed_witness_document(self, mutate):
+        from orbatlas.gallery import cone_pair
+
+        u1, _, ws = cone_pair(3)
+        doc = json.loads(canonical_bytes(witnesses_to_doc(ws)))
+        with pytest.raises(ParseError):
+            witnesses_from_doc(mutate(doc), u1.conductor)
 
     def test_hash_mismatch(self):
         tg = TranslationGroupoid(cone(3))
@@ -332,8 +381,9 @@ class TestCli:
             ("reconstruct", "fb_bad.json"),
             ("morita", "fb_bad.json", "fb.json"),
             ("bijection", "fb.json", "fb_bad.json"),
+            ("validate", "fb_bad_groupoid.json"),
         ],
-        ids=["laws", "groupoid", "groupoid-document", "reconstruct", "morita", "bijection"],
+        ids=["laws", "groupoid", "groupoid-document", "reconstruct", "morita", "bijection", "validate-groupoid-document"],
     )
     def test_invalid_atlas_fails_before_any_suite(self, cli_dir, bad_football, argv):
         out = run_cli(*argv, "--samples", "20", cwd=cli_dir)
@@ -342,6 +392,28 @@ class TestCli:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
         assert "image inside target domain" in lines[0], out.stderr
+
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            lambda doc: {"kind": "witnesses"},
+            lambda doc: {**doc, "spans": [{k: v for k, v in doc["spans"][0].items() if k != "left"}]},
+            lambda doc: {**doc, "spans": "none"},
+        ],
+        ids=["missing-spans", "span-without-left", "spans-not-a-list"],
+    )
+    def test_malformed_witness_file_is_parse_error(self, cli_dir, witness):
+        from orbatlas.gallery import cone_pair
+
+        u1, u2, ws = cone_pair(3)
+        (cli_dir / "wu1.json").write_bytes(serialize(u1))
+        (cli_dir / "wu2.json").write_bytes(serialize(u2))
+        doc = json.loads(canonical_bytes(witnesses_to_doc(ws)))
+        (cli_dir / "w_bad.json").write_text(json.dumps(witness(doc)))
+        out = run_cli("bijection", "wu1.json", "wu2.json", "--witness", "w_bad.json", cwd=cli_dir)
+        assert out.returncode == 2, out.stdout + out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
     def test_samples_environment_variable(self, cli_dir):
         env = cli_env(ORBATLAS_SAMPLES="17")

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from orbatlas.atlas import Embedding
-from orbatlas.errors import BoundaryMismatchError
+from orbatlas.errors import BoundaryMismatchError, NoConjugatorError, NotUniqueError
 from orbatlas.field import CycNum
-from orbatlas.gallery import cone, football
+from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, PolyMap
 from orbatlas.systems import (
     CompatibleSystem,
@@ -168,3 +168,68 @@ class TestLawSuite:
         fx.delta.components["cone3"] = wrong
         rep = check_2cat_laws(fx)
         assert not rep.ok
+
+
+def _reference_group_map(f, cid):
+    """group_map as first written: both composites recomputed for every
+    (g, h) pair."""
+    chart = f.src.chart(cid)
+    target = f.dst.chart(f.theta[cid])
+    lift = f.lift(cid)
+    table = {}
+    for g in chart.group:
+        hits = [h for h in target.group if lift.compose(g) == lift.then(h)]
+        if not hits:
+            raise NoConjugatorError(f"no target element tracks {g!r} through the lift of {cid}")
+        if len(hits) > 1:
+            raise NotUniqueError(f"degenerate lift on {cid}: group image ambiguous")
+        table[g] = hits[0]
+    return table
+
+
+def _outcome(fn):
+    try:
+        return list(fn().items())
+    except (NoConjugatorError, NotUniqueError) as exc:
+        return type(exc), str(exc)
+
+
+LAWS_GALLERY = [
+    cone(2), cone(3), cone(4), cone(6), football(2, 3), teardrop(3),
+    global_quotient(2, 2), point_atlas(), cone(4, conductor=12), football(3, 4, conductor=12),
+]
+
+
+class TestGroupMapReference:
+    @pytest.mark.parametrize("k", range(len(LAWS_GALLERY)))
+    def test_rotation_fixture_systems(self, k):
+        atlas = LAWS_GALLERY[k]
+        for seed in range(3):
+            fx = rotation_fixture(atlas, random.Random(1000 * k + seed))
+            systems = [fx.f1, fx.f2, fx.f3, fx.g1, fx.g2, fx.g3, fx.h1, compose_compatible(fx.g1, fx.f1)]
+            for f in systems:
+                for cid in atlas.chart_ids():
+                    assert list(f.group_map(cid).items()) == list(_reference_group_map(f, cid).items())
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 6])
+    def test_square_lift_squares_the_group(self, p):
+        a = cone(p)
+        f = square_system(a)
+        cid = a.chart_ids()[0]
+        table = f.group_map(cid)
+        assert list(table.items()) == list(_reference_group_map(f, cid).items())
+        assert all(h == g.compose(g) for g, h in table.items())
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_failures_match_reference(self, p):
+        a = cone(p)
+        m, cid = a.conductor, a.chart_ids()[0]
+        lifts = {
+            NotUniqueError: PolyMap(m, 1, 1, [{(0,): 0}]),  # constant at the fixed point
+            NoConjugatorError: PolyMap(m, 1, 1, [{(1,): 1, (0,): Fraction(1, 10)}]),
+        }
+        for error, lift in lifts.items():
+            f = CompatibleSystem(a, a, {cid: cid}, {}, {cid: lift})
+            got = _outcome(lambda: f.group_map(cid))
+            assert got[0] is error
+            assert got == _outcome(lambda: _reference_group_map(f, cid))
