@@ -116,7 +116,11 @@ class Atlas:
     ):
         self.conductor = conductor
         self.dim = dim
-        self.charts: dict[str, Chart] = {c.cid: c for c in sorted(charts, key=lambda c: c.cid)}
+        self.charts: dict[str, Chart] = {}
+        for c in sorted(charts, key=lambda c: c.cid):
+            if c.cid in self.charts:
+                raise InvalidAtlasError(f"duplicate chart id {c.cid!r}")
+            self.charts[c.cid] = c
         self.reps: dict[tuple[str, str], Embedding] = {}
         for e in reps:
             key = (e.src, e.dst)

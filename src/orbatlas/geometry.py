@@ -62,14 +62,15 @@ def dist2(p: Point, q: Point) -> CycNum:
 class AffineMap:
     """z -> A z + b with A^H A = lambda * Id (an exact similarity)."""
 
-    __slots__ = ("a", "b", "_factor", "_inv", "_hash")
+    __slots__ = ("a", "b", "dim", "_factor", "_inv", "_hash")
 
     def __init__(self, a: tuple[tuple[CycNum, ...], ...], b: Point):
-        n = b.dim
+        n = len(b.coords)
         if len(a) != n or any(len(row) != n for row in a):
             raise DimensionMismatchError("matrix shape does not match translation part")
         self.a = a
         self.b = b
+        self.dim = n
         self._factor = self._check_similarity()
         self._inv = None
         self._hash = None
@@ -99,10 +100,6 @@ class AffineMap:
         return lam if not lam.is_zero() else CycNum.rational(m, 0)
 
     # -- basic data ---------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.b.dim
 
     @property
     def factor(self) -> CycNum:
@@ -145,6 +142,7 @@ class AffineMap:
         obj = cls.__new__(cls)
         obj.a = a
         obj.b = b
+        obj.dim = len(a)
         obj._factor = factor
         obj._inv = None
         obj._hash = None
@@ -175,13 +173,13 @@ class AffineMap:
     # -- action and composition ----------------------------------------------
 
     def __call__(self, p: Point) -> Point:
-        if p.dim != self.dim:
-            raise DimensionMismatchError(f"point of dim {p.dim} under map of dim {self.dim}")
+        z = p.coords
+        if len(z) != self.dim:
+            raise DimensionMismatchError(f"point of dim {len(z)} under map of dim {self.dim}")
         out = []
-        for i in range(self.dim):
-            acc = self.b.coords[i]
-            for j in range(self.dim):
-                acc = acc + self.a[i][j] * p.coords[j]
+        for acc, row in zip(self.b.coords, self.a):
+            for aij, zj in zip(row, z):
+                acc = acc + aij * zj
             out.append(acc)
         return Point(tuple(out))
 
@@ -189,15 +187,11 @@ class AffineMap:
         """self after other: (self . other)(z) = self(other(z))."""
         if self.dim != other.dim:
             raise DimensionMismatchError("composition of maps of different dimensions")
-        n = self.dim
+        cols = tuple(zip(*other.a))
         a = tuple(
-            tuple(
-                _sum(self.a[i][k] * other.a[k][j] for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
+            tuple(_sum(x * y for x, y in zip(row, col)) for col in cols) for row in self.a
         )
-        factor = None if n == 0 else self._factor * other._factor
+        factor = None if self.dim == 0 else self._factor * other._factor
         return AffineMap._make(a, self(other.b), factor)
 
     def inverse(self) -> AffineMap:

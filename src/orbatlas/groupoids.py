@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BoundaryMismatchError,
@@ -46,6 +47,12 @@ class ArrowComponent:
     t_map: AffineMap
     s_component: str
     t_component: str
+
+    @cached_property
+    def germ(self) -> AffineMap:
+        """t . s^(-1): the germ of every arrow over this component, computed
+        on first use."""
+        return self.t_map.compose(self.s_map.inverse())
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,7 @@ class GroupoidPresentation(ABC):
 
     def local_bisection(self, a: Arrow) -> AffineMap:
         """Germ of the arrow: t . (s restricted to the component)^(-1)."""
-        comp = self.arrow_component(a.component)
-        return comp.t_map.compose(comp.s_map.inverse())
+        return self.arrow_component(a.component).germ
 
     def isotropy(self, u: UnitPoint) -> list[Arrow]:
         if not point_in_ball(u.point, self.unit_component(u.component).ball):

@@ -151,6 +151,8 @@ def chart_from_doc(m: int, doc) -> Chart:
         group = tuple(affine_from_doc(m, g, f"chart {cid} group") for g in doc["group"])
     except KeyError as exc:
         raise ParseError(f"chart missing field {exc}") from exc
+    if not isinstance(cid, str):
+        raise ParseError(f"chart id {cid!r} is not a string")
     return Chart(cid, Ball(center, r2), group)
 
 
@@ -249,6 +251,10 @@ def atlas_from_doc(doc) -> Atlas:
         raise ParseError(f"malformed atlas document: {exc}") from exc
     if not charts:
         raise ParseError("atlas has no charts")
+    ids = [c.cid for c in charts]
+    repeated = sorted({cid for cid in ids if ids.count(cid) > 1})
+    if repeated:
+        raise ParseError(f"repeated chart ids {repeated}")
     unknown = sorted(set(unit_points) - {c.cid for c in charts})
     if unknown:
         raise ParseError(f"unit points name unknown charts {unknown}")

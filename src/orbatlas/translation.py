@@ -183,7 +183,9 @@ class TranslationGroupoid(GroupoidPresentation):
         return out
 
     def transports(self, ca, cb):
-        return [(t.map, t.domain) for t in self.atlas.transports(ca, cb)]
+        """Each distinct (map, domain) pair of the atlas table once, in
+        first-occurrence order."""
+        return list(dict.fromkeys((t.map, t.domain) for t in self.atlas.transports(ca, cb)))
 
     def self_transports(self, c):
         return list(self.atlas.chart(c).group)
@@ -347,16 +349,20 @@ def action_groupoid_oracle_report(atlas: Atlas, samples: int = 200, seed: int = 
     )
     ident = atlas.identity_embedding(cid)
     rng = random.Random(seed)
+    group = chart.group
 
     def to_triple(x: Point, g_index: int) -> Arrow:
-        g = chart.group[g_index]
+        g = group[g_index]
         return tg.arrow_of(Triple(ident, x, Embedding(cid, cid, g.compose(ident.map))))
 
+    product_index = [[group.index(h.compose(g)) for h in group] for g in group]
+    inverse_index = [group.index(g.inverse()) for g in group]
+    identity_index = group.index(chart.identity())
     ok_bij = ok_s = ok_t = ok_m = ok_i = ok_e = True
     for _ in range(samples):
         x = random_chart_point(rng, atlas, cid)
         arrows = tg.arrows_from(UnitPoint(cid, x))
-        canon = [to_triple(x, k) for k in range(len(chart.group))]
+        canon = [to_triple(x, k) for k in range(len(group))]
         if len(arrows) != len(canon):
             ok_bij = False
         else:
@@ -367,21 +373,20 @@ def action_groupoid_oracle_report(atlas: Atlas, samples: int = 200, seed: int = 
                     ok_bij = False
                     break
                 matched.add(hits[0])
-        for k, g in enumerate(chart.group):
-            a = to_triple(x, k)
+        for k, g in enumerate(group):
+            a = canon[k]
+            gx = g(x)
             if not tg.unit_equal(tg.source(a), UnitPoint(cid, x)):
                 ok_s = False
-            if not tg.unit_equal(tg.target(a), UnitPoint(cid, g(x))):
+            if not tg.unit_equal(tg.target(a), UnitPoint(cid, gx)):
                 ok_t = False
-            if not tg.arrow_equal(tg.inverse(a), to_triple(g(x), chart.group.index(g.inverse()))):
+            if not tg.arrow_equal(tg.inverse(a), to_triple(gx, inverse_index[k])):
                 ok_i = False
-            for kk, h in enumerate(chart.group):
-                b = to_triple(g(x), kk)
-                product = tg.multiply(a, b)
-                want = to_triple(x, chart.group.index(h.compose(g)))
-                if not tg.arrow_equal(product, want):
+            for kk in range(len(group)):
+                product = tg.multiply(a, to_triple(gx, kk))
+                if not tg.arrow_equal(product, canon[product_index[k][kk]]):
                     ok_m = False
-        if not tg.arrow_equal(tg.identity(UnitPoint(cid, x)), to_triple(x, chart.group.index(chart.identity()))):
+        if not tg.arrow_equal(tg.identity(UnitPoint(cid, x)), canon[identity_index]):
             ok_e = False
     rep.add("arrows from each point biject with the group", ok_bij)
     rep.add("source matches the action", ok_s)

@@ -261,6 +261,12 @@ class TestAtlasValidation:
         rep = validate_atlas(empty, rng=random.Random(0))
         assert any("has charts" in name for name, _ in rep.failures())
 
+    def test_repeated_chart_id_rejected(self, cone3_m12):
+        chart = cone3_m12.chart("cone3")
+        smaller = Chart("cone3", Ball.of(M, [0], Fraction(1, 9)), chart.group)
+        with pytest.raises(InvalidAtlasError, match="duplicate chart id 'cone3'"):
+            Atlas(M, 1, [chart, smaller], [], SpanSearchOracle())
+
     def test_oversized_embedding_rejected(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
         small = Chart("small", Ball.of(M, [0], Fraction(1, 4)), tuple(rotation_group(M, 1, 3)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbatlas.errors import NotSimilarityError
+from orbatlas.errors import DimensionMismatchError, NotSimilarityError
 from orbatlas.field import CycNum
 from orbatlas.geometry import (
     AffineMap,
@@ -82,6 +82,56 @@ class TestAffine:
             f, g, h = maps[i], maps[i + 1], maps[i + 2]
             assert f.compose(g.compose(h)) == f.compose(g).compose(h)
             assert f.compose(g).factor == f.factor * g.factor
+
+
+def quaternion_map(a, b, shift):
+    """z -> [[a, -conj(b)], [b, conj(a)]] z + shift: a similarity of C^2 with
+    factor |a|^2 + |b|^2 whose matrices do not commute in general."""
+    mat = ((a, -b.conj()), (b, a.conj()))
+    return AffineMap(mat, Point.of(M, *shift))
+
+
+class TestAffineReference:
+    """apply and compose against the index loops z_i = b_i + sum_j a_ij z_j
+    and (AB)_ij = sum_k a_ik b_kj, on 2 x 2 matrices that do not commute."""
+
+    MAPS = [
+        quaternion_map(zeta(1), CycNum.rational(M, 1), (Fraction(1, 3), 0)),
+        quaternion_map(CycNum.rational(M, 2), zeta(5), (0, Fraction(-1, 2))),
+        quaternion_map(zeta(4) * Fraction(1, 2), zeta(9), (Fraction(1, 4), Fraction(1, 5))),
+    ]
+    POINTS = [Point.of(M, Fraction(1, 7), 0), Point((zeta(2), zeta(7) * Fraction(3, 5)))]
+
+    def test_apply_matches_index_loop(self):
+        for f in self.MAPS:
+            for p in self.POINTS:
+                want = tuple(
+                    f.b.coords[i] + f.a[i][0] * p.coords[0] + f.a[i][1] * p.coords[1]
+                    for i in range(2)
+                )
+                assert f(p).coords == want
+
+    def test_compose_matches_index_loop(self):
+        for f in self.MAPS:
+            for g in self.MAPS:
+                fg = f.compose(g)
+                assert fg.dim == 2
+                assert fg.a == tuple(
+                    tuple(f.a[i][0] * g.a[0][j] + f.a[i][1] * g.a[1][j] for j in range(2))
+                    for i in range(2)
+                )
+                assert fg.b == f(g.b)
+                for p in self.POINTS:
+                    assert fg(p) == f(g(p))
+        f, g = self.MAPS[:2]
+        assert f.compose(g) != g.compose(f)
+
+    def test_dimension_mismatch(self):
+        f = self.MAPS[0]
+        with pytest.raises(DimensionMismatchError):
+            f(Point.of(M, 1))
+        with pytest.raises(DimensionMismatchError):
+            f.compose(rot(1))
 
 
 class TestBalls:

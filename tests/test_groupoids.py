@@ -7,7 +7,7 @@ import pytest
 
 from orbatlas.errors import NotComposableError
 from orbatlas.field import CycNum
-from orbatlas.gallery import cone, football
+from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point
 from orbatlas.groupoids import (
     ActionGroupoid,
@@ -207,6 +207,34 @@ class TestGermCalculus:
             p = random_chart_point(rng, atlas, "cone6")
             u = UnitPoint("cone6", p)
             assert len(g.isotropy(u)) == len(stabilizer(atlas.chart("cone6"), p))
+
+
+def germ_presentations():
+    """Every gallery translation groupoid plus the builtin action groupoids."""
+    atlases = (
+        cone(2), cone(3), cone(4), cone(6), cone(4, conductor=12), football(2, 3),
+        teardrop(3), global_quotient(2, 2), point_atlas(),
+    )
+    return [build_translation_groupoid(a) for a in atlases] + [
+        z3_action(), z2_ball_action(), noneffective_double(),
+    ]
+
+
+class TestComponentGerm:
+    """An arrow's germ depends on its component alone: t . s^(-1)."""
+
+    def test_local_bisection_is_target_after_inverse_source(self):
+        for g in germ_presentations():
+            for comp in g.arrow_components():
+                a = Arrow(comp.label, comp.ball.center)
+                assert g.local_bisection(a) == comp.t_map.compose(comp.s_map.inverse())
+
+    def test_germ_is_computed_once(self):
+        for g in germ_presentations():
+            for comp in g.arrow_components():
+                germ = comp.germ
+                assert comp.germ is germ
+                assert g.local_bisection(Arrow(comp.label, comp.ball.center)) is germ
 
 
 class TestPredicates:

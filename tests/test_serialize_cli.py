@@ -183,6 +183,12 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             witnesses_from_doc("witnesses", 3)
 
+    def test_repeated_chart_id(self):
+        doc = json.loads(serialize(cone(3)))
+        doc["charts"].append({**doc["charts"][0], "radius2": "1/9"})
+        with pytest.raises(ParseError, match="repeated chart ids"):
+            atlas_from_doc(doc)
+
     def test_coefficient_array_length(self):
         with pytest.raises(ParseError):
             cyc_from_doc(3, ["1/1"])
@@ -335,6 +341,8 @@ class TestCli:
             lambda doc: {**doc, "charts": []},
             lambda doc: {**doc, "charts": [{**doc["charts"][0], "center": []}]},
             lambda doc: {**doc, "unit_points": {**doc["unit_points"], "nowhere": doc["unit_points"]["cone3"]}},
+            lambda doc: {**doc, "charts": [{**doc["charts"][0], "id": ["cone3"]}]},
+            lambda doc: {**doc, "charts": [doc["charts"][0], {**doc["charts"][0], "radius2": "1/9"}]},
         ],
         ids=[
             "non-object",
@@ -349,6 +357,8 @@ class TestCli:
             "no-charts",
             "empty-centre",
             "unknown-unit-point-chart",
+            "non-string-chart-id",
+            "repeated-chart-id",
         ],
     )
     def test_malformed_document_is_parse_error(self, cli_dir, mutate):
@@ -356,7 +366,8 @@ class TestCli:
         (cli_dir / "bad.json").write_text(json.dumps(mutate(doc)))
         out = run_cli("validate", "bad.json", cwd=cli_dir)
         assert out.returncode == 2, out.stderr
-        assert out.stderr.startswith("error: "), out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
     @pytest.fixture(scope="class")
     def bad_football(self, cli_dir):

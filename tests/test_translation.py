@@ -6,15 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from orbatlas.atlas import Embedding, common_span, find_conjugator
+from orbatlas.atlas import Atlas, Chart, Embedding, Span, common_span, find_conjugator, validate_atlas
 from orbatlas.errors import NotComposableError
 from orbatlas.field import CycNum
-from orbatlas.gallery import cone, football, global_quotient
-from orbatlas.geometry import AffineMap, Point, point_in_ball
-from orbatlas.groupoids import UnitPoint, validate_grp_nat_trans
+from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
+from orbatlas.geometry import AffineMap, Ball, Point, point_in_ball
+from orbatlas.groupoids import ActionGroupoid, UnitPoint, validate_grp_nat_trans
+from orbatlas.morita import reconstruct_atlas
+from orbatlas.oracles import SpanSearchOracle
+from orbatlas.sampling import random_chart_point
+from orbatlas.serialize import serialize
 from orbatlas.systems import rotation_fixture, rotation_system, OrbNatTrans
 from orbatlas.translation import (
     FunctorImage,
+    TranslationGroupoid,
     Triple,
     action_groupoid_oracle_report,
     build_translation_groupoid,
@@ -284,6 +289,151 @@ class TestActionOracle:
 
     def test_quotient_dim2(self):
         rep = action_groupoid_oracle_report(global_quotient(2, 2), samples=12, seed=5)
+        assert rep.ok, rep.failures()
+
+
+class AllRecordTransports(TranslationGroupoid):
+    """Every record of the atlas transport table, duplicates included."""
+
+    def transports(self, ca, cb):
+        return [(t.map, t.domain) for t in self.atlas.transports(ca, cb)]
+
+
+RECONSTRUCT_ATLASES = {
+    "cone3": lambda: cone(3),
+    "cone6": lambda: cone(6),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+    "quot22": lambda: global_quotient(2, 2),
+    "cone4m12": lambda: cone(4, conductor=12),
+}
+
+
+class TestDistinctTransports:
+    """reconstruct_atlas asks whether any transport clashes, so walking each
+    distinct (map, domain) pair once cannot change a radius."""
+
+    @pytest.mark.parametrize("name", [*RECONSTRUCT_ATLASES, "point"])
+    def test_first_occurrences_of_the_table(self, name):
+        g = TranslationGroupoid(RECONSTRUCT_ATLASES.get(name, point_atlas)())
+        for ca in g.atlas.chart_ids():
+            for cb in g.atlas.chart_ids():
+                want = []
+                for t in g.atlas.transports(ca, cb):
+                    if (t.map, t.domain) not in want:
+                        want.append((t.map, t.domain))
+                assert g.transports(ca, cb) == want
+
+    def test_cone6_has_six_distinct_transports(self):
+        g = TranslationGroupoid(cone(6))
+        assert len(g.atlas.transports("cone6", "cone6")) == 36
+        assert len(g.transports("cone6", "cone6")) == 6
+
+    @pytest.mark.parametrize("name", list(RECONSTRUCT_ATLASES))
+    def test_reconstruction_bytes_match_all_records(self, name):
+        atlas = RECONSTRUCT_ATLASES[name]()
+        for seed in range(4):
+            got = reconstruct_atlas(TranslationGroupoid(atlas), samples=2, seed=seed)
+            ref = reconstruct_atlas(AllRecordTransports(atlas), samples=2, seed=seed)
+            assert serialize(got.atlas) == serialize(ref.atlas)
+            assert got.anchors == ref.anchors
+
+
+def reference_oracle_checks(atlas, samples, seed):
+    """action_groupoid_oracle_report's checks, with its sample loop written out
+    as first written: every triple rebuilt and every group index looked up
+    inside the loop."""
+    cid = atlas.chart_ids()[0]
+    chart = atlas.chart(cid)
+    tg = TranslationGroupoid(atlas)
+    ActionGroupoid(atlas.conductor, chart.ball, [(f"g{k}", g) for k, g in enumerate(chart.group)])
+    ident = atlas.identity_embedding(cid)
+    rng = random.Random(seed)
+
+    def to_triple(x, g_index):
+        g = chart.group[g_index]
+        return tg.arrow_of(Triple(ident, x, Embedding(cid, cid, g.compose(ident.map))))
+
+    ok_bij = ok_s = ok_t = ok_m = ok_i = ok_e = True
+    for _ in range(samples):
+        x = random_chart_point(rng, atlas, cid)
+        arrows = tg.arrows_from(UnitPoint(cid, x))
+        canon = [to_triple(x, k) for k in range(len(chart.group))]
+        if len(arrows) != len(canon):
+            ok_bij = False
+        else:
+            matched = set()
+            for a in arrows:
+                hits = [k for k, c in enumerate(canon) if tg.arrow_equal(a, c)]
+                if len(hits) != 1 or hits[0] in matched:
+                    ok_bij = False
+                    break
+                matched.add(hits[0])
+        for k, g in enumerate(chart.group):
+            a = to_triple(x, k)
+            if not tg.unit_equal(tg.source(a), UnitPoint(cid, x)):
+                ok_s = False
+            if not tg.unit_equal(tg.target(a), UnitPoint(cid, g(x))):
+                ok_t = False
+            if not tg.arrow_equal(tg.inverse(a), to_triple(g(x), chart.group.index(g.inverse()))):
+                ok_i = False
+            for kk, h in enumerate(chart.group):
+                b = to_triple(g(x), kk)
+                product = tg.multiply(a, b)
+                want = to_triple(x, chart.group.index(h.compose(g)))
+                if not tg.arrow_equal(product, want):
+                    ok_m = False
+        if not tg.arrow_equal(
+            tg.identity(UnitPoint(cid, x)), to_triple(x, chart.group.index(chart.identity()))
+        ):
+            ok_e = False
+    return [
+        ("arrows from each point biject with the group", ok_bij, ""),
+        ("source matches the action", ok_s, ""),
+        ("target matches the action", ok_t, ""),
+        ("multiplication matches m((x,g),(gx,h))=(x,hg)", ok_m, ""),
+        ("inverse matches i(x,g)=(gx,g^-1)", ok_i, ""),
+        ("identity matches e(x)=(x,1)", ok_e, ""),
+    ]
+
+
+def s3_atlas():
+    """One chart: the unit ball of C^2 under S3, generated by diag(zeta, zeta^-1)
+    and the coordinate swap, so the multiplication table is not symmetric."""
+    m = 3
+    one, zero, z = CycNum.rational(m, 1), CycNum.rational(m, 0), CycNum.zeta(3)
+    o = Point.origin(m, 2)
+    rots = [AffineMap(((z**k, zero), (zero, z ** (3 - k) if k else one)), o) for k in range(3)]
+    swap = AffineMap(((zero, one), (one, zero)), o)
+    chart = Chart("s3", Ball(o, one), tuple(rots) + tuple(swap.compose(r) for r in rots))
+    e = Embedding("s3", "s3", chart.identity())
+    return Atlas(m, 2, [chart], [], SpanSearchOracle(), witnesses=[Span("s3", o, e, e)])
+
+
+class TestActionOracleReference:
+    def test_s3_atlas_is_valid_and_non_abelian(self):
+        atlas = s3_atlas()
+        assert validate_atlas(atlas, rng=random.Random(0)).ok
+        g = atlas.chart("s3").group
+        assert g[1].compose(g[3]) != g[3].compose(g[1])
+
+    @pytest.mark.parametrize(
+        "make, samples, seed",
+        [
+            (lambda: cone(2), 12, 2),
+            (lambda: cone(3), 12, 3),
+            (lambda: cone(4), 8, 4),
+            (lambda: cone(6), 4, 6),
+            (lambda: global_quotient(2, 2), 8, 5),
+            (lambda: cone(4, conductor=12), 6, 7),
+            (s3_atlas, 4, 8),
+        ],
+        ids=["cone2", "cone3", "cone4", "cone6", "quot22", "cone4m12", "s3"],
+    )
+    def test_checks_match_reference_loop(self, make, samples, seed):
+        atlas = make()
+        rep = action_groupoid_oracle_report(atlas, samples=samples, seed=seed)
+        assert rep.checks == reference_oracle_checks(atlas, samples, seed)
         assert rep.ok, rep.failures()
 
 
