@@ -6,6 +6,11 @@ isometries preserving it.  Embeddings between charts are injective similarity
 maps; for a stored representative lambda the full set of embeddings between two
 charts is the finite torsor {h . lambda : h in the target group}, which is how
 an atlas keeps "all possible embeddings" in finite storage.
+
+Two chart points are identified exactly when some chart embeds into both charts
+carrying one marked point to each.  ``Atlas.refine`` and ``Atlas.locate`` are
+the one place that decides this: a search over ``Atlas.transports``, then the
+spans recorded in the atlas's oracle record (``orbatlas.oracles``), if any.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .geometry import (
     map_ball,
     point_in_ball,
 )
+from .oracles import Oracle
 from .report import Report
 
 
@@ -101,8 +107,9 @@ class Transport:
 
 
 class Atlas:
-    """A finite family of charts with stored representative embeddings,
-    a refinement oracle, coverage witnesses and declared unit witness points."""
+    """A finite family of charts with stored representative embeddings, the
+    oracle record of its document, coverage witnesses and declared unit witness
+    points."""
 
     def __init__(
         self,
@@ -110,7 +117,7 @@ class Atlas:
         dim: int,
         charts,
         reps,
-        oracle,
+        oracle: Oracle = Oracle(),
         witnesses=(),
         unit_points=None,
     ):
@@ -219,10 +226,51 @@ class Atlas:
     # -- identification -----------------------------------------------------
 
     def refine(self, ci: str, x: Point, cj: str, y: Point) -> Span | None:
-        return self.oracle.refine(self, ci, x, cj, y)
+        """A span identifying (ci, x) with (cj, y), or None.
+
+        First the search: some transport from ci to cj defined at x carries it
+        to y; for a valid atlas the stored families realize every
+        identification in one step.  Then the recorded spans, either way
+        round, possibly after moving the span point by a span-chart element.
+        """
+        left = None
+        for t in self.transports(ci, cj):
+            if t.left is not left:
+                left, inside = t.left, point_in_ball(x, t.domain)
+            if inside and t.map(x) == y:
+                return Span(t.k, left.map.inverse()(x), left, t.right)
+        for span in self.oracle.spans or ():
+            for left, right in ((span.left, span.right), (span.right, span.left)):
+                if left.dst != ci or right.dst != cj:
+                    continue
+                for g in self.charts[span.chart].group:
+                    z = g(span.point)
+                    if left(z) == x and right(z) == y:
+                        return Span(span.chart, z, left, right)
+        return None
 
     def locate(self, ci: str, x: Point, cj: str) -> Point | None:
-        return self.oracle.locate(self, ci, x, cj)
+        """Some point of chart cj identified with (ci, x), or None: the same
+        search, then the recorded spans forwards, then backwards."""
+        if ci == cj:
+            return x
+        left = None
+        for t in self.transports(ci, cj):
+            # the first transport of each left leg uses the first right leg
+            if t.left is not left:
+                left = t.left
+                if point_in_ball(x, t.domain):
+                    return t.map(x)
+        spans = self.oracle.spans or ()
+        legs = [(s, s.left, s.right) for s in spans] + [(s, s.right, s.left) for s in spans]
+        for span, left, right in legs:
+            if left.dst != ci or right.dst != cj:
+                continue
+            for g in self.charts[span.chart].group:
+                z = g(span.point)
+                if left(z) == x:
+                    return right(z)
+        return None
 
     def witness_points(self, cid: str) -> list[Point]:
         """Declared unit witness points of a chart, always including the center."""
@@ -289,24 +337,29 @@ def has_trivial_stabilizer(chart: Chart, x: Point) -> bool:
     return len(stabilizer(chart, x)) == 1
 
 
-def validate_embedding(e: Embedding, atlas: Atlas) -> Report:
-    src = atlas.chart(e.src)
-    dst = atlas.chart(e.dst)
-    rep = Report(f"embedding {e.src}->{e.dst}")
-    rep.add("injective", e.map.is_invertible())
-    rep.add(
-        "image inside target domain",
-        ball_in_ball(map_ball(e.map, src.ball), dst.ball),
-    )
+def embedding_conditions(f: AffineMap, src: Chart, dst: Chart) -> tuple[bool, bool, list[AffineMap]]:
+    """The three conditions for f to embed chart src into chart dst: f is
+    injective, f carries src's ball inside dst's, and the elements g of src's
+    group with no h in dst's group such that f . g = h . f (empty when f is
+    equivariant)."""
+    inside = ball_in_ball(map_ball(f, src.ball), dst.ball)
     missing = []
     for g in src.group:
-        lhs = e.map.compose(g)
-        if not any(h.compose(e.map) == lhs for h in dst.group):
-            missing.append(repr(g))
+        lhs = f.compose(g)
+        if not any(h.compose(f) == lhs for h in dst.group):
+            missing.append(g)
+    return f.is_invertible(), inside, missing
+
+
+def validate_embedding(e: Embedding, atlas: Atlas) -> Report:
+    injective, inside, missing = embedding_conditions(e.map, atlas.chart(e.src), atlas.chart(e.dst))
+    rep = Report(f"embedding {e.src}->{e.dst}")
+    rep.add("injective", injective)
+    rep.add("image inside target domain", inside)
     rep.add(
         "equivariance witness for every group element",
         not missing,
-        f"no target element matches {missing}" if missing else "",
+        f"no target element matches {[repr(g) for g in missing]}" if missing else "",
     )
     return rep
 

@@ -16,7 +16,6 @@ from .atlas import Atlas, Chart, Embedding, Span, restrict_chart
 from .errors import UnsupportedParamsError
 from .field import SUPPORTED_CONDUCTORS, CycNum
 from .geometry import AffineMap, Ball, Point, balls_disjoint, map_ball
-from .oracles import SpanSearchOracle
 
 GALLERY_NAMES = ("cone", "football", "teardrop", "global_quotient", "point")
 
@@ -99,7 +98,7 @@ def gallery(params: GalleryParams) -> Atlas:
     m = _conductor_for(params)
     if params.name == "point":
         chart = Chart("pt", Ball(Point(()), CycNum.rational(m, 1)), (AffineMap((), Point(())),))
-        return Atlas(m, 0, [chart], [], SpanSearchOracle(), witnesses=[_self_span(chart)])
+        return Atlas(m, 0, [chart], [], witnesses=[_self_span(chart)])
     if params.name in ("cone", "global_quotient"):
         dim = 1 if params.name == "cone" else params.dim
         if dim < 1:
@@ -118,7 +117,6 @@ def gallery(params: GalleryParams) -> Atlas:
             dim,
             [chart],
             [],
-            SpanSearchOracle(),
             witnesses=[_self_span(chart)],
             unit_points=unit_points,
         )
@@ -169,7 +167,6 @@ def _football(params: GalleryParams, glue_r2: Fraction, south_trivial: bool = Fa
         1,
         [north, south, glue],
         [to_north, to_south],
-        SpanSearchOracle(),
         witnesses=witnesses,
         unit_points=unit_points,
     )

@@ -311,8 +311,7 @@ class GroupoidMorphism:
     """A pair of maps (units, arrows) commuting with all structure maps.
 
     unit_maps: {src unit component -> (dst unit component, PolyMap)};
-    arrow_map: either {src arrow component -> (dst arrow component, PolyMap)}
-    or a callable Arrow -> Arrow.
+    arrow_map: a callable Arrow -> Arrow.
     """
 
     def __init__(self, src, dst, unit_maps, arrow_map):
@@ -326,10 +325,7 @@ class GroupoidMorphism:
         return UnitPoint(comp, mp(u.point))
 
     def Psi(self, a: Arrow) -> Arrow:
-        if callable(self.arrow_map):
-            return self.arrow_map(a)
-        comp, mp = self.arrow_map[a.component]
-        return Arrow(comp, mp(a.point))
+        return self.arrow_map(a)
 
     def compose(self, other: GroupoidMorphism) -> GroupoidMorphism:
         """self after other."""

@@ -18,6 +18,7 @@ from .atlas import (
     Chart,
     Embedding,
     Span,
+    embedding_conditions,
     find_conjugator,
     validate_chart,
 )
@@ -190,18 +191,14 @@ def _reaches(m: GroupoidMorphism, z: UnitPoint) -> bool:
 # -- atlas equivalence -----------------------------------------------------------
 
 
-def _validate_embedding_between(e: Embedding, src_chart: Chart, dst_chart: Chart) -> list[str]:
-    problems = []
-    if not e.map.is_invertible():
-        problems.append("not injective")
-    if not ball_in_ball(map_ball(e.map, src_chart.ball), dst_chart.ball):
-        problems.append("image ball not inside the target")
-    for g in src_chart.group:
-        lhs = e.map.compose(g)
-        if not any(h.compose(e.map) == lhs for h in dst_chart.group):
-            problems.append("equivariance fails")
-            break
-    return problems
+def _embedding_problems(e: Embedding, src_chart: Chart, dst_chart: Chart) -> list[str]:
+    injective, inside, missing = embedding_conditions(e.map, src_chart, dst_chart)
+    failed = (
+        (injective, "not injective"),
+        (inside, "image ball not inside the target"),
+        (not missing, "equivariance fails"),
+    )
+    return [problem for ok, problem in failed if not ok]
 
 
 def validate_witness(w: WitnessSpan, u1: Atlas, u2: Atlas) -> list[str]:
@@ -215,7 +212,7 @@ def validate_witness(w: WitnessSpan, u1: Atlas, u2: Atlas) -> list[str]:
             continue
         problems.extend(
             f"{side} leg: {p}"
-            for p in _validate_embedding_between(leg, w.chart, atlas.chart(leg.dst))
+            for p in _embedding_problems(leg, w.chart, atlas.chart(leg.dst))
         )
     return problems
 
@@ -287,7 +284,7 @@ def is_refinement(u: Atlas, v: Atlas, gamma: RefinementData) -> Report:
             rep.add(f"chart {cid} carried", False, f"unknown target {target}")
             continue
         e = Embedding(cid, target, gamma.embeddings[cid])
-        problems = _validate_embedding_between(e, u.chart(cid), v.chart(target))
+        problems = _embedding_problems(e, u.chart(cid), v.chart(target))
         rep.add(f"chart {cid} embeds into {target}", not problems, "; ".join(problems))
     return rep
 
@@ -322,7 +319,6 @@ def common_refinement(u1: Atlas, u2: Atlas, witnesses) -> CommonRefinement:
             if rel is not None:
                 reps.setdefault((wa.chart.cid, wb.chart.cid), rel)
     reps = _close_reps(charts, reps)
-    from .oracles import SpanSearchOracle
 
     span_witnesses = []
     for c in charts:
@@ -337,7 +333,6 @@ def common_refinement(u1: Atlas, u2: Atlas, witnesses) -> CommonRefinement:
         u1.dim,
         charts,
         list(reps.values()),
-        SpanSearchOracle(),
         witnesses=span_witnesses,
         unit_points={c.cid: (c.ball.center,) for c in charts},
     )
@@ -366,7 +361,7 @@ def _relate_witness_charts(u1: Atlas, wa: WitnessSpan, wb: WitnessSpan) -> Embed
             continue
         if ball_in_ball(image, wb.chart.ball):
             e = Embedding(wa.chart.cid, wb.chart.cid, s)
-            if _validate_embedding_between(e, wa.chart, wb.chart):
+            if _embedding_problems(e, wa.chart, wb.chart):
                 raise WitnessInvalidError(
                     f"transport of {wa.chart.cid} into {wb.chart.cid} is not an embedding"
                 )
@@ -414,7 +409,6 @@ def union_atlas(base: Atlas, extra: Atlas, anchor: RefinementData) -> Atlas:
         target = anchor.chart_map[cid]
         reps[(cid, target)] = Embedding(cid, target, anchor.embeddings[cid])
     reps = _close_reps(charts, reps)
-    from .oracles import SpanSearchOracle
 
     witnesses = list(base.witnesses) + list(extra.witnesses)
     for cid in extra.chart_ids():
@@ -429,7 +423,6 @@ def union_atlas(base: Atlas, extra: Atlas, anchor: RefinementData) -> Atlas:
         base.dim,
         charts,
         list(reps.values()),
-        SpanSearchOracle(),
         witnesses=witnesses,
         unit_points=unit_points,
     )
@@ -479,16 +472,14 @@ def morita_equivalence_chain(
 
 
 def pushforward_atlas(relabel: dict[str, str], atlas: Atlas) -> Atlas:
-    """Same charts, embeddings and witnesses; the oracle is wrapped in a
+    """Same charts, embeddings and witnesses; the oracle record gains a
     relabeling of the underlying space, which changes no identification."""
-    from .oracles import PushforwardOracle
-
     return Atlas(
         atlas.conductor,
         atlas.dim,
         list(atlas.charts.values()),
         list(atlas.reps.values()),
-        PushforwardOracle(atlas.oracle, relabel),
+        atlas.oracle.pushed(relabel),
         witnesses=atlas.witnesses,
         unit_points=atlas.unit_points,
     )
@@ -599,14 +590,12 @@ def reconstruct_atlas(
         unit_points[cid] = (u.point,)
         e = Embedding(cid, cid, chart.identity())
         span_witnesses.append(Span(cid, u.point, e, e))
-    from .oracles import SpanSearchOracle
 
     atlas = Atlas(
         g.conductor,
         g.dim,
         charts,
         [],
-        SpanSearchOracle(),
         witnesses=span_witnesses,
         unit_points=unit_points,
     )

@@ -22,7 +22,7 @@ from .field import SUPPORTED_CONDUCTORS, CycNum
 from .gallery import WitnessSpan
 from .geometry import AffineMap, Ball, Point, PolyMap
 from .groupoids import ActionGroupoid, GroupoidPresentation
-from .oracles import PushforwardOracle, SpanSearchOracle, SpanTableOracle
+from .oracles import Oracle
 from .systems import CompatibleSystem, OrbNatTrans
 from .translation import TranslationGroupoid
 
@@ -176,28 +176,33 @@ def span_from_doc(m: int, doc) -> Span:
     return Span(chart, point, left, right)
 
 
-def oracle_to_doc(oracle) -> dict:
-    if isinstance(oracle, PushforwardOracle):
-        return {
-            "kind": "pushforward",
-            "params": {"relabel": dict(sorted(oracle.relabel.items())), "inner": oracle_to_doc(oracle.inner)},
-        }
-    if isinstance(oracle, SpanTableOracle):
-        return {"kind": "span_table", "params": {"spans": [span_to_doc(s) for s in oracle.entries]}}
-    if isinstance(oracle, SpanSearchOracle):
-        return {"kind": "span_search", "params": {}}
-    raise ParseError(f"unserializable oracle {type(oracle).__name__}")
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} is a JSON {type(doc).__name__}, not an object")
+    return doc
 
 
-def oracle_from_doc(m: int, doc):
+def oracle_to_doc(oracle: Oracle) -> dict:
+    if oracle.spans is None:
+        doc = {"kind": "span_search", "params": {}}
+    else:
+        doc = {"kind": "span_table", "params": {"spans": [span_to_doc(s) for s in oracle.spans]}}
+    for relabel in reversed(oracle.relabels):
+        doc = {"kind": "pushforward", "params": {"relabel": dict(relabel), "inner": doc}}
+    return doc
+
+
+def oracle_from_doc(m: int, doc) -> Oracle:
+    doc = _object(doc, "oracle")
     kind = doc.get("kind", "span_search")
-    params = doc.get("params", {})
-    if kind in ("span_search", "global_quotient", "gluing"):
-        return SpanSearchOracle()
-    if kind == "span_table":
-        return SpanTableOracle(tuple(span_from_doc(m, s) for s in params.get("spans", ())))
+    params = _object(doc.get("params", {}), "oracle params")
     if kind == "pushforward":
-        return PushforwardOracle(oracle_from_doc(m, params["inner"]), params.get("relabel", {}))
+        relabel = _object(params.get("relabel", {}), "pushforward relabel")
+        return oracle_from_doc(m, params["inner"]).pushed(relabel)
+    if kind in ("span_search", "global_quotient", "gluing"):
+        return Oracle()
+    if kind == "span_table":
+        return Oracle(tuple(span_from_doc(m, s) for s in params.get("spans", ())))
     raise ParseError(f"unknown oracle kind {kind!r}")
 
 
@@ -223,9 +228,7 @@ def atlas_to_doc(atlas: Atlas) -> dict:
 
 def _kind(doc):
     """The "kind" field of a document, which must be a JSON object."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"document is a JSON {type(doc).__name__}, not an object")
-    return doc.get("kind")
+    return _object(doc, "document").get("kind")
 
 
 def atlas_from_doc(doc) -> Atlas:
@@ -243,7 +246,7 @@ def atlas_from_doc(doc) -> Atlas:
         witnesses = [span_from_doc(m, w) for w in doc.get("witnesses", [])]
         unit_points = {
             cid: tuple(point_from_doc(m, p, "unit point") for p in pts)
-            for cid, pts in doc.get("unit_points", {}).items()
+            for cid, pts in _object(doc.get("unit_points", {}), "unit_points").items()
         }
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
@@ -265,10 +268,7 @@ def atlas_from_doc(doc) -> Atlas:
             raise ParseError(f"chart {c.cid} has an empty group")
         points += [(f"chart {c.cid}", q) for q in (c.ball.center, *(g.b for g in c.group))]
     points += [(f"embedding {e.src}->{e.dst}", e.map.b) for e in reps]
-    table = oracle
-    while isinstance(table, PushforwardOracle):
-        table = table.inner
-    spans = witnesses + list(table.entries if isinstance(table, SpanTableOracle) else ())
+    spans = witnesses + list(oracle.spans or ())
     points += [(f"span via {w.chart}", q) for w in spans for q in (w.point, w.left.map.b, w.right.map.b)]
     for where, q in points:
         if q.dim != dim:
@@ -488,6 +488,8 @@ def load_document(path) -> dict:
         return json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON in {path} is nested too deeply") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 

@@ -9,7 +9,6 @@ import pytest
 from orbatlas.atlas import Atlas, Embedding, Span, restrict_chart
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import Point
-from orbatlas.oracles import SpanSearchOracle
 
 
 @pytest.fixture(scope="session")
@@ -50,11 +49,11 @@ def make_sub_full_pair(p: int = 3):
     ]
     unit_points = {**base.unit_points, "half": (Point.of(m, Fraction(1, 8)),)}
     full = Atlas(
-        m, 1, [chart, half], [inc], SpanSearchOracle(),
+        m, 1, [chart, half], [inc],
         witnesses=witnesses, unit_points=unit_points,
     )
     sub = Atlas(
-        m, 1, [chart], [], SpanSearchOracle(),
+        m, 1, [chart], [],
         witnesses=base.witnesses, unit_points=base.unit_points,
     )
     return sub, full

@@ -31,7 +31,8 @@ from orbatlas.errors import (
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, rotation_group, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, point_in_ball
-from orbatlas.oracles import SpanSearchOracle, SpanTableOracle
+from orbatlas.morita import pushforward_atlas
+from orbatlas.oracles import Oracle
 from orbatlas.sampling import random_chart_point
 
 M = 12
@@ -130,7 +131,7 @@ class TestInducedHomomorphism:
     def test_inclusion_restricts_identically(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
         sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
-        atlas = Atlas(M, 1, [chart, sub], [inc], SpanSearchOracle())
+        atlas = Atlas(M, 1, [chart, sub], [inc])
         table = induced_homomorphism(inc, atlas)
         for g, h in table.items():
             assert g == h
@@ -146,7 +147,7 @@ class TestInducedHomomorphism:
         atlas = cone(6)
         chart = atlas.chart("cone6")
         sub, inc = restrict_chart(chart, Point.origin(6, 1), Fraction(1, 4))
-        big = Atlas(6, 1, [chart, sub], [inc], SpanSearchOracle())
+        big = Atlas(6, 1, [chart, sub], [inc])
         table = induced_homomorphism(inc, big)
         elems = list(table)
         for g1 in elems:
@@ -161,20 +162,20 @@ class TestOverlapTransport:
     def test_identity(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
         sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
-        atlas = Atlas(M, 1, [chart, sub], [inc], SpanSearchOracle())
+        atlas = Atlas(M, 1, [chart, sub], [inc])
         assert overlap_transport(inc, chart.identity(), atlas).is_identity()
 
     def test_invariant_subball_transports_rotation(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
         sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
-        atlas = Atlas(M, 1, [chart, sub], [inc], SpanSearchOracle())
+        atlas = Atlas(M, 1, [chart, sub], [inc])
         g = overlap_transport(inc, zrot(4), atlas)
         assert g == zrot(4)
 
     def test_disjoint_translate_returns_none(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
         sub, inc = restrict_chart(chart, Point.of(M, Fraction(1, 2)), Fraction(1, 64))
-        atlas = Atlas(M, 1, [chart, sub], [inc], SpanSearchOracle())
+        atlas = Atlas(M, 1, [chart, sub], [inc])
         assert overlap_transport(inc, zrot(4), atlas) is None
         # and the images are exactly disjoint
         img = map_ball(inc.map, sub.ball)
@@ -183,7 +184,7 @@ class TestOverlapTransport:
     def test_round_trip_through_induced_map(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
         sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
-        atlas = Atlas(M, 1, [chart, sub], [inc], SpanSearchOracle())
+        atlas = Atlas(M, 1, [chart, sub], [inc])
         table = induced_homomorphism(inc, atlas)
         for g, h in table.items():
             assert overlap_transport(inc, h, atlas) == g
@@ -257,7 +258,7 @@ class TestAtlasValidation:
             assert rep.ok, rep.failures()
 
     def test_empty_atlas_fails_cover_axiom(self):
-        empty = Atlas(M, 1, [], [], SpanSearchOracle())
+        empty = Atlas(M, 1, [], [])
         rep = validate_atlas(empty, rng=random.Random(0))
         assert any("has charts" in name for name, _ in rep.failures())
 
@@ -265,13 +266,13 @@ class TestAtlasValidation:
         chart = cone3_m12.chart("cone3")
         smaller = Chart("cone3", Ball.of(M, [0], Fraction(1, 9)), chart.group)
         with pytest.raises(InvalidAtlasError, match="duplicate chart id 'cone3'"):
-            Atlas(M, 1, [chart, smaller], [], SpanSearchOracle())
+            Atlas(M, 1, [chart, smaller], [])
 
     def test_oversized_embedding_rejected(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
         small = Chart("small", Ball.of(M, [0], Fraction(1, 4)), tuple(rotation_group(M, 1, 3)))
         bad = Embedding("cone3", "small", AffineMap.identity(M, 1))
-        atlas = Atlas(M, 1, [chart, small], [bad], SpanSearchOracle())
+        atlas = Atlas(M, 1, [chart, small], [bad])
         rep = validate_atlas(atlas, rng=random.Random(0))
         assert not rep.ok
 
@@ -402,18 +403,34 @@ def _two_disc_table_atlas():
     b = Chart("b", Ball.of(M, [0], 1), (ident,))
     p = Point.of(M, Fraction(1, 3))
     entry = Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident))
-    return Atlas(M, 1, [a, b], [], SpanTableOracle([entry])), entry
+    return Atlas(M, 1, [a, b], [], Oracle((entry,))), entry
+
+
+def _three_disc_table_atlas():
+    """Three discs with no stored embeddings; recorded spans, two of them
+    through a chart whose group is {1, -1}, identify a and b in both directions
+    and some pairs twice, so the order in which the table is read shows."""
+    ident, neg = AffineMap.identity(M, 1), zrot(6)
+    c = Chart("c", Ball.of(M, [0], 1), (ident, neg))
+    charts = [Chart(cid, Ball.of(M, [0], 1), (ident,)) for cid in "ab"] + [c]
+    p = Point.of(M, Fraction(1, 3))
+    entries = (
+        Span("c", p, Embedding("c", "b", neg), Embedding("c", "a", ident)),
+        Span("c", p, Embedding("c", "b", ident), Embedding("c", "a", ident)),
+        Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident)),
+    )
+    return Atlas(M, 1, charts, [], Oracle(entries)), entries
 
 
 class TestSpanTableOracle:
     def test_serialize_round_trip_is_byte_identical(self):
         from orbatlas.serialize import atlas_from_doc, serialize
 
-        atlas, _ = _two_disc_table_atlas()
+        atlas, entry = _two_disc_table_atlas()
         payload = serialize(atlas)
         assert b'"span_table"' in payload
         again = atlas_from_doc(json.loads(payload))
-        assert isinstance(again.oracle, SpanTableOracle)
+        assert again.oracle == atlas.oracle == Oracle((entry,))
         assert serialize(again) == payload
 
     def test_table_span_of_wrong_length_is_parse_error(self):
@@ -431,11 +448,165 @@ class TestSpanTableOracle:
     def test_query_answered_only_by_the_table(self):
         atlas, entry = _two_disc_table_atlas()
         p = entry.point
-        assert SpanSearchOracle().refine(atlas, "a", p, "b", p) is None
+        # the search alone, over the same charts without the table, misses
+        searched = Atlas(M, 1, list(atlas.charts.values()), [])
+        assert atlas.transports("a", "b") == atlas.transports("b", "a") == ()
+        assert searched.refine("a", p, "b", p) is None and searched.locate("a", p, "b") is None
+        assert atlas.locate("a", p, "b") == p and atlas.locate("b", p, "a") == p
         assert _span_key(atlas.refine("a", p, "b", p)) == _span_key(entry)
         flipped = atlas.refine("b", p, "a", p)
         assert _span_key(flipped) == _span_key(Span("a", p, entry.right, entry.left))
         assert atlas.refine("a", p, "b", Point.of(M, Fraction(1, 5))) is None
+
+
+class _ReferenceSpanSearch:
+    """The former span-search oracle class, written out as a reference."""
+
+    def refine(self, atlas, ci, x, cj, y):
+        left = None
+        for t in atlas.transports(ci, cj):
+            if t.left is not left:
+                left, inside = t.left, point_in_ball(x, t.domain)
+            if inside and t.map(x) == y:
+                return Span(t.k, left.map.inverse()(x), left, t.right)
+        return None
+
+    def locate(self, atlas, ci, x, cj):
+        if ci == cj:
+            return x
+        left = None
+        for t in atlas.transports(ci, cj):
+            if t.left is not left:
+                left = t.left
+                if point_in_ball(x, t.domain):
+                    return t.map(x)
+        return None
+
+
+def _reference_flip(span):
+    return Span(span.chart, span.point, span.right, span.left)
+
+
+class _ReferenceSpanTable:
+    """The former span-table oracle class: the search, then the recorded spans."""
+
+    def __init__(self, entries=()):
+        self.entries = tuple(entries)
+
+    def _matches(self, atlas, span, ci, x, cj, y):
+        if span.left.dst != ci or span.right.dst != cj:
+            return None
+        for g in atlas.chart(span.chart).group:
+            z = g(span.point)
+            if span.left(z) == x and span.right(z) == y:
+                return Span(span.chart, z, span.left, span.right)
+        return None
+
+    def refine(self, atlas, ci, x, cj, y):
+        fallback = _ReferenceSpanSearch().refine(atlas, ci, x, cj, y)
+        if fallback is not None:
+            return fallback
+        for span in self.entries:
+            hit = self._matches(atlas, span, ci, x, cj, y)
+            if hit is not None:
+                return hit
+            hit = self._matches(atlas, span, cj, y, ci, x)
+            if hit is not None:
+                return _reference_flip(hit)
+        return None
+
+    def locate(self, atlas, ci, x, cj):
+        found = _ReferenceSpanSearch().locate(atlas, ci, x, cj)
+        if found is not None:
+            return found
+        for span in list(self.entries) + [_reference_flip(s) for s in self.entries]:
+            if span.left.dst != ci or span.right.dst != cj:
+                continue
+            for g in atlas.chart(span.chart).group:
+                z = g(span.point)
+                if span.left(z) == x:
+                    return span.right(z)
+        return None
+
+
+class _ReferencePushforward:
+    """The former pushforward oracle class: answers pass through unchanged."""
+
+    def __init__(self, inner, relabel):
+        self.inner = inner
+        self.relabel = dict(relabel)
+
+    def refine(self, atlas, ci, x, cj, y):
+        return self.inner.refine(atlas, ci, x, cj, y)
+
+    def locate(self, atlas, ci, x, cj):
+        return self.inner.locate(atlas, ci, x, cj)
+
+
+_SWAP = {"north": "south", "south": "north", "glue": "glue"}
+_RENAME = {"north": "n", "south": "s", "glue": "g"}
+_TABLE_SWAP = {"a": "b", "b": "a"}
+
+
+def _pushed(base, reference, *relabels):
+    """base pushed forward by each relabel in turn, with its reference oracle."""
+    atlas = base
+    for relabel in relabels:
+        atlas = pushforward_atlas(relabel, atlas)
+        reference = _ReferencePushforward(reference, relabel)
+    assert atlas.oracle.relabels == tuple(tuple(sorted(r.items())) for r in reversed(relabels))
+    return atlas, reference
+
+
+class TestOracleReference:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (cone(3), _ReferenceSpanSearch()),
+            lambda: (football(2, 3), _ReferenceSpanSearch()),
+            lambda: (teardrop(3), _ReferenceSpanSearch()),
+            lambda: (cone(4, conductor=12), _ReferenceSpanSearch()),
+            lambda: (_two_disc_table_atlas()[0], _ReferenceSpanTable([_two_disc_table_atlas()[1]])),
+            lambda: (_three_disc_table_atlas()[0], _ReferenceSpanTable(_three_disc_table_atlas()[1])),
+            lambda: _pushed(football(2, 3), _ReferenceSpanSearch(), _SWAP),
+            lambda: _pushed(football(2, 3), _ReferenceSpanSearch(), _SWAP, _RENAME),
+            lambda: _pushed(_two_disc_table_atlas()[0], _ReferenceSpanTable([_two_disc_table_atlas()[1]]), _TABLE_SWAP),
+            lambda: _pushed(
+                _two_disc_table_atlas()[0], _ReferenceSpanTable([_two_disc_table_atlas()[1]]), _TABLE_SWAP, {}
+            ),
+        ],
+        ids=[
+            "cone3", "football23", "teardrop3", "cone4-m12", "table", "table-3",
+            "push-search", "push-push-search", "push-table", "push-push-table",
+        ],
+    )
+    def test_refine_and_locate_match_the_oracle_classes(self, make):
+        atlas, reference = make()
+        rng = random.Random(31)
+        queries = []
+        for _ in range(40):
+            ci = rng.choice(atlas.chart_ids())
+            queries.append((ci, random_chart_point(rng, atlas, ci)))
+        # the recorded spans' own points, moved by the span chart's group
+        for span in atlas.oracle.spans or ():
+            for g in atlas.chart(span.chart).group:
+                z = g(span.point)
+                queries += [(span.left.dst, span.left(z)), (span.right.dst, span.right(z))]
+        hits = cross = 0
+        for ci, x in queries:
+            for cj in atlas.chart_ids():
+                y = atlas.locate(ci, x, cj)
+                assert y == reference.locate(atlas, ci, x, cj)
+                targets = [random_chart_point(rng, atlas, cj), x]
+                if y is not None:
+                    targets += [g(y) for g in atlas.chart(cj).group]
+                for t in targets:
+                    span = atlas.refine(ci, x, cj, t)
+                    assert _span_key(span) == _span_key(reference.refine(atlas, ci, x, cj, t))
+                    hits += span is not None
+                    cross += span is not None and ci != cj
+        # two-chart atlases: identifications across charts are exercised too
+        assert hits > 0 and (cross > 0 or len(atlas.charts) == 1)
 
 
 def _reference_family_index(atlas, e):
@@ -460,7 +631,7 @@ def _duplicate_family_atlas():
     a = Chart("a", Ball.of(M, [0], 1), (zrot(4), ident, zrot(4), zrot(8)))
     b = Chart("b", Ball.of(M, [0], 1), (ident, zrot(6)))
     flat = Embedding("a", "b", AffineMap.scaling(M, 1, CycNum.rational(M, 0)))
-    return Atlas(M, 1, [a, b], [flat], SpanSearchOracle())
+    return Atlas(M, 1, [a, b], [flat])
 
 
 class TestFamilyIndex:

@@ -72,11 +72,9 @@ class TestCheckMorita:
     def test_smaller_side_also_passes(self, sub_full_cone3):
         # the sub-atlas containing only the restricted chart
         sub, full = sub_full_cone3
-        from orbatlas.oracles import SpanSearchOracle
-
         m = full.conductor
         half_only = Atlas(
-            m, 1, [full.chart("half")], [], SpanSearchOracle(),
+            m, 1, [full.chart("half")], [],
             unit_points={"half": full.unit_points["half"]},
         )
         report = check_morita(
@@ -103,7 +101,6 @@ class TestCheckMorita:
         # the inclusion hits every point, yet the target has arrows that no
         # source arrow maps to, so the fiber condition fails
         from orbatlas.atlas import Chart, Span
-        from orbatlas.oracles import SpanSearchOracle
 
         m = 1
         ball = Ball(Point.of(m, 0), CycNum.rational(m, Fraction(1, 16)))
@@ -116,10 +113,10 @@ class TestCheckMorita:
             Span("t2", ball.center, Embedding("t2", "t2", ident), Embedding("t2", "t2", ident)),
         ]
         glued = Atlas(
-            m, 1, [t1, t2], [glue], SpanSearchOracle(),
+            m, 1, [t1, t2], [glue],
             witnesses=self_spans + [Span("t1", ball.center, Embedding("t1", "t1", ident), glue)],
         )
-        disjoint = Atlas(m, 1, [t1, t2], [], SpanSearchOracle(), witnesses=self_spans)
+        disjoint = Atlas(m, 1, [t1, t2], [], witnesses=self_spans)
         assert validate_atlas(glued).ok and validate_atlas(disjoint).ok
         report = check_morita(
             subatlas_inclusion_morphism(disjoint, glued), samples=60, seed=21
@@ -178,9 +175,7 @@ class TestRefinement:
     def test_restricted_chart_refines(self, sub_full_cone3):
         sub, full = sub_full_cone3
         m = full.conductor
-        from orbatlas.oracles import SpanSearchOracle
-
-        half_only = Atlas(m, 1, [full.chart("half")], [], SpanSearchOracle())
+        half_only = Atlas(m, 1, [full.chart("half")], [])
         gamma = RefinementData({"half": "cone3"}, {"half": AffineMap.identity(m, 1)})
         assert is_refinement(half_only, sub, gamma).ok
 

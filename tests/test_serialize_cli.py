@@ -54,6 +54,45 @@ class TestRoundTrips:
         assert back.charts.keys() == atlas.charts.keys()
         assert back.reps.keys() == atlas.reps.keys()
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda doc: {"kind": "span_search", "params": {}},
+            lambda doc: {"kind": "span_table", "params": {"spans": []}},
+            lambda doc: {"kind": "span_table", "params": {"spans": doc["witnesses"]}},
+            lambda doc: {
+                "kind": "pushforward",
+                "params": {
+                    "relabel": {"cone3": "apex"},
+                    "inner": {
+                        "kind": "pushforward",
+                        "params": {
+                            "relabel": {"cone3": "tip", "elsewhere": "there"},
+                            "inner": {"kind": "span_table", "params": {"spans": doc["witnesses"]}},
+                        },
+                    },
+                },
+            },
+        ],
+        ids=["span-search", "empty-span-table", "span-table", "pushforward-2-deep"],
+    )
+    def test_oracle_forms_bit_exact(self, oracle):
+        doc = json.loads(serialize(cone(3)))
+        assert doc["witnesses"]
+        doc["oracle"] = oracle(doc)
+        raw = canonical_bytes(doc)
+        back = atlas_from_doc(json.loads(raw))
+        assert serialize(back) == raw
+
+    @pytest.mark.parametrize("kind", ["global_quotient", "gluing"])
+    def test_oracle_aliases_parse_as_span_search(self, kind):
+        atlas = cone(3)
+        doc = json.loads(serialize(atlas))
+        doc["oracle"] = {"kind": kind}
+        back = atlas_from_doc(doc)
+        assert back.oracle == atlas.oracle
+        assert serialize(back) == serialize(atlas)
+
     def test_non_canonical_input_is_canonicalized(self):
         # pre-reduction accepted: zeta_12^4 given in the raw power basis reduces
         # to its canonical form below the cyclotomic degree
@@ -343,6 +382,12 @@ class TestCli:
             lambda doc: {**doc, "unit_points": {**doc["unit_points"], "nowhere": doc["unit_points"]["cone3"]}},
             lambda doc: {**doc, "charts": [{**doc["charts"][0], "id": ["cone3"]}]},
             lambda doc: {**doc, "charts": [doc["charts"][0], {**doc["charts"][0], "radius2": "1/9"}]},
+            lambda doc: {**doc, "oracle": []},
+            lambda doc: {**doc, "oracle": "x"},
+            lambda doc: {**doc, "oracle": {"kind": "span_table", "params": []}},
+            lambda doc: {**doc, "oracle": {"kind": "pushforward", "params": {"relabel": [], "inner": doc["oracle"]}}},
+            lambda doc: {**doc, "oracle": {"kind": "pushforward", "params": {"relabel": {}, "inner": []}}},
+            lambda doc: {**doc, "unit_points": []},
         ],
         ids=[
             "non-object",
@@ -359,6 +404,12 @@ class TestCli:
             "unknown-unit-point-chart",
             "non-string-chart-id",
             "repeated-chart-id",
+            "oracle-list",
+            "oracle-string",
+            "oracle-params-list",
+            "pushforward-relabel-list",
+            "pushforward-inner-list",
+            "unit-points-list",
         ],
     )
     def test_malformed_document_is_parse_error(self, cli_dir, mutate):
@@ -368,6 +419,31 @@ class TestCli:
         assert out.returncode == 2, out.stderr
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+    @pytest.mark.parametrize(
+        "nested",
+        [
+            '{"kind":"pushforward","params":{"relabel":{},"inner":' * 20000 + '{"kind":"span_search"}' + "}}" * 20000,
+            "[" * 100000 + "]" * 100000,
+        ],
+        ids=["nested-pushforwards", "nested-arrays"],
+    )
+    def test_deeply_nested_document_is_parse_error(self, cli_dir, nested):
+        doc = json.loads((cli_dir / "cone3.json").read_text())
+        doc["oracle"] = "@"
+        (cli_dir / "deep.json").write_text(json.dumps(doc).replace('"@"', nested))
+        out = run_cli("validate", "deep.json", cwd=cli_dir)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.splitlines() == ["error: JSON in deep.json is nested too deeply"], out.stderr
+
+    def test_non_injective_relabel_fails_check(self, cli_dir):
+        doc = json.loads((cli_dir / "cone3.json").read_text())
+        relabel = {"a": "x", "b": "x"}
+        doc["oracle"] = {"kind": "pushforward", "params": {"relabel": relabel, "inner": doc["oracle"]}}
+        (cli_dir / "bad_relabel.json").write_text(json.dumps(doc))
+        out = run_cli("validate", "bad_relabel.json", cwd=cli_dir)
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.splitlines() == ["error: relabeling is not injective"], out.stderr
 
     @pytest.fixture(scope="class")
     def bad_football(self, cli_dir):

@@ -13,7 +13,6 @@ from orbatlas.gallery import cone, football, global_quotient, point_atlas, teard
 from orbatlas.geometry import AffineMap, Ball, Point, point_in_ball
 from orbatlas.groupoids import ActionGroupoid, UnitPoint, validate_grp_nat_trans
 from orbatlas.morita import reconstruct_atlas
-from orbatlas.oracles import SpanSearchOracle
 from orbatlas.sampling import random_chart_point
 from orbatlas.serialize import serialize
 from orbatlas.systems import rotation_fixture, rotation_system, OrbNatTrans
@@ -407,7 +406,7 @@ def s3_atlas():
     swap = AffineMap(((zero, one), (one, zero)), o)
     chart = Chart("s3", Ball(o, one), tuple(rots) + tuple(swap.compose(r) for r in rots))
     e = Embedding("s3", "s3", chart.identity())
-    return Atlas(m, 2, [chart], [], SpanSearchOracle(), witnesses=[Span("s3", o, e, e)])
+    return Atlas(m, 2, [chart], [], witnesses=[Span("s3", o, e, e)])
 
 
 class TestActionOracleReference:
