@@ -34,7 +34,6 @@ from .geometry import (
     ball_in_ball,
     balls_disjoint,
     balls_equal,
-    dist2,
     map_ball,
     point_in_ball,
 )
@@ -405,34 +404,46 @@ def _short_hash(*parts: str) -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:8]
 
 
+def separation_radius(x: Point, r2: Fraction, container: Ball, maps) -> Fraction | None:
+    """The first r2 / 4^k (k < 256) whose ball about x lies inside the
+    container and is disjoint from its image under every map that moves x, or
+    None.  Chart restriction and groupoid reconstruction both size their
+    charts here."""
+    m = container.r2.m
+    moved = [g for g in maps if g(x) != x]
+    for _ in range(256):
+        ball = Ball(x, CycNum.rational(m, r2))
+        if ball_in_ball(ball, container) and all(
+            balls_disjoint(map_ball(g, ball), ball) for g in moved
+        ):
+            return r2
+        r2 /= 4
+    return None
+
+
 def restrict_chart(
     chart: Chart, x: Point, r2: Fraction, cid: str | None = None
 ) -> tuple[Chart, Embedding]:
-    """Sub-chart at x: the stabilizer acting on a ball that its other group
-    translates miss entirely.  The radius is halved until both conditions hold."""
+    """Sub-chart at x: the stabilizer acting on the ball of
+    ``separation_radius`` (from r2, inside the chart ball), which every other
+    group element moves off itself."""
     stab = stabilizer(chart, x)
-    r2 = Fraction(r2)
-    m = chart.ball.r2.m
-    displaced = [dist2(g(x), x) for g in chart.group if g not in stab]
-
-    def fits(r2val: Fraction) -> bool:
-        ball = Ball(x, CycNum.rational(m, r2val))
-        if not ball_in_ball(ball, chart.ball):
-            return False
-        # g(B) and B disjoint for g outside the stabilizer: |g(x)-x| >= 2r.
-        return all(sign_real(d2 - 4 * r2val) >= 0 for d2 in displaced)
-
-    for _ in range(256):
-        if fits(r2):
-            break
-        r2 = r2 / 4
-    else:
+    r2 = separation_radius(x, Fraction(r2), chart.ball, chart.group)
+    if r2 is None:
         raise InvalidAtlasError("restriction radius search did not terminate")
+    m = chart.ball.r2.m
     if cid is None:
         cid = f"{chart.cid}~{_short_hash(chart.cid, repr(x), str(r2))}"
     sub = Chart(cid, Ball(x, CycNum.rational(m, r2)), tuple(stab))
     inclusion = Embedding(cid, chart.cid, AffineMap.identity(m, chart.dim))
     return sub, inclusion
+
+
+def identity_span(chart: Chart, right: Embedding | None = None) -> Span:
+    """The witness span at the chart's centre whose left leg is the chart's
+    identity embedding; the right leg is that identity too unless given."""
+    ident = Embedding(chart.cid, chart.cid, chart.identity())
+    return Span(chart.cid, chart.ball.center, ident, right or ident)
 
 
 def common_span(
@@ -491,6 +502,8 @@ def validate_span(atlas: Atlas, span: Span) -> Report:
             rep.add("leg source is span chart", False, repr(leg))
             continue
         rep.add(f"leg to {leg.dst} stored in the atlas", atlas.in_family(leg))
+        if leg.dst not in atlas.charts:
+            continue
         sub = validate_embedding(leg, atlas)
         rep.add(f"leg to {leg.dst} valid", sub.ok, "; ".join(n for n, _ in sub.failures()))
     return rep

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atlas import Atlas, Chart, Embedding, Span, restrict_chart
+from .atlas import Atlas, Chart, Embedding, Span, identity_span, restrict_chart
 from .errors import UnsupportedParamsError
 from .field import SUPPORTED_CONDUCTORS, CycNum
 from .geometry import AffineMap, Ball, Point, balls_disjoint, map_ball
@@ -39,15 +39,11 @@ class GalleryParams:
         return [1]
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def _conductor_for(params: GalleryParams) -> int:
-    want = _lcm(params.rotation_orders())
+    orders = params.rotation_orders()
+    if min(orders) < 1:
+        raise UnsupportedParamsError(f"rotation order {min(orders)} is below 1")
+    want = math.lcm(*orders)
     m = params.conductor if params.conductor is not None else want
     if m not in SUPPORTED_CONDUCTORS:
         raise UnsupportedParamsError(f"conductor {m} outside supported set")
@@ -98,7 +94,7 @@ def gallery(params: GalleryParams) -> Atlas:
     m = _conductor_for(params)
     if params.name == "point":
         chart = Chart("pt", Ball(Point(()), CycNum.rational(m, 1)), (AffineMap((), Point(())),))
-        return Atlas(m, 0, [chart], [], witnesses=[_self_span(chart)])
+        return Atlas(m, 0, [chart], [], witnesses=[identity_span(chart)])
     if params.name in ("cone", "global_quotient"):
         dim = 1 if params.name == "cone" else params.dim
         if dim < 1:
@@ -117,17 +113,12 @@ def gallery(params: GalleryParams) -> Atlas:
             dim,
             [chart],
             [],
-            witnesses=[_self_span(chart)],
+            witnesses=[identity_span(chart)],
             unit_points=unit_points,
         )
     if params.name == "football":
         return _football(params, Fraction(1, 64))
     return _football(params, Fraction(1, 64), south_trivial=True)
-
-
-def _self_span(chart: Chart) -> Span:
-    e = Embedding(chart.cid, chart.cid, chart.identity())
-    return Span(chart.cid, chart.ball.center, e, e)
 
 
 def _football(params: GalleryParams, glue_r2: Fraction, south_trivial: bool = False) -> Atlas:
@@ -151,11 +142,11 @@ def _football(params: GalleryParams, glue_r2: Fraction, south_trivial: bool = Fa
     _check_glue_translates(north, glue.ball, to_north.map)
     _check_glue_translates(south, glue.ball, to_south.map)
     witnesses = [
-        _self_span(north),
-        _self_span(south),
+        identity_span(north),
+        identity_span(south),
         Span("glue", glue.ball.center, to_north, to_south),
-        Span("glue", glue.ball.center, Embedding("glue", "glue", glue.identity()), to_north),
-        Span("glue", glue.ball.center, Embedding("glue", "glue", glue.identity()), to_south),
+        identity_span(glue, to_north),
+        identity_span(glue, to_south),
     ]
     unit_points = {
         "north": (_generic_point(m, 1),),

@@ -103,10 +103,6 @@ class GroupoidPresentation(ABC):
         """(map, domain ball) pairs carrying identifications from unit
         component ca to cb."""
 
-    @abstractmethod
-    def self_transports(self, c: str) -> list[AffineMap]:
-        """The maps generating the identifications within unit component c."""
-
     # -- shared derived operations -------------------------------------------
 
     def unit_component(self, label: str) -> UnitComponent:
@@ -238,9 +234,6 @@ class ActionGroupoid(GroupoidPresentation):
 
     def transports(self, ca, cb):
         return [(self.rep[lab], self.ball) for lab in self.labels]
-
-    def self_transports(self, c):
-        return [self.rep[lab] for lab in self.labels]
 
     def is_faithful(self) -> bool:
         maps = list(self.rep.values())

@@ -17,9 +17,10 @@ from .atlas import (
     Atlas,
     Chart,
     Embedding,
-    Span,
     embedding_conditions,
     find_conjugator,
+    identity_span,
+    separation_radius,
     validate_chart,
 )
 from .errors import (
@@ -182,8 +183,7 @@ def _reaches(m: GroupoidMorphism, z: UnitPoint) -> bool:
         aff = mp.to_affine()
         if not aff.is_invertible():
             continue
-        y = aff.inverse()(z.point)
-        if point_in_ball(y, comp.ball) and mp(y) == z.point:
+        if point_in_ball(aff.inverse()(z.point), comp.ball):
             return True
     return False
 
@@ -223,14 +223,7 @@ def _covered(atlas: Atlas, cid: str, x: Point, leg: Embedding, chart: Chart) -> 
     if z is None:
         return False
     image = map_ball(leg.map, chart.ball)
-    for g in atlas.chart(leg.dst).group:
-        p = g(z)
-        if not point_in_ball(p, image):
-            continue
-        w = leg.map.inverse()(p)
-        if point_in_ball(w, chart.ball) and leg(w) == p:
-            return True
-    return False
+    return any(point_in_ball(g(z), image) for g in atlas.chart(leg.dst).group)
 
 
 def atlases_equivalent(u1: Atlas, u2: Atlas, witnesses, samples: int = 0, seed: int = 0) -> Report:
@@ -320,14 +313,9 @@ def common_refinement(u1: Atlas, u2: Atlas, witnesses) -> CommonRefinement:
                 reps.setdefault((wa.chart.cid, wb.chart.cid), rel)
     reps = _close_reps(charts, reps)
 
-    span_witnesses = []
-    for c in charts:
-        e = Embedding(c.cid, c.cid, c.identity())
-        span_witnesses.append(Span(c.cid, c.ball.center, e, e))
+    span_witnesses = [identity_span(c) for c in charts]
     for (a, b), e in reps.items():
-        chart_a = next(c for c in charts if c.cid == a)
-        ident = Embedding(a, a, chart_a.identity())
-        span_witnesses.append(Span(a, chart_a.ball.center, ident, e))
+        span_witnesses.append(identity_span(next(c for c in charts if c.cid == a), e))
     atlas = Atlas(
         u1.conductor,
         u1.dim,
@@ -412,11 +400,7 @@ def union_atlas(base: Atlas, extra: Atlas, anchor: RefinementData) -> Atlas:
 
     witnesses = list(base.witnesses) + list(extra.witnesses)
     for cid in extra.chart_ids():
-        chart = extra.chart(cid)
-        ident = Embedding(cid, cid, chart.identity())
-        witnesses.append(
-            Span(cid, chart.ball.center, ident, reps[(cid, anchor.chart_map[cid])])
-        )
+        witnesses.append(identity_span(extra.chart(cid), reps[(cid, anchor.chart_map[cid])]))
     unit_points = {**base.unit_points, **extra.unit_points}
     return Atlas(
         base.conductor,
@@ -517,9 +501,11 @@ class Reconstruction:
 def reconstruct_atlas(
     g: GroupoidPresentation, samples: int = 3, seed: int = 0
 ) -> Reconstruction:
-    """Charts at finitely many sampled points: the domain comes from the halving
-    search separating non-stabilizing transports, and the chart group is the
-    germ group of the isotropy arrows."""
+    """Charts at finitely many sampled points: the chart group is the germ
+    group of the isotropy arrows, and the domain is the ball of
+    ``separation_radius`` (from r2 = 1/4, inside the unit component) that
+    every other transport of the component into itself moves off itself; the
+    charts are then shrunk until distinct charts are disjoint."""
     rng = random.Random(seed)
     chosen: list[UnitPoint] = []
     for comp in g.unit_components():
@@ -541,18 +527,8 @@ def reconstruct_atlas(
     for idx, u in enumerate(chosen):
         comp = g.unit_component(u.component)
         germs = [g.local_bisection(a) for a in g.isotropy(u)]
-        moved = [
-            t for t in g.self_transports(u.component) if t(u.point) != u.point
-        ]
-        r2 = Fraction(1, 4)
-        for _ in range(256):
-            ball = Ball(u.point, CycNum.rational(g.conductor, r2))
-            if ball_in_ball(ball, comp.ball) and all(
-                balls_disjoint(map_ball(t, ball), ball) for t in moved
-            ):
-                break
-            r2 /= 4
-        else:
+        r2 = separation_radius(u.point, Fraction(1, 4), comp.ball, _self_maps(g, u.component))
+        if r2 is None:
             raise UnsupportedPresentationError("separation radius search failed")
         entries.append([f"r{idx}", u, r2, tuple(germs)])
     # shrink until distinct charts are exactly disjoint in the underlying space
@@ -582,21 +558,17 @@ def reconstruct_atlas(
     charts = []
     anchors = {}
     unit_points = {}
-    span_witnesses = []
     for cid, u, r2, germs in entries:
-        chart = Chart(cid, Ball(u.point, CycNum.rational(g.conductor, r2)), tuple(germs))
-        charts.append(chart)
+        charts.append(Chart(cid, Ball(u.point, CycNum.rational(g.conductor, r2)), tuple(germs)))
         anchors[cid] = u.component
         unit_points[cid] = (u.point,)
-        e = Embedding(cid, cid, chart.identity())
-        span_witnesses.append(Span(cid, u.point, e, e))
 
     atlas = Atlas(
         g.conductor,
         g.dim,
         charts,
         [],
-        witnesses=span_witnesses,
+        witnesses=[identity_span(c) for c in charts],
         unit_points=unit_points,
     )
     return Reconstruction(atlas, anchors)
@@ -626,17 +598,23 @@ def reconstruction_morita_morphism(
     return GroupoidMorphism(src, g, unit_maps, arrow_map)
 
 
+def _self_maps(g: GroupoidPresentation, c: str) -> list[AffineMap]:
+    """The distinct maps of g.transports(c, c), in first-occurrence order; for
+    the translation groupoid of a valid atlas, the chart group of c."""
+    return list(dict.fromkeys(t for t, _ in g.transports(c, c)))
+
+
 # -- invariants and the bijection demonstration ----------------------------------------
 
 
 def isotropy_signature(g: GroupoidPresentation) -> tuple[int, tuple[int, ...]]:
     """Dimension plus the set of isotropy orders at component centers, declared
-    witness points, and fixed points of the self transports: a Morita invariant
-    at the sampled points."""
+    witness points, and fixed points of the transports of each component into
+    itself: a Morita invariant at the sampled points."""
     orders = set()
     probes: list[UnitPoint] = list(g.unit_witness_points())
     for comp in g.unit_components():
-        for t in g.self_transports(comp.label):
+        for t in _self_maps(g, comp.label):
             p = fixed_point(t)
             if p is not None and point_in_ball(p, comp.ball):
                 probes.append(UnitPoint(comp.label, p))

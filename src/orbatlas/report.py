@@ -41,6 +41,3 @@ class Report:
         verdict = self.ok and not (strict and self.warnings)
         out.append(f"verdict: {'pass' if verdict else 'fail'}")
         return out
-
-    def verdict(self, strict: bool = False) -> bool:
-        return self.ok and not (strict and self.warnings)

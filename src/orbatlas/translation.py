@@ -187,9 +187,6 @@ class TranslationGroupoid(GroupoidPresentation):
         first-occurrence order."""
         return list(dict.fromkeys((t.map, t.domain) for t in self.atlas.transports(ca, cb)))
 
-    def self_transports(self, c):
-        return list(self.atlas.chart(c).group)
-
     def unit_witness_points(self):
         out = []
         for cid in self.atlas.chart_ids():
@@ -333,8 +330,6 @@ def action_groupoid_oracle_report(atlas: Atlas, samples: int = 200, seed: int = 
     """For a single-chart atlas, the translation groupoid must match the
     explicit action groupoid: (x, g) <-> class of (identity, x, g), with
     s, t, m, i, e agreeing exactly."""
-    from .groupoids import ActionGroupoid
-
     rep = Report("action groupoid oracle")
     if len(atlas.charts) != 1:
         rep.add("single chart", False)
@@ -342,11 +337,6 @@ def action_groupoid_oracle_report(atlas: Atlas, samples: int = 200, seed: int = 
     cid = atlas.chart_ids()[0]
     chart = atlas.chart(cid)
     tg = TranslationGroupoid(atlas)
-    ag = ActionGroupoid(
-        atlas.conductor,
-        chart.ball,
-        [(f"g{k}", g) for k, g in enumerate(chart.group)],
-    )
     ident = atlas.identity_embedding(cid)
     rng = random.Random(seed)
     group = chart.group

@@ -1,24 +1,44 @@
 """Morita checks, atlas equivalence, refinements, pushforwards, reconstruction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from orbatlas.atlas import Atlas, Embedding, validate_atlas
+from orbatlas.atlas import (
+    Atlas,
+    Chart,
+    Embedding,
+    restrict_chart,
+    separation_radius,
+    validate_atlas,
+)
 from orbatlas.errors import NotASubAtlasError, NotEquivalentError
-from orbatlas.field import CycNum
+from orbatlas.field import CycNum, sign_real
 from orbatlas.gallery import (
     WitnessSpan,
     cone,
     cone_pair,
     football,
+    global_quotient,
     point_atlas,
     pushforward_pair,
     teardrop,
     teardrop_pair,
 )
-from orbatlas.geometry import AffineMap, Ball, Point, PolyMap, point_in_ball
+from orbatlas.geometry import (
+    AffineMap,
+    Ball,
+    Point,
+    PolyMap,
+    ball_in_ball,
+    balls_disjoint,
+    dist2,
+    fixed_point,
+    map_ball,
+    point_in_ball,
+)
 from orbatlas.groupoids import (
     ActionGroupoid,
     GroupoidMorphism,
@@ -28,6 +48,7 @@ from orbatlas.groupoids import (
 )
 from orbatlas.morita import (
     _hits_witness,
+    _self_maps,
     atlases_equivalent,
     bijection_demo,
     check_morita,
@@ -43,6 +64,7 @@ from orbatlas.morita import (
     union_atlas,
     RefinementData,
 )
+from orbatlas.sampling import random_chart_point
 from orbatlas.translation import TranslationGroupoid
 
 
@@ -286,6 +308,137 @@ class TestReconstruction:
             for cid in rec.atlas.chart_ids()
         ]
         assert atlases_equivalent(rec.atlas, cone3, ws).ok
+
+
+def _reference_restrict_r2(chart, x, r2):
+    """restrict_chart's radius search as first written: quarter r2 until the
+    ball fits the chart and |g(x) - x|^2 >= 4 r2 for every g moving x."""
+    m = chart.ball.r2.m
+    displaced = [dist2(g(x), x) for g in chart.group if g(x) != x]
+    for _ in range(256):
+        ball = Ball(x, CycNum.rational(m, r2))
+        if ball_in_ball(ball, chart.ball) and all(sign_real(d2 - 4 * r2) >= 0 for d2 in displaced):
+            return r2
+        r2 = r2 / 4
+    return None
+
+
+def _reference_reconstruct_r2(g, u, r2, self_transports):
+    """reconstruct_atlas's first radius loop as first written, over the
+    presentation's former self transports."""
+    comp = g.unit_component(u.component)
+    moved = [t for t in self_transports if t(u.point) != u.point]
+    for _ in range(256):
+        ball = Ball(u.point, CycNum.rational(g.conductor, r2))
+        if ball_in_ball(ball, comp.ball) and all(
+            balls_disjoint(map_ball(t, ball), ball) for t in moved
+        ):
+            return r2
+        r2 /= 4
+    return None
+
+
+def _former_self_transports(g, c):
+    """What the presentations returned for their own component c: the chart
+    group of a translation groupoid, every element's map for an action."""
+    if isinstance(g, TranslationGroupoid):
+        return list(g.atlas.chart(c).group)
+    return [g.rep[lab] for lab in g.labels]
+
+
+def _reference_isotropy_signature(g):
+    orders = set()
+    probes = list(g.unit_witness_points())
+    for comp in g.unit_components():
+        for t in _former_self_transports(g, comp.label):
+            p = fixed_point(t)
+            if p is not None and point_in_ball(p, comp.ball):
+                probes.append(UnitPoint(comp.label, p))
+    for u in probes:
+        orders.add(len(g.isotropy(u)))
+    return (g.dim, tuple(sorted(orders)))
+
+
+def _rim_point(chart):
+    """A point at 1023/1024 of the chart radius along the first axis (the
+    gallery radii are rational)."""
+    r2 = chart.ball.r2.as_rational()
+    r = Fraction(math.isqrt(r2.numerator), math.isqrt(r2.denominator))
+    assert r * r == r2
+    m = chart.ball.r2.m
+    step = Point.of(m, r * Fraction(1023, 1024), *([0] * (chart.dim - 1)))
+    return chart.ball.center + step
+
+
+SEPARATION_ATLASES = {
+    "cone2": lambda: cone(2),
+    "cone3": lambda: cone(3),
+    "cone4": lambda: cone(4),
+    "cone6": lambda: cone(6),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+    "quot2d2": lambda: global_quotient(2, 2),
+    "cone4_m12": lambda: cone(4, conductor=12),
+    "quot4d2_m8": lambda: global_quotient(4, 2, conductor=8),
+}
+
+
+class TestSeparationRadiusReference:
+    """The one separation-radius search against both loops it replaced."""
+
+    START_R2 = (Fraction(1, 4), Fraction(1), Fraction(4**12, 3))
+
+    @pytest.mark.parametrize("name", list(SEPARATION_ATLASES))
+    def test_matches_both_former_loops(self, name):
+        atlas = SEPARATION_ATLASES[name]()
+        g = TranslationGroupoid(atlas)
+        rng = random.Random(sum(map(ord, name)))
+        for cid in atlas.chart_ids():
+            chart = atlas.chart(cid)
+            maps = _self_maps(g, cid)
+            assert maps == _former_self_transports(g, cid)
+            points = atlas.witness_points(cid) + [
+                random_chart_point(rng, atlas, cid) for _ in range(3)
+            ]
+            points.append(_rim_point(chart))
+            for x in points:
+                for start in self.START_R2:
+                    ref = _reference_restrict_r2(chart, x, start)
+                    assert ref is not None
+                    assert separation_radius(x, start, chart.ball, maps) == ref, (cid, x, start)
+                    old = _reference_reconstruct_r2(g, UnitPoint(cid, x), start, maps)
+                    assert old == ref, (cid, x, start)
+                    sub, inclusion = restrict_chart(chart, x, start, cid="w")
+                    assert sub == Chart(
+                        "w",
+                        Ball(x, CycNum.rational(atlas.conductor, ref)),
+                        tuple(h for h in chart.group if h(x) == x),
+                    )
+                    assert inclusion == Embedding(
+                        "w", cid, AffineMap.identity(atlas.conductor, chart.dim)
+                    )
+
+    def test_many_quarterings(self):
+        chart = cone(3).chart("cone3")
+        x = _rim_point(chart)
+        start = Fraction(4**40)
+        new = separation_radius(x, start, chart.ball, chart.group)
+        assert new == _reference_restrict_r2(chart, x, start) < Fraction(1, 4**5)
+
+    def test_no_radius_within_256_quarterings(self):
+        chart = cone(3).chart("cone3")
+        assert separation_radius(chart.ball.center, Fraction(4**300), chart.ball, chart.group) is None
+        assert _reference_restrict_r2(chart, chart.ball.center, Fraction(4**300)) is None
+
+    @pytest.mark.parametrize("name", list(SEPARATION_ATLASES))
+    def test_isotropy_signature_unchanged(self, name):
+        g = TranslationGroupoid(SEPARATION_ATLASES[name]())
+        assert isotropy_signature(g) == _reference_isotropy_signature(g)
+
+    def test_isotropy_signature_unchanged_on_action_groupoid(self):
+        g = z3_action()
+        assert _self_maps(g, "U") == _former_self_transports(g, "U")
+        assert isotropy_signature(g) == _reference_isotropy_signature(g)
 
 
 class TestBijectionDemo:

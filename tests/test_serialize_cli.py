@@ -480,6 +480,33 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
         assert "image inside target domain" in lines[0], out.stderr
 
+    @pytest.fixture(scope="class")
+    def unknown_leg_targets(self, cli_dir):
+        """cone(3) documents whose first witness has its left or right leg
+        pointing at a chart id the atlas does not have."""
+        for side in ("left", "right"):
+            doc = json.loads((cli_dir / "cone3.json").read_text())
+            doc["witnesses"][0][side]["dst"] = "nope"
+            (cli_dir / f"leg_{side}.json").write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_witness_leg_to_unknown_chart_fails_validation(self, cli_dir, unknown_leg_targets, side):
+        out = run_cli("validate", f"leg_{side}.json", "--samples", "10", cwd=cli_dir)
+        assert out.returncode == 1, out.stdout + out.stderr
+        assert out.stderr == "", out.stderr
+        assert "[FAIL] witness" in out.stdout and "leg to nope stored in the atlas" in out.stdout, out.stdout
+        assert "verdict: fail" in out.stdout
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("suite", ["groupoid", "laws", "reconstruct"])
+    def test_witness_leg_to_unknown_chart_fails_before_any_suite(self, cli_dir, unknown_leg_targets, suite, side):
+        out = run_cli(suite, f"leg_{side}.json", "--samples", "10", cwd=cli_dir)
+        assert out.returncode == 1, out.stdout + out.stderr
+        assert out.stdout == "", out.stdout
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid atlas: "), out.stderr
+        assert "leg to nope stored in the atlas" in lines[0], out.stderr
+
     @pytest.mark.parametrize(
         "witness",
         [
@@ -538,8 +565,13 @@ class TestCli:
             ("cone", "--p", "3", "--radius2", "1/0"),
             ("global_quotient", "--p", "2", "--dim", "0"),
             ("point", "--conductor", "5"),
+            ("cone", "--p", "0", "--conductor", "6"),
+            ("football", "--p", "2", "--q", "0", "--conductor", "6"),
         ],
-        ids=["unsupported-order", "negative-radius", "radius-not-rational", "dimension-zero", "point-conductor"],
+        ids=[
+            "unsupported-order", "negative-radius", "radius-not-rational", "dimension-zero",
+            "point-conductor", "cone-order-zero", "football-order-zero",
+        ],
     )
     def test_gallery_usage_error(self, cli_dir, argv):
         out = run_cli("gallery", *argv, cwd=cli_dir)
