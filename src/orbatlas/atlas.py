@@ -547,6 +547,7 @@ def validate_atlas(atlas: Atlas, samples: int = 20, rng=None) -> Report:
         if not closure_ok:
             break
     rep.add("embedding family closed under composition", closure_ok, detail)
+    valid_witnesses = []
     for w in atlas.witnesses:
         sub = validate_span(atlas, w)
         rep.add(
@@ -554,13 +555,16 @@ def validate_atlas(atlas: Atlas, samples: int = 20, rng=None) -> Report:
             sub.ok,
             "; ".join(n for n, _ in sub.failures()),
         )
+        if sub.ok:
+            valid_witnesses.append(w)
     for cid, pts in atlas.unit_points.items():
         rep.add(
             f"unit witness points of {cid} in domain",
             all(point_in_ball(p, atlas.chart(cid).ball) for p in pts),
         )
-    # oracle determinism and span validity on witnessed and random queries
-    queries = [(w.left.dst, w.left(w.point), w.right.dst, w.right(w.point)) for w in atlas.witnesses]
+    # oracle determinism and span validity on the queries of the valid
+    # witnesses (an invalid one has failed above) and the unit witness points
+    queries = [(w.left.dst, w.left(w.point), w.right.dst, w.right(w.point)) for w in valid_witnesses]
     for cid in atlas.chart_ids():
         for p in atlas.witness_points(cid):
             queries.append((cid, p, cid, p))

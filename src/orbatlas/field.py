@@ -264,23 +264,29 @@ class CycNum:
 # -- sign determination ----------------------------------------------------
 
 
-def real_parts(x: CycNum) -> tuple[int, int, int, int]:
-    """Integers (a, b, d, e) with x = (a + b sqrt d) / e and e > 0, for an
-    element x of the real subfield; NotRealError for any other x.
+def _real_nums(m: int, n) -> tuple[int, int, int]:
+    """Integers (a, b, d) with 2 * sum n_k zeta^k = a + b sqrt d, for the
+    canonical numerators n of an element of the real subfield.
 
     d is 2 for m = 8 and 3 for m = 12; for the other m the real subfield is Q,
-    so d = 1 and b = 0.  With den * x = sum n_k zeta^k and e = 2 * den:
+    so d = 1 and b = 0.
     m = 8:  zeta = (1 + i)/sqrt 2, zeta^2 = i, zeta^3 = (-1 + i)/sqrt 2;
     m = 12: zeta = (sqrt 3 + i)/2, zeta^2 = (1 + i sqrt 3)/2, zeta^3 = i.
     """
+    if m == 8:
+        return 2 * n[0], n[1] - n[3], 2
+    if m == 12:
+        return 2 * n[0] + n[2], n[1], 3
+    return 2 * n[0], 0, 1
+
+
+def real_parts(x: CycNum) -> tuple[int, int, int, int]:
+    """Integers (a, b, d, e) with x = (a + b sqrt d) / e and e > 0, for an
+    element x of the real subfield; NotRealError for any other x.  (a, b, d)
+    come from ``_real_nums`` and e = 2 * den."""
     if not x.is_real():
         raise NotRealError(f"{x!r} is not fixed by conjugation")
-    n = x._n
-    if x.m == 8:
-        return 2 * n[0], n[1] - n[3], 2, 2 * x._d
-    if x.m == 12:
-        return 2 * n[0] + n[2], n[1], 3, 2 * x._d
-    return 2 * n[0], 0, 1, 2 * x._d
+    return (*_real_nums(x.m, x._n), 2 * x._d)
 
 
 def sign_quadratic(a: int, b: int, d: int) -> int:

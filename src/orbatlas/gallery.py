@@ -30,11 +30,9 @@ class GalleryParams:
     conductor: int | None = None
 
     def rotation_orders(self) -> list[int]:
-        if self.name == "cone":
-            return [self.p]
-        if self.name in ("football", "teardrop"):
+        if self.name == "football":
             return [self.p, self.q]
-        if self.name == "global_quotient":
+        if self.name in ("cone", "teardrop", "global_quotient"):
             return [self.p]
         return [1]
 

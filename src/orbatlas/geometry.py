@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotSimilarityError
-from .field import CycNum, sign_real
+from .field import CycNum, _combine, _make, _mul_nums, _real_nums, sign_quadratic, sign_real
 
 
 def _as_cyc(m: int, value) -> CycNum:
@@ -38,25 +38,39 @@ class Point:
         zero = CycNum.rational(m, 0)
         return cls((zero,) * dim)
 
-    def __sub__(self, other: Point) -> Point:
-        return Point(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __add__(self, other: Point) -> Point:
         return Point(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def norm2(self) -> CycNum:
-        """|p|^2 = sum z conj(z); an element of the real subfield."""
-        if not self.coords:
-            raise DimensionMismatchError("norm of a dimension-0 point")
-        total = None
-        for z in self.coords:
-            t = z * z.conj()
-            total = t if total is None else total + t
-        return total
+
+def _dist2_nums(p: Point, q: Point) -> tuple[list[int], int]:
+    """Integer numerators over one positive denominator of |p - q|^2.
+
+    Per coordinate, x - y = n / (x_d y_d) with n = x_n y_d - y_n x_d, and
+    |x - y|^2 has numerators n * conj(n) over (x_d y_d)^2.  A coordinate whose
+    denominator equals the running one is added as it is; any other multiplies
+    the running denominator.  No gcd is taken.
+    """
+    if not p.coords:
+        raise DimensionMismatchError("squared distance of dimension-0 points")
+    m = p.coords[0].m
+    total, den = [0] * len(p.coords[0]._n), 1
+    for x, y in zip(p.coords, q.coords):
+        xd, yd = x._d, y._d
+        n = [a * yd - b * xd for a, b in zip(x._n, y._n)]
+        sq = _mul_nums(m, n, _combine(m, -1, n))
+        d = (xd * yd) ** 2
+        if d == den:
+            total = [s + t for s, t in zip(total, sq)]
+        else:
+            total = [s * d + t * den for s, t in zip(total, sq)]
+            den *= d
+    return total, den
 
 
 def dist2(p: Point, q: Point) -> CycNum:
-    return (p - q).norm2()
+    """|p - q|^2, an element of the real subfield."""
+    nums, den = _dist2_nums(p, q)
+    return _make(p.coords[0].m, nums, den)
 
 
 class AffineMap:
@@ -241,9 +255,15 @@ class Ball:
 
 
 def point_in_ball(p: Point, ball: Ball) -> bool:
+    """|p - c|^2 < r2, decided by one sign of the integer numerators of
+    den * r_d * (r2 - |p - c|^2), where den is the denominator of |p - c|^2."""
     if ball.dim == 0:
         return True
-    return sign_real(ball.r2 - dist2(p, ball.center)) > 0
+    r2 = ball.r2
+    nums, den = _dist2_nums(p, ball.center)
+    rd = r2._d
+    diff = [den * a - rd * b for a, b in zip(r2._n, nums)]
+    return sign_quadratic(*_real_nums(r2.m, diff)) > 0
 
 
 def map_ball(f: AffineMap, ball: Ball) -> Ball:

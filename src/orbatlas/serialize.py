@@ -57,11 +57,15 @@ def cyc_to_doc(x: CycNum) -> list[str]:
     return out + ["0/1"] * (x.m - len(out))
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; a string, a float or a boolean is a ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"{what} {value!r} is not a JSON integer")
+    return value
+
+
 def _conductor(value) -> int:
-    try:
-        m = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad conductor {value!r}") from exc
+    m = _integer(value, "conductor")
     if m not in SUPPORTED_CONDUCTORS:
         raise ParseError(f"unsupported conductor {m}")
     return m
@@ -236,7 +240,7 @@ def atlas_from_doc(doc) -> Atlas:
         raise ParseError("document is not an atlas")
     try:
         m = _conductor(doc["conductor"])
-        dim = int(doc["dimension"])
+        dim = _integer(doc["dimension"], "dimension")
         charts = [chart_from_doc(m, c) for c in doc["charts"]]
         reps = [
             Embedding(e["src"], e["dst"], affine_from_doc(m, e, "embedding"))

@@ -80,13 +80,20 @@ class TranslationGroupoid(GroupoidPresentation):
 
     # -- triples <-> arrows ---------------------------------------------------
 
+    def _arrow(self, left: Embedding, point: Point, right: Embedding) -> Arrow:
+        """The arrow of (left, point, right) for stored legs out of one chart
+        and a point built inside that chart; nothing is re-tested."""
+        return Arrow((left.src, _emb_label(self.atlas, left), _emb_label(self.atlas, right)), point)
+
     def arrow_of(self, t: Triple) -> Arrow:
-        label = (t.left.src, _emb_label(self.atlas, t.left), _emb_label(self.atlas, t.right))
-        if label not in self._components:
-            raise InvalidAtlasError(f"no arrow component for {label}")
+        """The arrow of a triple from outside: its component must exist and
+        its point must lie in the chart."""
+        a = self._arrow(t.left, t.point, t.right)
+        if a.component not in self._components:
+            raise InvalidAtlasError(f"no arrow component for {a.component}")
         if not point_in_ball(t.point, self.atlas.chart(t.left.src).ball):
             raise InvalidAtlasError("triple point outside its chart")
-        return Arrow(label, t.point)
+        return a
 
     def triple_of(self, a: Arrow) -> Triple:
         k, left_label, right_label = a.component
@@ -110,11 +117,11 @@ class TranslationGroupoid(GroupoidPresentation):
 
     def identity(self, u: UnitPoint) -> Arrow:
         e = self.atlas.identity_embedding(u.component)
-        return self.arrow_of(Triple(e, u.point, e))
+        return self._arrow(e, u.point, e)
 
     def inverse(self, a: Arrow) -> Arrow:
         t = self.triple_of(a)
-        return self.arrow_of(Triple(t.right, t.point, t.left))
+        return self._arrow(t.right, t.point, t.left)
 
     def multiply(self, a: Arrow, b: Arrow) -> Arrow:
         """The first transport record carrying germ(b) . germ(a) over s(a)."""
@@ -125,7 +132,7 @@ class TranslationGroupoid(GroupoidPresentation):
         ck = self.arrow_component(b.component).t_component
         for t in self.atlas.transports(x.component, ck):
             if t.map == germ and point_in_ball(x.point, t.domain):
-                return self.arrow_of(Triple(t.left, t.left.map.inverse()(x.point), t.right))
+                return self._arrow(t.left, t.left.map.inverse()(x.point), t.right)
         raise InvalidAtlasError(f"no transport {x.component}->{ck} carries the composed germ")
 
     def multiply_triples(self, p: Triple, q: Triple, span=None) -> Triple:
@@ -165,7 +172,7 @@ class TranslationGroupoid(GroupoidPresentation):
         out = []
         for s in stabilizer(self.atlas.chart(u2.component), u2.point):
             right = Embedding(span.right.src, span.right.dst, s.compose(span.right.map))
-            out.append(self.arrow_of(Triple(span.left, span.point, right)))
+            out.append(self._arrow(span.left, span.point, right))
         return out
 
     def arrows_from(self, u: UnitPoint) -> list[Arrow]:
@@ -179,7 +186,7 @@ class TranslationGroupoid(GroupoidPresentation):
                 continue
             for g in self.atlas.chart(cid).group:
                 right = Embedding(span.right.src, span.right.dst, g.compose(span.right.map))
-                out.append(self.arrow_of(Triple(span.left, span.point, right)))
+                out.append(self._arrow(span.left, span.point, right))
         return out
 
     def transports(self, ca, cb):
@@ -343,7 +350,7 @@ def action_groupoid_oracle_report(atlas: Atlas, samples: int = 200, seed: int = 
 
     def to_triple(x: Point, g_index: int) -> Arrow:
         g = group[g_index]
-        return tg.arrow_of(Triple(ident, x, Embedding(cid, cid, g.compose(ident.map))))
+        return tg._arrow(ident, x, Embedding(cid, cid, g.compose(ident.map)))
 
     product_index = [[group.index(h.compose(g)) for h in group] for g in group]
     inverse_index = [group.index(g.inverse()) for g in group]

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbatlas.errors import DimensionMismatchError, NotSimilarityError
-from orbatlas.field import CycNum
+from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum, _degree, sign_real
 from orbatlas.geometry import (
     AffineMap,
     Ball,
@@ -14,6 +16,7 @@ from orbatlas.geometry import (
     ball_in_ball,
     balls_disjoint,
     balls_equal,
+    dist2,
     fixed_point,
     map_ball,
     point_in_ball,
@@ -182,6 +185,74 @@ class TestBalls:
         assert ball_in_ball(b, b)
         assert not balls_disjoint(b, b)
         assert balls_equal(b, b)
+
+
+def cycnums(m):
+    fracs = st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=64)
+    return st.lists(fracs, min_size=_degree(m), max_size=_degree(m)).map(lambda cs: CycNum(m, cs))
+
+
+def reference_dist2(p, q):
+    """|p - q|^2 from field arithmetic on CycNum values, coordinate by coordinate."""
+    total = CycNum.rational(p.coords[0].m, 0)
+    for a, b in zip(p.coords, q.coords):
+        total = total + (a - b) * (a - b).conj()
+    return total
+
+
+@st.composite
+def point_and_ball(draw):
+    """(p, ball, kind): kind "centre" puts p at the centre, "sphere" puts p on
+    the sphere, "any" takes a real r2 = w conj(w) + q, irrational for m = 8, 12."""
+    m = draw(st.sampled_from(SUPPORTED_CONDUCTORS))
+    dim = draw(st.integers(1, 3))
+    center = Point(tuple(draw(cycnums(m)) for _ in range(dim)))
+    p = Point(tuple(draw(cycnums(m)) for _ in range(dim)))
+    kind = draw(st.sampled_from(["any", "centre", "sphere"]))
+    if kind == "centre":
+        p = center
+    if kind == "sphere":
+        r2 = reference_dist2(p, center)
+    else:
+        w = draw(cycnums(m))
+        r2 = w * w.conj() + draw(st.fractions(min_value=-1, max_value=1, max_denominator=64))
+    return p, Ball(center, r2), kind
+
+
+class TestIntegerMembership:
+    """point_in_ball decides |p - c|^2 < r2 from integer numerators; the
+    reference builds each value as a CycNum and takes sign_real."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_and_ball())
+    def test_matches_sign_of_cycnum_difference(self, case):
+        p, ball, kind = case
+        assert dist2(p, ball.center) == reference_dist2(p, ball.center)
+        want = sign_real(ball.r2 - dist2(p, ball.center)) > 0
+        assert point_in_ball(p, ball) == want
+        if kind == "sphere":
+            assert not want
+
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_centre_and_sphere(self, m, dim):
+        z = CycNum.zeta(m)
+        center = Point(tuple(CycNum(m, [Fraction(k, 3), Fraction(-1, 5)]) for k in range(dim)))
+        on = Point((center.coords[0] + z,) + center.coords[1:])
+        ball = Ball(center, CycNum.rational(m, 1))
+        assert point_in_ball(center, ball)
+        assert not point_in_ball(on, ball)
+        assert point_in_ball(on, Ball(center, CycNum.rational(m, Fraction(1025, 1024))))
+        assert not point_in_ball(center, Ball(center, CycNum.rational(m, 0)))
+
+    def test_irrational_sphere(self):
+        # |1 + zeta_12|^2 = 2 + sqrt 3: on the sphere, and inside any larger ball
+        p = Point((1 + zeta(1),))
+        lam = 2 + zeta(1) + zeta(1).conj()
+        assert dist2(p, Point.origin(M, 1)) == lam
+        assert not point_in_ball(p, Ball(Point.origin(M, 1), lam))
+        assert point_in_ball(p, Ball(Point.origin(M, 1), lam + Fraction(1, 10**6)))
+        assert not point_in_ball(p, Ball(Point.origin(M, 1), lam - Fraction(1, 10**6)))
 
 
 class TestPolyMap:

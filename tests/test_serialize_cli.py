@@ -420,6 +420,19 @@ class TestCli:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
+    @pytest.mark.parametrize("field", ["conductor", "dimension"])
+    @pytest.mark.parametrize("value", ["3", 3.0, True], ids=["string", "float", "bool"])
+    def test_non_integer_conductor_or_dimension_is_parse_error(self, cli_dir, field, value):
+        doc = json.loads((cli_dir / "cone3.json").read_text())
+        doc[field] = value
+        with pytest.raises(ParseError, match="not a JSON integer"):
+            atlas_from_doc(doc)
+        (cli_dir / "non_integer.json").write_text(json.dumps(doc))
+        out = run_cli("validate", "non_integer.json", cwd=cli_dir)
+        assert out.returncode == 2, out.stdout + out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
     @pytest.mark.parametrize(
         "nested",
         [
@@ -496,6 +509,16 @@ class TestCli:
         assert out.stderr == "", out.stderr
         assert "[FAIL] witness" in out.stdout and "leg to nope stored in the atlas" in out.stdout, out.stdout
         assert "verdict: fail" in out.stdout
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_witness_leg_to_unknown_chart_is_one_failed_check(self, cli_dir, unknown_leg_targets, side):
+        from orbatlas.atlas import validate_atlas
+
+        atlas = atlas_from_doc(json.loads((cli_dir / f"leg_{side}.json").read_text()))
+        failures = validate_atlas(atlas, samples=10).failures()
+        assert len(failures) == 1, failures
+        name, detail = failures[0]
+        assert name.startswith("witness ") and "leg to nope stored in the atlas" in detail, failures
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("suite", ["groupoid", "laws", "reconstruct"])
@@ -577,3 +600,11 @@ class TestCli:
         out = run_cli("gallery", *argv, cwd=cli_dir)
         assert out.returncode == 2, out.stdout + out.stderr
         assert out.stdout == "" and "Traceback" not in out.stderr, out.stderr
+
+    @pytest.mark.parametrize("q", ["5", "2"])
+    def test_teardrop_ignores_q(self, cli_dir, q):
+        out = run_cli("gallery", "teardrop", "--p", "3", "--out", "td.json", cwd=cli_dir)
+        assert out.returncode == 0, out.stderr
+        out = run_cli("gallery", "teardrop", "--p", "3", "--q", q, "--out", "td_q.json", cwd=cli_dir)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert (cli_dir / "td_q.json").read_bytes() == (cli_dir / "td.json").read_bytes()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from orbatlas.atlas import Atlas, Chart, Embedding, Span, common_span, find_conjugator, validate_atlas
-from orbatlas.errors import NotComposableError
+from orbatlas.errors import InvalidAtlasError, NotComposableError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, point_in_ball
@@ -69,6 +69,34 @@ class TestStructureMaps:
         a = tg.arrow_of(Triple(emb(1), p, emb(2)))
         assert tg.source(a) == UnitPoint("cone3", zrot(1)(p))
         assert tg.target(a) == UnitPoint("cone3", zrot(2)(p))
+
+
+class TestArrowOf:
+    """arrow_of takes triples from outside, so it keeps both of its checks;
+    the groupoid's own builders construct the same arrows without them."""
+
+    def test_point_outside_its_chart(self, tg):
+        with pytest.raises(InvalidAtlasError, match="outside its chart"):
+            tg.arrow_of(Triple(emb(0), Point.of(M, 1), emb(1)))
+
+    def test_leg_outside_the_stored_family(self, tg):
+        half = Embedding("cone3", "cone3", AffineMap.scaling(M, 1, Fraction(1, 2)))
+        p = Point.of(M, Fraction(1, 4))
+        for t in (Triple(half, p, emb(1)), Triple(emb(0), p, half)):
+            with pytest.raises(InvalidAtlasError, match="not a stored embedding"):
+                tg.arrow_of(t)
+
+    @pytest.mark.parametrize("make", [lambda: cone(3), lambda: football(2, 3), lambda: teardrop(3)])
+    def test_built_arrows_agree_with_arrow_of(self, make):
+        g = TranslationGroupoid(make())
+        rng = random.Random(5)
+        for _ in range(6):
+            u = g.random_unit(rng)
+            built = [g.identity(u)] + g.arrows_from(u)
+            built += [g.inverse(a) for a in built] + g.arrows_between(u, g.target(built[-1]))
+            built += [g.multiply(a, g.inverse(a)) for a in built]
+            for a in built:
+                assert g.arrow_of(g.triple_of(a)) == a
 
 
 class TestArrowEquality:
