@@ -306,6 +306,10 @@ def main(argv=None) -> int:
     except OrbAtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of orbatlas itself: one line, never a traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

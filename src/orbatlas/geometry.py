@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, NotSimilarityError
-from .field import CycNum, _combine, _make, _mul_nums, _real_nums, sign_quadratic, sign_real
+from .errors import ConductorMismatchError, DimensionMismatchError, NotSimilarityError
+from .field import SUPPORTED_CONDUCTORS, CycNum, _combine, _make, _mul_nums, _real_nums, sign_quadratic, sign_real
 
 
 def _as_cyc(m: int, value) -> CycNum:
@@ -190,23 +190,18 @@ class AffineMap:
         z = p.coords
         if len(z) != self.dim:
             raise DimensionMismatchError(f"point of dim {len(z)} under map of dim {self.dim}")
-        out = []
-        for acc, row in zip(self.b.coords, self.a):
-            for aij, zj in zip(row, z):
-                acc = acc + aij * zj
-            out.append(acc)
-        return Point(tuple(out))
+        return Point(tuple(_dot(bi, row, z) for bi, row in zip(self.b.coords, self.a)))
 
     def compose(self, other: AffineMap) -> AffineMap:
         """self after other: (self . other)(z) = self(other(z))."""
         if self.dim != other.dim:
             raise DimensionMismatchError("composition of maps of different dimensions")
+        if self.dim == 0:
+            return AffineMap._make((), self(other.b), None)
+        zero = _ZERO[self.b.coords[0].m]
         cols = tuple(zip(*other.a))
-        a = tuple(
-            tuple(_sum(x * y for x, y in zip(row, col)) for col in cols) for row in self.a
-        )
-        factor = None if self.dim == 0 else self._factor * other._factor
-        return AffineMap._make(a, self(other.b), factor)
+        a = tuple(tuple(_dot(zero, row, col) for col in cols) for row in self.a)
+        return AffineMap._make(a, self(other.b), self._factor * other._factor)
 
     def inverse(self) -> AffineMap:
         """Exact inverse; uses A^{-1} = A^H / lambda for similarities."""
@@ -227,11 +222,43 @@ class AffineMap:
         return self._inv
 
 
-def _sum(items):
-    total = None
-    for x in items:
-        total = x if total is None else total + x
-    return total
+_ZERO = {m: CycNum.rational(m, 0) for m in SUPPORTED_CONDUCTORS}
+
+
+def _dot(acc: CycNum, xs, ys) -> CycNum:
+    """acc + sum_k xs[k] * ys[k], normalised once.
+
+    Each product is formed on the integer numerators, with the scalar fast
+    paths of ``CycNum.__mul__``; a product with a zero factor is skipped.  The
+    products are added over a running denominator, which a term with another
+    denominator multiplies, as in ``_dist2_nums``.  No gcd is taken until the
+    one ``_make`` at the end.
+    """
+    m = acc.m
+    total, den = acc._n, acc._d
+    for x, y in zip(xs, ys):
+        if x.m != m or y.m != m:
+            raise ConductorMismatchError(f"conductor {m} vs {x.m}, {y.m}")
+        a, b = x._n, y._n
+        if not any(b[1:]):
+            s = b[0]
+            if not s:
+                continue
+            t = [v * s for v in a]
+        elif not any(a[1:]):
+            s = a[0]
+            if not s:
+                continue
+            t = [v * s for v in b]
+        else:
+            t = _mul_nums(m, a, b)
+        d = x._d * y._d
+        if d == den:
+            total = [u + v for u, v in zip(total, t)]
+        else:
+            total = [u * d + v * den for u, v in zip(total, t)]
+            den *= d
+    return _make(m, total, den)
 
 
 # -- balls -------------------------------------------------------------------

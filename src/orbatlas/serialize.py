@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
 from .atlas import Atlas, Chart, Embedding, Span
-from .errors import ParseError
-from .field import SUPPORTED_CONDUCTORS, CycNum
+from .errors import DimensionMismatchError, NotSimilarityError, ParseError
+from .field import SUPPORTED_CONDUCTORS, CycNum, _degree
 from .gallery import WitnessSpan
 from .geometry import AffineMap, Ball, Point, PolyMap
 from .groupoids import ActionGroupoid, GroupoidPresentation
@@ -34,15 +35,27 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
+
+
 # Documents repeat a handful of coefficient strings many times over.
-_fraction_of = lru_cache(maxsize=1024)(Fraction)
+@lru_cache(maxsize=1024)
+def _canonical_fraction(s: str) -> Fraction | None:
+    """The rational named by a string of the form ``_frac_str`` writes, "n/d"
+    with d >= 1 and gcd(n, d) = 1; None for any other string."""
+    if not _RATIONAL.fullmatch(s):
+        return None
+    try:
+        f = Fraction(s)
+    except (ValueError, ZeroDivisionError):  # d = 0, or more digits than int() reads
+        return None
+    return f if _frac_str(f) == s else None
 
 
 def _parse_frac(s, where="rational") -> Fraction:
-    try:
-        f = _fraction_of(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {s!r}", where) from exc
+    f = _canonical_fraction(s) if isinstance(s, str) else None
+    if f is None:
+        raise ParseError(f"bad rational {s!r}: expected a string n/d in lowest terms, d >= 1", where)
     return f
 
 
@@ -72,13 +85,16 @@ def _conductor(value) -> int:
 
 
 def cyc_from_doc(m: int, doc, where="scalar") -> CycNum:
-    if isinstance(doc, str):
-        return CycNum.rational(m, _parse_frac(doc, where))
+    """The element of a length-m coefficient array as ``cyc_to_doc`` writes
+    it: every entry from the cyclotomic degree on is "0/1"."""
     if not isinstance(doc, list):
         raise ParseError("expected coefficient array", where)
     if len(doc) != m:
         raise ParseError(f"coefficient array of length {len(doc)}, expected {m}", where)
-    return CycNum(m, [_parse_frac(c, where) for c in doc])
+    coeffs = [_parse_frac(c, where) for c in doc]
+    if any(coeffs[_degree(m):]):
+        raise ParseError(f"coefficient array is not reduced below degree {_degree(m)}", where)
+    return CycNum(m, coeffs)
 
 
 def point_to_doc(p: Point) -> list:
@@ -102,9 +118,9 @@ def affine_from_doc(m: int, doc, where="map") -> AffineMap:
             tuple(cyc_from_doc(m, c, where) for c in row) for row in doc["A"]
         )
         b = point_from_doc(m, doc["b"], where)
-    except (KeyError, TypeError) as exc:
-        raise ParseError("malformed affine map", where) from exc
-    return AffineMap(a, b)
+        return AffineMap(a, b)
+    except (KeyError, TypeError, DimensionMismatchError, NotSimilarityError) as exc:
+        raise ParseError(f"malformed affine map: {exc}", where) from exc
 
 
 def poly_to_doc(p: PolyMap) -> dict:
@@ -127,8 +143,8 @@ def poly_from_doc(m: int, doc, where="lift") -> PolyMap:
                 {tuple(t["exps"]): cyc_from_doc(m, t["coeff"], where) for t in poly}
             )
         return PolyMap(m, doc["dim_in"], doc["dim_out"], coords)
-    except (KeyError, TypeError) as exc:
-        raise ParseError("malformed polynomial map", where) from exc
+    except (KeyError, TypeError, DimensionMismatchError) as exc:
+        raise ParseError(f"malformed polynomial map: {exc}", where) from exc
 
 
 # -- atlases -----------------------------------------------------------------
@@ -136,6 +152,16 @@ def poly_from_doc(m: int, doc, where="lift") -> PolyMap:
 
 def _radius_to_doc(r2: CycNum):
     return _frac_str(r2.as_rational()) if r2.is_rational() else cyc_to_doc(r2)
+
+
+def _radius_from_doc(m: int, doc, where: str) -> CycNum:
+    """A rational radius is an "n/d" string, any other a coefficient array."""
+    if isinstance(doc, str):
+        return CycNum.rational(m, _parse_frac(doc, where))
+    r2 = cyc_from_doc(m, doc, where)
+    if r2.is_rational():
+        raise ParseError("rational squared radius written as a coefficient array", where)
+    return r2
 
 
 def chart_to_doc(c: Chart) -> dict:
@@ -151,7 +177,7 @@ def chart_from_doc(m: int, doc) -> Chart:
     try:
         cid = doc["id"]
         center = point_from_doc(m, doc["center"], f"chart {cid}")
-        r2 = cyc_from_doc(m, doc["radius2"], f"chart {cid} radius")
+        r2 = _radius_from_doc(m, doc["radius2"], f"chart {cid} radius")
         group = tuple(affine_from_doc(m, g, f"chart {cid} group") for g in doc["group"])
     except KeyError as exc:
         raise ParseError(f"chart missing field {exc}") from exc
@@ -336,7 +362,7 @@ def groupoid_from_doc(doc) -> GroupoidPresentation:
         m = _conductor(doc["conductor"])
         ball = Ball(
             point_from_doc(m, doc["ball"]["center"], "ball"),
-            cyc_from_doc(m, doc["ball"]["radius2"], "ball radius"),
+            _radius_from_doc(m, doc["ball"]["radius2"], "ball radius"),
         )
         elements = [
             (e["label"], affine_from_doc(m, e, "element")) for e in doc["elements"]

@@ -91,12 +91,67 @@ def quaternion_map(a, b, shift):
     """z -> [[a, -conj(b)], [b, conj(a)]] z + shift: a similarity of C^2 with
     factor |a|^2 + |b|^2 whose matrices do not commute in general."""
     mat = ((a, -b.conj()), (b, a.conj()))
-    return AffineMap(mat, Point.of(M, *shift))
+    return AffineMap(mat, Point.of(a.m, *shift))
+
+
+def cycnums(m):
+    fracs = st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=64)
+    return st.lists(fracs, min_size=_degree(m), max_size=_degree(m)).map(lambda cs: CycNum(m, cs))
+
+
+@st.composite
+def similarities(draw, m, dim):
+    """z -> P D z + b for a permutation P (the identity gives a diagonal map)
+    and D with entries +-zeta^k s for one s >= 0, so A^H A = s^2 Id; some
+    draws keep every entry rational, and s = 0 gives the zero matrix.  In
+    dimension 2 also quaternion maps of drawn elements.  b has mixed
+    denominators."""
+    b = tuple(draw(cycnums(m)) for _ in range(dim))
+    if dim == 2 and draw(st.booleans()):
+        return quaternion_map(draw(cycnums(m)), draw(cycnums(m)), b)
+    s = draw(st.fractions(min_value=0, max_value=2, max_denominator=12))
+    powers = (0, m // 2) if m % 2 == 0 else (0,)
+    ks = st.sampled_from(powers) if draw(st.booleans()) else st.integers(0, m - 1)
+    perm = draw(st.permutations(range(dim)))
+    zero = CycNum.rational(m, 0)
+    rows = []
+    for i in range(dim):
+        entry = CycNum.zeta(m, draw(ks)) * (draw(st.sampled_from((1, -1))) * s)
+        rows.append(tuple(entry if j == perm[i] else zero for j in range(dim)))
+    return AffineMap(tuple(rows), Point(b))
+
+
+def loop_apply(f, p):
+    """z_i = b_i + sum_j a_ij z_j, one CycNum add and multiply at a time."""
+    out = []
+    for i in range(f.dim):
+        acc = f.b.coords[i]
+        for j in range(f.dim):
+            acc = acc + f.a[i][j] * p.coords[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def loop_matmul(x, y):
+    """(XY)_ij = sum_k x_ik y_kj, one CycNum add and multiply at a time."""
+    n = len(x)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = CycNum.rational(x[0][0].m, 0)
+            for k in range(n):
+                acc = acc + x[i][k] * y[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 class TestAffineReference:
-    """apply and compose against the index loops z_i = b_i + sum_j a_ij z_j
-    and (AB)_ij = sum_k a_ik b_kj, on 2 x 2 matrices that do not commute."""
+    """apply, compose and inverse against the index loops
+    z_i = b_i + sum_j a_ij z_j and (AB)_ij = sum_k a_ik b_kj, on 2 x 2
+    matrices that do not commute and on drawn similarities of every
+    supported conductor."""
 
     MAPS = [
         quaternion_map(zeta(1), CycNum.rational(M, 1), (Fraction(1, 3), 0)),
@@ -128,6 +183,33 @@ class TestAffineReference:
                     assert fg(p) == f(g(p))
         f, g = self.MAPS[:2]
         assert f.compose(g) != g.compose(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_kernel_matches_index_loops(self, data):
+        m = data.draw(st.sampled_from(SUPPORTED_CONDUCTORS), label="m")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        maps = similarities(m, dim)
+        if (m, dim) == (M, 2):
+            maps = st.one_of(maps, st.sampled_from(self.MAPS))
+        f = data.draw(maps, label="f")
+        g = data.draw(maps, label="g")
+        p = Point(tuple(data.draw(cycnums(m)) for _ in range(dim)))
+        assert f(p).coords == loop_apply(f, p)
+        fg = f.compose(g)
+        assert fg.a == loop_matmul(f.a, g.a)
+        assert fg.b.coords == loop_apply(f, g.b)
+        assert fg.factor == f.factor * g.factor
+        if f.is_invertible():
+            inv_lam = f.factor.inv()
+            ainv = tuple(
+                tuple(f.a[j][i].conj() * inv_lam for j in range(dim)) for i in range(dim)
+            )
+            zero = Point.origin(m, dim)
+            minus_b = tuple(-c for c in loop_apply(AffineMap(ainv, zero), f.b))
+            assert f.inverse().a == ainv
+            assert f.inverse().b.coords == minus_b
+            assert f.compose(f.inverse()).is_identity()
 
     def test_dimension_mismatch(self):
         f = self.MAPS[0]
@@ -185,11 +267,6 @@ class TestBalls:
         assert ball_in_ball(b, b)
         assert not balls_disjoint(b, b)
         assert balls_equal(b, b)
-
-
-def cycnums(m):
-    fracs = st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=64)
-    return st.lists(fracs, min_size=_degree(m), max_size=_degree(m)).map(lambda cs: CycNum(m, cs))
 
 
 def reference_dist2(p, q):

@@ -1,8 +1,12 @@
 """Document round trips, parse errors, and the command-line surface."""
 
+import contextlib
+import functools
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 from orbatlas.errors import ParseError
 from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum
-from orbatlas.gallery import cone, football, global_quotient, point_atlas
+from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.morita import pushforward_atlas
 from orbatlas.serialize import (
     _parse_frac,
@@ -94,15 +98,14 @@ class TestRoundTrips:
         assert serialize(back) == serialize(atlas)
 
     def test_non_canonical_input_is_canonicalized(self):
-        # pre-reduction accepted: zeta_12^4 given in the raw power basis reduces
-        # to its canonical form below the cyclotomic degree
-        from orbatlas.field import CycNum
-
+        # an unreduced power-basis array would re-serialize to other bytes, so
+        # it is refused: zeta_12^4 is written below the cyclotomic degree
         raw = ["0/1"] * 12
         raw[4] = "1/1"
-        parsed = cyc_from_doc(12, raw)
-        assert parsed == CycNum.zeta(12, 4)
-        assert all(c == 0 for c in parsed.coeffs[4:])
+        with pytest.raises(ParseError, match="not reduced"):
+            cyc_from_doc(12, raw)
+        assert cyc_from_doc(12, cyc_to_doc(CycNum.zeta(12, 4))) == CycNum.zeta(12, 4)
+        # a non-canonical JSON layout parses to the canonical bytes
         atlas = cone(3)
         doc = json.loads(serialize(atlas))
         messy = json.dumps(doc, indent=2)  # non-canonical layout
@@ -186,18 +189,42 @@ class TestCoefficientStrings:
         x = CycNum(m, [c * scale for c in coeffs])
         assert cyc_to_doc(x) == [f"{c.numerator}/{c.denominator}" for c in x.coeffs]
 
-    @pytest.mark.parametrize("text", ["3", " -2/4 ", "1.5", "1e2", "1/0", "abc", ""])
+    CANONICAL = ["0/1", "-3/4", "12/1", "1/1000000007"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3", " -2/4 ", "1.5", "1e2", "1/0", "abc", ""]
+        + ["-2/4", "0/2", "-0/1", "01/2", "+1/2", "1/-2", "1/02", "١/٢", "1/2 ", "1" * 5000 + "/1"]
+        + CANONICAL,
+    )
     def test_parse_frac_matches_fraction(self, text):
-        try:
-            expected = Fraction(str(text))
-        except (ValueError, ZeroDivisionError):
-            expected = ParseError
+        """Exactly the strings cyc_to_doc writes, "n/d" with d >= 1 and
+        gcd(n, d) = 1, parse, to Fraction(text); any other is a ParseError."""
         for _ in range(2):  # the second call is answered from the memo
-            try:
+            if text in self.CANONICAL:
                 got = _parse_frac(text)
-            except ParseError:
-                got = ParseError
-            assert got == expected and type(got) is type(expected)
+                assert got == Fraction(text) and type(got) is Fraction
+            else:
+                with pytest.raises(ParseError):
+                    _parse_frac(text)
+
+    @pytest.mark.parametrize("value", [3, 1.5, True, None, ["1/2"], {"n": 1}])
+    def test_parse_frac_refuses_non_strings(self, value):
+        with pytest.raises(ParseError):
+            _parse_frac(value)
+
+    @pytest.mark.parametrize("centre", [[0, 0, 0], [0.0, 0, 0], ["0", "0", "0"], ["0/2", "0/1", "0/1"]])
+    def test_lenient_rationals_in_a_document_are_parse_errors(self, centre):
+        doc = json.loads(serialize(cone(3)))
+        doc["charts"][0]["center"] = [centre]
+        with pytest.raises(ParseError, match="bad rational"):
+            atlas_from_doc(doc)
+
+    def test_radius_has_one_form(self):
+        doc = json.loads(serialize(cone(3)))
+        doc["charts"][0]["radius2"] = ["1/1", "0/1", "0/1"]
+        with pytest.raises(ParseError, match="rational squared radius"):
+            atlas_from_doc(doc)
 
 
 class TestParseErrors:
@@ -231,7 +258,7 @@ class TestParseErrors:
     def test_coefficient_array_length(self):
         with pytest.raises(ParseError):
             cyc_from_doc(3, ["1/1"])
-        assert cyc_from_doc(3, ["1/1", "0/1", "0/1"]) == cyc_from_doc(3, "1")
+        assert cyc_from_doc(3, ["1/1", "0/1", "0/1"]) == CycNum.rational(3, 1)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -608,3 +635,101 @@ class TestCli:
         out = run_cli("gallery", "teardrop", "--p", "3", "--q", q, "--out", "td_q.json", cwd=cli_dir)
         assert out.returncode == 0, out.stdout + out.stderr
         assert (cli_dir / "td_q.json").read_bytes() == (cli_dir / "td.json").read_bytes()
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_one_line_exit_1(self, cli_dir, monkeypatch, capsys):
+        import orbatlas.groupoids
+        from orbatlas.cli import main
+
+        def suite(*args, **kwargs):
+            raise RuntimeError("suite fault\non two lines")
+
+        monkeypatch.setattr(orbatlas.groupoids, "check_groupoid_axioms", suite)
+        assert main(["groupoid", str(cli_dir / "cone3.json"), "--samples", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: internal error: RuntimeError: suite fault on two lines"]
+
+
+MUTATION_SOURCES = {
+    "cone(3)": lambda: cone(3),
+    "football(2, 3)": lambda: football(2, 3),
+    "teardrop(3)": lambda: teardrop(3),
+    "global_quotient(2, 2)": lambda: global_quotient(2, 2),
+    "cone(4, m=12)": lambda: cone(4, conductor=12),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_document(name):
+    return serialize(MUTATION_SOURCES[name]())
+
+
+RATIONAL_LEAF = re.compile(r"-?[0-9]+/[0-9]+")
+
+
+def mutable_leaves(doc, path=()):
+    """Paths to the coefficient strings (every "n/d" leaf) and to the
+    top-level conductor and dimension of an atlas document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path] if isinstance(doc, str) and RATIONAL_LEAF.fullmatch(doc) else []
+    found = [(k,) for k in ("conductor", "dimension") if not path and k in doc]
+    for key, value in items:
+        found += mutable_leaves(value, path + (key,))
+    return found
+
+
+mutant_texts = st.one_of(
+    st.text(max_size=8),
+    st.fractions(max_denominator=64).map(lambda f: f"{f.numerator}/{f.denominator}"),
+    st.sampled_from(["0", "0.0", "0/2", "-0/1", "01/1", "1e2", " 1/2", "3"]),
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 13)
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | mutant_texts,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestDocumentMutationFuzz:
+    """One coefficient string, conductor or dimension of a canonical gallery
+    document replaced by any JSON value: the parser refuses the mutant with a
+    ParseError or re-serializes it to its own canonical bytes, and `validate`
+    exits 0, 1 or 2 without an internal error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutant_is_refused_or_canonical(self, data, cli_dir):
+        from orbatlas.cli import main
+
+        name = data.draw(st.sampled_from(sorted(MUTATION_SOURCES)), label="source")
+        mutant = json.loads(canonical_document(name))
+        path = data.draw(st.sampled_from(mutable_leaves(mutant)), label="leaf")
+        value = data.draw(json_values, label="value")
+        parent = mutant
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        raw = canonical_bytes(mutant)
+        try:
+            atlas = atlas_from_doc(json.loads(raw))
+        except ParseError:
+            pass
+        else:
+            assert serialize(atlas) == raw
+        target = cli_dir / "mutant.json"
+        target.write_bytes(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate", str(target), "--samples", "5"])
+        assert code in (0, 1, 2)
+        assert "internal error" not in err.getvalue()
