@@ -300,26 +300,59 @@ def map_ball(f: AffineMap, ball: Ball) -> Ball:
     return Ball(f(ball.center), f.factor * ball.r2)
 
 
+def _root_sum_le(m: int, p, q, s) -> bool:
+    """sqrt p >= sqrt q + sqrt s for real p, q, s >= 0, each given as integer
+    numerators over a positive denominator: t = p - q - s >= 0 and
+    t^2 - 4 q s >= 0.  With 2 e_x x = a_x + b_x sqrt d for each x
+    (``_real_nums``), scaling t by 2 e_p e_q e_s gives T = e_q e_s (a_p + b_p sqrt d)
+    - e_p e_s (a_q + b_q sqrt d) - e_p e_q (a_s + b_s sqrt d), and the second test
+    times (2 e_p e_q e_s)^2 reads T^2 - 4 (e_p e_s)(e_p e_q)(a_q + b_q sqrt d)
+    (a_s + b_s sqrt d) >= 0: two signs of a + b sqrt d on integers, no gcd."""
+    (pn, ep), (qn, eq), (sn, es) = p, q, s
+    pa, pb, d = _real_nums(m, pn)
+    qa, qb, _ = _real_nums(m, qn)
+    sa, sb, _ = _real_nums(m, sn)
+    f, g, h = eq * es, ep * es, ep * eq
+    ta, tb = f * pa - g * qa - h * sa, f * pb - g * qb - h * sb
+    if sign_quadratic(ta, tb, d) < 0:
+        return False
+    k = 4 * g * h
+    return sign_quadratic(
+        ta * ta + d * tb * tb - k * (qa * sa + d * qb * sb),
+        2 * ta * tb - k * (qa * sb + qb * sa),
+        d,
+    ) >= 0
+
+
+def _common_conductor(b1: Ball, b2: Ball) -> int:
+    """The conductor of both radii and centres: numerators of different
+    fields do not mix, so any other pair raises ConductorMismatchError."""
+    m = b1.r2.m
+    if b2.r2.m != m or b1.center.coords[0].m != m or b2.center.coords[0].m != m:
+        raise ConductorMismatchError(f"balls over conductors {m} and {b2.r2.m}")
+    return m
+
+
 def ball_in_ball(b1: Ball, b2: Ball) -> bool:
-    """Open b1 inside open b2: d + r1 <= r2, decided by two exact sign tests."""
+    """Open b1 inside open b2: d + r1 <= r2, i.e. r2 - r1 - d^2 >= 0 and
+    (r2 - r1 - d^2)^2 >= 4 d^2 r1 for squared radii r1, r2 and squared distance
+    d^2, decided on integer numerators."""
     if b1.dim == 0:
         return True
-    d2 = dist2(b1.center, b2.center)
-    s = b2.r2 - b1.r2 - d2
-    if sign_real(s) < 0:
-        return False
-    return sign_real(s * s - 4 * d2 * b1.r2) >= 0
+    r1, r2 = b1.r2, b2.r2
+    m = _common_conductor(b1, b2)
+    return _root_sum_le(m, (r2._n, r2._d), (r1._n, r1._d), _dist2_nums(b1.center, b2.center))
 
 
 def balls_disjoint(b1: Ball, b2: Ball) -> bool:
-    """Open balls disjoint: d >= r1 + r2."""
+    """Open balls disjoint: d >= r1 + r2, i.e. d^2 - r1 - r2 >= 0 and
+    (d^2 - r1 - r2)^2 >= 4 r1 r2 for squared radii r1, r2, decided on integer
+    numerators."""
     if b1.dim == 0:
         return False
-    d2 = dist2(b1.center, b2.center)
-    t = d2 - b1.r2 - b2.r2
-    if sign_real(t) < 0:
-        return False
-    return sign_real(t * t - 4 * b1.r2 * b2.r2) >= 0
+    r1, r2 = b1.r2, b2.r2
+    m = _common_conductor(b1, b2)
+    return _root_sum_le(m, _dist2_nums(b1.center, b2.center), (r1._n, r1._d), (r2._n, r2._d))
 
 
 def balls_equal(b1: Ball, b2: Ball) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,7 +100,7 @@ class GroupoidPresentation(ABC):
     def arrows_from(self, u: UnitPoint) -> list[Arrow]: ...
 
     @abstractmethod
-    def transports(self, ca: str, cb: str) -> list[tuple[AffineMap, Ball]]:
+    def transports(self, ca: str, cb: str) -> Sequence[tuple[AffineMap, Ball]]:
         """(map, domain ball) pairs carrying identifications from unit
         component ca to cb."""
 

@@ -291,6 +291,10 @@ def atlas_from_doc(doc) -> Atlas:
     unknown = sorted(set(unit_points) - {c.cid for c in charts})
     if unknown:
         raise ParseError(f"unit points name unknown charts {unknown}")
+    empty = sorted(cid for cid, pts in unit_points.items() if not pts)
+    if empty:
+        # the writer omits a chart without unit points, so an empty list has no canonical form
+        raise ParseError(f"unit points of charts {empty} are empty lists")
     # a map's matrix is square of its translation's length by construction
     points = [("unit point", q) for pts in unit_points.values() for q in pts]
     for c in charts:

@@ -69,6 +69,7 @@ class TranslationGroupoid(GroupoidPresentation):
         self.dim = atlas.dim
         self._units = [UnitComponent(cid, atlas.chart(cid).ball) for cid in atlas.chart_ids()]
         self._components: dict = {}
+        self._transports: dict = {}
         for k in atlas.chart_ids():
             ball = atlas.chart(k).ball
             for left in atlas.family_from(k):
@@ -191,8 +192,14 @@ class TranslationGroupoid(GroupoidPresentation):
 
     def transports(self, ca, cb):
         """Each distinct (map, domain) pair of the atlas table once, in
-        first-occurrence order."""
-        return list(dict.fromkeys((t.map, t.domain) for t in self.atlas.transports(ca, cb)))
+        first-occurrence order; built on first use and cached per pair."""
+        key = (ca, cb)
+        out = self._transports.get(key)
+        if out is None:
+            out = self._transports[key] = tuple(
+                dict.fromkeys((t.map, t.domain) for t in self.atlas.transports(ca, cb))
+            )
+        return out
 
     def unit_witness_points(self):
         out = []

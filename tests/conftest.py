@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from orbatlas.atlas import Atlas, Embedding, Span, restrict_chart
+from orbatlas.field import CycNum, sign_real
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import Point
 
@@ -62,3 +63,35 @@ def make_sub_full_pair(p: int = 3):
 @pytest.fixture(scope="session")
 def sub_full_cone3():
     return make_sub_full_pair(3)
+
+
+def reference_dist2(p, q):
+    """|p - q|^2 from field arithmetic on CycNum values, coordinate by coordinate."""
+    total = CycNum.rational(p.coords[0].m, 0)
+    for a, b in zip(p.coords, q.coords):
+        total = total + (a - b) * (a - b).conj()
+    return total
+
+
+def reference_ball_in_ball(b1, b2):
+    """The CycNum formula for open b1 inside open b2: s = r2 - r1 - d^2 and
+    two sign_real calls."""
+    if b1.dim == 0:
+        return True
+    d2 = reference_dist2(b1.center, b2.center)
+    s = b2.r2 - b1.r2 - d2
+    if sign_real(s) < 0:
+        return False
+    return sign_real(s * s - 4 * d2 * b1.r2) >= 0
+
+
+def reference_balls_disjoint(b1, b2):
+    """The CycNum formula for disjoint open balls: t = d^2 - r1 - r2 and two
+    sign_real calls."""
+    if b1.dim == 0:
+        return False
+    d2 = reference_dist2(b1.center, b2.center)
+    t = d2 - b1.r2 - b2.r2
+    if sign_real(t) < 0:
+        return False
+    return sign_real(t * t - 4 * b1.r2 * b2.r2) >= 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbatlas.errors import DimensionMismatchError, NotSimilarityError
+from orbatlas.errors import ConductorMismatchError, DimensionMismatchError, NotSimilarityError
 from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum, _degree, sign_real
 from orbatlas.geometry import (
     AffineMap,
@@ -22,6 +22,8 @@ from orbatlas.geometry import (
     point_in_ball,
     solve_linear,
 )
+
+from conftest import reference_ball_in_ball, reference_balls_disjoint, reference_dist2
 
 M = 12
 
@@ -269,14 +271,6 @@ class TestBalls:
         assert balls_equal(b, b)
 
 
-def reference_dist2(p, q):
-    """|p - q|^2 from field arithmetic on CycNum values, coordinate by coordinate."""
-    total = CycNum.rational(p.coords[0].m, 0)
-    for a, b in zip(p.coords, q.coords):
-        total = total + (a - b) * (a - b).conj()
-    return total
-
-
 @st.composite
 def point_and_ball(draw):
     """(p, ball, kind): kind "centre" puts p at the centre, "sphere" puts p on
@@ -330,6 +324,79 @@ class TestIntegerMembership:
         assert not point_in_ball(p, Ball(Point.origin(M, 1), lam))
         assert point_in_ball(p, Ball(Point.origin(M, 1), lam + Fraction(1, 10**6)))
         assert not point_in_ball(p, Ball(Point.origin(M, 1), lam - Fraction(1, 10**6)))
+
+
+def radii(m):
+    """w conj(w) + q for q >= 0: a real square radius, irrational for most w
+    at m = 8 and 12."""
+    fracs = st.fractions(min_value=0, max_value=1, max_denominator=64)
+    return st.builds(lambda w, q: w * w.conj() + q, cycnums(m), fracs)
+
+
+@st.composite
+def ball_pairs(draw):
+    """(b1, b2, kind).  "any" draws centres and radii; "concentric" shares the
+    centre; "equal" also shares the radius; "outer" makes d = r1 + r2 and
+    "inner" makes d + r1 = r2 exactly, with r1 = a^2 d^2 for a rational a, so
+    the squared radii are irrational whenever d^2 is."""
+    m = draw(st.sampled_from(SUPPORTED_CONDUCTORS), label="m")
+    dim = draw(st.integers(1, 3), label="dim")
+    c1 = Point(tuple(draw(cycnums(m)) for _ in range(dim)))
+    c2 = Point(tuple(draw(cycnums(m)) for _ in range(dim)))
+    kind = draw(st.sampled_from(["any", "concentric", "equal", "outer", "inner"]), label="kind")
+    r1, r2 = draw(radii(m)), draw(radii(m))
+    if kind in ("concentric", "equal"):
+        c2 = c1
+    if kind == "equal":
+        r2 = r1
+    if kind in ("outer", "inner"):
+        d2 = reference_dist2(c1, c2)
+        a = draw(st.fractions(min_value=0, max_value=1, max_denominator=16), label="a")
+        r1 = d2 * (a * a)
+        r2 = d2 * ((1 - a) ** 2 if kind == "outer" else (1 + a) ** 2)
+    return Ball(c1, r1), Ball(c2, r2), kind
+
+
+class TestIntegerBallPredicates:
+    """ball_in_ball and balls_disjoint decide on integer numerators; the
+    references build d^2, the difference and the discriminant as CycNums and
+    take two sign_real calls."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ball_pairs())
+    def test_match_cycnum_formulas(self, case):
+        b1, b2, kind = case
+        for x, y in ((b1, b2), (b2, b1)):
+            assert ball_in_ball(x, y) == reference_ball_in_ball(x, y)
+            assert balls_disjoint(x, y) == reference_balls_disjoint(x, y)
+        if kind == "outer":
+            assert balls_disjoint(b1, b2)
+        if kind in ("inner", "equal"):
+            assert ball_in_ball(b1, b2)
+
+    @pytest.mark.parametrize("m", [8, 12])
+    def test_irrational_tangency(self, m):
+        # d^2 = |1 + zeta|^2 is irrational; r1 = d^2 / 4 and r2 = d^2 / 4 or 9 d^2 / 4
+        z = CycNum.zeta(m)
+        c1, c2 = Point.of(m, 0), Point((1 + z,))
+        d2 = (1 + z) * (1 + z).conj()
+        assert not d2.is_rational()
+        quarter = Ball(c1, d2 * Fraction(1, 4))
+        assert balls_disjoint(quarter, Ball(c2, d2 * Fraction(1, 4)))
+        assert not balls_disjoint(quarter, Ball(c2, d2 * Fraction(1, 4) + Fraction(1, 10**9)))
+        assert ball_in_ball(quarter, Ball(c2, d2 * Fraction(9, 4)))
+        assert not ball_in_ball(quarter, Ball(c2, d2 * Fraction(9, 4) - Fraction(1, 10**9)))
+
+
+    def test_mixed_conductors_refused(self):
+        a = Ball.of(3, [0], 1)
+        b = Ball.of(12, [Fraction(1, 2)], Fraction(1, 16))
+        c = Ball(Point.of(12, 0), CycNum.rational(3, 1))
+        for x, y in ((a, b), (b, a), (b, c), (c, b)):
+            with pytest.raises(ConductorMismatchError):
+                ball_in_ball(x, y)
+            with pytest.raises(ConductorMismatchError):
+                balls_disjoint(x, y)
 
 
 class TestPolyMap:

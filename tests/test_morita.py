@@ -65,7 +65,10 @@ from orbatlas.morita import (
     RefinementData,
 )
 from orbatlas.sampling import random_chart_point
+from orbatlas.serialize import serialize
 from orbatlas.translation import TranslationGroupoid
+
+from conftest import reference_ball_in_ball, reference_balls_disjoint
 
 
 class TestSubAtlas:
@@ -308,6 +311,57 @@ class TestReconstruction:
             for cid in rec.atlas.chart_ids()
         ]
         assert atlases_equivalent(rec.atlas, cone3, ws).ok
+
+
+RECONSTRUCTION_SOURCES = {
+    "cone3": lambda: cone(3),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+}
+
+
+class TestReconstructionReference:
+    """reconstruct_atlas on the integer ball predicates against the same runs
+    with the CycNum formulas patched into morita and atlas, byte for byte."""
+
+    @pytest.mark.parametrize("name", list(RECONSTRUCTION_SOURCES))
+    def test_serialized_atlas_matches_cycnum_predicates(self, name, monkeypatch):
+        import orbatlas.atlas
+        import orbatlas.morita
+
+        def runs():
+            g = TranslationGroupoid(RECONSTRUCTION_SOURCES[name]())
+            return [serialize(reconstruct_atlas(g, samples=2, seed=s).atlas) for s in range(4)]
+
+        calls = []
+
+        def counted(predicate):
+            def wrapper(b1, b2):
+                calls.append(predicate)
+                return predicate(b1, b2)
+
+            return wrapper
+
+        fast = runs()
+        with monkeypatch.context() as mp:
+            for module in (orbatlas.atlas, orbatlas.morita):
+                mp.setattr(module, "ball_in_ball", counted(reference_ball_in_ball))
+                mp.setattr(module, "balls_disjoint", counted(reference_balls_disjoint))
+            reference = runs()
+        assert reference_ball_in_ball in calls and reference_balls_disjoint in calls
+        assert fast == reference
+
+    @pytest.mark.parametrize("name", list(RECONSTRUCTION_SOURCES))
+    def test_transports_built_once(self, name):
+        atlas = RECONSTRUCTION_SOURCES[name]()
+        g = TranslationGroupoid(atlas)
+        for ca in atlas.chart_ids():
+            for cb in atlas.chart_ids():
+                first = g.transports(ca, cb)
+                assert g.transports(ca, cb) is first
+                assert first == tuple(
+                    dict.fromkeys((t.map, t.domain) for t in atlas.transports(ca, cb))
+                )
 
 
 def _reference_restrict_r2(chart, x, r2):

@@ -415,6 +415,7 @@ class TestCli:
             lambda doc: {**doc, "oracle": {"kind": "pushforward", "params": {"relabel": [], "inner": doc["oracle"]}}},
             lambda doc: {**doc, "oracle": {"kind": "pushforward", "params": {"relabel": {}, "inner": []}}},
             lambda doc: {**doc, "unit_points": []},
+            lambda doc: {**doc, "unit_points": {"cone3": []}},
         ],
         ids=[
             "non-object",
@@ -437,6 +438,7 @@ class TestCli:
             "pushforward-relabel-list",
             "pushforward-inner-list",
             "unit-points-list",
+            "empty-unit-point-list",
         ],
     )
     def test_malformed_document_is_parse_error(self, cli_dir, mutate):
@@ -669,8 +671,9 @@ RATIONAL_LEAF = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def mutable_leaves(doc, path=()):
-    """Paths to the coefficient strings (every "n/d" leaf) and to the
-    top-level conductor and dimension of an atlas document."""
+    """Paths to the coefficient strings (every "n/d" leaf), to the top-level
+    conductor and dimension of an atlas document, and to each unit-point list,
+    each unit point and each of its coordinates."""
     if isinstance(doc, dict):
         items = doc.items()
     elif isinstance(doc, list):
@@ -678,6 +681,8 @@ def mutable_leaves(doc, path=()):
     else:
         return [path] if isinstance(doc, str) and RATIONAL_LEAF.fullmatch(doc) else []
     found = [(k,) for k in ("conductor", "dimension") if not path and k in doc]
+    if path[:1] == ("unit_points",) and len(path) in (2, 3, 4):
+        found.append(path)
     for key, value in items:
         found += mutable_leaves(value, path + (key,))
     return found
@@ -701,8 +706,9 @@ json_values = st.recursive(
 
 
 class TestDocumentMutationFuzz:
-    """One coefficient string, conductor or dimension of a canonical gallery
-    document replaced by any JSON value: the parser refuses the mutant with a
+    """One coefficient string, conductor, dimension, unit-point list, unit
+    point or unit-point coordinate of a canonical gallery document replaced by
+    any JSON value: the parser refuses the mutant with a
     ParseError or re-serializes it to its own canonical bytes, and `validate`
     exits 0, 1 or 2 without an internal error."""
 
@@ -713,7 +719,10 @@ class TestDocumentMutationFuzz:
 
         name = data.draw(st.sampled_from(sorted(MUTATION_SOURCES)), label="source")
         mutant = json.loads(canonical_document(name))
-        path = data.draw(st.sampled_from(mutable_leaves(mutant)), label="leaf")
+        leaves = mutable_leaves(mutant)
+        # unit-point leaves are few among the coefficient strings; draw them as often
+        unit_leaves = [p for p in leaves if p[0] == "unit_points" and len(p) < 5]
+        path = data.draw(st.sampled_from(leaves) | st.sampled_from(unit_leaves), label="leaf")
         value = data.draw(json_values, label="value")
         parent = mutant
         for key in path[:-1]:
