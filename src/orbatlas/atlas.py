@@ -143,6 +143,7 @@ class Atlas:
         self._family_cache: dict[tuple[str, str], tuple[Embedding, ...]] = {}
         self._position_cache: dict[tuple[str, str], dict[AffineMap, int]] = {}
         self._transport_cache: dict[tuple[str, str], tuple[Transport, ...]] = {}
+        self._label_cache: dict[tuple[str, str], tuple[tuple[int | None, ...], ...]] = {}
 
     # -- chart and embedding enumeration ------------------------------------
 
@@ -221,6 +222,29 @@ class Atlas:
         if k is None:
             raise InvalidAtlasError(f"{e!r} is not a stored embedding of the atlas")
         return k
+
+    def translate_indices(self, e: Embedding, rows) -> list[int]:
+        """The family index of G_dst[i] . e for each i in rows, read from a
+        table built on first use per chart pair: entry [i][j] is the index of
+        G_dst[i] . family(src, dst)[j], or None when that composite is not in
+        the family."""
+        key = (e.src, e.dst)
+        table = self._label_cache.get(key)
+        if table is None:
+            positions = self._family_positions(e.src, e.dst)
+            fam = self.family(e.src, e.dst)
+            table = self._label_cache[key] = tuple(
+                tuple(positions.get(g.compose(f.map)) for f in fam)
+                for g in self.charts[e.dst].group
+            )
+        j = self.family_index(e)
+        out = []
+        for i in rows:
+            k = table[i][j]
+            if k is None:
+                raise InvalidAtlasError(f"{e!r} is not a stored embedding of the atlas")
+            out.append(k)
+        return out
 
     # -- identification -----------------------------------------------------
 
@@ -326,10 +350,15 @@ def validate_chart(chart: Chart) -> Report:
     return rep
 
 
-def stabilizer(chart: Chart, x: Point) -> list[AffineMap]:
+def stabilizer_indices(chart: Chart, x: Point) -> list[int]:
+    """Positions in the chart group of the elements fixing x."""
     if not point_in_ball(x, chart.ball):
         raise PointOutsideDomainError(f"{x!r} outside chart {chart.cid}")
-    return [g for g in chart.group if g(x) == x]
+    return [i for i, g in enumerate(chart.group) if g(x) == x]
+
+
+def stabilizer(chart: Chart, x: Point) -> list[AffineMap]:
+    return [chart.group[i] for i in stabilizer_indices(chart, x)]
 
 
 def has_trivial_stabilizer(chart: Chart, x: Point) -> bool:

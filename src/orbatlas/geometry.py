@@ -283,10 +283,14 @@ class Ball:
 
 def point_in_ball(p: Point, ball: Ball) -> bool:
     """|p - c|^2 < r2, decided by one sign of the integer numerators of
-    den * r_d * (r2 - |p - c|^2), where den is the denominator of |p - c|^2."""
+    den * r_d * (r2 - |p - c|^2), where den is the denominator of |p - c|^2.
+    A point over another conductor than the ball raises
+    ConductorMismatchError, as the ball predicates do."""
     if ball.dim == 0:
         return True
     r2 = ball.r2
+    if ball.center.coords[0].m != r2.m or p.coords and p.coords[0].m != r2.m:
+        raise ConductorMismatchError(f"point and ball over different conductors (ball {r2.m})")
     nums, den = _dist2_nums(p, ball.center)
     rd = r2._d
     diff = [den * a - rd * b for a, b in zip(r2._n, nums)]

@@ -399,7 +399,10 @@ def system_to_doc(f: CompatibleSystem) -> dict:
     }
 
 
-def _atlas_ref_from_doc(ref, base_dir: Path | None):
+def _atlas_ref_from_doc(ref, base_dir: Path | None, parsed: dict):
+    """The atlas a reference names; parsed maps doc_hash to the atlases
+    already read from the same document, so equal references share one
+    Atlas."""
     if "inline" in ref:
         doc = ref["inline"]
     elif "path" in ref:
@@ -408,17 +411,23 @@ def _atlas_ref_from_doc(ref, base_dir: Path | None):
         doc = json.loads((base_dir / ref["path"]).read_bytes())
     else:
         raise ParseError("atlas reference needs 'inline' or 'path'")
-    if "hash" in ref and doc_hash(doc) != ref["hash"]:
+    h = doc_hash(doc)
+    if "hash" in ref and h != ref["hash"]:
         raise ParseError("atlas reference hash mismatch")
-    return atlas_from_doc(doc)
+    if h not in parsed:
+        parsed[h] = atlas_from_doc(doc)
+    return parsed[h]
 
 
-def system_from_doc(doc, base_dir: Path | None = None) -> CompatibleSystem:
+def system_from_doc(doc, base_dir: Path | None = None, parsed: dict | None = None) -> CompatibleSystem:
+    """A compatible system; parsed (doc_hash -> Atlas) is shared by the two
+    systems of one 2-cell document."""
     if _kind(doc) != "system":
         raise ParseError("document is not a compatible system")
+    parsed = {} if parsed is None else parsed
     try:
-        src = _atlas_ref_from_doc(doc["src"], base_dir)
-        dst = _atlas_ref_from_doc(doc["dst"], base_dir)
+        src = _atlas_ref_from_doc(doc["src"], base_dir, parsed)
+        dst = _atlas_ref_from_doc(doc["dst"], base_dir, parsed)
         m = dst.conductor
         assign = {}
         for entry in doc.get("assignment", []):
@@ -448,8 +457,9 @@ def cell_from_doc(doc, base_dir: Path | None = None) -> OrbNatTrans:
     if _kind(doc) != "cell":
         raise ParseError("document is not a 2-cell")
     try:
-        f1 = system_from_doc(doc["src_system"], base_dir)
-        f2 = system_from_doc(doc["dst_system"], base_dir)
+        parsed: dict = {}
+        f1 = system_from_doc(doc["src_system"], base_dir, parsed)
+        f2 = system_from_doc(doc["dst_system"], base_dir, parsed)
         m = f1.dst.conductor
         comps = {
             cid: Embedding(e["src"], e["dst"], affine_from_doc(m, e, "component"))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .atlas import Atlas, Embedding, Span, common_span, stabilizer, validate_atlas
+from .atlas import Atlas, Embedding, Span, common_span, stabilizer_indices, validate_atlas
 from .errors import (
     AtlasMismatchError,
     IllTypedError,
@@ -72,9 +72,10 @@ class TranslationGroupoid(GroupoidPresentation):
         self._transports: dict = {}
         for k in atlas.chart_ids():
             ball = atlas.chart(k).ball
-            for left in atlas.family_from(k):
-                for right in atlas.family_from(k):
-                    label = (k, _emb_label(atlas, left), _emb_label(atlas, right))
+            legs = [(e, _emb_label(atlas, e)) for e in atlas.family_from(k)]
+            for left, left_label in legs:
+                for right, right_label in legs:
+                    label = (k, left_label, right_label)
                     self._components[label] = ArrowComponent(
                         label, ball, left.map, right.map, left.dst, right.dst
                     )
@@ -121,8 +122,9 @@ class TranslationGroupoid(GroupoidPresentation):
         return self._arrow(e, u.point, e)
 
     def inverse(self, a: Arrow) -> Arrow:
-        t = self.triple_of(a)
-        return self._arrow(t.right, t.point, t.left)
+        """The same point with the two leg labels swapped."""
+        k, left_label, right_label = a.component
+        return Arrow((k, right_label, left_label), a.point)
 
     def multiply(self, a: Arrow, b: Arrow) -> Arrow:
         """The first transport record carrying germ(b) . germ(a) over s(a)."""
@@ -155,7 +157,11 @@ class TranslationGroupoid(GroupoidPresentation):
         return e
 
     def arrow_equal(self, a: Arrow, b: Arrow) -> bool:
-        """Equal germs: same target chart, same source unit, same transition."""
+        """Equal germs: same target chart, same source unit, same transition.
+        Over one component the chart and germ agree, and an invertible source
+        map is injective, so equal points decide it."""
+        if a.component == b.component and self.arrow_component(a.component).s_map.is_invertible():
+            return a.point == b.point
         return (
             self.arrow_component(a.component).t_component
             == self.arrow_component(b.component).t_component
@@ -166,15 +172,22 @@ class TranslationGroupoid(GroupoidPresentation):
     def triples_equal(self, p: Triple, q: Triple) -> bool:
         return self.arrow_equal(self.arrow_of(p), self.arrow_of(q))
 
+    def _span_arrows(self, span: Span, rows) -> list[Arrow]:
+        """The arrows of (span.left, span.point, G[i] . span.right) for the
+        target chart-group positions i in rows, labelled from the atlas's
+        family-index table."""
+        left = _emb_label(self.atlas, span.left)
+        dst = span.right.dst
+        return [
+            Arrow((span.left.src, left, (dst, k)), span.point)
+            for k in self.atlas.translate_indices(span.right, rows)
+        ]
+
     def arrows_between(self, u1: UnitPoint, u2: UnitPoint) -> list[Arrow]:
         span = self.atlas.refine(u1.component, u1.point, u2.component, u2.point)
         if span is None:
             return []
-        out = []
-        for s in stabilizer(self.atlas.chart(u2.component), u2.point):
-            right = Embedding(span.right.src, span.right.dst, s.compose(span.right.map))
-            out.append(self._arrow(span.left, span.point, right))
-        return out
+        return self._span_arrows(span, stabilizer_indices(self.atlas.chart(u2.component), u2.point))
 
     def arrows_from(self, u: UnitPoint) -> list[Arrow]:
         out = []
@@ -185,9 +198,7 @@ class TranslationGroupoid(GroupoidPresentation):
             span = self.atlas.refine(u.component, u.point, cid, z)
             if span is None:
                 continue
-            for g in self.atlas.chart(cid).group:
-                right = Embedding(span.right.src, span.right.dst, g.compose(span.right.map))
-                out.append(self._arrow(span.left, span.point, right))
+            out.extend(self._span_arrows(span, range(len(self.atlas.chart(cid).group))))
         return out
 
     def transports(self, ca, cb):

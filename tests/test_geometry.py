@@ -398,6 +398,14 @@ class TestIntegerBallPredicates:
             with pytest.raises(ConductorMismatchError):
                 balls_disjoint(x, y)
 
+    def test_point_in_ball_mixed_conductors_refused(self):
+        a = Ball.of(3, [0], 1)
+        b = Ball.of(12, [Fraction(1, 2)], Fraction(1, 16))
+        c = Ball(Point.of(12, 0), CycNum.rational(3, 1))
+        for p, ball in ((b.center, a), (a.center, b), (b.center, c)):
+            with pytest.raises(ConductorMismatchError):
+                point_in_ball(p, ball)
+
 
 class TestPolyMap:
     def test_square_composition(self):

@@ -132,6 +132,21 @@ class TestRoundTrips:
         rawc = serialize(fx.delta)
         assert serialize(cell_from_doc(json.loads(rawc))) == rawc
 
+    @pytest.mark.parametrize(
+        "make", [lambda: cone(3), lambda: football(2, 3), lambda: teardrop(3)],
+        ids=["cone3", "football23", "teardrop3"],
+    )
+    def test_parsed_cell_shares_atlases_and_validates(self, make):
+        from orbatlas.systems import validate_orb_nat_trans
+
+        raw = serialize(rotation_fixture(make(), random.Random(1)).delta)
+        delta = cell_from_doc(json.loads(raw))
+        f1, f2 = delta.src_sys, delta.dst_sys
+        assert f1.src is f2.src and f1.dst is f2.dst
+        rep = validate_orb_nat_trans(delta)
+        assert rep.ok, rep.failures()
+        assert serialize(delta) == raw
+
     def test_system_with_path_references(self, tmp_path):
         from orbatlas.serialize import doc_hash
 
@@ -321,6 +336,13 @@ class TestCli:
         out = run_cli("validate", "cone3.json", "--samples", "20", cwd=cli_dir)
         assert out.returncode == 0, out.stderr
         assert "verdict: pass" in out.stdout
+
+    def test_validate_cell_document(self, cli_dir):
+        raw = serialize(rotation_fixture(cone(3), random.Random(1)).delta)
+        (cli_dir / "cell.json").write_bytes(raw)
+        out = run_cli("validate", "cell.json", cwd=cli_dir)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "[FAIL]" not in out.stdout and "verdict: pass" in out.stdout
 
     def test_groupoid_suite(self, cli_dir):
         out = run_cli(

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from orbatlas.atlas import Atlas, Chart, Embedding, Span, common_span, find_conjugator, validate_atlas
+from orbatlas.atlas import (
+    Atlas,
+    Chart,
+    Embedding,
+    Span,
+    common_span,
+    find_conjugator,
+    stabilizer,
+    validate_atlas,
+)
 from orbatlas.errors import InvalidAtlasError, NotComposableError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
@@ -462,6 +471,127 @@ class TestActionOracleReference:
         rep = action_groupoid_oracle_report(atlas, samples=samples, seed=seed)
         assert rep.checks == reference_oracle_checks(atlas, samples, seed)
         assert rep.ok, rep.failures()
+
+
+
+# -- the label tables against the compose-and-look-up reference ------------------
+
+
+def reference_arrows_from(g, u):
+    """Each right leg composed as g . right and labelled by a fresh look-up."""
+    out = []
+    for cid in g.atlas.chart_ids():
+        z = g.atlas.locate(u.component, u.point, cid)
+        if z is None:
+            continue
+        span = g.atlas.refine(u.component, u.point, cid, z)
+        if span is None:
+            continue
+        for h in g.atlas.chart(cid).group:
+            right = Embedding(span.right.src, span.right.dst, h.compose(span.right.map))
+            out.append(g._arrow(span.left, span.point, right))
+    return out
+
+
+def reference_arrows_between(g, u1, u2):
+    span = g.atlas.refine(u1.component, u1.point, u2.component, u2.point)
+    if span is None:
+        return []
+    return [
+        g._arrow(span.left, span.point, Embedding(span.right.src, span.right.dst, s.compose(span.right.map)))
+        for s in stabilizer(g.atlas.chart(u2.component), u2.point)
+    ]
+
+
+def reference_inverse(g, a):
+    t = g.triple_of(a)
+    return g._arrow(t.right, t.point, t.left)
+
+
+def reference_arrow_equal(g, a, b):
+    """The three-part rule: target chart, source unit, germ."""
+    ca, cb = g.arrow_component(a.component), g.arrow_component(b.component)
+    return (
+        ca.t_component == cb.t_component
+        and g.unit_equal(g.source(a), g.source(b))
+        and ca.germ == cb.germ
+    )
+
+
+def repeated_element_cone3():
+    """cone(3) whose chart group lists zeta twice: the family holds one map at
+    two positions, so first positions and raw positions differ."""
+    base = cone(3)
+    chart = base.chart("cone3")
+    group = chart.group + (next(h for h in chart.group if not h.is_identity()),)
+    return Atlas(3, 1, [Chart("cone3", chart.ball, group)], [], witnesses=base.witnesses)
+
+
+LABEL_ATLASES = {
+    "cone3": lambda: cone(3),
+    "cone6": lambda: cone(6),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+    "quotient22": lambda: global_quotient(2, 2),
+    "cone4m12": lambda: cone(4, conductor=12),
+    "s3": s3_atlas,
+    "cone3_repeated": repeated_element_cone3,
+}
+# a point off the centre fixed by the swap: its translates have stabilizers
+# that do not commute with the right legs reaching them
+STABILIZED_UNITS = {"s3": [UnitPoint("s3", Point.of(3, Fraction(1, 4), Fraction(1, 4)))]}
+
+
+class TestLabelTables:
+    """arrows_from, arrows_between and inverse read leg labels from the
+    atlas's family-index table; they must give the arrows (labels, points and
+    order) that composing each leg and looking it up gives, and arrow_equal's
+    same-component shortcut must agree with the three-part rule."""
+
+    @pytest.mark.parametrize("name", list(LABEL_ATLASES))
+    def test_match_compose_and_look_up(self, name):
+        g = TranslationGroupoid(LABEL_ATLASES[name]())
+        rng = random.Random(23)
+        units = g.unit_witness_points() + STABILIZED_UNITS.get(name, [])
+        units += [g.random_unit(rng) for _ in range(3)]
+        arrows = []
+        for u in units:
+            built = g.arrows_from(u)
+            assert built == reference_arrows_from(g, u)
+            for a in built:
+                assert g.inverse(a) == reference_inverse(g, a)
+                v = g.target(a)
+                assert g.arrows_between(u, v) == reference_arrows_between(g, u, v)
+            assert g.arrows_between(u, u) == reference_arrows_between(g, u, u)
+            arrows += built + [g.inverse(a) for a in built]
+        same_component_apart = 0
+        for a in arrows:
+            for b in arrows:
+                assert g.arrow_equal(a, b) == reference_arrow_equal(g, a, b)
+                same_component_apart += a.component == b.component and a.point != b.point
+        assert same_component_apart > 0
+
+    def test_unrelated_units_have_no_arrows_between(self):
+        g = TranslationGroupoid(football(2, 3))
+        u = g.unit_witness_points()[0]
+        far = [v for v in g.unit_witness_points() if not g.arrows_between(u, v)]
+        assert far
+        for v in far:
+            assert reference_arrows_between(g, u, v) == []
+
+    def test_unclosed_chart_group_raises(self):
+        # group (zeta, id): the first transport pairs zeta with zeta, and
+        # zeta . zeta is not in the family
+        base = cone(3)
+        chart = base.chart("cone3")
+        zeta = next(h for h in chart.group if not h.is_identity())
+        atlas = Atlas(3, 1, [Chart("cone3", chart.ball, (zeta, chart.identity()))], [])
+        g = TranslationGroupoid(atlas)
+        u = UnitPoint("cone3", chart.ball.center)
+        with pytest.raises(InvalidAtlasError, match="not a stored embedding"):
+            reference_arrows_from(g, u)
+        with pytest.raises(InvalidAtlasError, match="not a stored embedding"):
+            g.arrows_from(u)
 
 
 class TestFunctor:
