@@ -199,10 +199,7 @@ class Atlas:
         return out
 
     def family_from(self, src: str) -> list[Embedding]:
-        out = []
-        for dst in self.charts:
-            out.extend(self.family(src, dst))
-        return out
+        return [e for dst in self.charts for e in self.family(src, dst)]
 
     def _family_positions(self, src: str, dst: str) -> dict[AffineMap, int]:
         """map -> first position of that map in family(src, dst)."""

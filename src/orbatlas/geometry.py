@@ -7,6 +7,7 @@ membership and disjointness question below is decided exactly.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .errors import ConductorMismatchError, DimensionMismatchError, NotSimilarityError
@@ -367,7 +368,7 @@ def balls_equal(b1: Ball, b2: Ball) -> bool:
 
 # -- polynomial maps -----------------------------------------------------------
 
-Monomial = tuple[int, ...]
+_UNDECIDED = object()  # PolyMap._affine before the first to_affine() call
 
 
 class PolyMap:
@@ -377,7 +378,7 @@ class PolyMap:
     coefficients dropped, so equality is canonical data comparison.
     """
 
-    __slots__ = ("m", "dim_in", "dim_out", "coords")
+    __slots__ = ("m", "dim_in", "dim_out", "coords", "_affine")
 
     def __init__(self, m: int, dim_in: int, dim_out: int, coords):
         self.m = m
@@ -396,6 +397,7 @@ class PolyMap:
         if len(cleaned) != dim_out:
             raise DimensionMismatchError("wrong number of coordinate polynomials")
         self.coords = tuple(cleaned)
+        self._affine = _UNDECIDED
 
     @classmethod
     def from_affine(cls, f: AffineMap) -> PolyMap:
@@ -413,35 +415,28 @@ class PolyMap:
                     e[j] = 1
                     poly[tuple(e)] = f.a[i][j]
             coords.append(poly)
-        return cls(m, n, n, coords)
+        obj = cls(m, n, n, coords)
+        obj._affine = f
+        return obj
 
     @classmethod
     def identity(cls, m: int, dim: int) -> PolyMap:
         return cls.from_affine(AffineMap.identity(m, dim))
 
-    def degree(self) -> int:
-        return max((sum(e) for poly in self.coords for e in poly), default=0)
-
-    def is_affine(self) -> bool:
-        return self.degree() <= 1
-
-    def to_affine(self) -> AffineMap:
-        if not self.is_affine() or self.dim_in != self.dim_out:
-            raise DimensionMismatchError("polynomial map is not affine")
-        n = self.dim_in
-        zero = CycNum.rational(self.m, 0)
-        b = []
-        a = []
-        for i in range(n):
-            poly = self.coords[i]
-            b.append(poly.get((0,) * n, zero))
-            row = []
-            for j in range(n):
-                e = [0] * n
-                e[j] = 1
-                row.append(poly.get(tuple(e), zero))
-            a.append(tuple(row))
-        return AffineMap(tuple(a), Point(tuple(b)))
+    def to_affine(self) -> AffineMap | None:
+        """The similarity affine map this is, or None when the degree is above
+        1, dim_in != dim_out or the linear part is not a similarity.  Decided
+        on the first call and kept."""
+        if self._affine is _UNDECIDED:
+            self._affine = None
+            n = self.dim_in
+            if n == self.dim_out and all(sum(e) <= 1 for poly in self.coords for e in poly):
+                zero = CycNum.rational(self.m, 0)
+                units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+                a = tuple(tuple(poly.get(e, zero) for e in units) for poly in self.coords)
+                with suppress(NotSimilarityError):
+                    self._affine = AffineMap(a, Point(tuple(poly.get((0,) * n, zero) for poly in self.coords)))
+        return self._affine
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
@@ -464,7 +459,8 @@ class PolyMap:
         )
 
     def __repr__(self):
-        return f"PolyMap({self.dim_in}->{self.dim_out}, deg {self.degree()})"
+        deg = max((sum(e) for poly in self.coords for e in poly), default=0)
+        return f"PolyMap({self.dim_in}->{self.dim_out}, deg {deg})"
 
     def __call__(self, p: Point) -> Point:
         if p.dim != self.dim_in:
@@ -495,7 +491,7 @@ class PolyMap:
                 term = dict(one)
                 for var, e in enumerate(exps):
                     for _ in range(e):
-                        term = _poly_mul(term, other.coords[var], self.m)
+                        term = _poly_mul(term, other.coords[var])
                 for mono, coeff in term.items():
                     acc[mono] = acc.get(mono, CycNum.rational(self.m, 0)) + c * coeff
             out.append(acc)
@@ -555,7 +551,7 @@ def fixed_point(g: AffineMap) -> Point | None:
     return Point(tuple(sol)) if sol is not None else None
 
 
-def _poly_mul(p: dict, q: dict, m: int) -> dict:
+def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():

@@ -136,19 +136,14 @@ class GroupoidPresentation(ABC):
         return self.arrows_between(u, u)
 
     def unit_witness_points(self) -> list[UnitPoint]:
-        out = []
-        for comp in self.unit_components():
-            out.append(UnitPoint(comp.label, comp.ball.center))
-        return out
+        return [UnitPoint(comp.label, comp.ball.center) for comp in self.unit_components()]
 
     def random_unit(self, rng: random.Random) -> UnitPoint:
         comp = rng.choice(self.unit_components())
         return UnitPoint(comp.label, random_point_in_ball(rng, comp.ball, self.conductor))
 
     def random_arrow(self, rng: random.Random) -> Arrow:
-        u = self.random_unit(rng)
-        choices = self.arrows_from(u)
-        return rng.choice(choices)
+        return rng.choice(self.arrows_from(self.random_unit(rng)))
 
     def random_composable_pair(self, rng: random.Random) -> tuple[Arrow, Arrow]:
         a = self.random_arrow(rng)

@@ -111,12 +111,8 @@ def check_morita(m: GroupoidMorphism, samples: int = 100, seed: int = 0) -> Mori
     src, dst = m.src, m.dst
 
     cond1 = Report("condition (i): essential surjectivity")
-    etale_ok = True
-    for comp in src.unit_components():
-        label, mp = m.unit_maps[comp.label]
-        aff_ok = comp.ball.dim == 0 or (mp.is_affine() and mp.to_affine().is_invertible())
-        if not aff_ok:
-            etale_ok = False
+    affs = [m.unit_maps[comp.label][1].to_affine() for comp in src.unit_components() if comp.ball.dim]
+    etale_ok = all(aff is not None and aff.is_invertible() for aff in affs)
     cond1.add("unit map is an invertible similarity per component", etale_ok)
 
     unreached = []
@@ -178,12 +174,8 @@ def _reaches(m: GroupoidMorphism, z: UnitPoint) -> bool:
             if mp(comp.ball.center) == z.point:
                 return True
             continue
-        if not mp.is_affine():
-            continue
         aff = mp.to_affine()
-        if not aff.is_invertible():
-            continue
-        if point_in_ball(aff.inverse()(z.point), comp.ball):
+        if aff is not None and aff.is_invertible() and point_in_ball(aff.inverse()(z.point), comp.ball):
             return True
     return False
 
@@ -226,7 +218,7 @@ def _covered(atlas: Atlas, cid: str, x: Point, leg: Embedding, chart: Chart) -> 
     return any(point_in_ball(g(z), image) for g in atlas.chart(leg.dst).group)
 
 
-def atlases_equivalent(u1: Atlas, u2: Atlas, witnesses, samples: int = 0, seed: int = 0) -> Report:
+def atlases_equivalent(u1: Atlas, u2: Atlas, witnesses) -> Report:
     """Valid two-legged spans at every declared witness point of both atlases."""
     rep = Report("atlas equivalence")
     if u1.dim != u2.dim:
@@ -390,9 +382,7 @@ def union_atlas(base: Atlas, extra: Atlas, anchor: RefinementData) -> Atlas:
     if overlap:
         raise NotASubAtlasError(f"chart id clash {sorted(overlap)}")
     charts = list(base.charts.values()) + list(extra.charts.values())
-    reps = dict(base.reps)
-    for key, e in extra.reps.items():
-        reps[key] = e
+    reps = {**base.reps, **extra.reps}
     for cid in extra.chart_ids():
         target = anchor.chart_map[cid]
         reps[(cid, target)] = Embedding(cid, target, anchor.embeddings[cid])
@@ -436,19 +426,16 @@ def morita_equivalence_chain(
     ref = common_refinement(u1, u2, witnesses)
     union1 = union_atlas(u1, ref.atlas, ref.into_first)
     union2 = union_atlas(u2, ref.atlas, ref.into_second)
-    reports = {}
-    reports["refinement into first union"] = check_morita(
-        subatlas_inclusion_morphism(ref.atlas, union1), samples, seed
-    )
-    reports["first atlas into first union"] = check_morita(
-        subatlas_inclusion_morphism(u1, union1), samples, seed
-    )
-    reports["refinement into second union"] = check_morita(
-        subatlas_inclusion_morphism(ref.atlas, union2), samples, seed
-    )
-    reports["second atlas into second union"] = check_morita(
-        subatlas_inclusion_morphism(u2, union2), samples, seed
-    )
+    steps = {
+        "refinement into first union": (ref.atlas, union1),
+        "first atlas into first union": (u1, union1),
+        "refinement into second union": (ref.atlas, union2),
+        "second atlas into second union": (u2, union2),
+    }
+    reports = {
+        name: check_morita(subatlas_inclusion_morphism(sub, full), samples, seed)
+        for name, (sub, full) in steps.items()
+    }
     return MoritaChain(ref, reports)
 
 
@@ -510,19 +497,14 @@ def reconstruct_atlas(
     chosen: list[UnitPoint] = []
     for comp in g.unit_components():
         candidates = [UnitPoint(comp.label, comp.ball.center)]
-        for u in g.unit_witness_points():
-            if u.component == comp.label:
-                candidates.append(u)
+        candidates += [u for u in g.unit_witness_points() if u.component == comp.label]
         for _ in range(samples):
             candidates.append(
                 UnitPoint(comp.label, random_point_in_ball(rng, comp.ball, g.conductor))
             )
         for u in candidates:
-            if any(
-                g.arrows_between(u, v) for v in chosen
-            ):
-                continue
-            chosen.append(u)
+            if not any(g.arrows_between(u, v) for v in chosen):
+                chosen.append(u)
     entries = []
     for idx, u in enumerate(chosen):
         comp = g.unit_component(u.component)

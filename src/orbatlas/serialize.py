@@ -70,6 +70,14 @@ def cyc_to_doc(x: CycNum) -> list[str]:
     return out + ["0/1"] * (x.m - len(out))
 
 
+def _typed(value, kind: type, what: str):
+    """value when it is a JSON object, list or string (kind dict, list or
+    str); anything else is a ParseError."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} is a JSON {type(value).__name__}, not a {kind.__name__}")
+    return value
+
+
 def _integer(value, what: str) -> int:
     """A JSON integer; a string, a float or a boolean is a ParseError."""
     if type(value) is not int:
@@ -102,7 +110,7 @@ def point_to_doc(p: Point) -> list:
 
 
 def point_from_doc(m: int, doc, where="point") -> Point:
-    return Point(tuple(cyc_from_doc(m, c, where) for c in doc))
+    return Point(tuple(cyc_from_doc(m, c, where) for c in _typed(doc, list, where)))
 
 
 def affine_to_doc(f: AffineMap) -> dict:
@@ -114,13 +122,17 @@ def affine_to_doc(f: AffineMap) -> dict:
 
 def affine_from_doc(m: int, doc, where="map") -> AffineMap:
     try:
-        a = tuple(
-            tuple(cyc_from_doc(m, c, where) for c in row) for row in doc["A"]
-        )
+        a = tuple(tuple(cyc_from_doc(m, c, where) for c in row) for row in _typed(doc["A"], list, where))
         b = point_from_doc(m, doc["b"], where)
         return AffineMap(a, b)
     except (KeyError, TypeError, DimensionMismatchError, NotSimilarityError) as exc:
         raise ParseError(f"malformed affine map: {exc}", where) from exc
+
+
+def _embedding(m: int, src, dst, doc, where: str) -> Embedding:
+    """An embedding between the charts named by the strings src and dst,
+    its map read from doc."""
+    return Embedding(_typed(src, str, where), _typed(dst, str, where), affine_from_doc(m, doc, where))
 
 
 def poly_to_doc(p: PolyMap) -> dict:
@@ -136,13 +148,21 @@ def poly_to_doc(p: PolyMap) -> dict:
 
 
 def poly_from_doc(m: int, doc, where="lift") -> PolyMap:
+    """A polynomial map as ``poly_to_doc`` writes it: per coordinate, terms
+    with nonzero coefficients in strictly increasing exponent order."""
     try:
         coords = []
-        for poly in doc["coords"]:
-            coords.append(
-                {tuple(t["exps"]): cyc_from_doc(m, t["coeff"], where) for t in poly}
-            )
-        return PolyMap(m, doc["dim_in"], doc["dim_out"], coords)
+        for poly in _typed(doc["coords"], list, where):
+            terms = {}
+            for t in _typed(poly, list, where):
+                exps = tuple(_typed(t["exps"], list, where))
+                if any(type(e) is not int or e < 0 for e in exps) or terms and exps <= max(terms):
+                    raise ParseError(f"exponents {t['exps']!r} not increasing naturals", where)
+                terms[exps] = cyc_from_doc(m, t["coeff"], where)
+                if terms[exps].is_zero():
+                    raise ParseError("term with a zero coefficient", where)
+            coords.append(terms)
+        return PolyMap(m, _integer(doc["dim_in"], "dim_in"), _integer(doc["dim_out"], "dim_out"), coords)
     except (KeyError, TypeError, DimensionMismatchError) as exc:
         raise ParseError(f"malformed polynomial map: {exc}", where) from exc
 
@@ -178,7 +198,8 @@ def chart_from_doc(m: int, doc) -> Chart:
         cid = doc["id"]
         center = point_from_doc(m, doc["center"], f"chart {cid}")
         r2 = _radius_from_doc(m, doc["radius2"], f"chart {cid} radius")
-        group = tuple(affine_from_doc(m, g, f"chart {cid} group") for g in doc["group"])
+        where = f"chart {cid} group"
+        group = tuple(affine_from_doc(m, g, where) for g in _typed(doc["group"], list, where))
     except KeyError as exc:
         raise ParseError(f"chart missing field {exc}") from exc
     if not isinstance(cid, str):
@@ -199,17 +220,11 @@ def span_from_doc(m: int, doc) -> Span:
     try:
         chart = doc["chart"]
         point = point_from_doc(m, doc["point"], "witness point")
-        left = Embedding(chart, doc["left"]["dst"], affine_from_doc(m, doc["left"], "witness leg"))
-        right = Embedding(chart, doc["right"]["dst"], affine_from_doc(m, doc["right"], "witness leg"))
+        left = _embedding(m, chart, doc["left"]["dst"], doc["left"], "witness leg")
+        right = _embedding(m, chart, doc["right"]["dst"], doc["right"], "witness leg")
     except KeyError as exc:
         raise ParseError(f"witness missing field {exc}") from exc
     return Span(chart, point, left, right)
-
-
-def _object(doc, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{what} is a JSON {type(doc).__name__}, not an object")
-    return doc
 
 
 def oracle_to_doc(oracle: Oracle) -> dict:
@@ -222,18 +237,28 @@ def oracle_to_doc(oracle: Oracle) -> dict:
     return doc
 
 
+# the params each oracle kind reads; global_quotient and gluing are older names of span_search
+_ORACLE_PARAMS = {
+    "span_search": set(), "global_quotient": set(), "gluing": set(),
+    "span_table": {"spans"}, "pushforward": {"relabel", "inner"},
+}
+
+
 def oracle_from_doc(m: int, doc) -> Oracle:
-    doc = _object(doc, "oracle")
-    kind = doc.get("kind", "span_search")
-    params = _object(doc.get("params", {}), "oracle params")
+    doc = _typed(doc, dict, "oracle")
+    kind = _typed(doc.get("kind"), str, "oracle kind")
+    params = _typed(doc.get("params", {}), dict, "oracle params")
+    allowed = _ORACLE_PARAMS.get(kind)
+    if allowed is None or not doc.keys() <= {"kind", "params"} or not params.keys() <= allowed:
+        raise ParseError(f"unknown oracle kind {kind!r} or fields {sorted(doc)}, {sorted(params)}")
     if kind == "pushforward":
-        relabel = _object(params.get("relabel", {}), "pushforward relabel")
+        relabel = _typed(params.get("relabel", {}), dict, "pushforward relabel")
+        for label in relabel.values():
+            _typed(label, str, "pushforward label")
         return oracle_from_doc(m, params["inner"]).pushed(relabel)
-    if kind in ("span_search", "global_quotient", "gluing"):
-        return Oracle()
     if kind == "span_table":
-        return Oracle(tuple(span_from_doc(m, s) for s in params.get("spans", ())))
-    raise ParseError(f"unknown oracle kind {kind!r}")
+        return Oracle(tuple(span_from_doc(m, s) for s in _typed(params.get("spans", []), list, "span table")))
+    return Oracle()
 
 
 def atlas_to_doc(atlas: Atlas) -> dict:
@@ -258,7 +283,7 @@ def atlas_to_doc(atlas: Atlas) -> dict:
 
 def _kind(doc):
     """The "kind" field of a document, which must be a JSON object."""
-    return _object(doc, "document").get("kind")
+    return _typed(doc, dict, "document").get("kind")
 
 
 def atlas_from_doc(doc) -> Atlas:
@@ -267,20 +292,18 @@ def atlas_from_doc(doc) -> Atlas:
     try:
         m = _conductor(doc["conductor"])
         dim = _integer(doc["dimension"], "dimension")
-        charts = [chart_from_doc(m, c) for c in doc["charts"]]
+        charts = [chart_from_doc(m, c) for c in _typed(doc["charts"], list, "charts")]
         reps = [
-            Embedding(e["src"], e["dst"], affine_from_doc(m, e, "embedding"))
-            for e in doc.get("embeddings", [])
+            _embedding(m, e["src"], e["dst"], e, "embedding")
+            for e in _typed(doc.get("embeddings", []), list, "embeddings")
         ]
-        oracle = oracle_from_doc(m, doc.get("oracle", {}))
-        witnesses = [span_from_doc(m, w) for w in doc.get("witnesses", [])]
+        oracle = oracle_from_doc(m, doc["oracle"]) if "oracle" in doc else Oracle()
+        witnesses = [span_from_doc(m, w) for w in _typed(doc.get("witnesses", []), list, "witnesses")]
         unit_points = {
             cid: tuple(point_from_doc(m, p, "unit point") for p in pts)
-            for cid, pts in _object(doc.get("unit_points", {}), "unit_points").items()
+            for cid, pts in _typed(doc.get("unit_points", {}), dict, "unit_points").items()
         }
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(f"malformed atlas document: {exc}") from exc
     if not charts:
         raise ParseError("atlas has no charts")
@@ -313,6 +336,11 @@ def atlas_from_doc(doc) -> Atlas:
 # -- groupoid presentations ------------------------------------------------------
 
 
+def _component_table(g: TranslationGroupoid) -> list:
+    labels = sorted(c.label for c in g.arrow_components())
+    return [{"chart": k, "left": list(left), "right": list(right)} for k, left, right in labels]
+
+
 def groupoid_to_doc(g: GroupoidPresentation) -> dict:
     if isinstance(g, TranslationGroupoid):
         atlas_doc = atlas_to_doc(g.atlas)
@@ -321,14 +349,7 @@ def groupoid_to_doc(g: GroupoidPresentation) -> dict:
             "strategy": "translation",
             "atlas": atlas_doc,
             "atlas_hash": doc_hash(atlas_doc),
-            "components": [
-                {
-                    "chart": lab[0],
-                    "left": list(lab[1]),
-                    "right": list(lab[2]),
-                }
-                for lab in sorted(c.label for c in g.arrow_components())
-            ],
+            "components": _component_table(g),
         }
     if isinstance(g, ActionGroupoid):
         return {
@@ -352,16 +373,13 @@ def groupoid_from_doc(doc) -> GroupoidPresentation:
     try:
         if strategy == "translation":
             atlas_doc = doc["atlas"]
-            want = doc.get("atlas_hash")
-            if want is not None and doc_hash(atlas_doc) != want:
+            if "atlas_hash" in doc and doc_hash(atlas_doc) != doc["atlas_hash"]:
                 raise ParseError("atlas hash mismatch in groupoid document")
             g = TranslationGroupoid(atlas_from_doc(atlas_doc))
+            # compared as JSON, where false is not 0
             stated = doc.get("components")
-            if stated is not None:
-                actual = sorted(c.label for c in g.arrow_components())
-                listed = [(c["chart"], tuple(c["left"]), tuple(c["right"])) for c in stated]
-                if listed != actual:
-                    raise ParseError("component table does not match the atlas")
+            if stated is not None and canonical_bytes(stated) != canonical_bytes(_component_table(g)):
+                raise ParseError("component table does not match the atlas")
             return g
         m = _conductor(doc["conductor"])
         ball = Ball(
@@ -369,15 +387,22 @@ def groupoid_from_doc(doc) -> GroupoidPresentation:
             _radius_from_doc(m, doc["ball"]["radius2"], "ball radius"),
         )
         elements = [
-            (e["label"], affine_from_doc(m, e, "element")) for e in doc["elements"]
+            (_typed(e["label"], str, "element label"), affine_from_doc(m, e, "element"))
+            for e in _typed(doc["elements"], list, "elements")
         ]
-        mult = {}
-        for key, val in doc["mult"].items():
-            a, b = key.split("|")
-            mult[(a, b)] = val
-        inv = dict(doc["inv"])
+        labels = [lab for lab, _ in elements]
+        mult = {tuple(key.split("|")): val for key, val in _typed(doc["mult"], dict, "mult").items()}
+        inv = _typed(doc["inv"], dict, "inv")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed groupoid document: {exc}") from exc
+    # a label holding the separator "|" leaves its pairs out of mult's keys
+    tables_total = mult.keys() == {(a, b) for a in labels for b in labels} and inv.keys() == set(labels)
+    if not labels or len(set(labels)) < len(labels) or not tables_total:
+        raise ParseError(f"mult and inv are not total tables on distinct element labels {labels}")
+    if not all(v in labels for v in (*mult.values(), *inv.values())):
+        raise ParseError("mult or inv names an unknown element label")
+    if any(f.dim != ball.dim for _, f in elements):
+        raise ParseError(f"an element map is not of the ball's dimension {ball.dim}")
     return ActionGroupoid(m, ball, elements, mult=mult, inv=inv)
 
 
@@ -403,12 +428,12 @@ def _atlas_ref_from_doc(ref, base_dir: Path | None, parsed: dict):
     """The atlas a reference names; parsed maps doc_hash to the atlases
     already read from the same document, so equal references share one
     Atlas."""
-    if "inline" in ref:
+    if "inline" in _typed(ref, dict, "atlas reference"):
         doc = ref["inline"]
     elif "path" in ref:
         if base_dir is None:
             raise ParseError("atlas reference by path needs a base directory")
-        doc = json.loads((base_dir / ref["path"]).read_bytes())
+        doc = load_document(base_dir / _typed(ref["path"], str, "atlas path"))
     else:
         raise ParseError("atlas reference needs 'inline' or 'path'")
     h = doc_hash(doc)
@@ -430,14 +455,19 @@ def system_from_doc(doc, base_dir: Path | None = None, parsed: dict | None = Non
         dst = _atlas_ref_from_doc(doc["dst"], base_dir, parsed)
         m = dst.conductor
         assign = {}
-        for entry in doc.get("assignment", []):
-            i, j = entry["pair"]
-            ti, tj = entry["dst_pair"]
-            assign[(i, j)] = Embedding(ti, tj, affine_from_doc(m, entry, "assignment"))
-        lifts = {cid: poly_from_doc(m, p) for cid, p in doc["lifts"].items()}
-        theta = doc["theta"]
+        for entry in _typed(doc.get("assignment", []), list, "assignment"):
+            i, j = _typed(entry["pair"], list, "assignment pair")
+            ti, tj = _typed(entry["dst_pair"], list, "assignment pair")
+            assign[(i, j)] = _embedding(m, ti, tj, entry, "assignment")
+        lifts = {cid: poly_from_doc(m, p) for cid, p in _typed(doc["lifts"], dict, "lifts").items()}
+        theta = _typed(doc["theta"], dict, "theta")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed system document: {exc}") from exc
+    targets_known = all(isinstance(t, str) and t in dst.charts for t in theta.values())
+    if theta.keys() != src.charts.keys() or lifts.keys() != src.charts.keys() or not targets_known:
+        raise ParseError("theta and lifts do not map each source chart once, theta to target charts")
+    if not assign.keys() <= src.reps.keys():
+        raise ParseError("an assigned pair is not a stored representative of the source")
     return CompatibleSystem(src, dst, theta, assign, lifts)
 
 
@@ -462,8 +492,8 @@ def cell_from_doc(doc, base_dir: Path | None = None) -> OrbNatTrans:
         f2 = system_from_doc(doc["dst_system"], base_dir, parsed)
         m = f1.dst.conductor
         comps = {
-            cid: Embedding(e["src"], e["dst"], affine_from_doc(m, e, "component"))
-            for cid, e in doc["components"].items()
+            cid: _embedding(m, e["src"], e["dst"], e, "component")
+            for cid, e in _typed(doc["components"], dict, "components").items()
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed 2-cell document: {exc}") from exc
@@ -494,8 +524,8 @@ def witnesses_from_doc(doc, m: int) -> list[WitnessSpan]:
     try:
         for entry in spans:
             chart = chart_from_doc(m, entry["chart"])
-            left = Embedding(chart.cid, entry["left"]["dst"], affine_from_doc(m, entry["left"], "leg"))
-            right = Embedding(chart.cid, entry["right"]["dst"], affine_from_doc(m, entry["right"], "leg"))
+            left = _embedding(m, chart.cid, entry["left"]["dst"], entry["left"], "leg")
+            right = _embedding(m, chart.cid, entry["right"]["dst"], entry["right"], "leg")
             out.append(WitnessSpan(chart, left, right))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed witness document: {exc}") from exc

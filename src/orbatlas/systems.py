@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atlas import Atlas, Embedding
+from .atlas import Atlas, Embedding, find_conjugator
 from .errors import (
     AtlasMismatchError,
     BoundaryMismatchError,
@@ -22,6 +22,7 @@ from .errors import (
     NoConjugatorError,
     NotUniqueError,
 )
+from .field import CycNum, sign_real
 from .geometry import AffineMap, PolyMap, ball_in_ball, map_ball, point_in_ball
 from .report import Report
 from .sampling import random_point_in_ball
@@ -35,8 +36,8 @@ class CompatibleSystem:
         self.src = src
         self.dst = dst
         self.theta = dict(theta)
-        self.assign = {key: e for key, e in assign.items()}
-        self.lifts = {cid: _as_poly(dst.conductor, mp) for cid, mp in lifts.items()}
+        self.assign = dict(assign)
+        self.lifts = dict(lifts)
         self._group_maps: dict[str, dict[AffineMap, AffineMap]] = {}
 
     def lift(self, cid: str) -> PolyMap:
@@ -77,23 +78,14 @@ class CompatibleSystem:
             return Embedding(ti, tj, self.group_map(e.src)[e.map])
         rep = self.src.reps[(e.src, e.dst)]
         assigned = self.assign[(e.src, e.dst)]
-        from .atlas import find_conjugator
-
         h = find_conjugator(self.src.chart(e.dst), rep.map, e.map)
         return Embedding(ti, tj, self.group_map(e.dst)[h].compose(assigned.map))
 
 
-def _as_poly(m: int, mp) -> PolyMap:
-    if isinstance(mp, AffineMap):
-        return PolyMap.from_affine(mp)
-    return mp
-
-
 def identity_system(atlas: Atlas) -> CompatibleSystem:
     theta = {cid: cid for cid in atlas.chart_ids()}
-    assign = {key: e for key, e in atlas.reps.items()}
     lifts = {cid: PolyMap.identity(atlas.conductor, atlas.dim) for cid in atlas.chart_ids()}
-    return CompatibleSystem(atlas, atlas, theta, assign, lifts)
+    return CompatibleSystem(atlas, atlas, theta, atlas.reps, lifts)
 
 
 def compose_compatible(g: CompatibleSystem, f: CompatibleSystem) -> CompatibleSystem:
@@ -149,8 +141,9 @@ def validate_compatible_system(
         ]
         inside = all(point_in_ball(lift(p), target.ball) for p in pts)
         rep.add(f"lift of {cid} maps witness points into the target ball", inside)
-        if lift.is_affine() and src.dim == dst.dim:
-            if not ball_in_ball(map_ball(lift.to_affine(), src.chart(cid).ball), target.ball):
+        aff = lift.to_affine()
+        if aff is not None:
+            if not ball_in_ball(map_ball(aff, src.chart(cid).ball), target.ball):
                 rep.warn(f"affine lift of {cid}: image ball not contained in the target")
         elif not _poly_ball_sufficient(lift, src.chart(cid).ball, target.ball):
             rep.warn(f"lift of {cid}: coefficient-norm containment bound not met")
@@ -198,8 +191,6 @@ def _poly_ball_sufficient(lift: PolyMap, src_ball, dst_ball) -> bool:
     """Conservative coefficient-norm condition for lift(src ball) inside the
     target ball; |t| is overestimated by (1 + |t|^2)/2 to stay in the real
     subfield, so a failure only downgrades to a warning."""
-    from .field import CycNum, sign_real
-
     m = lift.m
     half = Fraction(1, 2)
     zero = CycNum.rational(m, 0)
@@ -249,7 +240,7 @@ def validate_orb_nat_trans(delta: OrbNatTrans) -> Report:
     stored embedding and every chart group element."""
     rep = Report("atlas 2-cell")
     f1, f2 = delta.src_sys, delta.dst_sys
-    if f1.src is not f2.src or f1.dst is not f2.dst:
+    if not (_same_atlas(f1.src, f2.src) and _same_atlas(f1.dst, f2.dst)):
         rep.add("systems share source and target atlases", False)
         return rep
     src, dst = f1.src, f1.dst
@@ -282,6 +273,14 @@ def validate_orb_nat_trans(delta: OrbNatTrans) -> Report:
         rhs = cj.map.compose(f1.on_embedding(e).map)
         rep.add(f"naturality square for {i}->{j}", lhs == rhs)
     return rep
+
+
+def _same_atlas(a: Atlas, b: Atlas) -> bool:
+    """One atlas object, or two whose stored data are equal."""
+    return a is b or all(
+        getattr(a, k) == getattr(b, k)
+        for k in ("conductor", "dim", "charts", "reps", "oracle", "witnesses", "unit_points")
+    )
 
 
 def cells_equal(a: OrbNatTrans, b: OrbNatTrans) -> bool:
@@ -449,8 +448,6 @@ def rotation_system(atlas: Atlas, powers: dict[str, int]) -> CompatibleSystem:
 
 
 def _zeta_power(atlas: Atlas, power: int):
-    from .field import CycNum
-
     if atlas.dim == 0:
         return CycNum.rational(atlas.conductor, 1)
     return CycNum.zeta(atlas.conductor, 1) ** power

@@ -431,16 +431,14 @@ def multiplication_well_defined_report(
         # every group translate of the span is another valid completion:
         # move the marked point by h and precompose both legs with h^(-1)
         chart = atlas.chart(base_span.chart)
-        variants = []
-        for h in chart.group:
-            hinv = h.inverse()
-            left = Embedding(
-                base_span.left.src, base_span.left.dst, base_span.left.map.compose(hinv)
+        variants = [
+            Span(
+                base_span.chart,
+                h(base_span.point),
+                *(Embedding(e.src, e.dst, e.map.compose(h.inverse())) for e in (base_span.left, base_span.right)),
             )
-            right = Embedding(
-                base_span.right.src, base_span.right.dst, base_span.right.map.compose(hinv)
-            )
-            variants.append(Span(base_span.chart, h(base_span.point), left, right))
+            for h in chart.group
+        ]
         for span in variants[:completions]:
             assert p.right.map.compose(span.left.map) == q.left.map.compose(span.right.map)
             assert span.left(span.point) == p.point and span.right(span.point) == q.point

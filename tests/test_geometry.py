@@ -416,6 +416,29 @@ class TestPolyMap:
         f = rot(7).shift(Point.of(M, Fraction(1, 3)))
         assert PolyMap.from_affine(f).to_affine() == f
 
+    def test_affine_form_decided_from_coefficients(self):
+        f = rot(7).shift(Point.of(M, Fraction(1, 3)))
+        assert PolyMap(M, 1, 1, PolyMap.from_affine(f).coords).to_affine() == f
+
+    @pytest.mark.parametrize(
+        "mp",
+        [
+            PolyMap(M, 1, 1, [{(2,): 1}]),
+            PolyMap(M, 1, 2, [{(1,): 1}, {(1,): 1}]),
+            PolyMap(M, 2, 2, [{(1, 0): 1}, {(0, 1): 2}]),
+        ],
+        ids=["z^2", "1->2", "diag(1, 2)"],
+    )
+    def test_to_affine_none_off_similarities(self, mp):
+        assert mp.to_affine() is None
+        assert mp.to_affine() is None
+
+    def test_to_affine_kept(self):
+        f = rot(5)
+        assert PolyMap.from_affine(f).to_affine() is f
+        mp = PolyMap(M, 1, 1, [{(1,): zeta(5)}])
+        assert mp.to_affine() is mp.to_affine()
+
     def test_compose_with_affine(self):
         sq = PolyMap(M, 1, 1, [{(2,): 1}])
         pre = sq.compose(rot(4))

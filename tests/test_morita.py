@@ -121,6 +121,15 @@ class TestCheckMorita:
         # the unreached generic witness point is named
         assert any("unreached" in d for _, d in report.condition_i.failures())
 
+    def test_non_similarity_unit_map_fails_condition_i(self):
+        g = TranslationGroupoid(global_quotient(2, 2))
+        (comp,) = g.unit_components()
+        diag = PolyMap(g.conductor, 2, 2, [{(1, 0): 1}, {(0, 1): 2}])
+        mor = GroupoidMorphism(g, g, {comp.label: (comp.label, diag)}, lambda a: a)
+        report = check_morita(mor, samples=10, seed=0)
+        failed = [name for name, _ in report.condition_i.failures()]
+        assert "unit map is an invertible similarity per component" in failed
+
     def test_forgotten_identification_fails_fullness(self):
         # two trivial charts, glued in the big atlas but not in the small one:
         # the inclusion hits every point, yet the target has arrows that no
@@ -541,10 +550,8 @@ def _reference_hits_witness(m, w):
                 if mp(comp.ball.center) == z.point:
                     return True
                 continue
-            if not mp.is_affine():
-                continue
             aff = mp.to_affine()
-            if not aff.is_invertible():
+            if aff is None or not aff.is_invertible():
                 continue
             y = aff.inverse()(z.point)
             if point_in_ball(y, comp.ball) and mp(y) == z.point:

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from orbatlas.errors import ParseError
 from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum
-from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
+from orbatlas.gallery import cone, cone_pair, football, global_quotient, point_atlas, teardrop
+from orbatlas.geometry import AffineMap, Ball, Point, PolyMap
+from orbatlas.groupoids import ActionGroupoid
 from orbatlas.morita import pushforward_atlas
 from orbatlas.serialize import (
     _parse_frac,
@@ -27,15 +29,17 @@ from orbatlas.serialize import (
     cell_from_doc,
     cyc_from_doc,
     cyc_to_doc,
+    doc_hash,
     groupoid_from_doc,
     load_document,
+    parse_any,
     parse_atlas,
     serialize,
     system_from_doc,
     witnesses_from_doc,
     witnesses_to_doc,
 )
-from orbatlas.systems import rotation_fixture
+from orbatlas.systems import CompatibleSystem, rotation_fixture
 from orbatlas.translation import TranslationGroupoid
 
 
@@ -298,6 +302,65 @@ class TestParseErrors:
         doc["atlas_hash"] = "0" * 64
         with pytest.raises(ParseError):
             groupoid_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "source, path, value",
+        [
+            ("witnesses of cone_pair(3)", ("spans", 0, "right", "dst"), []),
+            ("system over cone(3)", ("src", "inline", "witnesses"), {}),
+            ("system over cone(3)", ("src", "inline", "oracle"), {}),
+            ("system over cone(3)", ("dst", "inline", "oracle", "params"), {"x": 1}),
+            ("system over cone(3)", ("src",), {"path": "missing.json"}),
+            ("system over cone(3)", ("theta", "cone3"), ["cone3"]),
+            ("system over cone(3)", ("theta", "cone3"), "nope"),
+            ("system over cone(3)", ("lifts",), []),
+            ("system over cone(3)", ("lifts",), {}),
+            ("system over cone(3)", ("lifts", "cone3", "coords", 0, 0, "exps", 0), -1),
+            ("system over cone(3)", ("lifts", "cone3", "coords", 0, 0, "coeff"), ["0/1"] * 3),
+            ("system over football(2, 3)", ("assignment", 0, "pair"), "ab"),
+            ("2-cell over cone(3)", ("components",), None),
+            ("translation groupoid of cone(3)", ("components", 0, "left", 1), False),
+            ("translation groupoid of cone(3)", ("atlas_hash",), None),
+            ("action groupoid of z/3", ("elements", 1, "label"), ["g1"]),
+            ("action groupoid of z/3", ("mult", "g1|g2"), "g7"),
+            ("action groupoid of z/3", ("inv",), []),
+            ("action groupoid of z/3", ("ball", "center"), []),
+        ],
+        ids=[
+            "witness-leg-to-a-list",
+            "witnesses-an-object",
+            "oracle-without-kind",
+            "oracle-params-of-another-kind",
+            "atlas-path-to-a-missing-file",
+            "theta-value-a-list",
+            "theta-value-unknown",
+            "lifts-a-list",
+            "lift-missing",
+            "negative-exponent",
+            "zero-term",
+            "assignment-pair-a-string",
+            "components-null",
+            "component-index-false",
+            "atlas-hash-null",
+            "label-a-list",
+            "mult-names-unknown-label",
+            "inv-a-list",
+            "ball-of-another-dimension",
+        ],
+    )
+    def test_mutant_found_by_the_fuzz_is_a_parse_error(self, source, path, value, tmp_path):
+        """Each of these once parsed to an object that re-serialized to other
+        bytes or raised another exception in `validate`."""
+        doc = json.loads(other_document(source))
+        _at(doc, path[:-1])[path[-1]] = value
+        rehash_inline_atlases(doc, path)
+        target = tmp_path / "mutant.json"
+        target.write_bytes(canonical_bytes(doc))
+        with pytest.raises(ParseError):
+            if doc["kind"] == "witnesses":
+                witnesses_from_doc(doc, 3)
+            else:
+                parse_any(target)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -764,3 +827,107 @@ class TestDocumentMutationFuzz:
             code = main(["validate", str(target), "--samples", "5"])
         assert code in (0, 1, 2)
         assert "internal error" not in err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_document_mutant_is_refused_or_canonical(self, data, cli_dir):
+        """The same over system, 2-cell, witness and groupoid documents, with
+        any node below the root as the mutated one (a coefficient string as
+        often as any other).  The hash of an inline atlas the mutant changes
+        is recomputed, so the mutation reaches the atlas parser; a mutated
+        witness document is read by `bijection --witness`."""
+        from orbatlas.cli import main
+
+        name = data.draw(st.sampled_from(sorted(DOCUMENT_SOURCES)), label="source")
+        mutant = json.loads(other_document(name))
+        paths = node_paths(mutant)
+        rationals = [p for p in paths if isinstance(_at(mutant, p), str) and RATIONAL_LEAF.fullmatch(_at(mutant, p))]
+        others = [p for p in paths if p not in rationals]
+        path = data.draw(st.sampled_from(rationals) | st.sampled_from(others), label="node")
+        value = data.draw(json_values, label="value")
+        _at(mutant, path[:-1])[path[-1]] = value
+        rehash_inline_atlases(mutant, path)
+        raw = canonical_bytes(mutant)
+        target = cli_dir / "mutant.json"
+        target.write_bytes(raw)
+        witnesses = mutant.get("kind") == "witnesses"
+        try:
+            if witnesses:
+                back = canonical_bytes(witnesses_to_doc(witnesses_from_doc(json.loads(raw), 3)))
+            else:
+                back = serialize(parse_any(target))
+        except ParseError:
+            pass
+        else:
+            assert back == raw
+        if witnesses:
+            pair = [cli_dir / "pair1.json", cli_dir / "pair2.json"]
+            for path, atlas in zip(pair, cone_pair(3)):
+                path.write_bytes(serialize(atlas))
+            argv = ["bijection", *map(str, pair), "--witness", str(target)]
+        else:
+            argv = ["validate", str(target)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--samples", "5"])
+        assert code in (0, 1, 2)
+        assert "internal error" not in err.getvalue()
+
+
+def _z3_action():
+    z = CycNum.zeta(3)
+    ball = Ball(Point.origin(3, 1), CycNum.rational(3, 1))
+    return ActionGroupoid(3, ball, [(f"g{k}", AffineMap.scaling(3, 1, z**k)) for k in range(3)])
+
+
+def _diag_system():
+    """The global_quotient(2, 2) endosystem lifted by diag(1/2, 1/4), an affine
+    map that is not a similarity."""
+    a = global_quotient(2, 2)
+    cid = a.chart_ids()[0]
+    diag = PolyMap(a.conductor, 2, 2, [{(1, 0): Fraction(1, 2)}, {(0, 1): Fraction(1, 4)}])
+    return serialize(CompatibleSystem(a, a, {cid: cid}, {}, {cid: diag}))
+
+
+DOCUMENT_SOURCES = {
+    "system over cone(3)": lambda: serialize(rotation_fixture(cone(3), random.Random(1)).f1),
+    "system over football(2, 3)": lambda: serialize(rotation_fixture(football(2, 3), random.Random(1)).f2),
+    "system lifted by diag(1/2, 1/4)": _diag_system,
+    "2-cell over cone(3)": lambda: serialize(rotation_fixture(cone(3), random.Random(1)).delta),
+    "witnesses of cone_pair(3)": lambda: canonical_bytes(witnesses_to_doc(cone_pair(3)[2])),
+    "translation groupoid of cone(3)": lambda: serialize(TranslationGroupoid(cone(3))),
+    "translation groupoid of football(2, 3)": lambda: serialize(TranslationGroupoid(football(2, 3))),
+    "action groupoid of z/3": lambda: serialize(_z3_action()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def other_document(name):
+    return DOCUMENT_SOURCES[name]()
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def node_paths(doc, path=()):
+    """The path to every node of a document below its root."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    return [p for key, value in items for p in [path + (key,), *node_paths(value, path + (key,))]]
+
+
+def rehash_inline_atlases(doc, path):
+    """Recompute the hash of the inline atlas (system reference "inline", or
+    groupoid "atlas") that path runs through, unless path is that hash."""
+    for depth, key in enumerate(path[:-1]):
+        parent = _at(doc, path[:depth])
+        hash_key = {"inline": "hash", "atlas": "atlas_hash"}.get(key)
+        if isinstance(parent, dict) and hash_key in parent:
+            parent[hash_key] = doc_hash(parent[key])

@@ -1,5 +1,6 @@
 """Compatible systems, their 2-cells, and the 2-category law suite."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -57,6 +58,14 @@ class TestCompatibleSystems:
         f = CompatibleSystem(a3, a3, {"cone3": "cone3"}, {}, {"cone3": shift})
         assert not validate_compatible_system(f).ok
 
+    def test_non_similarity_affine_lift_reported(self):
+        a = global_quotient(2, 2)
+        cid = a.chart_ids()[0]
+        diag = PolyMap(a.conductor, 2, 2, [{(1, 0): Fraction(1, 2)}, {(0, 1): Fraction(1, 4)}])
+        rep = validate_compatible_system(CompatibleSystem(a, a, {cid: cid}, {}, {cid: diag}))
+        assert rep.ok, rep.failures()
+        assert rep.warnings == [f"lift of {cid}: coefficient-norm containment bound not met"]
+
     def test_identity_is_unit(self, a3):
         f = square_system(a3)
         assert systems_equal(compose_compatible(f, identity_system(a3)), f)
@@ -105,6 +114,26 @@ class TestNatTrans:
         rep = validate_orb_nat_trans(delta)
         assert not rep.ok
         assert any("factors" in name for name, _ in rep.failures())
+
+    @pytest.mark.parametrize(
+        "make", [lambda: cone(3), lambda: football(2, 3)], ids=["cone3", "football23"]
+    )
+    def test_systems_parsed_apart_share_atlases_by_value(self, make):
+        from orbatlas.serialize import serialize, system_from_doc
+
+        fx = rotation_fixture(make(), random.Random(1))
+        f1, f2 = (system_from_doc(json.loads(serialize(f))) for f in (fx.f1, fx.f2))
+        assert f1.src is not f2.src
+        rep = validate_orb_nat_trans(OrbNatTrans(f1, f2, fx.delta.components))
+        assert rep.ok, rep.failures()
+
+    def test_systems_over_different_atlases_refused(self):
+        a, b = cone(3), cone(3, radius2=Fraction(1, 2))
+        f1 = rotation_system(a, {"cone3": 0})
+        f2 = rotation_system(b, {"cone3": 1})
+        z3 = Embedding("cone3", "cone3", AffineMap.scaling(a.conductor, 1, CycNum.zeta(3)))
+        rep = validate_orb_nat_trans(OrbNatTrans(f1, f2, {"cone3": z3}))
+        assert [name for name, _ in rep.failures()] == ["systems share source and target atlases"]
 
     def test_vertical_composition(self, a3):
         f = [rotation_system(a3, {"cone3": k}) for k in range(3)]
