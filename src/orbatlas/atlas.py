@@ -9,8 +9,9 @@ an atlas keeps "all possible embeddings" in finite storage.
 
 Two chart points are identified exactly when some chart embeds into both charts
 carrying one marked point to each.  ``Atlas.refine`` and ``Atlas.locate`` are
-the one place that decides this: a search over ``Atlas.transports``, then the
-spans recorded in the atlas's oracle record (``orbatlas.oracles``), if any.
+the one place that decides this: a search over the invertible legs into the
+first chart (``Atlas._legs``), then the spans recorded in the atlas's oracle
+record (``orbatlas.oracles``), if any.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ class Atlas:
         }
         self._family_cache: dict[tuple[str, str], tuple[Embedding, ...]] = {}
         self._position_cache: dict[tuple[str, str], dict[AffineMap, int]] = {}
+        self._leg_cache: dict[str, tuple[tuple[str, Embedding, Ball], ...]] = {}
         self._transport_cache: dict[tuple[str, str], tuple[Transport, ...]] = {}
         self._label_cache: dict[tuple[str, str], tuple[tuple[int | None, ...], ...]] = {}
 
@@ -175,28 +177,34 @@ class Atlas:
         self._family_cache[key] = fam
         return fam
 
+    def _legs(self, ca: str) -> tuple[tuple[str, Embedding, Ball], ...]:
+        """(k, left, left(ball of k)) for every invertible embedding left of a
+        chart k into ca: k in chart order, then family order.  The span search
+        walks this table; built on first use and cached per chart."""
+        cached = self._leg_cache.get(ca)
+        if cached is None:
+            cached = self._leg_cache[ca] = tuple(
+                (k, left, map_ball(left.map, chart.ball))
+                for k, chart in self.charts.items()
+                for left in self.family(k, ca)
+                if left.map.is_invertible()
+            )
+        return cached
+
     def transports(self, ca: str, cb: str) -> tuple[Transport, ...]:
-        """Every transition from chart ca to chart cb: k in chart order, then
-        the invertible left legs k -> ca, then the right legs k -> cb, both in
-        family order.  The span search, the common refinement and the
-        translation groupoid's reconstruction data all read this one table."""
+        """Every transition right . left^(-1) from chart ca to chart cb: the
+        legs into ca in ``_legs`` order, then the right legs k -> cb in family
+        order.  The common refinement, ``multiply`` and the translation
+        groupoid's reconstruction data read this table."""
         key = (ca, cb)
         cached = self._transport_cache.get(key)
-        if cached is not None:
-            return cached
-        table = []
-        for k, chart in self.charts.items():
-            rights = self.family(k, cb)
-            for left in self.family(k, ca):
-                if not left.map.is_invertible():
-                    continue
-                inv = left.map.inverse()
-                domain = map_ball(left.map, chart.ball)
-                table.extend(
-                    Transport(k, left, right, right.map.compose(inv), domain) for right in rights
-                )
-        out = self._transport_cache[key] = tuple(table)
-        return out
+        if cached is None:
+            cached = self._transport_cache[key] = tuple(
+                Transport(k, left, right, right.map.compose(left.map.inverse()), domain)
+                for k, left, domain in self._legs(ca)
+                for right in self.family(k, cb)
+            )
+        return cached
 
     def family_from(self, src: str) -> list[Embedding]:
         return [e for dst in self.charts for e in self.family(src, dst)]
@@ -248,17 +256,20 @@ class Atlas:
     def refine(self, ci: str, x: Point, cj: str, y: Point) -> Span | None:
         """A span identifying (ci, x) with (cj, y), or None.
 
-        First the search: some transport from ci to cj defined at x carries it
-        to y; for a valid atlas the stored families realize every
-        identification in one step.  Then the recorded spans, either way
-        round, possibly after moving the span point by a span-chart element.
+        First the search: over the legs left : k -> ci whose image holds x,
+        in table order, the first right : k -> cj with right(left^(-1)(x)) ==
+        y, which is the first transport from ci to cj carrying x to y; for a
+        valid atlas the stored families realize every identification in one
+        step.  Then the recorded spans, either way round, possibly after moving
+        the span point by a span-chart element.
         """
-        left = None
-        for t in self.transports(ci, cj):
-            if t.left is not left:
-                left, inside = t.left, point_in_ball(x, t.domain)
-            if inside and t.map(x) == y:
-                return Span(t.k, left.map.inverse()(x), left, t.right)
+        for k, left, domain in self._legs(ci):
+            rights = self.family(k, cj)
+            if rights and point_in_ball(x, domain):
+                z = left.map.inverse()(x)
+                for right in rights:
+                    if right(z) == y:
+                        return Span(k, z, left, right)
         for span in self.oracle.spans or ():
             for left, right in ((span.left, span.right), (span.right, span.left)):
                 if left.dst != ci or right.dst != cj:
@@ -271,16 +282,14 @@ class Atlas:
 
     def locate(self, ci: str, x: Point, cj: str) -> Point | None:
         """Some point of chart cj identified with (ci, x), or None: the same
-        search, then the recorded spans forwards, then backwards."""
+        search, answering with the first right leg k -> cj at the first leg
+        holding x, then the recorded spans forwards, then backwards."""
         if ci == cj:
             return x
-        left = None
-        for t in self.transports(ci, cj):
-            # the first transport of each left leg uses the first right leg
-            if t.left is not left:
-                left = t.left
-                if point_in_ball(x, t.domain):
-                    return t.map(x)
+        for k, left, domain in self._legs(ci):
+            rights = self.family(k, cj)
+            if rights and point_in_ball(x, domain):
+                return rights[0](left.map.inverse()(x))
         spans = self.oracle.spans or ()
         legs = [(s, s.left, s.right) for s in spans] + [(s, s.right, s.left) for s in spans]
         for span, left, right in legs:
@@ -368,11 +377,7 @@ def embedding_conditions(f: AffineMap, src: Chart, dst: Chart) -> tuple[bool, bo
     group with no h in dst's group such that f . g = h . f (empty when f is
     equivariant)."""
     inside = ball_in_ball(map_ball(f, src.ball), dst.ball)
-    missing = []
-    for g in src.group:
-        lhs = f.compose(g)
-        if not any(h.compose(f) == lhs for h in dst.group):
-            missing.append(g)
+    missing = [g for g in src.group if not _after(dst.group, f, f.compose(g))]
     return f.is_invertible(), inside, missing
 
 
@@ -391,7 +396,7 @@ def validate_embedding(e: Embedding, atlas: Atlas) -> Report:
 
 def find_conjugator(dst_chart: Chart, lam: AffineMap, mu: AffineMap) -> AffineMap:
     """The unique h in the target group with mu = h . lam."""
-    found = [h for h in dst_chart.group if h.compose(lam) == mu]
+    found = _after(dst_chart.group, lam, mu)
     if not found:
         raise NoConjugatorError(
             f"no element of G_{dst_chart.cid} carries the first map to the second"
@@ -418,12 +423,30 @@ def overlap_transport(e: Embedding, h: AffineMap, atlas: Atlas) -> AffineMap | N
     image = map_ball(e.map, src.ball)
     if balls_disjoint(map_ball(h, image), image):
         return None
-    for g in src.group:
-        if e.map.compose(g) == h.compose(e.map):
-            return g
-    raise InvalidAtlasError(
-        f"{h!r} meets the image of {e!r} but is not induced by the source group"
-    )
+    found = _before(src.group, e.map, h.compose(e.map))
+    if not found:
+        raise InvalidAtlasError(
+            f"{h!r} meets the image of {e!r} but is not induced by the source group"
+        )
+    return found[0]
+
+
+def _after(group, lam: AffineMap, mu: AffineMap) -> list[AffineMap]:
+    """The h in group with h . lam == mu, in group order: those equal to the
+    one solution mu . lam^(-1) when lam is invertible, else a scan."""
+    if lam.is_invertible():
+        w = mu.compose(lam.inverse())
+        return [h for h in group if h == w]
+    return [h for h in group if h.compose(lam) == mu]
+
+
+def _before(group, lam: AffineMap, mu: AffineMap) -> list[AffineMap]:
+    """The g in group with lam . g == mu, in group order: those equal to the
+    one solution lam^(-1) . mu when lam is invertible, else a scan."""
+    if lam.is_invertible():
+        w = lam.inverse().compose(mu)
+        return [g for g in group if g == w]
+    return [g for g in group if lam.compose(g) == mu]
 
 
 def _short_hash(*parts: str) -> str:
@@ -498,15 +521,10 @@ def common_span(
     if g.is_identity():
         left = raw.left
     else:
-        span_chart = atlas.chart(raw.chart)
-        fixed = None
-        for h in stabilizer(span_chart, raw.point):
-            if alpha.compose(h) == g.compose(alpha):
-                fixed = h
-                break
-        if fixed is None:
+        fixed = _before(stabilizer(atlas.chart(raw.chart), raw.point), alpha, g.compose(alpha))
+        if not fixed:
             raise InvalidAtlasError("no stabilizer element repairs the span")
-        left = Embedding(raw.left.src, raw.left.dst, raw.left.map.compose(fixed))
+        left = Embedding(raw.left.src, raw.left.dst, raw.left.map.compose(fixed[0]))
     span = Span(raw.chart, raw.point, left, raw.right)
     # postcondition: both squares commute on maps and on marked points
     if lam_nl.map.compose(span.left.map) != lam_pl.map.compose(span.right.map):

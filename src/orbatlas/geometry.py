@@ -118,11 +118,17 @@ class AffineMap:
 
     @property
     def factor(self) -> CycNum:
-        """lambda with A^H A = lambda * Id; None in dimension 0."""
-        return self._factor
+        """lambda with A^H A = lambda * Id; None in dimension 0.  A composite
+        leaves it unset, and the first read takes the squared norm of the first
+        column, sum_k |a_k0|^2, which is lambda exactly."""
+        lam = self._factor
+        if lam is None and self.dim:
+            col = [row[0] for row in self.a]
+            lam = self._factor = _dot(_ZERO[self.b.coords[0].m], [c.conj() for c in col], col)
+        return lam
 
     def is_invertible(self) -> bool:
-        return self.dim == 0 or not self._factor.is_zero()
+        return self.dim == 0 or not self.factor.is_zero()
 
     def is_identity(self) -> bool:
         if any(not c.is_zero() for c in self.b.coords):
@@ -152,8 +158,8 @@ class AffineMap:
 
     @classmethod
     def _make(cls, a, b: Point, factor) -> AffineMap:
-        """Trusted constructor for maps whose similarity factor is already
-        known (composites and inverses of validated similarities)."""
+        """Trusted constructor for composites and inverses of validated
+        similarities; factor None leaves the factor to its first read."""
         obj = cls.__new__(cls)
         obj.a = a
         obj.b = b
@@ -202,7 +208,7 @@ class AffineMap:
         zero = _ZERO[self.b.coords[0].m]
         cols = tuple(zip(*other.a))
         a = tuple(tuple(_dot(zero, row, col) for col in cols) for row in self.a)
-        return AffineMap._make(a, self(other.b), self._factor * other._factor)
+        return AffineMap._make(a, self(other.b), None)
 
     def inverse(self) -> AffineMap:
         """Exact inverse; uses A^{-1} = A^H / lambda for similarities."""
@@ -213,7 +219,7 @@ class AffineMap:
         if not self.is_invertible():
             raise ZeroDivisionError("affine map with zero similarity factor")
         n = self.dim
-        inv_lam = self._factor.inv()
+        inv_lam = self.factor.inv()
         ainv = tuple(
             tuple(self.a[j][i].conj() * inv_lam for j in range(n)) for i in range(n)
         )
@@ -401,23 +407,7 @@ class PolyMap:
 
     @classmethod
     def from_affine(cls, f: AffineMap) -> PolyMap:
-        n = f.dim
-        m = f.b.coords[0].m if n else 1
-        coords = []
-        for i in range(n):
-            poly = {}
-            zero_exp = (0,) * n
-            if not f.b.coords[i].is_zero():
-                poly[zero_exp] = f.b.coords[i]
-            for j in range(n):
-                if not f.a[i][j].is_zero():
-                    e = [0] * n
-                    e[j] = 1
-                    poly[tuple(e)] = f.a[i][j]
-            coords.append(poly)
-        obj = cls(m, n, n, coords)
-        obj._affine = f
-        return obj
+        return _poly_of_affine(f, f.b.coords[0].m if f.dim else 1)
 
     @classmethod
     def identity(cls, m: int, dim: int) -> PolyMap:
@@ -465,6 +455,9 @@ class PolyMap:
     def __call__(self, p: Point) -> Point:
         if p.dim != self.dim_in:
             raise DimensionMismatchError("point dimension mismatch")
+        aff = self.to_affine()
+        if aff is not None:
+            return aff(p)
         out = []
         for poly in self.coords:
             acc = CycNum.rational(self.m, 0)
@@ -478,7 +471,13 @@ class PolyMap:
         return Point(tuple(out))
 
     def compose(self, other: PolyMap | AffineMap) -> PolyMap:
-        """self after other, by substituting other's coordinates into self."""
+        """self after other: the composite of the two affine forms when both
+        are similarities, else by substituting other's coordinates into self.
+        The result has self's conductor either way."""
+        aff = self.to_affine()
+        other_aff = other if isinstance(other, AffineMap) else other.to_affine()
+        if aff is not None and other_aff is not None and aff.dim == other_aff.dim:
+            return _poly_of_affine(aff.compose(other_aff), self.m)
         if isinstance(other, AffineMap):
             other = PolyMap.from_affine(other)
         if other.dim_out != self.dim_in:
@@ -500,6 +499,22 @@ class PolyMap:
     def then(self, f: AffineMap) -> PolyMap:
         """f after self (post-compose with an affine map)."""
         return PolyMap.from_affine(f).compose(self)
+
+
+def _poly_of_affine(f: AffineMap, m: int) -> PolyMap:
+    """The polynomial map of f over conductor m, with f kept as its affine
+    form; the coordinates are built already clean, so __init__ is skipped."""
+    n = f.dim
+    zero_exp = (0,) * n
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    coords = []
+    for bi, row in zip(f.b.coords, f.a):
+        poly = {zero_exp: bi} if not bi.is_zero() else {}
+        poly.update((e, c) for e, c in zip(units, row) if not c.is_zero())
+        coords.append(poly)
+    obj = PolyMap.__new__(PolyMap)
+    obj.m, obj.dim_in, obj.dim_out, obj.coords, obj._affine = m, n, n, tuple(coords), f
+    return obj
 
 
 def solve_linear(a: list[list[CycNum]], b: list[CycNum]) -> list[CycNum] | None:

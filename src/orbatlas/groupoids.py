@@ -247,49 +247,62 @@ def _identity_like(g: AffineMap) -> AffineMap:
 
 def check_groupoid_axioms(g: GroupoidPresentation, samples: int = 200, seed: int = 0) -> Report:
     """Internal-groupoid axioms plus the inversion-of-products identity, checked
-    exactly on sampled units, arrows, composable pairs and triples."""
+    exactly on sampled units, arrows, composable pairs and triples.  A product
+    that is not composable fails its axiom, and the detail names the first
+    sample where that happened."""
     rng = random.Random(seed)
-    rep = Report("groupoid axioms")
     eq = g.arrow_equal
     ueq = g.unit_equal
-    ok_e = ok_st = ok_assoc = ok_unit = ok_inv = ok_lemma = True
-    for _ in range(samples):
+    section, ends, assoc, unit, inv, lemma = names = (
+        "identity is a section of source and target",
+        "source/target of products",
+        "associativity",
+        "unit laws",
+        "inverse laws",
+        "inverse of a product is the reversed product of inverses",
+    )
+    ok = dict.fromkeys(names, True)
+    detail = dict.fromkeys(names, "")
+
+    def attempt(name, i, step):
+        """step(), or None after failing name when a product in it is not
+        composable."""
+        try:
+            return step()
+        except NotComposableError as exc:
+            ok[name] = False
+            detail[name] = detail[name] or f"sample {i}: {exc}"
+            return None
+
+    def holds(name, i, test) -> None:
+        if not attempt(name, i, test):
+            ok[name] = False
+
+    for i in range(samples):
         u = g.random_unit(rng)
         e = g.identity(u)
-        if not (ueq(g.source(e), u) and ueq(g.target(e), u)):
-            ok_e = False
+        holds(section, i, lambda: ueq(g.source(e), u) and ueq(g.target(e), u))
         a, b = g.random_composable_pair(rng)
-        ab = g.multiply(a, b)
-        if not (ueq(g.source(ab), g.source(a)) and ueq(g.target(ab), g.target(b))):
-            ok_st = False
+        ab = attempt(ends, i, lambda: g.multiply(a, b))
+        if ab is not None:
+            holds(ends, i, lambda: ueq(g.source(ab), g.source(a)) and ueq(g.target(ab), g.target(b)))
         c = rng.choice(g.arrows_from(g.target(b)))
-        if not eq(g.multiply(g.multiply(a, b), c), g.multiply(a, g.multiply(b, c))):
-            ok_assoc = False
-        if not eq(g.multiply(g.identity(g.source(a)), a), a):
-            ok_unit = False
-        if not eq(g.multiply(a, g.identity(g.target(a))), a):
-            ok_unit = False
+        holds(assoc, i, lambda: eq(g.multiply(g.multiply(a, b), c), g.multiply(a, g.multiply(b, c))))
+        holds(unit, i, lambda: eq(g.multiply(g.identity(g.source(a)), a), a))
+        holds(unit, i, lambda: eq(g.multiply(a, g.identity(g.target(a))), a))
         ia = g.inverse(a)
-        if not eq(g.inverse(ia), a):
-            ok_inv = False
+        holds(inv, i, lambda: eq(g.inverse(ia), a))
         if not (ueq(g.source(ia), g.target(a)) and ueq(g.target(ia), g.source(a))):
-            ok_inv = False
+            ok[inv] = False
         else:
-            if not eq(g.multiply(a, ia), g.identity(g.source(a))):
-                ok_inv = False
-            if not eq(g.multiply(ia, a), g.identity(g.target(a))):
-                ok_inv = False
-        try:
-            if not eq(g.multiply(g.inverse(b), g.inverse(a)), g.inverse(ab)):
-                ok_lemma = False
-        except NotComposableError:
-            ok_lemma = False
-    rep.add("identity is a section of source and target", ok_e)
-    rep.add("source/target of products", ok_st)
-    rep.add("associativity", ok_assoc)
-    rep.add("unit laws", ok_unit)
-    rep.add("inverse laws", ok_inv)
-    rep.add("inverse of a product is the reversed product of inverses", ok_lemma)
+            holds(inv, i, lambda: eq(g.multiply(a, ia), g.identity(g.source(a))))
+            holds(inv, i, lambda: eq(g.multiply(ia, a), g.identity(g.target(a))))
+        holds(lemma, i, lambda: eq(
+            g.multiply(g.inverse(b), g.inverse(a)), g.inverse(ab if ab is not None else g.multiply(a, b))
+        ))
+    rep = Report("groupoid axioms")
+    for name in names:
+        rep.add(name, ok[name], detail[name])
     return rep
 
 

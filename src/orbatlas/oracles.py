@@ -3,7 +3,7 @@
 In a reduced atlas two chart points are identified exactly when some chart
 embeds into both charts carrying one marked point to each, so the stored charts
 and embeddings already determine every identification.  ``Atlas.refine`` and
-``Atlas.locate`` answer all of them, by a search over ``Atlas.transports`` and
+``Atlas.locate`` answer all of them, by a search over the stored embeddings and
 then over the spans recorded here; this module holds document data only.
 """
 

@@ -46,7 +46,9 @@ class CompatibleSystem:
     def group_map(self, cid: str) -> dict[AffineMap, AffineMap]:
         """g -> f(g) on the chart group, pinned by lift . g = f(g) . lift.
 
-        Each side is composed once: h . lift for every target element h, and
+        When the lift is an invertible similarity L of positive dimension,
+        f(g) is the target element equal to L . g . L^(-1).  Otherwise each
+        side is composed once: h . lift for every target element h, and
         lift . g for every source element g, which is then matched against
         those images."""
         cached = self._group_maps.get(cid)
@@ -55,11 +57,22 @@ class CompatibleSystem:
         chart = self.src.chart(cid)
         target = self.dst.chart(self.theta[cid])
         lift = self.lift(cid)
-        images = [(h, lift.then(h)) for h in target.group]
+        aff = lift.to_affine()
+        if aff is not None and aff.dim and aff.is_invertible():
+            inv = aff.inverse()
+
+            def solve(g):
+                w = aff.compose(g).compose(inv)
+                return [h for h in target.group if h == w]
+        else:
+            images = [(h, lift.then(h)) for h in target.group]
+
+            def solve(g):
+                lhs = lift.compose(g)
+                return [h for h, image in images if image == lhs]
         table = {}
         for g in chart.group:
-            lhs = lift.compose(g)
-            hits = [h for h, image in images if image == lhs]
+            hits = solve(g)
             if not hits:
                 raise NoConjugatorError(
                     f"no target element tracks {g!r} through the lift of {cid}"

@@ -12,6 +12,7 @@ from orbatlas.atlas import (
     Embedding,
     Span,
     common_span,
+    embedding_conditions,
     find_conjugator,
     has_trivial_stabilizer,
     induced_homomorphism,
@@ -25,13 +26,23 @@ from orbatlas.atlas import (
 from orbatlas.errors import (
     InvalidAtlasError,
     NoConjugatorError,
+    NotUniqueError,
     OracleRefusedError,
     PointOutsideDomainError,
 )
 from orbatlas.field import CycNum
-from orbatlas.gallery import cone, football, global_quotient, rotation_group, teardrop
+from orbatlas.gallery import (
+    cone,
+    cone_pair,
+    football,
+    global_quotient,
+    pushforward_pair,
+    rotation_group,
+    teardrop,
+    teardrop_pair,
+)
 from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, point_in_ball
-from orbatlas.morita import pushforward_atlas
+from orbatlas.morita import common_refinement, pushforward_atlas, union_atlas
 from orbatlas.oracles import Oracle
 from orbatlas.sampling import random_chart_point
 
@@ -125,6 +136,73 @@ class TestConjugator:
         assert len({hash(f) for f in images}) == len(chart.group)
         for h in chart.group:
             assert find_conjugator(chart, inc.map, h.compose(inc.map)) == h
+
+
+def _reference_find_conjugator(dst_chart, lam, mu):
+    """The former find_conjugator: one composite h . lam per group element."""
+    found = [h for h in dst_chart.group if h.compose(lam) == mu]
+    if not found:
+        raise NoConjugatorError(f"no element of G_{dst_chart.cid} carries the first map to the second")
+    if len(found) > 1:
+        raise NotUniqueError(f"{len(found)} conjugators found; chart is not reduced")
+    return found[0]
+
+
+def _conjugator_outcome(fn):
+    try:
+        return fn()
+    except (NoConjugatorError, NotUniqueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestConjugatorSolve:
+    """find_conjugator solves h = mu . lam^(-1) once for an invertible lam and
+    scans h . lam otherwise; both fail exactly as the scan did."""
+
+    CHARTS = {
+        "reduced": Chart("c", Ball.of(M, [0], 1), tuple(zrot(k) for k in (0, 4, 8))),
+        "zeta listed twice": Chart("dup", Ball.of(M, [0], 1), (zrot(0), zrot(4), zrot(8), zrot(4))),
+    }
+    LAMS = {
+        "similarity": AffineMap.scaling(M, 1, CycNum.zeta(M, 1) * Fraction(1, 2)).shift(Point.of(M, Fraction(1, 5))),
+        "constant at the fixed point": AffineMap.scaling(M, 1, 0),
+        "constant off it": AffineMap.scaling(M, 1, 0).shift(Point.of(M, Fraction(1, 3))),
+    }
+
+    @pytest.mark.parametrize("chart", CHARTS.values(), ids=CHARTS.keys())
+    @pytest.mark.parametrize("lam", LAMS.values(), ids=LAMS.keys())
+    def test_outcomes_match_the_scan(self, chart, lam):
+        shift = AffineMap.translation(M, Point.of(M, Fraction(1, 7)))
+        mus = [h.compose(lam) for h in chart.group] + [shift.compose(lam), zrot(2).compose(lam)]
+        for mu in mus:
+            got = _conjugator_outcome(lambda: find_conjugator(chart, lam, mu))
+            assert got == _conjugator_outcome(lambda: _reference_find_conjugator(chart, lam, mu))
+
+    def test_failures_name_the_chart(self):
+        lam = self.LAMS["similarity"]
+        with pytest.raises(NotUniqueError, match="^2 conjugators found; chart is not reduced$"):
+            find_conjugator(self.CHARTS["zeta listed twice"], lam, zrot(4).compose(lam))
+        with pytest.raises(NoConjugatorError, match="^no element of G_c carries the first map to the second$"):
+            find_conjugator(self.CHARTS["reduced"], lam, zrot(2).compose(lam))
+        # a constant lam at a point every element fixes: the scan finds them all
+        flat = self.LAMS["constant at the fixed point"]
+        with pytest.raises(NotUniqueError, match="^3 conjugators found"):
+            find_conjugator(self.CHARTS["reduced"], flat, flat)
+        off = self.LAMS["constant off it"]
+        assert find_conjugator(self.CHARTS["reduced"], off, zrot(8).compose(off)) == zrot(8)
+
+    def test_embedding_conditions_and_overlap_transport(self, cone3_m12):
+        chart = cone3_m12.chart("cone3")
+        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
+        assert embedding_conditions(inc.map, sub, chart) == (True, True, [])
+        # a trivial target group misses every element but the identity
+        trivial = Chart("t", Ball.of(M, [0], 1), (zrot(0),))
+        assert embedding_conditions(inc.map, sub, trivial)[2] == [g for g in sub.group if not g.is_identity()]
+        flat = Embedding(sub.cid, "cone3", AffineMap.scaling(M, 1, 0))
+        assert embedding_conditions(flat.map, sub, chart) == (False, True, [])
+        atlas = Atlas(M, 1, [chart, sub], [inc])
+        for h in chart.group:
+            assert overlap_transport(inc, h, atlas) == next(g for g in sub.group if g == h)
 
 
 class TestInducedHomomorphism:
@@ -344,6 +422,41 @@ def _span_key(span):
     return (span.chart, span.point, span.left.dst, span.left.map, span.right.dst, span.right.map)
 
 
+def _reference_transports(atlas, ca, cb):
+    """The former build of transports(ca, cb), written out: k in chart order,
+    the invertible left legs k -> ca, then the right legs k -> cb."""
+    table = []
+    for k, chart in atlas.charts.items():
+        rights = atlas.family(k, cb)
+        for left in atlas.family(k, ca):
+            if not left.map.is_invertible():
+                continue
+            inv = left.map.inverse()
+            domain = map_ball(left.map, chart.ball)
+            table.extend((k, left, right, right.map.compose(inv), domain) for right in rights)
+    return table
+
+
+def _refinement_atlases(pair):
+    """The common refinement of an equivalent pair and its two union atlases."""
+    u1, u2, witnesses = pair
+    ref = common_refinement(u1, u2, witnesses)
+    return (ref.atlas, union_atlas(u1, ref.atlas, ref.into_first), union_atlas(u2, ref.atlas, ref.into_second))
+
+
+_LEG_TABLE_ATLASES = {
+    f"{name}-{part}": (lambda pair=pair, i=i: _refinement_atlases(pair())[i])
+    for name, pair in (
+        ("cone3", lambda: cone_pair(3)),
+        ("teardrop3", lambda: teardrop_pair(3)),
+        ("push-football23", lambda: pushforward_pair(football(2, 3))),
+    )
+    for i, part in enumerate(("refinement", "union1", "union2"))
+}
+_LEG_TABLE_ATLASES["table"] = lambda: _two_disc_table_atlas()[0]
+_LEG_TABLE_ATLASES["table-3"] = lambda: _three_disc_table_atlas()[0]
+
+
 class TestTransportTable:
     @pytest.mark.parametrize(
         "make",
@@ -357,7 +470,7 @@ class TestTransportTable:
         ids=["cone3", "cone6", "football23", "teardrop3", "cone4-m12"],
     )
     def test_span_search_matches_reference(self, make):
-        # the span search reads the transport table but picks the same first
+        # the span search walks the leg table but picks the same first
         # span and the same located point as the direct triple loop
         atlas = make()
         rng = random.Random(23)
@@ -393,6 +506,51 @@ class TestTransportTable:
                     assert t.map == t.right.map.compose(t.left.map.inverse())
                     assert t.domain == map_ball(t.left.map, atlas.chart(t.k).ball)
                 assert atlas.transports(ca, cb) is table
+
+    @pytest.mark.parametrize("make", _LEG_TABLE_ATLASES.values(), ids=_LEG_TABLE_ATLASES.keys())
+    def test_transport_records_match_the_composite_build(self, make):
+        # the table built over the leg table keeps every record of the former
+        # build: k, both legs, the map and the domain, in order
+        atlas = make()
+        for ca in atlas.chart_ids():
+            for cb in atlas.chart_ids():
+                got = [(t.k, t.left, t.right, t.map, t.domain) for t in atlas.transports(ca, cb)]
+                assert got == _reference_transports(atlas, ca, cb)
+
+    @pytest.mark.parametrize("make", _LEG_TABLE_ATLASES.values(), ids=_LEG_TABLE_ATLASES.keys())
+    def test_leg_search_matches_the_composite_table_walk(self, make):
+        # refine and locate walk the legs into ci; the former answers walked
+        # the composite table transports(ci, cj), then the recorded spans
+        atlas = make()
+        reference = _ReferenceSpanTable(atlas.oracle.spans or ())
+        rng = random.Random(37)
+        queries = []
+        for _ in range(12):
+            ci = rng.choice(atlas.chart_ids())
+            queries.append((ci, random_chart_point(rng, atlas, ci)))
+        queries += [(cid, atlas.chart(cid).ball.center) for cid in atlas.chart_ids()]
+        for span in atlas.oracle.spans or ():
+            for g in atlas.chart(span.chart).group:
+                z = g(span.point)
+                queries += [(span.left.dst, span.left(z)), (span.right.dst, span.right(z))]
+        hits = same_chart = 0
+        for ci, x in queries:
+            for cj in atlas.chart_ids():
+                y = atlas.locate(ci, x, cj)
+                assert y == reference.locate(atlas, ci, x, cj)
+                targets = [random_chart_point(rng, atlas, cj)]
+                if y is not None:
+                    targets += [g(y) for g in atlas.chart(cj).group]
+                if ci == cj:
+                    targets += [g(x) for g in atlas.chart(ci).group]
+                for t in targets:
+                    span = atlas.refine(ci, x, cj, t)
+                    assert _span_key(span) == _span_key(reference.refine(atlas, ci, x, cj, t))
+                    hits += span is not None
+                    same_chart += span is not None and ci == cj
+        # across charts only where a representative or a recorded span relates two
+        assert same_chart > 0
+        assert (hits > same_chart) == bool(atlas.reps or atlas.oracle.spans)
 
 
 def _two_disc_table_atlas():

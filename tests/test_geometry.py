@@ -466,3 +466,196 @@ class TestLinearSolve:
         zero = CycNum.rational(M, 0)
         one = CycNum.rational(M, 1)
         assert solve_linear([[zero]], [one]) is None
+
+
+def seeded_similarity(rng, m, dim):
+    """z -> P D z + b as in ``similarities``, drawn from a seeded Random: D
+    has entries +-zeta^k s for one rational s > 0 (s = 0 on one draw in
+    eight); in dimension 2 also quaternion maps."""
+
+    def scalar():
+        return CycNum(m, [Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3, 8))) for _ in range(_degree(m))])
+
+    b = tuple(scalar() for _ in range(dim))
+    if dim == 2 and rng.random() < 0.3:
+        return quaternion_map(scalar(), scalar(), b)
+    s = 0 if rng.random() < 0.125 else Fraction(rng.randint(1, 6), rng.randint(1, 4))
+    perm = rng.sample(range(dim), dim)
+    zero = CycNum.rational(m, 0)
+    rows = []
+    for i in range(dim):
+        entry = CycNum.zeta(m, rng.randrange(m)) * (rng.choice((1, -1)) * s)
+        rows.append(tuple(entry if j == perm[i] else zero for j in range(dim)))
+    return AffineMap(tuple(rows), Point(b))
+
+
+class TestLazyFactor:
+    """A composite's similarity factor is derived on first read from its first
+    column; it equals the product of the factors, which compose used to form."""
+
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_factor_is_the_product(self, m, dim):
+        import random
+
+        rng = random.Random(1000 * m + dim)
+        ball = Ball(Point(tuple(CycNum.rational(m, Fraction(k, 5)) for k in range(dim))), CycNum.rational(m, Fraction(3, 7)))
+        for _ in range(6):
+            f, g, h = (seeded_similarity(rng, m, dim) for _ in range(3))
+            fg = f.compose(g)
+            fgh = fg.compose(h)
+            assert fg.factor == f.factor * g.factor
+            assert fgh.factor == f.factor * g.factor * h.factor
+            assert f.compose(g.compose(h)).factor == fgh.factor
+            image = map_ball(fgh, ball)
+            assert image.center == f(g(h(ball.center)))
+            assert image.r2 == f.factor * g.factor * h.factor * ball.r2
+            assert fg.is_invertible() == (f.is_invertible() and g.is_invertible())
+            if fg.is_invertible():
+                assert fg.inverse().factor == (f.factor * g.factor).inv()
+                assert fg.compose(fg.inverse()).is_identity()
+
+    def test_dimension_zero_has_no_factor(self):
+        f = AffineMap((), Point(()))
+        assert f.compose(f).factor is None and f.compose(f).is_invertible()
+
+
+def _reference_from_affine(f):
+    """The former PolyMap.from_affine, written out."""
+    n = f.dim
+    m = f.b.coords[0].m if n else 1
+    coords = []
+    for i in range(n):
+        poly = {}
+        if not f.b.coords[i].is_zero():
+            poly[(0,) * n] = f.b.coords[i]
+        for j in range(n):
+            if not f.a[i][j].is_zero():
+                e = [0] * n
+                e[j] = 1
+                poly[tuple(e)] = f.a[i][j]
+        coords.append(poly)
+    return PolyMap(m, n, n, coords)
+
+
+def _reference_poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return out
+
+
+def _reference_compose(p, other):
+    """The former PolyMap.compose: substitute other's coordinates into p."""
+    if isinstance(other, AffineMap):
+        other = _reference_from_affine(other)
+    one = {(0,) * other.dim_in: CycNum.rational(p.m, 1)}
+    out = []
+    for poly in p.coords:
+        acc = {}
+        for exps, c in poly.items():
+            term = dict(one)
+            for var, e in enumerate(exps):
+                for _ in range(e):
+                    term = _reference_poly_mul(term, other.coords[var])
+            for mono, coeff in term.items():
+                acc[mono] = acc.get(mono, CycNum.rational(p.m, 0)) + c * coeff
+        out.append(acc)
+    return PolyMap(p.m, other.dim_in, p.dim_out, out)
+
+
+def _reference_call(p, x):
+    """The former PolyMap.__call__: evaluate every monomial."""
+    out = []
+    for poly in p.coords:
+        acc = CycNum.rational(p.m, 0)
+        for exps, c in poly.items():
+            term = c
+            for z, e in zip(x.coords, exps):
+                for _ in range(e):
+                    term = term * z
+            acc = acc + term
+        out.append(acc)
+    return Point(tuple(out))
+
+
+def _same_poly(got, want):
+    from orbatlas.serialize import canonical_bytes, poly_to_doc
+
+    assert got == want
+    assert got.m == want.m
+    assert hash(got) == hash(want)
+    assert canonical_bytes(poly_to_doc(got)) == canonical_bytes(poly_to_doc(want))
+
+
+class TestPolyMapAffinePath:
+    """compose, then and __call__ of similarity lifts go through the affine
+    forms; every answer equals the former substitution code's."""
+
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_similarities_match_substitution(self, m, dim):
+        import random
+
+        rng = random.Random(2000 * m + dim)
+        for _ in range(4):
+            f, g, h = (seeded_similarity(rng, m, dim) for _ in range(3))
+            # one lift with its affine form kept, one that decides it later
+            pf = PolyMap.from_affine(f)
+            pg = PolyMap(m, dim, dim, _reference_from_affine(g).coords)
+            _same_poly(pf, _reference_from_affine(f))
+            _same_poly(pf.compose(pg), _reference_compose(pf, pg))
+            assert pf.compose(pg).to_affine() == f.compose(g)
+            _same_poly(pg.compose(pf), _reference_compose(pg, pf))
+            _same_poly(pf.compose(h), _reference_compose(pf, h))
+            _same_poly(pg.then(h), _reference_compose(_reference_from_affine(h), pg))
+            _same_poly(pf.compose(pg).then(h), _reference_compose(_reference_from_affine(h), _reference_compose(pf, pg)))
+            x = Point(tuple(CycNum.zeta(m, rng.randrange(m)) * Fraction(rng.randint(-4, 4), 9) for _ in range(dim)))
+            assert pf(x) == _reference_call(pf, x) == f(x)
+            assert pg.compose(pf)(x) == _reference_call(_reference_compose(pg, pf), x)
+
+    @pytest.mark.parametrize("m", (1, 3, 12))
+    def test_dimension_zero(self, m):
+        # from_affine gives a dimension-0 map conductor 1; a parsed lift keeps
+        # the document's conductor, and compose keeps self's either way
+        f = AffineMap((), Point(()))
+        parsed = PolyMap(m, 0, 0, [])
+        ident = PolyMap.identity(m, 0)
+        assert ident.m == 1
+        for p in (parsed, ident):
+            for q in (parsed, ident, f):
+                _same_poly(p.compose(q), _reference_compose(p, q))
+            _same_poly(p.then(f), _reference_compose(_reference_from_affine(f), p))
+            assert p(Point(())) == _reference_call(p, Point(())) == Point(())
+
+    def test_point_atlas_rotation_lifts(self):
+        import random
+
+        from orbatlas.gallery import point_atlas
+        from orbatlas.systems import compose_compatible, rotation_fixture
+
+        fx = rotation_fixture(point_atlas(), random.Random(4))
+        for cid in fx.U.chart_ids():
+            p, q = fx.g1.lift(cid), fx.f1.lift(cid)
+            _same_poly(p.compose(q), _reference_compose(p, q))
+            _same_poly(compose_compatible(fx.g1, fx.f1).lift(cid), _reference_compose(p, q))
+            comp = fx.delta.component(cid).map
+            _same_poly(q.then(comp), _reference_compose(_reference_from_affine(comp), q))
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (PolyMap(M, 1, 1, [{(2,): 1}]), rot(4)),
+            (PolyMap.from_affine(rot(3)), PolyMap(M, 1, 1, [{(2,): zeta(1), (0,): Fraction(1, 3)}])),
+            (PolyMap(M, 2, 2, [{(1, 0): Fraction(1, 2)}, {(0, 1): Fraction(1, 4)}]), quaternion_map(zeta(1), zeta(2), (1, 0))),
+            (PolyMap.from_affine(quaternion_map(zeta(1), zeta(2), (1, 0))), PolyMap(M, 1, 2, [{(1,): 1}, {(0,): 2}])),
+        ],
+        ids=["z^2 after a rotation", "rotation after z^2", "diag(1/2, 1/4)", "1->2 into a similarity"],
+    )
+    def test_non_similarities_keep_substitution(self, p, q):
+        got = p.compose(q)
+        _same_poly(got, _reference_compose(p, q))
+        x = Point.of(M, *([Fraction(1, 3)] * (q.dim if isinstance(q, AffineMap) else q.dim_in)))
+        assert got(x) == _reference_call(got, x)

@@ -51,6 +51,15 @@ def noneffective_double():
     return ActionGroupoid(m, ball, [("e", ident), ("s", ident)], mult=mult, inv=inv)
 
 
+def z3_action_g2_as_zeta():
+    """z/3 with its multiplication and inverse tables, and the map of g2
+    replaced by zeta: products by the table land off the next arrow's source."""
+    g = z3_action()
+    elements = [(lab, g.rep[lab]) for lab in g.labels]
+    elements[2] = ("g2", g.rep["g1"])
+    return ActionGroupoid(g.conductor, g.ball, elements, mult=g.mult, inv=g.inv_table)
+
+
 class BrokenInverse(ActionGroupoid):
     """Test double: inversion redefined as the identity map on arrows."""
 
@@ -67,6 +76,19 @@ class TestAxioms:
         g = build_translation_groupoid(cone(3))
         rep = check_groupoid_axioms(g, samples=60, seed=1)
         assert rep.ok, rep.failures()
+
+    def test_non_composable_products_fail_their_axioms(self):
+        rep = check_groupoid_axioms(z3_action_g2_as_zeta(), samples=20, seed=0)
+        failures = dict(rep.failures())
+        assert not rep.ok and "associativity" in failures
+        for name, detail in failures.items():
+            if not detail:
+                continue
+            # the detail names the first sample with a non-composable product
+            index, message = detail.removeprefix("sample ").split(": ")
+            assert message == "t(first) != s(second)"
+            before = check_groupoid_axioms(z3_action_g2_as_zeta(), samples=int(index), seed=0)
+            assert all(d == "" for n, _, d in before.checks if n == name)
 
     def test_broken_inverse_detected(self):
         m = 3

@@ -828,6 +828,20 @@ class TestDocumentMutationFuzz:
         assert code in (0, 1, 2)
         assert "internal error" not in err.getvalue()
 
+    def test_action_groupoid_with_g2_mapped_to_zeta_fails_its_axioms(self, cli_dir):
+        """This mutant once raised NotComposableError out of the axiom suite,
+        and `validate` printed it as an error."""
+        from orbatlas.cli import main
+
+        target = cli_dir / "mutant.json"
+        target.write_bytes(other_document("action groupoid of z/3 with g2 mapped to zeta"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", str(target), "--samples", "5"])
+        assert code == 1
+        assert "error:" not in err.getvalue()
+        assert "[FAIL] associativity -- sample 0: t(first) != s(second)" in out.getvalue()
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_document_mutant_is_refused_or_canonical(self, data, cli_dir):
@@ -880,6 +894,14 @@ def _z3_action():
     return ActionGroupoid(3, ball, [(f"g{k}", AffineMap.scaling(3, 1, z**k)) for k in range(3)])
 
 
+def _z3_action_g2_as_zeta():
+    """The z/3 action groupoid document with the map of g2 replaced by zeta
+    (the map of g1); its multiplication table no longer matches its maps."""
+    doc = json.loads(serialize(_z3_action()))
+    doc["elements"][2]["A"] = doc["elements"][1]["A"]
+    return canonical_bytes(doc)
+
+
 def _diag_system():
     """The global_quotient(2, 2) endosystem lifted by diag(1/2, 1/4), an affine
     map that is not a similarity."""
@@ -898,6 +920,7 @@ DOCUMENT_SOURCES = {
     "translation groupoid of cone(3)": lambda: serialize(TranslationGroupoid(cone(3))),
     "translation groupoid of football(2, 3)": lambda: serialize(TranslationGroupoid(football(2, 3))),
     "action groupoid of z/3": lambda: serialize(_z3_action()),
+    "action groupoid of z/3 with g2 mapped to zeta": _z3_action_g2_as_zeta,
 }
 
 

@@ -262,3 +262,53 @@ class TestGroupMapReference:
             got = _outcome(lambda: f.group_map(cid))
             assert got[0] is error
             assert got == _outcome(lambda: _reference_group_map(f, cid))
+
+
+def _one_chart_atlas(cid, group):
+    """A one-chart atlas over the unit disc of conductor 3 with the given group."""
+    from orbatlas.atlas import Atlas, Chart
+    from orbatlas.geometry import Ball
+
+    return Atlas(3, 1, [Chart(cid, Ball.of(3, [0], 1), tuple(group))], [])
+
+
+class TestGroupMapSolve:
+    """group_map solves f(g) = L . g . L^(-1) once per g for an invertible
+    similarity lift L and scans the images h . lift otherwise; the failures and
+    the report details are those of the scan."""
+
+    ZETA = AffineMap.scaling(3, 1, CycNum.zeta(3))
+    LIFTS = {
+        "identity": PolyMap.identity(3, 1),
+        "similarity": PolyMap(3, 1, 1, [{(1,): CycNum.zeta(3) * Fraction(1, 2)}]),
+        "constant at the fixed point": PolyMap(3, 1, 1, [{(0,): 0}]),
+        "constant off it": PolyMap(3, 1, 1, [{(0,): Fraction(1, 3)}]),
+        "z^2": PolyMap(3, 1, 1, [{(2,): 1}]),
+    }
+    TARGETS = {
+        "the cone group": lambda z: (z.compose(z).compose(z), z, z.compose(z)),
+        "zeta listed twice": lambda z: (z.compose(z).compose(z), z, z.compose(z), z),
+        "trivial": lambda z: (z.compose(z).compose(z),),
+    }
+
+    def _system(self, lift, target):
+        src = cone(3)
+        dst = _one_chart_atlas("t", self.TARGETS[target](self.ZETA))
+        return CompatibleSystem(src, dst, {"cone3": "t"}, {}, {"cone3": lift})
+
+    @pytest.mark.parametrize("lift", LIFTS, ids=LIFTS.keys())
+    @pytest.mark.parametrize("target", TARGETS, ids=TARGETS.keys())
+    def test_outcomes_match_the_scan(self, lift, target):
+        f = self._system(self.LIFTS[lift], target)
+        reference = self._system(self.LIFTS[lift], target)
+        assert _outcome(lambda: f.group_map("cone3")) == _outcome(lambda: _reference_group_map(reference, "cone3"))
+
+    def test_report_details(self):
+        doubled = validate_compatible_system(self._system(self.LIFTS["similarity"], "zeta listed twice"))
+        missing = validate_compatible_system(self._system(self.LIFTS["similarity"], "trivial"))
+        name = "group of cone3 tracked through the lift"
+        assert (name, "degenerate lift on cone3: group image ambiguous") in doubled.failures()
+        assert (name, f"no target element tracks {self.ZETA!r} through the lift of cone3") in missing.failures()
+        # the constant lift at a point off the fixed point tracks every g to 1
+        flat = self._system(self.LIFTS["constant off it"], "the cone group")
+        assert all(h.is_identity() for h in flat.group_map("cone3").values())
