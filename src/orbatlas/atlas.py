@@ -553,12 +553,21 @@ def validate_span(atlas: Atlas, span: Span) -> Report:
     return rep
 
 
+def _composable_reps(reps: dict):
+    """(a, b, c, e1, e2) for stored representatives e1: a -> b and e2: b -> c
+    with a != c, in storage order.  The inner pass re-reads ``reps``, so a
+    representative the caller stores mid-walk is seen by later inner passes."""
+    for (a, b), e1 in list(reps.items()):
+        for (b2, c), e2 in list(reps.items()):
+            if b2 == b and a != c:
+                yield a, b, c, e1, e2
+
+
 def validate_atlas(atlas: Atlas, samples: int = 20, rng=None) -> Report:
     """Full structural validation: charts, stored embeddings, closure of the
-    embedding family under composition, witnesses, and oracle determinism."""
-    import random
-
-    rng = rng or random.Random(0)
+    embedding family under composition, witnesses, and oracle determinism.
+    Every witness and unit witness point is queried, so ``samples`` and
+    ``rng`` are accepted and unused."""
     rep = Report("atlas")
     rep.add("has charts", bool(atlas.charts))
     dims = {c.dim for c in atlas.charts.values()}
@@ -575,20 +584,14 @@ def validate_atlas(atlas: Atlas, samples: int = 20, rng=None) -> Report:
     # closure: composites of stored representatives stay representable
     closure_ok = True
     detail = ""
-    for (a, b), e1 in atlas.reps.items():
-        for (b2, c), e2 in atlas.reps.items():
-            if b2 != b or a == c:
-                continue
-            comp = e2.map.compose(e1.map)
-            if (a, c) not in atlas.reps:
-                closure_ok, detail = False, f"no representative for {a}->{c}"
-                break
-            try:
-                find_conjugator(atlas.chart(c), atlas.reps[(a, c)].map, comp)
-            except (NoConjugatorError, NotUniqueError):
-                closure_ok, detail = False, f"composite {a}->{b}->{c} not representable"
-                break
-        if not closure_ok:
+    for a, b, c, e1, e2 in _composable_reps(atlas.reps):
+        if (a, c) not in atlas.reps:
+            closure_ok, detail = False, f"no representative for {a}->{c}"
+            break
+        try:
+            find_conjugator(atlas.chart(c), atlas.reps[(a, c)].map, e2.map.compose(e1.map))
+        except (NoConjugatorError, NotUniqueError):
+            closure_ok, detail = False, f"composite {a}->{b}->{c} not representable"
             break
     rep.add("embedding family closed under composition", closure_ok, detail)
     valid_witnesses = []
@@ -614,7 +617,7 @@ def validate_atlas(atlas: Atlas, samples: int = 20, rng=None) -> Report:
             queries.append((cid, p, cid, p))
     det_ok = True
     span_ok = True
-    for ci, x, cj, y in queries[: max(samples, len(queries))]:
+    for ci, x, cj, y in queries:
         first = atlas.refine(ci, x, cj, y)
         second = atlas.refine(ci, x, cj, y)
         if (first is None) != (second is None):

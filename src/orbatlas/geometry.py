@@ -43,19 +43,28 @@ class Point:
         return Point(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
 
-def _dist2_nums(p: Point, q: Point) -> tuple[list[int], int]:
+def _dist2_nums(p: Point, q: Point, m: int | None = None) -> tuple[list[int], int]:
     """Integer numerators over one positive denominator of |p - q|^2.
+
+    The one input check of ``dist2`` and the ball predicates: points of two
+    lengths raise DimensionMismatchError, and a coordinate over a conductor
+    other than m (by default p's) raises ConductorMismatchError.
 
     Per coordinate, x - y = n / (x_d y_d) with n = x_n y_d - y_n x_d, and
     |x - y|^2 has numerators n * conj(n) over (x_d y_d)^2.  A coordinate whose
     denominator equals the running one is added as it is; any other multiplies
     the running denominator.  No gcd is taken.
     """
+    if len(p.coords) != len(q.coords):
+        raise DimensionMismatchError(f"squared distance of points of dims {p.dim} and {q.dim}")
     if not p.coords:
         raise DimensionMismatchError("squared distance of dimension-0 points")
-    m = p.coords[0].m
+    if m is None:
+        m = p.coords[0].m
     total, den = [0] * len(p.coords[0]._n), 1
     for x, y in zip(p.coords, q.coords):
+        if x.m != m or y.m != m:
+            raise ConductorMismatchError(f"coordinates over conductors {x.m} and {y.m}, expected {m}")
         xd, yd = x._d, y._d
         n = [a * yd - b * xd for a, b in zip(x._n, y._n)]
         sq = _mul_nums(m, n, _combine(m, -1, n))
@@ -69,7 +78,7 @@ def _dist2_nums(p: Point, q: Point) -> tuple[list[int], int]:
 
 
 def dist2(p: Point, q: Point) -> CycNum:
-    """|p - q|^2, an element of the real subfield."""
+    """|p - q|^2, an element of the real subfield; mismatched points raise."""
     nums, den = _dist2_nums(p, q)
     return _make(p.coords[0].m, nums, den)
 
@@ -291,14 +300,12 @@ class Ball:
 def point_in_ball(p: Point, ball: Ball) -> bool:
     """|p - c|^2 < r2, decided by one sign of the integer numerators of
     den * r_d * (r2 - |p - c|^2), where den is the denominator of |p - c|^2.
-    A point over another conductor than the ball raises
-    ConductorMismatchError, as the ball predicates do."""
+    A point of another dimension or conductor than the ball raises, as the
+    ball predicates do."""
     if ball.dim == 0:
         return True
     r2 = ball.r2
-    if ball.center.coords[0].m != r2.m or p.coords and p.coords[0].m != r2.m:
-        raise ConductorMismatchError(f"point and ball over different conductors (ball {r2.m})")
-    nums, den = _dist2_nums(p, ball.center)
+    nums, den = _dist2_nums(p, ball.center, r2.m)
     rd = r2._d
     diff = [den * a - rd * b for a, b in zip(r2._n, nums)]
     return sign_quadratic(*_real_nums(r2.m, diff)) > 0
@@ -336,10 +343,10 @@ def _root_sum_le(m: int, p, q, s) -> bool:
 
 
 def _common_conductor(b1: Ball, b2: Ball) -> int:
-    """The conductor of both radii and centres: numerators of different
-    fields do not mix, so any other pair raises ConductorMismatchError."""
+    """The conductor of both radii, which ``_dist2_nums`` checks the centres
+    against; radii over two conductors raise ConductorMismatchError."""
     m = b1.r2.m
-    if b2.r2.m != m or b1.center.coords[0].m != m or b2.center.coords[0].m != m:
+    if b2.r2.m != m:
         raise ConductorMismatchError(f"balls over conductors {m} and {b2.r2.m}")
     return m
 
@@ -347,23 +354,23 @@ def _common_conductor(b1: Ball, b2: Ball) -> int:
 def ball_in_ball(b1: Ball, b2: Ball) -> bool:
     """Open b1 inside open b2: d + r1 <= r2, i.e. r2 - r1 - d^2 >= 0 and
     (r2 - r1 - d^2)^2 >= 4 d^2 r1 for squared radii r1, r2 and squared distance
-    d^2, decided on integer numerators."""
+    d^2, decided on integer numerators; mismatched balls raise."""
     if b1.dim == 0:
         return True
     r1, r2 = b1.r2, b2.r2
     m = _common_conductor(b1, b2)
-    return _root_sum_le(m, (r2._n, r2._d), (r1._n, r1._d), _dist2_nums(b1.center, b2.center))
+    return _root_sum_le(m, (r2._n, r2._d), (r1._n, r1._d), _dist2_nums(b1.center, b2.center, m))
 
 
 def balls_disjoint(b1: Ball, b2: Ball) -> bool:
     """Open balls disjoint: d >= r1 + r2, i.e. d^2 - r1 - r2 >= 0 and
     (d^2 - r1 - r2)^2 >= 4 r1 r2 for squared radii r1, r2, decided on integer
-    numerators."""
+    numerators; mismatched balls raise."""
     if b1.dim == 0:
         return False
     r1, r2 = b1.r2, b2.r2
     m = _common_conductor(b1, b2)
-    return _root_sum_le(m, _dist2_nums(b1.center, b2.center), (r1._n, r1._d), (r2._n, r2._d))
+    return _root_sum_le(m, _dist2_nums(b1.center, b2.center, m), (r1._n, r1._d), (r2._n, r2._d))
 
 
 def balls_equal(b1: Ball, b2: Ball) -> bool:

@@ -17,6 +17,7 @@ from .atlas import (
     Atlas,
     Chart,
     Embedding,
+    _composable_reps,
     embedding_conditions,
     find_conjugator,
     identity_span,
@@ -362,16 +363,13 @@ def _close_reps(charts, reps: dict) -> dict:
     reps = dict(reps)
     while changed:
         changed = False
-        for (a, b), e1 in list(reps.items()):
-            for (b2, c), e2 in list(reps.items()):
-                if b2 != b or a == c:
-                    continue
-                comp = e2.map.compose(e1.map)
-                if (a, c) in reps:
-                    find_conjugator(groups[c], reps[(a, c)].map, comp)
-                else:
-                    reps[(a, c)] = Embedding(a, c, comp)
-                    changed = True
+        for a, _, c, e1, e2 in _composable_reps(reps):
+            comp = e2.map.compose(e1.map)
+            if (a, c) in reps:
+                find_conjugator(groups[c], reps[(a, c)].map, comp)
+            else:
+                reps[(a, c)] = Embedding(a, c, comp)
+                changed = True
     return reps
 
 

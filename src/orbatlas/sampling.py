@@ -41,9 +41,10 @@ def random_point_in_ball(rng: random.Random, ball: Ball, conductor: int) -> Poin
     drawn but unused where zeta is real (m <= 2).  After 512 rejected proposals
     the centre is returned, which an open ball always contains.
     """
-    if ball.dim == 0:
+    dim = ball.dim
+    if dim == 0:
         return ball.center
-    bound = _radius_overestimate(ball) / (2 * ball.dim + 1)
+    bound = _radius_overestimate(ball) / (2 * dim + 1)
     steps = int(bound * _DENOM)
     # 64^2 |offset|^2 = x^2 + y^2 + x y t summed over coordinates, with
     # t = zeta + conj(zeta) = (t_a + t_b sqrt d) / t_e.  With r2 = (r_a + r_b sqrt d) / r_e,
@@ -56,7 +57,7 @@ def random_point_in_ball(rng: random.Random, ball: Ball, conductor: int) -> Poin
     for _ in range(512):
         draws = []
         big_p = big_q = 0
-        for _ in range(ball.dim):
+        for _ in range(dim):
             x = rng.randint(-steps, steps) if steps > 0 else 0
             y = rng.randint(-steps, steps) if steps > 0 else 0
             if conductor <= 2:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atlas import Atlas, Embedding, find_conjugator
+from .atlas import Atlas, Embedding, _composable_reps, find_conjugator
 from .errors import (
     AtlasMismatchError,
     BoundaryMismatchError,
@@ -46,33 +46,19 @@ class CompatibleSystem:
     def group_map(self, cid: str) -> dict[AffineMap, AffineMap]:
         """g -> f(g) on the chart group, pinned by lift . g = f(g) . lift.
 
-        When the lift is an invertible similarity L of positive dimension,
-        f(g) is the target element equal to L . g . L^(-1).  Otherwise each
-        side is composed once: h . lift for every target element h, and
-        lift . g for every source element g, which is then matched against
-        those images."""
+        The image h . lift is composed once for every target element h, and
+        lift . g once for every source element g; f(g) is the one target
+        element whose image matches."""
         cached = self._group_maps.get(cid)
         if cached is not None:
             return cached
-        chart = self.src.chart(cid)
         target = self.dst.chart(self.theta[cid])
         lift = self.lift(cid)
-        aff = lift.to_affine()
-        if aff is not None and aff.dim and aff.is_invertible():
-            inv = aff.inverse()
-
-            def solve(g):
-                w = aff.compose(g).compose(inv)
-                return [h for h in target.group if h == w]
-        else:
-            images = [(h, lift.then(h)) for h in target.group]
-
-            def solve(g):
-                lhs = lift.compose(g)
-                return [h for h, image in images if image == lhs]
+        images = [(h, lift.then(h)) for h in target.group]
         table = {}
-        for g in chart.group:
-            hits = solve(g)
+        for g in self.src.chart(cid).group:
+            lhs = lift.compose(g)
+            hits = [h for h, image in images if image == lhs]
             if not hits:
                 raise NoConjugatorError(
                     f"no target element tracks {g!r} through the lift of {cid}"
@@ -183,19 +169,16 @@ def validate_compatible_system(
     # functoriality on composable representative pairs
     ok_func = True
     detail = ""
-    for (a, b), e1 in src.reps.items():
-        for (b2, c), e2 in src.reps.items():
-            if b2 != b or a == c:
-                continue
-            comp = Embedding(a, c, e2.map.compose(e1.map))
-            try:
-                lhs = f.on_embedding(comp)
-            except (NoConjugatorError, KeyError):
-                ok_func, detail = False, f"composite {a}->{c} has no image"
-                continue
-            rhs = f.on_embedding(e2).map.compose(f.on_embedding(e1).map)
-            if lhs.map != rhs:
-                ok_func, detail = False, f"functoriality fails on {a}->{b}->{c}"
+    for a, b, c, e1, e2 in _composable_reps(src.reps):
+        comp = Embedding(a, c, e2.map.compose(e1.map))
+        try:
+            lhs = f.on_embedding(comp)
+        except (NoConjugatorError, KeyError):
+            ok_func, detail = False, f"composite {a}->{c} has no image"
+            continue
+        rhs = f.on_embedding(e2).map.compose(f.on_embedding(e1).map)
+        if lhs.map != rhs:
+            ok_func, detail = False, f"functoriality fails on {a}->{b}->{c}"
     rep.add("functoriality on composites", ok_func, detail)
     return rep
 

@@ -11,6 +11,7 @@ from orbatlas.atlas import (
     Chart,
     Embedding,
     Span,
+    _composable_reps,
     common_span,
     embedding_conditions,
     find_conjugator,
@@ -42,7 +43,7 @@ from orbatlas.gallery import (
     teardrop_pair,
 )
 from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, point_in_ball
-from orbatlas.morita import common_refinement, pushforward_atlas, union_atlas
+from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, union_atlas
 from orbatlas.oracles import Oracle
 from orbatlas.sampling import random_chart_point
 
@@ -832,3 +833,88 @@ class TestFamilyIndex:
         with pytest.raises(InvalidAtlasError):
             atlas.family_index(Embedding("a", "a", zrot(2)))
         assert not atlas.in_family(Embedding("a", "a", zrot(2)))
+
+
+def _reference_composable(reps):
+    """The double loop over composable stored representatives as each caller
+    once wrote it out."""
+    out = []
+    for (a, b), e1 in reps.items():
+        for (b2, c), e2 in reps.items():
+            if b2 != b or a == c:
+                continue
+            out.append((a, b, c, e1, e2))
+    return out
+
+
+def _reference_close_reps(charts, reps):
+    """morita._close_reps with its double loop written out."""
+    groups = {c.cid: c for c in charts}
+    changed = True
+    reps = dict(reps)
+    while changed:
+        changed = False
+        for (a, b), e1 in list(reps.items()):
+            for (b2, c), e2 in list(reps.items()):
+                if b2 != b or a == c:
+                    continue
+                comp = e2.map.compose(e1.map)
+                if (a, c) in reps:
+                    find_conjugator(groups[c], reps[(a, c)].map, comp)
+                else:
+                    reps[(a, c)] = Embedding(a, c, comp)
+                    changed = True
+    return reps
+
+
+_WALK_ATLASES = {
+    "cone3": lambda: cone(3),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+    **_LEG_TABLE_ATLASES,
+}
+
+
+class TestComposableReps:
+    @pytest.mark.parametrize("make", _WALK_ATLASES.values(), ids=_WALK_ATLASES.keys())
+    def test_walk_matches_the_written_out_loop(self, make):
+        reps = make().reps
+        assert list(_composable_reps(reps)) == _reference_composable(reps)
+
+    def test_representative_stored_mid_walk_is_seen_by_later_inner_passes(self):
+        reps = {("a", "b"): "ab", ("b", "c"): "bc", ("d", "a"): "da"}
+        seen = []
+        for a, b, c, e1, e2 in _composable_reps(reps):
+            seen.append((a, b, c, e1, e2))
+            if (a, c) not in reps:
+                reps[(a, c)] = a + c
+        # the outer pass walks the representatives stored when it began; each
+        # inner pass walks those stored when it begins, so "ac" (stored on the
+        # first inner pass) composes after "da", but "db" (stored on the last)
+        # is not walked at all
+        assert seen == [
+            ("a", "b", "c", "ab", "bc"),
+            ("d", "a", "b", "da", "ab"),
+            ("d", "a", "c", "da", "ac"),
+        ]
+        assert list(reps) == [("a", "b"), ("b", "c"), ("d", "a"), ("a", "c"), ("d", "b"), ("d", "c")]
+
+    @pytest.mark.parametrize(
+        "pair",
+        [lambda: cone_pair(3), lambda: teardrop_pair(3), lambda: pushforward_pair(football(2, 3))],
+        ids=["cone3", "teardrop3", "push-football23"],
+    )
+    def test_close_reps_matches_the_written_out_loop(self, pair):
+        # the inputs union_atlas closes: base and refinement representatives
+        # plus one anchor embedding per refinement chart
+        u1, u2, witnesses = pair()
+        ref = common_refinement(u1, u2, witnesses)
+        for base, anchor in ((u1, ref.into_first), (u2, ref.into_second)):
+            charts = list(base.charts.values()) + list(ref.atlas.charts.values())
+            reps = {**base.reps, **ref.atlas.reps}
+            for cid in ref.atlas.chart_ids():
+                target = anchor.chart_map[cid]
+                reps[(cid, target)] = Embedding(cid, target, anchor.embeddings[cid])
+            got = _close_reps(charts, reps)
+            assert list(got.items()) == list(_reference_close_reps(charts, reps).items())
+            assert all((a, c) in got for a, _, c, _, _ in _composable_reps(got))

@@ -407,6 +407,37 @@ class TestIntegerBallPredicates:
                 point_in_ball(p, ball)
 
 
+class TestMismatchedInputs:
+    """dist2 and the ball predicates refuse points and balls of different
+    lengths or conductors instead of reading the common prefix."""
+
+    def test_longer_point_in_ball(self):
+        with pytest.raises(DimensionMismatchError):
+            point_in_ball(Point.of(3, 0, 5), Ball.of(3, [0], 1))
+
+    def test_shorter_point_in_ball(self):
+        with pytest.raises(DimensionMismatchError):
+            point_in_ball(Point.of(3, 0), Ball.of(3, [0, 5], 1))
+
+    def test_ball_in_ball_of_another_dimension(self):
+        b1, b2 = Ball.of(3, [0, 5], Fraction(1, 4)), Ball.of(3, [0], 1)
+        for x, y in ((b1, b2), (b2, b1)):
+            with pytest.raises(DimensionMismatchError):
+                ball_in_ball(x, y)
+            with pytest.raises(DimensionMismatchError):
+                balls_disjoint(x, y)
+
+    def test_dist2_of_points_of_different_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            dist2(Point.of(3, 0, 5), Point.of(3, 0))
+
+    def test_dist2_of_points_over_different_conductors(self):
+        with pytest.raises(ConductorMismatchError):
+            dist2(Point.of(3, 1), Point.of(4, 1))
+        with pytest.raises(ConductorMismatchError):
+            dist2(Point((CycNum.rational(3, 1), CycNum.rational(4, 1))), Point.of(3, 1, 1))
+
+
 class TestPolyMap:
     def test_square_composition(self):
         sq = PolyMap(M, 1, 1, [{(2,): 1}])

@@ -273,9 +273,8 @@ def _one_chart_atlas(cid, group):
 
 
 class TestGroupMapSolve:
-    """group_map solves f(g) = L . g . L^(-1) once per g for an invertible
-    similarity lift L and scans the images h . lift otherwise; the failures and
-    the report details are those of the scan."""
+    """group_map scans the images h . lift for every lift; its outcomes, the
+    failures and the report details are those of the reference scan."""
 
     ZETA = AffineMap.scaling(3, 1, CycNum.zeta(3))
     LIFTS = {
@@ -312,3 +311,55 @@ class TestGroupMapSolve:
         # the constant lift at a point off the fixed point tracks every g to 1
         flat = self._system(self.LIFTS["constant off it"], "the cone group")
         assert all(h.is_identity() for h in flat.group_map("cone3").values())
+
+
+def _conjugation_group_map(f, cid):
+    """The conjugation solve group_map once used beside the scan: for an
+    invertible similarity lift L of positive dimension, f(g) is the target
+    element equal to L . g . L^(-1)."""
+    aff = f.lift(cid).to_affine()
+    inv = aff.inverse()
+    target = f.dst.chart(f.theta[cid])
+    table = {}
+    for g in f.src.chart(cid).group:
+        w = aff.compose(g).compose(inv)
+        (table[g],) = [h for h in target.group if h == w]
+    return table
+
+
+def _invertible_lift_charts(f):
+    for cid, lift in f.lifts.items():
+        aff = lift.to_affine()
+        if aff is not None and aff.dim and aff.is_invertible():
+            yield cid
+
+
+class TestGroupMapOnePath:
+    """The one image scan of group_map gives the tables of the conjugation
+    solve on every invertible lift, and the scan's failures on the others."""
+
+    POSITIVE_DIM = [a for a in LAWS_GALLERY if a.dim]
+
+    @pytest.mark.parametrize("k", range(len(POSITIVE_DIM)))
+    def test_rotation_fixture_lifts_match_the_conjugation_solve(self, k):
+        atlas = self.POSITIVE_DIM[k]
+        checked = 0
+        for seed in range(3):
+            fx = rotation_fixture(atlas, random.Random(1000 * k + seed))
+            systems = [fx.f1, fx.f2, fx.f3, fx.g1, fx.g2, fx.g3, fx.h1, compose_compatible(fx.g1, fx.f1)]
+            for f in systems:
+                for cid in _invertible_lift_charts(f):
+                    assert list(f.group_map(cid).items()) == list(_conjugation_group_map(f, cid).items())
+                    checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("k", range(len(POSITIVE_DIM)))
+    def test_parsed_system_matches_the_conjugation_solve(self, k):
+        from orbatlas.serialize import serialize, system_from_doc
+
+        fx = rotation_fixture(self.POSITIVE_DIM[k], random.Random(7 + k))
+        f = system_from_doc(json.loads(serialize(compose_compatible(fx.g1, fx.f1))))
+        cids = list(_invertible_lift_charts(f))
+        assert cids == f.src.chart_ids()
+        for cid in cids:
+            assert list(f.group_map(cid).items()) == list(_conjugation_group_map(f, cid).items())
