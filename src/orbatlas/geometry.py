@@ -301,8 +301,8 @@ def point_in_ball(p: Point, ball: Ball) -> bool:
     """|p - c|^2 < r2, decided by one sign of the integer numerators of
     den * r_d * (r2 - |p - c|^2), where den is the denominator of |p - c|^2.
     A point of another dimension or conductor than the ball raises, as the
-    ball predicates do."""
-    if ball.dim == 0:
+    ball predicates do; in dimension 0 the ball is the one point."""
+    if ball.dim == p.dim == 0:
         return True
     r2 = ball.r2
     nums, den = _dist2_nums(p, ball.center, r2.m)
@@ -312,10 +312,10 @@ def point_in_ball(p: Point, ball: Ball) -> bool:
 
 
 def map_ball(f: AffineMap, ball: Ball) -> Ball:
-    """Image of a ball under a similarity: center f(c), squared radius lambda*r2."""
-    if ball.dim == 0:
-        return ball
-    return Ball(f(ball.center), f.factor * ball.r2)
+    """Image of a ball under a similarity: center f(c), squared radius lambda*r2;
+    a map of another dimension than the ball raises."""
+    center = f(ball.center)
+    return Ball(center, f.factor * ball.r2) if ball.dim else ball
 
 
 def _root_sum_le(m: int, p, q, s) -> bool:
@@ -344,7 +344,10 @@ def _root_sum_le(m: int, p, q, s) -> bool:
 
 def _common_conductor(b1: Ball, b2: Ball) -> int:
     """The conductor of both radii, which ``_dist2_nums`` checks the centres
-    against; radii over two conductors raise ConductorMismatchError."""
+    against; balls of two dimensions raise DimensionMismatchError and radii
+    over two conductors ConductorMismatchError."""
+    if b1.dim != b2.dim:
+        raise DimensionMismatchError(f"balls of dims {b1.dim} and {b2.dim}")
     m = b1.r2.m
     if b2.r2.m != m:
         raise ConductorMismatchError(f"balls over conductors {m} and {b2.r2.m}")
@@ -355,28 +358,24 @@ def ball_in_ball(b1: Ball, b2: Ball) -> bool:
     """Open b1 inside open b2: d + r1 <= r2, i.e. r2 - r1 - d^2 >= 0 and
     (r2 - r1 - d^2)^2 >= 4 d^2 r1 for squared radii r1, r2 and squared distance
     d^2, decided on integer numerators; mismatched balls raise."""
-    if b1.dim == 0:
-        return True
-    r1, r2 = b1.r2, b2.r2
     m = _common_conductor(b1, b2)
-    return _root_sum_le(m, (r2._n, r2._d), (r1._n, r1._d), _dist2_nums(b1.center, b2.center, m))
+    r1, r2 = b1.r2, b2.r2
+    return not b1.dim or _root_sum_le(m, (r2._n, r2._d), (r1._n, r1._d), _dist2_nums(b1.center, b2.center, m))
 
 
 def balls_disjoint(b1: Ball, b2: Ball) -> bool:
     """Open balls disjoint: d >= r1 + r2, i.e. d^2 - r1 - r2 >= 0 and
     (d^2 - r1 - r2)^2 >= 4 r1 r2 for squared radii r1, r2, decided on integer
     numerators; mismatched balls raise."""
-    if b1.dim == 0:
-        return False
-    r1, r2 = b1.r2, b2.r2
     m = _common_conductor(b1, b2)
-    return _root_sum_le(m, _dist2_nums(b1.center, b2.center, m), (r1._n, r1._d), (r2._n, r2._d))
+    r1, r2 = b1.r2, b2.r2
+    return b1.dim > 0 and _root_sum_le(m, _dist2_nums(b1.center, b2.center, m), (r1._n, r1._d), (r2._n, r2._d))
 
 
 def balls_equal(b1: Ball, b2: Ball) -> bool:
-    if b1.dim == 0:
-        return True
-    return b1.center == b2.center and b1.r2 == b2.r2
+    """Equal centres and radii, or both of dimension 0; mismatched balls raise."""
+    _common_conductor(b1, b2)
+    return b1.dim == 0 or (b1.center == b2.center and b1.r2 == b2.r2)
 
 
 # -- polynomial maps -----------------------------------------------------------

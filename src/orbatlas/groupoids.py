@@ -1,10 +1,11 @@
 """Internal groupoids presented by finite component tables.
 
 The unit space is a finite disjoint union of tagged balls; the arrow space is a
-finite union of labeled components, each a parameter ball with source and
-target given by invertible similarity maps, so every presentation here is etale
-by construction.  Composability is the decidable predicate t(g) = s(h); fiber
-products are never materialized.
+finite union of labeled components, each a ball in its source unit component
+carrying one similarity, the germ of every arrow over it.  An arrow is stored
+at its source point, so the source is free and the target is the germ at that
+point; every presentation here is etale by construction.  Composability is the
+decidable predicate t(g) = s(h); fiber products are never materialized.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import random
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BoundaryMismatchError,
@@ -39,25 +39,22 @@ class UnitComponent:
 
 @dataclass(frozen=True)
 class ArrowComponent:
-    """One labeled piece of the arrow space: a parameter ball with source and
-    target acting by invertible similarities."""
+    """One labeled piece of the arrow space: a ball of the source unit
+    component and the similarity germ carrying it into the target one.  The
+    arrow over the component at x has source (s_component, x) and target
+    (t_component, germ(x))."""
 
     label: object
     ball: Ball
-    s_map: AffineMap
-    t_map: AffineMap
+    germ: AffineMap
     s_component: str
     t_component: str
-
-    @cached_property
-    def germ(self) -> AffineMap:
-        """t . s^(-1): the germ of every arrow over this component, computed
-        on first use."""
-        return self.t_map.compose(self.s_map.inverse())
 
 
 @dataclass(frozen=True)
 class Arrow:
+    """The arrow of a component at its source point."""
+
     component: object
     point: Point
 
@@ -113,12 +110,11 @@ class GroupoidPresentation(ABC):
         raise PointOutsideDomainError(f"no unit component {label!r}")
 
     def source(self, a: Arrow) -> UnitPoint:
-        comp = self.arrow_component(a.component)
-        return UnitPoint(comp.s_component, comp.s_map(a.point))
+        return UnitPoint(self.arrow_component(a.component).s_component, a.point)
 
     def target(self, a: Arrow) -> UnitPoint:
         comp = self.arrow_component(a.component)
-        return UnitPoint(comp.t_component, comp.t_map(a.point))
+        return UnitPoint(comp.t_component, comp.germ(a.point))
 
     def unit_equal(self, u1: UnitPoint, u2: UnitPoint) -> bool:
         return u1.component == u2.component and u1.point == u2.point
@@ -127,7 +123,7 @@ class GroupoidPresentation(ABC):
         return self.unit_equal(self.target(a), self.source(b))
 
     def local_bisection(self, a: Arrow) -> AffineMap:
-        """Germ of the arrow: t . (s restricted to the component)^(-1)."""
+        """Germ of the arrow: the similarity of its component."""
         return self.arrow_component(a.component).germ
 
     def isotropy(self, u: UnitPoint) -> list[Arrow]:
@@ -191,7 +187,7 @@ class ActionGroupoid(GroupoidPresentation):
         self.mult = mult
         self.inv_table = inv
         self._components = [
-            ArrowComponent(lab, ball, _identity_like(self.rep[lab]), self.rep[lab], "U", "U")
+            ArrowComponent(lab, ball, self.rep[lab], "U", "U")
             for lab in self.labels
         ]
 
@@ -234,12 +230,6 @@ class ActionGroupoid(GroupoidPresentation):
     def is_faithful(self) -> bool:
         maps = list(self.rep.values())
         return all(maps[i] != maps[j] for i in range(len(maps)) for j in range(i + 1, len(maps)))
-
-
-def _identity_like(g: AffineMap) -> AffineMap:
-    if g.dim == 0:
-        return g
-    return AffineMap.identity(g.b.coords[0].m, g.dim)
 
 
 # -- axiom suite ----------------------------------------------------------------
@@ -503,7 +493,7 @@ def structural_predicates(g: GroupoidPresentation, samples: int = 50, seed: int 
 
     etale_ok = True
     for comp in g.arrow_components():
-        if not (comp.s_map.is_invertible() and comp.t_map.is_invertible()):
+        if not comp.germ.is_invertible():
             etale_ok = False
     rep.add("etale: source/target invertible similarities per component", etale_ok)
 
@@ -519,8 +509,8 @@ def structural_predicates(g: GroupoidPresentation, samples: int = 50, seed: int 
         allowed = _nearby_components(g, pivot)
         comp = g.arrow_component(pivot.component)
         y = random_point_in_ball(rng, comp.ball, g.conductor)
-        near1 = UnitPoint(comp.s_component, comp.s_map(y))
-        near2 = UnitPoint(comp.t_component, comp.t_map(y))
+        near1 = UnitPoint(comp.s_component, y)
+        near2 = UnitPoint(comp.t_component, comp.germ(y))
         for q in g.arrows_between(near1, near2):
             if not _covered_by(g, q, allowed):
                 proper_ok = False
@@ -549,15 +539,11 @@ def _nearby_components(g: GroupoidPresentation, pivot: Arrow) -> list:
 
 
 def _covered_by(g: GroupoidPresentation, arrow: Arrow, allowed: list) -> bool:
-    if arrow.component in allowed:
-        return True
     # equality may route through equivalent representatives in other components
     src = g.source(arrow)
-    for lab in allowed:
-        comp = g.arrow_component(lab)
-        if comp.s_component != src.component or not comp.s_map.is_invertible():
-            continue
-        y = comp.s_map.inverse()(src.point)
-        if point_in_ball(y, comp.ball) and g.arrow_equal(arrow, Arrow(lab, y)):
-            return True
-    return False
+    return arrow.component in allowed or any(
+        comp.s_component == src.component
+        and point_in_ball(src.point, comp.ball)
+        and g.arrow_equal(arrow, Arrow(comp.label, src.point))
+        for comp in map(g.arrow_component, allowed)
+    )

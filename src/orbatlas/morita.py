@@ -465,8 +465,7 @@ def presentations_structurally_equal(g1: GroupoidPresentation, g2: GroupoidPrese
         if (
             a.label != b.label
             or not balls_equal(a.ball, b.ball)
-            or a.s_map != b.s_map
-            or a.t_map != b.t_map
+            or a.germ != b.germ
             or a.s_component != b.s_component
             or a.t_component != b.t_component
         ):

@@ -337,7 +337,7 @@ def atlas_from_doc(doc) -> Atlas:
 
 
 def _component_table(g: TranslationGroupoid) -> list:
-    labels = sorted(c.label for c in g.arrow_components())
+    labels = sorted(g.arrow_labels())
     return [{"chart": k, "left": list(left), "right": list(right)} for k, left, right in labels]
 
 

@@ -3,9 +3,10 @@
 Arrows are classes of triples (left embedding, marked point, right embedding)
 over a common chart.  A reduced atlas gives an effective groupoid, where an
 arrow is the germ of its transition right . left^(-1) at its source point; as
-transitions are similarities, equal germs are equal maps.  Equality compares
-source unit, target chart and germ; multiplication looks the composed germ up
-in the transport table.  multiply_triples keeps the span-completion product.
+transitions are similarities, equal germs are equal maps, and an arrow is
+stored at its source point.  Equality compares source unit, target chart and
+germ; multiplication looks the composed germ up in the transport table.
+multiply_triples keeps the span-completion product.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     InvalidAtlasError,
     NotComposableError,
 )
-from .geometry import Point, point_in_ball
+from .geometry import AffineMap, Point, map_ball, point_in_ball
 from .groupoids import (
     Arrow,
     ArrowComponent,
@@ -56,9 +57,10 @@ def _emb_label(atlas: Atlas, e: Embedding) -> tuple[str, int]:
 class TranslationGroupoid(GroupoidPresentation):
     """Groupoid of chart-point identifications of an atlas.
 
-    Components are indexed by pairs of stored embeddings out of a common chart;
-    the component's parameter ball is that chart's domain and source/target act
-    by the two embeddings.
+    Components are indexed by pairs of stored embeddings (left, right) out of
+    a common chart k; the component's ball is left(ball of k) and its germ is
+    right . left^(-1).  The labels and legs are listed up front, and each
+    component is built from its legs on first use.
     """
 
     strategy = "translation"
@@ -68,40 +70,50 @@ class TranslationGroupoid(GroupoidPresentation):
         self.conductor = atlas.conductor
         self.dim = atlas.dim
         self._units = [UnitComponent(cid, atlas.chart(cid).ball) for cid in atlas.chart_ids()]
+        self._legs: dict = {}
         self._components: dict = {}
         self._transports: dict = {}
         for k in atlas.chart_ids():
-            ball = atlas.chart(k).ball
             legs = [(e, _emb_label(atlas, e)) for e in atlas.family_from(k)]
             for left, left_label in legs:
                 for right, right_label in legs:
-                    label = (k, left_label, right_label)
-                    self._components[label] = ArrowComponent(
-                        label, ball, left.map, right.map, left.dst, right.dst
-                    )
+                    self._legs[(k, left_label, right_label)] = (left, right)
 
     # -- triples <-> arrows ---------------------------------------------------
 
-    def _arrow(self, left: Embedding, point: Point, right: Embedding) -> Arrow:
-        """The arrow of (left, point, right) for stored legs out of one chart
-        and a point built inside that chart; nothing is re-tested."""
-        return Arrow((left.src, _emb_label(self.atlas, left), _emb_label(self.atlas, right)), point)
+    def _arrow(self, left: Embedding, x: Point, right: Embedding) -> Arrow:
+        """The arrow of stored legs out of one chart at a source point x built
+        inside left's image; nothing is re-tested."""
+        return Arrow((left.src, _emb_label(self.atlas, left), _emb_label(self.atlas, right)), x)
 
     def arrow_of(self, t: Triple) -> Arrow:
         """The arrow of a triple from outside: its component must exist and
         its point must lie in the chart."""
-        a = self._arrow(t.left, t.point, t.right)
-        if a.component not in self._components:
+        a = self._arrow(t.left, t.left(t.point), t.right)
+        if a.component not in self._legs:
             raise InvalidAtlasError(f"no arrow component for {a.component}")
         if not point_in_ball(t.point, self.atlas.chart(t.left.src).ball):
             raise InvalidAtlasError("triple point outside its chart")
         return a
 
     def triple_of(self, a: Arrow) -> Triple:
-        k, left_label, right_label = a.component
-        left = self.atlas.family(k, left_label[0])[left_label[1]]
-        right = self.atlas.family(k, right_label[0])[right_label[1]]
-        return Triple(left, a.point, right)
+        left, unleft, right = self._legs_of(a.component)
+        return Triple(left, unleft(a.point), right)
+
+    def _legs_of(self, label) -> tuple[Embedding, AffineMap, Embedding]:
+        """left, left^(-1) and right of a component; a left leg that is not
+        invertible is an invalid atlas."""
+        try:
+            left, right = self._legs[label]
+        except KeyError:
+            raise AtlasMismatchError(f"arrow component {label!r} is not over this atlas") from None
+        if not left.map.is_invertible():
+            raise InvalidAtlasError(f"{left!r} is not invertible")
+        return left, left.map.inverse(), right
+
+    def arrow_labels(self) -> list:
+        """The component labels, in construction order; builds no component."""
+        return list(self._legs)
 
     # -- presentation interface ----------------------------------------------
 
@@ -109,22 +121,25 @@ class TranslationGroupoid(GroupoidPresentation):
         return list(self._units)
 
     def arrow_components(self):
-        return list(self._components.values())
+        return [self.arrow_component(label) for label in self._legs]
 
     def arrow_component(self, label):
-        try:
-            return self._components[label]
-        except KeyError:
-            raise AtlasMismatchError(f"arrow component {label!r} is not over this atlas") from None
+        comp = self._components.get(label)
+        if comp is None:
+            left, unleft, right = self._legs_of(label)
+            germ = right.map.compose(unleft)
+            ball = map_ball(left.map, self.atlas.chart(left.src).ball)
+            comp = self._components[label] = ArrowComponent(label, ball, germ, left.dst, right.dst)
+        return comp
 
     def identity(self, u: UnitPoint) -> Arrow:
         e = self.atlas.identity_embedding(u.component)
         return self._arrow(e, u.point, e)
 
     def inverse(self, a: Arrow) -> Arrow:
-        """The same point with the two leg labels swapped."""
+        """The two leg labels swapped, at the target point."""
         k, left_label, right_label = a.component
-        return Arrow((k, right_label, left_label), a.point)
+        return Arrow((k, right_label, left_label), self.target(a).point)
 
     def multiply(self, a: Arrow, b: Arrow) -> Arrow:
         """The first transport record carrying germ(b) . germ(a) over s(a)."""
@@ -135,7 +150,7 @@ class TranslationGroupoid(GroupoidPresentation):
         ck = self.arrow_component(b.component).t_component
         for t in self.atlas.transports(x.component, ck):
             if t.map == germ and point_in_ball(x.point, t.domain):
-                return self._arrow(t.left, t.left.map.inverse()(x.point), t.right)
+                return self._arrow(t.left, x.point, t.right)
         raise InvalidAtlasError(f"no transport {x.component}->{ck} carries the composed germ")
 
     def multiply_triples(self, p: Triple, q: Triple, span=None) -> Triple:
@@ -157,29 +172,26 @@ class TranslationGroupoid(GroupoidPresentation):
         return e
 
     def arrow_equal(self, a: Arrow, b: Arrow) -> bool:
-        """Equal germs: same target chart, same source unit, same transition.
-        Over one component the chart and germ agree, and an invertible source
-        map is injective, so equal points decide it."""
-        if a.component == b.component and self.arrow_component(a.component).s_map.is_invertible():
-            return a.point == b.point
-        return (
-            self.arrow_component(a.component).t_component
-            == self.arrow_component(b.component).t_component
-            and self.unit_equal(self.source(a), self.source(b))
-            and self.local_bisection(a) == self.local_bisection(b)
-        )
+        """Equal germs at one source point: equal points, then the same
+        component or the same source chart, target chart and transition."""
+        if a.point != b.point:
+            return False
+        if a.component == b.component:
+            return True
+        ca, cb = self.arrow_component(a.component), self.arrow_component(b.component)
+        return ca.s_component == cb.s_component and ca.t_component == cb.t_component and ca.germ == cb.germ
 
     def triples_equal(self, p: Triple, q: Triple) -> bool:
         return self.arrow_equal(self.arrow_of(p), self.arrow_of(q))
 
-    def _span_arrows(self, span: Span, rows) -> list[Arrow]:
-        """The arrows of (span.left, span.point, G[i] . span.right) for the
-        target chart-group positions i in rows, labelled from the atlas's
-        family-index table."""
+    def _span_arrows(self, span: Span, x: Point, rows) -> list[Arrow]:
+        """The arrows of (span.left, span.point, G[i] . span.right) at their
+        source point x = span.left(span.point), for the target chart-group
+        positions i in rows, labelled from the atlas's family-index table."""
         left = _emb_label(self.atlas, span.left)
         dst = span.right.dst
         return [
-            Arrow((span.left.src, left, (dst, k)), span.point)
+            Arrow((span.left.src, left, (dst, k)), x)
             for k in self.atlas.translate_indices(span.right, rows)
         ]
 
@@ -187,7 +199,7 @@ class TranslationGroupoid(GroupoidPresentation):
         span = self.atlas.refine(u1.component, u1.point, u2.component, u2.point)
         if span is None:
             return []
-        return self._span_arrows(span, stabilizer_indices(self.atlas.chart(u2.component), u2.point))
+        return self._span_arrows(span, u1.point, stabilizer_indices(self.atlas.chart(u2.component), u2.point))
 
     def arrows_from(self, u: UnitPoint) -> list[Arrow]:
         out = []
@@ -198,7 +210,7 @@ class TranslationGroupoid(GroupoidPresentation):
             span = self.atlas.refine(u.component, u.point, cid, z)
             if span is None:
                 continue
-            out.extend(self._span_arrows(span, range(len(self.atlas.chart(cid).group))))
+            out.extend(self._span_arrows(span, u.point, range(len(self.atlas.chart(cid).group))))
         return out
 
     def transports(self, ca, cb):

@@ -427,6 +427,27 @@ class TestMismatchedInputs:
             with pytest.raises(DimensionMismatchError):
                 balls_disjoint(x, y)
 
+    def test_dimension_0_ball_refuses_other_dimensions(self):
+        b0, b1 = Ball(Point(()), CycNum.rational(3, 1)), Ball.of(3, [0], 1)
+        with pytest.raises(DimensionMismatchError):
+            point_in_ball(Point.of(3, 7), b0)
+        for x, y in ((b0, b1), (b1, b0)):
+            for predicate in (ball_in_ball, balls_disjoint, balls_equal):
+                with pytest.raises(DimensionMismatchError):
+                    predicate(x, y)
+        with pytest.raises(DimensionMismatchError):
+            map_ball(AffineMap.identity(3, 1), b0)
+
+    def test_dimension_0_balls_over_different_conductors(self):
+        b3, b4 = Ball(Point(()), CycNum.rational(3, 1)), Ball(Point(()), CycNum.rational(4, 1))
+        for predicate in (ball_in_ball, balls_disjoint, balls_equal):
+            with pytest.raises(ConductorMismatchError):
+                predicate(b3, b4)
+
+    def test_balls_equal_over_different_conductors(self):
+        with pytest.raises(ConductorMismatchError):
+            balls_equal(Ball.of(3, [0], 1), Ball.of(4, [0], 1))
+
     def test_dist2_of_points_of_different_dimensions(self):
         with pytest.raises(DimensionMismatchError):
             dist2(Point.of(3, 0, 5), Point.of(3, 0))

@@ -23,7 +23,7 @@ from orbatlas.groupoids import (
     validate_grp_nat_trans,
     vcomp_grp,
 )
-from orbatlas.translation import FunctorImage, build_translation_groupoid
+from orbatlas.translation import FunctorImage, TranslationGroupoid, Triple, build_translation_groupoid
 from orbatlas.systems import rotation_fixture
 
 
@@ -243,13 +243,24 @@ def germ_presentations():
 
 
 class TestComponentGerm:
-    """An arrow's germ depends on its component alone: t . s^(-1)."""
+    """An arrow's germ depends on its component alone, and the arrow sits at
+    its source point: the germ carries that point to the target."""
 
     def test_local_bisection_is_target_after_inverse_source(self):
         for g in germ_presentations():
             for comp in g.arrow_components():
                 a = Arrow(comp.label, comp.ball.center)
-                assert g.local_bisection(a) == comp.t_map.compose(comp.s_map.inverse())
+                assert g.source(a) == UnitPoint(comp.s_component, a.point)
+                assert g.target(a) == UnitPoint(comp.t_component, g.local_bisection(a)(a.point))
+            if isinstance(g, TranslationGroupoid):
+                # a triple (l, z, r) is the arrow at l(z) with germ r . l^(-1)
+                for k, (i, li), (j, ri) in g.arrow_labels():
+                    left, right = g.atlas.family(k, i)[li], g.atlas.family(k, j)[ri]
+                    z = g.atlas.chart(k).ball.center
+                    a = g.arrow_of(Triple(left, z, right))
+                    assert g.source(a) == UnitPoint(left.dst, left(z))
+                    assert g.local_bisection(a)(a.point) == right(z)
+                    assert g.target(a) == UnitPoint(right.dst, right(z))
 
     def test_germ_is_computed_once(self):
         for g in germ_presentations():

@@ -321,6 +321,7 @@ class TestParseErrors:
             ("2-cell over cone(3)", ("components",), None),
             ("translation groupoid of cone(3)", ("components", 0, "left", 1), False),
             ("translation groupoid of cone(3)", ("atlas_hash",), None),
+            ("translation groupoid of football(2, 3)", ("atlas", "embeddings", 0, "A"), [[["0/1"] * 6]]),
             ("action groupoid of z/3", ("elements", 1, "label"), ["g1"]),
             ("action groupoid of z/3", ("mult", "g1|g2"), "g7"),
             ("action groupoid of z/3", ("inv",), []),
@@ -342,6 +343,7 @@ class TestParseErrors:
             "components-null",
             "component-index-false",
             "atlas-hash-null",
+            "embedding-matrix-zero",
             "label-a-list",
             "mult-names-unknown-label",
             "inv-a-list",

@@ -1,6 +1,7 @@
 """Translation groupoids: the triple calculus, arrow equality, multiplication,
 and the functor on 1- and 2-cells."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -20,10 +21,10 @@ from orbatlas.errors import InvalidAtlasError, NotComposableError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, point_in_ball
-from orbatlas.groupoids import ActionGroupoid, UnitPoint, validate_grp_nat_trans
+from orbatlas.groupoids import ActionGroupoid, Arrow, UnitPoint, validate_grp_nat_trans
 from orbatlas.morita import reconstruct_atlas
 from orbatlas.sampling import random_chart_point
-from orbatlas.serialize import serialize
+from orbatlas.serialize import groupoid_from_doc, serialize
 from orbatlas.systems import rotation_fixture, rotation_system, OrbNatTrans
 from orbatlas.translation import (
     FunctorImage,
@@ -163,10 +164,19 @@ class TestArrowEquality:
             if not tg.triples_equal(t1, t_other):
                 assert not tg.triples_equal(t_other, t1)
 
-    def test_source_in_component_coordinates_is_left_leg(self, tg):
-        for comp in tg.arrow_components():
-            k, (i, idx), _ = comp.label
-            assert comp.s_map == tg.atlas.family(k, i)[idx].map
+    def test_source_in_component_coordinates_is_left_leg(self, tg, a3):
+        # the arrow of (l, z, r) is stored at its source point l(z), and its
+        # germ r . l^(-1) carries that point to the target r(z)
+        rng = random.Random(13)
+        for k, (i, li), (j, ri) in tg.arrow_labels():
+            left, right = a3.family(k, i)[li], a3.family(k, j)[ri]
+            z = random_chart_point(rng, a3, k)
+            a = tg.arrow_of(Triple(left, z, right))
+            assert a.point == left(z)
+            assert tg.source(a) == UnitPoint(left.dst, left(z))
+            assert tg.local_bisection(a)(a.point) == right(z)
+            assert tg.target(a) == UnitPoint(right.dst, right(z))
+            assert tg.triple_of(a) == Triple(left, z, right)
 
     def test_equality_across_source_charts(self, sub_full_cone3):
         # the same identification represented over the restricted chart and
@@ -489,7 +499,7 @@ def reference_arrows_from(g, u):
             continue
         for h in g.atlas.chart(cid).group:
             right = Embedding(span.right.src, span.right.dst, h.compose(span.right.map))
-            out.append(g._arrow(span.left, span.point, right))
+            out.append(g._arrow(span.left, span.left(span.point), right))
     return out
 
 
@@ -498,14 +508,14 @@ def reference_arrows_between(g, u1, u2):
     if span is None:
         return []
     return [
-        g._arrow(span.left, span.point, Embedding(span.right.src, span.right.dst, s.compose(span.right.map)))
+        g._arrow(span.left, span.left(span.point), Embedding(span.right.src, span.right.dst, s.compose(span.right.map)))
         for s in stabilizer(g.atlas.chart(u2.component), u2.point)
     ]
 
 
 def reference_inverse(g, a):
     t = g.triple_of(a)
-    return g._arrow(t.right, t.point, t.left)
+    return g._arrow(t.right, t.right(t.point), t.left)
 
 
 def reference_arrow_equal(g, a, b):
@@ -592,6 +602,50 @@ class TestLabelTables:
             reference_arrows_from(g, u)
         with pytest.raises(InvalidAtlasError, match="not a stored embedding"):
             g.arrows_from(u)
+
+
+class TestSourcePoint:
+    """Every arrow the groupoid builds is stored at its source point."""
+
+    @pytest.mark.parametrize("name", list(LABEL_ATLASES))
+    def test_built_arrows_sit_at_their_source_point(self, name):
+        g = TranslationGroupoid(LABEL_ATLASES[name]())
+        rng = random.Random(29)
+        units = g.unit_witness_points() + STABILIZED_UNITS.get(name, [])
+        units += [g.random_unit(rng) for _ in range(3)]
+        for u in units:
+            firsts = g.arrows_from(u)
+            built = [g.identity(u)] + firsts
+            for a in firsts:
+                v = g.target(a)
+                built += [g.inverse(a)] + g.arrows_between(u, v)
+                built += [g.multiply(a, b) for b in g.arrows_from(v)]
+            for a in built:
+                assert g.source(a) == UnitPoint(g.arrow_component(a.component).s_component, a.point)
+
+    def test_leg_that_cannot_be_inverted_is_an_invalid_atlas(self):
+        base = football(2, 3)
+        reps = list(base.reps.values())
+        zero = AffineMap(((CycNum.rational(base.conductor, 0),),), reps[0].map.b)
+        atlas = Atlas(
+            base.conductor,
+            base.dim,
+            list(base.charts.values()),
+            [Embedding(reps[0].src, reps[0].dst, zero)] + reps[1:],
+            base.oracle,
+            witnesses=base.witnesses,
+        )
+        g = TranslationGroupoid(atlas)
+        # the document path reads labels only, so it builds no component
+        raw = serialize(g)
+        assert serialize(groupoid_from_doc(json.loads(raw))) == raw
+        flat = [label for label in g.arrow_labels() if (label[0], label[1][0]) == (reps[0].src, reps[0].dst)]
+        assert flat
+        for label in flat:
+            with pytest.raises(InvalidAtlasError, match="not invertible"):
+                g.arrow_component(label)
+            with pytest.raises(InvalidAtlasError, match="not invertible"):
+                g.triple_of(Arrow(label, reps[0].map.b))
 
 
 class TestFunctor:
