@@ -8,10 +8,11 @@ charts is the finite torsor {h . lambda : h in the target group}, which is how
 an atlas keeps "all possible embeddings" in finite storage.
 
 Two chart points are identified exactly when some chart embeds into both charts
-carrying one marked point to each.  ``Atlas.refine`` and ``Atlas.locate`` are
-the one place that decides this: a search over the invertible legs into the
-first chart (``Atlas._legs``), then the spans recorded in the atlas's oracle
-record (``orbatlas.oracles``), if any.
+carrying one marked point to each.  One walk over the invertible legs into the
+first chart (``Atlas._legs``) decides this; ``Atlas.refine``, ``Atlas.locate``
+and the translation groupoid's ``arrows_from`` read it.  Spans recorded in the
+atlas's oracle record (``orbatlas.oracles``) are document data: validation
+requires their legs to be stored embeddings, and no query consults them.
 """
 
 from __future__ import annotations
@@ -253,52 +254,34 @@ class Atlas:
 
     # -- identification -----------------------------------------------------
 
-    def refine(self, ci: str, x: Point, cj: str, y: Point) -> Span | None:
-        """A span identifying (ci, x) with (cj, y), or None.
-
-        First the search: over the legs left : k -> ci whose image holds x,
-        in table order, the first right : k -> cj with right(left^(-1)(x)) ==
-        y, which is the first transport from ci to cj carrying x to y; for a
-        valid atlas the stored families realize every identification in one
-        step.  Then the recorded spans, either way round, possibly after moving
-        the span point by a span-chart element.
-        """
+    def _walk(self, ci: str, x: Point, cj: str):
+        """(k, left^(-1)(x), left, family(k, cj)) for each leg left : k -> ci
+        whose image holds x and whose chart k has right legs into cj, in leg
+        table order.  Every identification is read from this walk."""
         for k, left, domain in self._legs(ci):
             rights = self.family(k, cj)
             if rights and point_in_ball(x, domain):
-                z = left.map.inverse()(x)
-                for right in rights:
-                    if right(z) == y:
-                        return Span(k, z, left, right)
-        for span in self.oracle.spans or ():
-            for left, right in ((span.left, span.right), (span.right, span.left)):
-                if left.dst != ci or right.dst != cj:
-                    continue
-                for g in self.charts[span.chart].group:
-                    z = g(span.point)
-                    if left(z) == x and right(z) == y:
-                        return Span(span.chart, z, left, right)
+                yield k, left.map.inverse()(x), left, rights
+
+    def refine(self, ci: str, x: Point, cj: str, y: Point) -> Span | None:
+        """A span identifying (ci, x) with (cj, y), or None: at the first leg
+        of the walk with a right leg carrying left^(-1)(x) to y, the first
+        such right leg.  For a valid atlas the stored families realize every
+        identification in one step, so this is the whole search."""
+        for k, z, left, rights in self._walk(ci, x, cj):
+            for right in rights:
+                if right(z) == y:
+                    return Span(k, z, left, right)
         return None
 
     def locate(self, ci: str, x: Point, cj: str) -> Point | None:
-        """Some point of chart cj identified with (ci, x), or None: the same
-        search, answering with the first right leg k -> cj at the first leg
-        holding x, then the recorded spans forwards, then backwards."""
+        """Some point of chart cj identified with (ci, x), or None: x itself
+        when ci == cj, else the image under the first right leg at the first
+        leg of the walk."""
         if ci == cj:
             return x
-        for k, left, domain in self._legs(ci):
-            rights = self.family(k, cj)
-            if rights and point_in_ball(x, domain):
-                return rights[0](left.map.inverse()(x))
-        spans = self.oracle.spans or ()
-        legs = [(s, s.left, s.right) for s in spans] + [(s, s.right, s.left) for s in spans]
-        for span, left, right in legs:
-            if left.dst != ci or right.dst != cj:
-                continue
-            for g in self.charts[span.chart].group:
-                z = g(span.point)
-                if left(z) == x:
-                    return right(z)
+        for _, z, _, rights in self._walk(ci, x, cj):
+            return rights[0](z)
         return None
 
     def witness_points(self, cid: str) -> list[Point]:
@@ -567,7 +550,9 @@ def validate_atlas(atlas: Atlas, samples: int = 20, rng=None) -> Report:
     """Full structural validation: charts, stored embeddings, closure of the
     embedding family under composition, witnesses, and oracle determinism.
     Every witness and unit witness point is queried, so ``samples`` and
-    ``rng`` are accepted and unused."""
+    ``rng`` are accepted and unused.  Every recorded span of the oracle must
+    be a valid span of stored embeddings, so the stored families realize it
+    (checked under "oracle spans valid", with a detail only on failure)."""
     rep = Report("atlas")
     rep.add("has charts", bool(atlas.charts))
     dims = {c.dim for c in atlas.charts.values()}
@@ -617,6 +602,13 @@ def validate_atlas(atlas: Atlas, samples: int = 20, rng=None) -> Report:
             queries.append((cid, p, cid, p))
     det_ok = True
     span_ok = True
+    detail = ""
+    for span in atlas.oracle.spans or ():
+        sub = validate_span(atlas, span)
+        if not sub.ok:
+            span_ok = False
+            detail = f"recorded span at {span.chart}: " + "; ".join(n for n, _ in sub.failures())
+            break
     for ci, x, cj, y in queries:
         first = atlas.refine(ci, x, cj, y)
         second = atlas.refine(ci, x, cj, y)
@@ -634,5 +626,5 @@ def validate_atlas(atlas: Atlas, samples: int = 20, rng=None) -> Report:
         elif not validate_span(atlas, first).ok:
             span_ok = False
     rep.add("oracle deterministic", det_ok)
-    rep.add("oracle spans valid", span_ok)
+    rep.add("oracle spans valid", span_ok, detail)
     return rep

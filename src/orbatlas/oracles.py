@@ -3,8 +3,9 @@
 In a reduced atlas two chart points are identified exactly when some chart
 embeds into both charts carrying one marked point to each, so the stored charts
 and embeddings already determine every identification.  ``Atlas.refine`` and
-``Atlas.locate`` answer all of them, by a search over the stored embeddings and
-then over the spans recorded here; this module holds document data only.
+``Atlas.locate`` answer all of them by one walk over the stored embeddings; the
+spans recorded here are document data that validation checks against that walk
+and that no query consults.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from .errors import InvalidRelabelingError
 class Oracle:
     """What an atlas document records beyond its charts and embeddings.
 
-    spans: the recorded identification spans consulted when the search misses
-    (the ``span_table`` kind, possibly empty), or None for the plain search
-    (the ``span_search`` kind).
+    spans: the recorded identification spans (the ``span_table`` kind,
+    possibly empty), each of which must be realized by stored embeddings, or
+    None for the plain search (the ``span_search`` kind).
     relabels: the pushforward relabelings of the underlying space, outermost
     first, each as sorted (label, new label) pairs; they change no
     identification, and each must be injective.

@@ -184,33 +184,33 @@ class TranslationGroupoid(GroupoidPresentation):
     def triples_equal(self, p: Triple, q: Triple) -> bool:
         return self.arrow_equal(self.arrow_of(p), self.arrow_of(q))
 
-    def _span_arrows(self, span: Span, x: Point, rows) -> list[Arrow]:
-        """The arrows of (span.left, span.point, G[i] . span.right) at their
-        source point x = span.left(span.point), for the target chart-group
-        positions i in rows, labelled from the atlas's family-index table."""
-        left = _emb_label(self.atlas, span.left)
-        dst = span.right.dst
+    def _leg_arrows(self, left: Embedding, right: Embedding, x: Point, rows) -> list[Arrow]:
+        """The arrows of legs (left, G[i] . right) at their source point x,
+        for the target chart-group positions i in rows, labelled from the
+        atlas's family-index table."""
+        label = _emb_label(self.atlas, left)
         return [
-            Arrow((span.left.src, left, (dst, k)), x)
-            for k in self.atlas.translate_indices(span.right, rows)
+            Arrow((left.src, label, (right.dst, k)), x)
+            for k in self.atlas.translate_indices(right, rows)
         ]
 
     def arrows_between(self, u1: UnitPoint, u2: UnitPoint) -> list[Arrow]:
         span = self.atlas.refine(u1.component, u1.point, u2.component, u2.point)
         if span is None:
             return []
-        return self._span_arrows(span, u1.point, stabilizer_indices(self.atlas.chart(u2.component), u2.point))
+        rows = stabilizer_indices(self.atlas.chart(u2.component), u2.point)
+        return self._leg_arrows(span.left, span.right, u1.point, rows)
 
     def arrows_from(self, u: UnitPoint) -> list[Arrow]:
+        """Per target chart, the arrows at the first leg of the atlas's walk:
+        its first right leg, or on u's own chart the first right leg carrying
+        the walk point back to u (the leg itself does)."""
         out = []
         for cid in self.atlas.chart_ids():
-            z = self.atlas.locate(u.component, u.point, cid)
-            if z is None:
-                continue
-            span = self.atlas.refine(u.component, u.point, cid, z)
-            if span is None:
-                continue
-            out.extend(self._span_arrows(span, u.point, range(len(self.atlas.chart(cid).group))))
+            for _, z, left, rights in self.atlas._walk(u.component, u.point, cid):
+                right = rights[0] if cid != u.component else next(r for r in rights if r(z) == u.point)
+                out.extend(self._leg_arrows(left, right, u.point, range(len(self.atlas.chart(cid).group))))
+                break
         return out
 
     def transports(self, ca, cb):

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from orbatlas.atlas import Atlas, Embedding, Span, restrict_chart
+from orbatlas.atlas import Atlas, Chart, Embedding, Span, restrict_chart
 from orbatlas.field import CycNum, sign_real
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
-from orbatlas.geometry import Point
+from orbatlas.geometry import AffineMap, Ball, Point
+from orbatlas.oracles import Oracle
+
+M = 12
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +61,34 @@ def make_sub_full_pair(p: int = 3):
         witnesses=base.witnesses, unit_points=base.unit_points,
     )
     return sub, full
+
+
+def two_disc_table_atlas(unit_points=None):
+    """Two discs with no stored embedding between them and a recorded span
+    that claims to identify them at one point: its leg into b is not stored."""
+    ident = AffineMap.identity(M, 1)
+    a = Chart("a", Ball.of(M, [0], 1), (ident,))
+    b = Chart("b", Ball.of(M, [0], 1), (ident,))
+    p = Point.of(M, Fraction(1, 3))
+    entry = Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident))
+    return Atlas(M, 1, [a, b], [], Oracle((entry,)), unit_points=unit_points), entry
+
+
+def three_disc_table_atlas():
+    """Three discs with no stored embeddings; recorded spans, two of them
+    through a chart whose group is {1, -1}, claim to identify a and b in both
+    directions and some pairs twice, though none of their cross-chart legs is
+    stored."""
+    ident, neg = AffineMap.identity(M, 1), AffineMap.scaling(M, 1, CycNum.zeta(M, 6))
+    c = Chart("c", Ball.of(M, [0], 1), (ident, neg))
+    charts = [Chart(cid, Ball.of(M, [0], 1), (ident,)) for cid in "ab"] + [c]
+    p = Point.of(M, Fraction(1, 3))
+    entries = (
+        Span("c", p, Embedding("c", "b", neg), Embedding("c", "a", ident)),
+        Span("c", p, Embedding("c", "b", ident), Embedding("c", "a", ident)),
+        Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident)),
+    )
+    return Atlas(M, 1, charts, [], Oracle(entries)), entries
 
 
 @pytest.fixture(scope="session")

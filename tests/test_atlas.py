@@ -47,6 +47,8 @@ from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, u
 from orbatlas.oracles import Oracle
 from orbatlas.sampling import random_chart_point
 
+from conftest import three_disc_table_atlas, two_disc_table_atlas
+
 M = 12
 
 
@@ -454,8 +456,8 @@ _LEG_TABLE_ATLASES = {
     )
     for i, part in enumerate(("refinement", "union1", "union2"))
 }
-_LEG_TABLE_ATLASES["table"] = lambda: _two_disc_table_atlas()[0]
-_LEG_TABLE_ATLASES["table-3"] = lambda: _three_disc_table_atlas()[0]
+_LEG_TABLE_ATLASES["table"] = lambda: _realized_table(football(2, 3))
+_LEG_TABLE_ATLASES["table-3"] = lambda: _realized_table(_refinement_atlases(teardrop_pair(3))[1])
 
 
 class TestTransportTable:
@@ -554,38 +556,31 @@ class TestTransportTable:
         assert (hits > same_chart) == bool(atlas.reps or atlas.oracle.spans)
 
 
-def _two_disc_table_atlas():
-    """Two discs with no stored embedding between them, identified at one
-    point only by a recorded span."""
-    ident = AffineMap.identity(M, 1)
-    a = Chart("a", Ball.of(M, [0], 1), (ident,))
-    b = Chart("b", Ball.of(M, [0], 1), (ident,))
-    p = Point.of(M, Fraction(1, 3))
-    entry = Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident))
-    return Atlas(M, 1, [a, b], [], Oracle((entry,))), entry
-
-
-def _three_disc_table_atlas():
-    """Three discs with no stored embeddings; recorded spans, two of them
-    through a chart whose group is {1, -1}, identify a and b in both directions
-    and some pairs twice, so the order in which the table is read shows."""
-    ident, neg = AffineMap.identity(M, 1), zrot(6)
-    c = Chart("c", Ball.of(M, [0], 1), (ident, neg))
-    charts = [Chart(cid, Ball.of(M, [0], 1), (ident,)) for cid in "ab"] + [c]
-    p = Point.of(M, Fraction(1, 3))
-    entries = (
-        Span("c", p, Embedding("c", "b", neg), Embedding("c", "a", ident)),
-        Span("c", p, Embedding("c", "b", ident), Embedding("c", "a", ident)),
-        Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident)),
+def _realized_table(atlas):
+    """atlas with its own witnesses recorded as its span table: spans whose
+    legs are stored embeddings, so the walk realizes every one of them."""
+    return Atlas(
+        atlas.conductor,
+        atlas.dim,
+        list(atlas.charts.values()),
+        list(atlas.reps.values()),
+        Oracle(atlas.witnesses),
+        witnesses=atlas.witnesses,
+        unit_points=atlas.unit_points,
     )
-    return Atlas(M, 1, charts, [], Oracle(entries)), entries
+
+
+_TABLE_BASES = {
+    "football23": lambda: football(2, 3),
+    "teardrop3-union1": lambda: _refinement_atlases(teardrop_pair(3))[1],
+}
 
 
 class TestSpanTableOracle:
     def test_serialize_round_trip_is_byte_identical(self):
         from orbatlas.serialize import atlas_from_doc, serialize
 
-        atlas, entry = _two_disc_table_atlas()
+        atlas, entry = two_disc_table_atlas()
         payload = serialize(atlas)
         assert b'"span_table"' in payload
         again = atlas_from_doc(json.loads(payload))
@@ -596,7 +591,7 @@ class TestSpanTableOracle:
         from orbatlas.errors import ParseError
         from orbatlas.serialize import atlas_from_doc, atlas_to_doc
 
-        doc = atlas_to_doc(_two_disc_table_atlas()[0])
+        doc = atlas_to_doc(two_disc_table_atlas()[0])
         doc["oracle"]["params"]["spans"][0]["point"] = []
         with pytest.raises(ParseError, match="expected dimension 1"):
             atlas_from_doc(doc)
@@ -605,17 +600,32 @@ class TestSpanTableOracle:
             atlas_from_doc(doc)
 
     def test_query_answered_only_by_the_table(self):
-        atlas, entry = _two_disc_table_atlas()
+        # a span the stored embeddings do not realize identifies nothing, and
+        # the atlas recording it fails validation
+        atlas, entry = two_disc_table_atlas()
         p = entry.point
-        # the search alone, over the same charts without the table, misses
-        searched = Atlas(M, 1, list(atlas.charts.values()), [])
         assert atlas.transports("a", "b") == atlas.transports("b", "a") == ()
-        assert searched.refine("a", p, "b", p) is None and searched.locate("a", p, "b") is None
-        assert atlas.locate("a", p, "b") == p and atlas.locate("b", p, "a") == p
-        assert _span_key(atlas.refine("a", p, "b", p)) == _span_key(entry)
-        flipped = atlas.refine("b", p, "a", p)
-        assert _span_key(flipped) == _span_key(Span("a", p, entry.right, entry.left))
-        assert atlas.refine("a", p, "b", Point.of(M, Fraction(1, 5))) is None
+        assert atlas.locate("a", p, "b") is None and atlas.locate("b", p, "a") is None
+        assert atlas.refine("a", p, "b", p) is None and atlas.refine("b", p, "a", p) is None
+        failures = validate_atlas(atlas).failures()
+        assert failures == [("oracle spans valid", "recorded span at a: leg to b stored in the atlas")]
+
+    def test_unrealized_three_disc_table_fails_validation(self):
+        # the detail names the first failing recorded span's unstored legs;
+        # both also fail equivariance, as c's group {1, -1} has no image in a or b
+        detail = (
+            "recorded span at c: leg to b stored in the atlas; leg to b valid; "
+            "leg to a stored in the atlas; leg to a valid"
+        )
+        assert validate_atlas(three_disc_table_atlas()[0]).failures() == [("oracle spans valid", detail)]
+
+    @pytest.mark.parametrize("make", _TABLE_BASES.values(), ids=_TABLE_BASES.keys())
+    def test_realized_table_validates_with_the_report_of_its_search(self, make):
+        # recorded spans that the stored embeddings realize add no check and
+        # no detail to the report of the same atlas without a table
+        atlas = make()
+        rep = validate_atlas(_realized_table(atlas))
+        assert rep.ok and rep.checks == validate_atlas(atlas).checks
 
 
 class _ReferenceSpanSearch:
@@ -704,7 +714,11 @@ class _ReferencePushforward:
 
 _SWAP = {"north": "south", "south": "north", "glue": "glue"}
 _RENAME = {"north": "n", "south": "s", "glue": "g"}
-_TABLE_SWAP = {"a": "b", "b": "a"}
+
+
+def _with_table_reference(atlas):
+    """atlas with the former span-table oracle class over its recorded spans."""
+    return atlas, _ReferenceSpanTable(atlas.oracle.spans)
 
 
 def _pushed(base, reference, *relabels):
@@ -725,14 +739,12 @@ class TestOracleReference:
             lambda: (football(2, 3), _ReferenceSpanSearch()),
             lambda: (teardrop(3), _ReferenceSpanSearch()),
             lambda: (cone(4, conductor=12), _ReferenceSpanSearch()),
-            lambda: (_two_disc_table_atlas()[0], _ReferenceSpanTable([_two_disc_table_atlas()[1]])),
-            lambda: (_three_disc_table_atlas()[0], _ReferenceSpanTable(_three_disc_table_atlas()[1])),
+            lambda: _with_table_reference(_realized_table(football(2, 3))),
+            lambda: _with_table_reference(_realized_table(_refinement_atlases(teardrop_pair(3))[1])),
             lambda: _pushed(football(2, 3), _ReferenceSpanSearch(), _SWAP),
             lambda: _pushed(football(2, 3), _ReferenceSpanSearch(), _SWAP, _RENAME),
-            lambda: _pushed(_two_disc_table_atlas()[0], _ReferenceSpanTable([_two_disc_table_atlas()[1]]), _TABLE_SWAP),
-            lambda: _pushed(
-                _two_disc_table_atlas()[0], _ReferenceSpanTable([_two_disc_table_atlas()[1]]), _TABLE_SWAP, {}
-            ),
+            lambda: _pushed(*_with_table_reference(_realized_table(football(2, 3))), _SWAP),
+            lambda: _pushed(*_with_table_reference(_realized_table(football(2, 3))), _SWAP, {}),
         ],
         ids=[
             "cone3", "football23", "teardrop3", "cone4-m12", "table", "table-3",

@@ -68,7 +68,7 @@ from orbatlas.sampling import random_chart_point
 from orbatlas.serialize import serialize
 from orbatlas.translation import TranslationGroupoid
 
-from conftest import reference_ball_in_ball, reference_balls_disjoint
+from conftest import make_sub_full_pair, reference_ball_in_ball, reference_balls_disjoint
 
 
 class TestSubAtlas:
@@ -81,6 +81,31 @@ class TestSubAtlas:
         sub, full = sub_full_cone3
         mor = subatlas_inclusion_morphism(sub, full)
         assert validate_groupoid_morphism(mor, samples=25, seed=2).ok
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda: make_sub_full_pair(3),
+            lambda: make_sub_full_pair(4),
+            lambda: make_sub_full_pair(6),
+            lambda: (cone(3), cone(3)),
+            lambda: (football(2, 3), football(2, 3)),
+        ],
+        ids=["cone3-half", "cone4-half", "cone6-half", "cone3", "football23"],
+    )
+    def test_relabelled_legs_match_the_triple_round_trip(self, pair):
+        # the image keeps the point and relabels the legs in the larger atlas:
+        # the arrow that rebuilding the triple there gives
+        sub, full = pair()
+        mor = subatlas_inclusion_morphism(sub, full)
+        src, dst = mor.src, mor.dst
+        rng = random.Random(41)
+        units = src.unit_witness_points() + [src.random_unit(rng) for _ in range(20)]
+        arrows = [a for u in units for a in src.arrows_from(u)]
+        arrows += [src.inverse(a) for a in arrows]
+        for a in arrows:
+            assert mor.Psi(a) == dst.arrow_of(src.triple_of(a))
+        assert len({a.component for a in arrows}) > 1
 
     def test_disjoint_chart_rejected(self, cone3):
         other = cone(2)

@@ -42,6 +42,8 @@ from orbatlas.serialize import (
 from orbatlas.systems import CompatibleSystem, rotation_fixture
 from orbatlas.translation import TranslationGroupoid
 
+from conftest import two_disc_table_atlas
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize(
@@ -608,6 +610,38 @@ class TestCli:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
         assert "image inside target domain" in lines[0], out.stderr
+
+    @pytest.fixture(scope="class")
+    def unrealized_table(self, cli_dir):
+        """Two discs whose recorded span uses an embedding a -> b the atlas
+        does not store, with unit witness points at that span's point."""
+        p = Point.of(12, Fraction(1, 3))
+        atlas, _ = two_disc_table_atlas(unit_points={"a": (p,), "b": (p,)})
+        (cli_dir / "table.json").write_bytes(serialize(atlas))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "table.json"),
+            ("groupoid", "table.json"),
+            ("reconstruct", "table.json"),
+            ("morita", "table.json", "table.json"),
+            ("bijection", "table.json", "table.json"),
+        ],
+        ids=["validate", "groupoid", "reconstruct", "morita", "bijection"],
+    )
+    def test_unrealized_recorded_span_fails(self, cli_dir, unrealized_table, argv):
+        out = run_cli(*argv, "--samples", "10", cwd=cli_dir)
+        assert out.returncode == 1, out.stdout + out.stderr
+        assert "Traceback" not in out.stderr, out.stderr
+        if argv[0] == "validate":
+            assert out.stderr == "", out.stderr
+            assert out.stdout.count("[FAIL]") == 1, out.stdout
+            assert "[FAIL] oracle spans valid -- recorded span at a: leg to b stored in the atlas" in out.stdout
+        else:
+            assert out.stdout == "", out.stdout
+            lines = out.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: invalid atlas: oracle spans valid"), out.stderr
 
     @pytest.fixture(scope="class")
     def unknown_leg_targets(self, cli_dir):

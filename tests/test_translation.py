@@ -581,6 +581,16 @@ class TestLabelTables:
                 same_component_apart += a.component == b.component and a.point != b.point
         assert same_component_apart > 0
 
+    @pytest.mark.parametrize("name", ["football23", "teardrop3"])
+    def test_own_chart_leg_in_a_later_image(self, name):
+        # the centre of the glue chart's second image in north: the first leg
+        # of the walk holding it is not the first of its family, so on north
+        # itself the right leg carrying it back is not the family's first
+        g = TranslationGroupoid(LABEL_ATLASES[name]())
+        x = g.atlas.family("glue", "north")[1](g.atlas.chart("glue").ball.center)
+        u = UnitPoint("north", x)
+        assert g.arrows_from(u) == reference_arrows_from(g, u)
+
     def test_unrelated_units_have_no_arrows_between(self):
         g = TranslationGroupoid(football(2, 3))
         u = g.unit_witness_points()[0]
