@@ -95,18 +95,6 @@ class Span:
     right: Embedding
 
 
-@dataclass(frozen=True)
-class Transport:
-    """The transition right . left^(-1) from chart left.dst to chart right.dst
-    through a common chart k, defined on the image of k's ball under left."""
-
-    k: str
-    left: Embedding
-    right: Embedding
-    map: AffineMap
-    domain: Ball
-
-
 class Atlas:
     """A finite family of charts with stored representative embeddings, the
     oracle record of its document, coverage witnesses and declared unit witness
@@ -145,7 +133,7 @@ class Atlas:
         self._family_cache: dict[tuple[str, str], tuple[Embedding, ...]] = {}
         self._position_cache: dict[tuple[str, str], dict[AffineMap, int]] = {}
         self._leg_cache: dict[str, tuple[tuple[str, Embedding, Ball], ...]] = {}
-        self._transport_cache: dict[tuple[str, str], tuple[Transport, ...]] = {}
+        self._transport_cache: dict[tuple[str, str], tuple[tuple[AffineMap, Ball], ...]] = {}
         self._label_cache: dict[tuple[str, str], tuple[tuple[int | None, ...], ...]] = {}
 
     # -- chart and embedding enumeration ------------------------------------
@@ -192,18 +180,21 @@ class Atlas:
             )
         return cached
 
-    def transports(self, ca: str, cb: str) -> tuple[Transport, ...]:
-        """Every transition right . left^(-1) from chart ca to chart cb: the
-        legs into ca in ``_legs`` order, then the right legs k -> cb in family
-        order.  The common refinement, ``multiply`` and the translation
-        groupoid's reconstruction data read this table."""
+    def transports(self, ca: str, cb: str) -> tuple[tuple[AffineMap, Ball], ...]:
+        """Each distinct (right . left^(-1), left(ball of k)) from chart ca to
+        chart cb through a common chart k, in first-occurrence order over the
+        legs into ca (``_legs`` order), then the right legs k -> cb in family
+        order.  The common refinement and the translation groupoid's
+        reconstruction data read this table."""
         key = (ca, cb)
         cached = self._transport_cache.get(key)
         if cached is None:
             cached = self._transport_cache[key] = tuple(
-                Transport(k, left, right, right.map.compose(left.map.inverse()), domain)
-                for k, left, domain in self._legs(ca)
-                for right in self.family(k, cb)
+                dict.fromkeys(
+                    (right.map.compose(left.map.inverse()), domain)
+                    for k, left, domain in self._legs(ca)
+                    for right in self.family(k, cb)
+                )
             )
         return cached
 

@@ -334,10 +334,10 @@ def _relate_witness_charts(u1: Atlas, wa: WitnessSpan, wb: WitnessSpan) -> Embed
     through the transports of the anchoring atlas; None when exactly disjoint;
     error on partial overlap."""
     footprint = map_ball(wa.left.map, wa.chart.ball)
-    for t in u1.transports(wa.left.dst, wb.left.dst):
-        if balls_disjoint(t.domain, footprint):
+    for transition, domain in u1.transports(wa.left.dst, wb.left.dst):
+        if balls_disjoint(domain, footprint):
             continue
-        s = wb.left.map.inverse().compose(t.map).compose(wa.left.map)
+        s = wb.left.map.inverse().compose(transition).compose(wa.left.map)
         image = map_ball(s, wa.chart.ball)
         if balls_disjoint(image, wb.chart.ball):
             continue

@@ -5,7 +5,8 @@ over a common chart.  A reduced atlas gives an effective groupoid, where an
 arrow is the germ of its transition right . left^(-1) at its source point; as
 transitions are similarities, equal germs are equal maps, and an arrow is
 stored at its source point.  Equality compares source unit, target chart and
-germ; multiplication looks the composed germ up in the transport table.
+germ; multiplication scans the components between the two charts for the
+composed germ.
 multiply_triples keeps the span-completion product.
 """
 
@@ -59,7 +60,8 @@ class TranslationGroupoid(GroupoidPresentation):
 
     Components are indexed by pairs of stored embeddings (left, right) out of
     a common chart k; the component's ball is left(ball of k) and its germ is
-    right . left^(-1).  The labels and legs are listed up front, and each
+    right . left^(-1).  The labels and legs are listed up front, with the
+    labels of invertible left legs per (source chart, target chart), and each
     component is built from its legs on first use.
     """
 
@@ -72,12 +74,16 @@ class TranslationGroupoid(GroupoidPresentation):
         self._units = [UnitComponent(cid, atlas.chart(cid).ball) for cid in atlas.chart_ids()]
         self._legs: dict = {}
         self._components: dict = {}
-        self._transports: dict = {}
+        self._labels_between: dict = {}
         for k in atlas.chart_ids():
             legs = [(e, _emb_label(atlas, e)) for e in atlas.family_from(k)]
             for left, left_label in legs:
+                invertible = left.map.is_invertible()
                 for right, right_label in legs:
-                    self._legs[(k, left_label, right_label)] = (left, right)
+                    label = (k, left_label, right_label)
+                    self._legs[label] = (left, right)
+                    if invertible:
+                        self._labels_between.setdefault((left.dst, right.dst), []).append(label)
 
     # -- triples <-> arrows ---------------------------------------------------
 
@@ -142,16 +148,18 @@ class TranslationGroupoid(GroupoidPresentation):
         return Arrow((k, right_label, left_label), self.target(a).point)
 
     def multiply(self, a: Arrow, b: Arrow) -> Arrow:
-        """The first transport record carrying germ(b) . germ(a) over s(a)."""
+        """The first component from s(a)'s chart to t(b)'s chart, in label
+        order, whose germ is germ(b) . germ(a) and whose ball holds s(a)."""
         if not self.composable(a, b):
             raise NotComposableError("t(first) != s(second)")
         germ = self.local_bisection(b).compose(self.local_bisection(a))
         x = self.source(a)
         ck = self.arrow_component(b.component).t_component
-        for t in self.atlas.transports(x.component, ck):
-            if t.map == germ and point_in_ball(x.point, t.domain):
-                return self._arrow(t.left, x.point, t.right)
-        raise InvalidAtlasError(f"no transport {x.component}->{ck} carries the composed germ")
+        for label in self._labels_between.get((x.component, ck), ()):
+            comp = self.arrow_component(label)
+            if comp.germ == germ and point_in_ball(x.point, comp.ball):
+                return Arrow(label, x.point)
+        raise InvalidAtlasError(f"no component {x.component}->{ck} carries the composed germ")
 
     def multiply_triples(self, p: Triple, q: Triple, span=None) -> Triple:
         """[left_p . f_left, x_f, right_q . f_right] for a span completion of the
@@ -214,15 +222,8 @@ class TranslationGroupoid(GroupoidPresentation):
         return out
 
     def transports(self, ca, cb):
-        """Each distinct (map, domain) pair of the atlas table once, in
-        first-occurrence order; built on first use and cached per pair."""
-        key = (ca, cb)
-        out = self._transports.get(key)
-        if out is None:
-            out = self._transports[key] = tuple(
-                dict.fromkeys((t.map, t.domain) for t in self.atlas.transports(ca, cb))
-            )
-        return out
+        """The atlas's distinct (map, domain) pairs from ca to cb."""
+        return self.atlas.transports(ca, cb)
 
     def unit_witness_points(self):
         out = []

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from orbatlas.atlas import Atlas, Chart, Embedding, Span, restrict_chart
 from orbatlas.field import CycNum, sign_real
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
-from orbatlas.geometry import AffineMap, Ball, Point
+from orbatlas.geometry import AffineMap, Ball, Point, map_ball, point_in_ball
 from orbatlas.oracles import Oracle
 
 M = 12
@@ -89,6 +90,53 @@ def three_disc_table_atlas():
         Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident)),
     )
     return Atlas(M, 1, charts, [], Oracle(entries)), entries
+
+
+class ReferenceTransport(NamedTuple):
+    """One record of the former transport table: the transition
+    right . left^(-1) through chart k, on the domain left(ball of k)."""
+
+    k: str
+    left: Embedding
+    right: Embedding
+    map: AffineMap
+    domain: Ball
+
+
+def reference_transports(atlas, ca, cb):
+    """The former record table of transports(ca, cb), written out: k in chart
+    order, the invertible left legs k -> ca, then the right legs k -> cb, one
+    record per leg pair, duplicates included."""
+    table = []
+    for k, chart in atlas.charts.items():
+        rights = atlas.family(k, cb)
+        for left in atlas.family(k, ca):
+            if not left.map.is_invertible():
+                continue
+            inv = left.map.inverse()
+            domain = map_ball(left.map, chart.ball)
+            table.extend(
+                ReferenceTransport(k, left, right, right.map.compose(inv), domain) for right in rights
+            )
+    return table
+
+
+def record_arrows(g, u):
+    """The arrow of every former transport record out of u's chart whose
+    domain holds u, labelled by its legs: every arrow out of u, under each
+    of its labels."""
+    return [
+        g._arrow(t.left, u.point, t.right)
+        for cj in g.atlas.chart_ids()
+        for t in reference_transports(g.atlas, u.component, cj)
+        if point_in_ball(u.point, t.domain)
+    ]
+
+
+def distinct_transports(records):
+    """The (map, domain) pairs of the records, each once, in first-occurrence
+    order."""
+    return tuple(dict.fromkeys((t.map, t.domain) for t in records))
 
 
 @pytest.fixture(scope="session")

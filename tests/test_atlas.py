@@ -37,6 +37,7 @@ from orbatlas.gallery import (
     cone_pair,
     football,
     global_quotient,
+    point_atlas,
     pushforward_pair,
     rotation_group,
     teardrop,
@@ -46,8 +47,16 @@ from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, 
 from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, union_atlas
 from orbatlas.oracles import Oracle
 from orbatlas.sampling import random_chart_point
+from orbatlas.translation import TranslationGroupoid
 
-from conftest import three_disc_table_atlas, two_disc_table_atlas
+from conftest import (
+    distinct_transports,
+    make_sub_full_pair,
+    record_arrows,
+    reference_transports,
+    three_disc_table_atlas,
+    two_disc_table_atlas,
+)
 
 M = 12
 
@@ -425,21 +434,6 @@ def _span_key(span):
     return (span.chart, span.point, span.left.dst, span.left.map, span.right.dst, span.right.map)
 
 
-def _reference_transports(atlas, ca, cb):
-    """The former build of transports(ca, cb), written out: k in chart order,
-    the invertible left legs k -> ca, then the right legs k -> cb."""
-    table = []
-    for k, chart in atlas.charts.items():
-        rights = atlas.family(k, cb)
-        for left in atlas.family(k, ca):
-            if not left.map.is_invertible():
-                continue
-            inv = left.map.inverse()
-            domain = map_ball(left.map, chart.ball)
-            table.extend((k, left, right, right.map.compose(inv), domain) for right in rights)
-    return table
-
-
 def _refinement_atlases(pair):
     """The common refinement of an equivalent pair and its two union atlases."""
     u1, u2, witnesses = pair
@@ -458,6 +452,31 @@ _LEG_TABLE_ATLASES = {
 }
 _LEG_TABLE_ATLASES["table"] = lambda: _realized_table(football(2, 3))
 _LEG_TABLE_ATLASES["table-3"] = lambda: _realized_table(_refinement_atlases(teardrop_pair(3))[1])
+
+
+_SCAN_ATLASES = {
+    "cone3": lambda: cone(3),
+    "cone6": lambda: cone(6),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+    "cone4-m12": lambda: cone(4, conductor=12),
+    "quot22": lambda: global_quotient(2, 2),
+    "point": point_atlas,
+    "sub-full-cone3": lambda: make_sub_full_pair(3)[1],
+    **_LEG_TABLE_ATLASES,
+}
+
+
+def _record_scan_product(g, a, b):
+    """multiply as it scanned the former record table: the first record from
+    s(a)'s chart to t(b)'s chart with map germ(b) . germ(a) and s(a) in its
+    domain, labelled by its legs."""
+    germ = g.local_bisection(b).compose(g.local_bisection(a))
+    x = g.source(a)
+    for t in reference_transports(g.atlas, x.component, g.target(b).component):
+        if t.map == germ and point_in_ball(x.point, t.domain):
+            return g._arrow(t.left, x.point, t.right)
+    return None
 
 
 class TestTransportTable:
@@ -503,22 +522,41 @@ class TestTransportTable:
                     for left in atlas.family(k, ca)
                     for right in atlas.family(k, cb)
                 ]
-                table = atlas.transports(ca, cb)
-                assert [(t.k, t.left.map, t.right.map) for t in table] == expected
-                for t in table:
+                records = reference_transports(atlas, ca, cb)
+                assert [(t.k, t.left.map, t.right.map) for t in records] == expected
+                for t in records:
                     assert t.map == t.right.map.compose(t.left.map.inverse())
                     assert t.domain == map_ball(t.left.map, atlas.chart(t.k).ball)
+                table = atlas.transports(ca, cb)
+                assert table == distinct_transports(records)
                 assert atlas.transports(ca, cb) is table
 
-    @pytest.mark.parametrize("make", _LEG_TABLE_ATLASES.values(), ids=_LEG_TABLE_ATLASES.keys())
+    @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
     def test_transport_records_match_the_composite_build(self, make):
-        # the table built over the leg table keeps every record of the former
-        # build: k, both legs, the map and the domain, in order
+        # the table built over the leg table lists the (map, domain) pair of
+        # every record of the former build, each once, in record order; it is
+        # cached on the atlas and is the groupoid's table too
         atlas = make()
+        g = TranslationGroupoid(atlas)
         for ca in atlas.chart_ids():
             for cb in atlas.chart_ids():
-                got = [(t.k, t.left, t.right, t.map, t.domain) for t in atlas.transports(ca, cb)]
-                assert got == _reference_transports(atlas, ca, cb)
+                table = atlas.transports(ca, cb)
+                assert table == distinct_transports(reference_transports(atlas, ca, cb))
+                assert atlas.transports(ca, cb) is table
+                assert g.transports(ca, cb) is table
+
+    @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
+    def test_multiply_label_matches_the_record_scan(self, make):
+        # the component scan returns the label the former record scan built,
+        # for arrows from arrows_from and for arrows under every record label
+        g = TranslationGroupoid(make())
+        rng = random.Random(47)
+        pairs = [g.random_composable_pair(rng) for _ in range(6)]
+        for _ in range(6):
+            a = rng.choice(record_arrows(g, g.random_unit(rng)))
+            pairs.append((a, rng.choice(record_arrows(g, g.target(a)))))
+        for a, b in pairs:
+            assert g.multiply(a, b) == _record_scan_product(g, a, b), (a, b)
 
     @pytest.mark.parametrize("make", _LEG_TABLE_ATLASES.values(), ids=_LEG_TABLE_ATLASES.keys())
     def test_leg_search_matches_the_composite_table_walk(self, make):
@@ -574,7 +612,6 @@ _TABLE_BASES = {
     "football23": lambda: football(2, 3),
     "teardrop3-union1": lambda: _refinement_atlases(teardrop_pair(3))[1],
 }
-
 
 class TestSpanTableOracle:
     def test_serialize_round_trip_is_byte_identical(self):
@@ -633,7 +670,7 @@ class _ReferenceSpanSearch:
 
     def refine(self, atlas, ci, x, cj, y):
         left = None
-        for t in atlas.transports(ci, cj):
+        for t in reference_transports(atlas, ci, cj):
             if t.left is not left:
                 left, inside = t.left, point_in_ball(x, t.domain)
             if inside and t.map(x) == y:
@@ -644,7 +681,7 @@ class _ReferenceSpanSearch:
         if ci == cj:
             return x
         left = None
-        for t in atlas.transports(ci, cj):
+        for t in reference_transports(atlas, ci, cj):
             if t.left is not left:
                 left = t.left
                 if point_in_ball(x, t.domain):

@@ -14,7 +14,7 @@ from orbatlas.atlas import (
     separation_radius,
     validate_atlas,
 )
-from orbatlas.errors import NotASubAtlasError, NotEquivalentError
+from orbatlas.errors import NotASubAtlasError, NotEquivalentError, WitnessInvalidError
 from orbatlas.field import CycNum, sign_real
 from orbatlas.gallery import (
     WitnessSpan,
@@ -47,6 +47,7 @@ from orbatlas.groupoids import (
     validate_groupoid_morphism,
 )
 from orbatlas.morita import (
+    _embedding_problems,
     _hits_witness,
     _self_maps,
     atlases_equivalent,
@@ -68,7 +69,13 @@ from orbatlas.sampling import random_chart_point
 from orbatlas.serialize import serialize
 from orbatlas.translation import TranslationGroupoid
 
-from conftest import make_sub_full_pair, reference_ball_in_ball, reference_balls_disjoint
+from conftest import (
+    distinct_transports,
+    make_sub_full_pair,
+    reference_ball_in_ball,
+    reference_balls_disjoint,
+    reference_transports,
+)
 
 
 class TestSubAtlas:
@@ -260,6 +267,55 @@ class TestRefinement:
         with pytest.raises(NotEquivalentError):
             common_refinement(cone3, cone3, [])
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: cone_pair(3), lambda: teardrop_pair(3), lambda: pushforward_pair(football(2, 3))],
+        ids=["cone3", "teardrop3", "push-football23"],
+    )
+    def test_common_refinement_matches_the_record_walk(self, make, monkeypatch):
+        # walking each distinct (map, domain) pair once relates the witness
+        # charts as walking every former record did
+        import orbatlas.morita
+
+        u1, u2, ws = make()
+        got = common_refinement(u1, u2, ws)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _record_walk_relate(*args)
+
+        monkeypatch.setattr(orbatlas.morita, "_relate_witness_charts", counted)
+        want = common_refinement(u1, u2, ws)
+        assert len(calls) == len(ws) * (len(ws) - 1)
+        assert list(got.atlas.reps.items()) == list(want.atlas.reps.items())
+        assert serialize(got.atlas) == serialize(want.atlas)
+        assert got.into_first == want.into_first and got.into_second == want.into_second
+
+
+def _record_walk_relate(u1, wa, wb):
+    """_relate_witness_charts as first written, over every former transport
+    record of the first atlas, duplicates included."""
+    footprint = map_ball(wa.left.map, wa.chart.ball)
+    for t in reference_transports(u1, wa.left.dst, wb.left.dst):
+        if balls_disjoint(t.domain, footprint):
+            continue
+        s = wb.left.map.inverse().compose(t.map).compose(wa.left.map)
+        image = map_ball(s, wa.chart.ball)
+        if balls_disjoint(image, wb.chart.ball):
+            continue
+        if ball_in_ball(image, wb.chart.ball):
+            e = Embedding(wa.chart.cid, wb.chart.cid, s)
+            if _embedding_problems(e, wa.chart, wb.chart):
+                raise WitnessInvalidError(
+                    f"transport of {wa.chart.cid} into {wb.chart.cid} is not an embedding"
+                )
+            return e
+        if ball_in_ball(wb.chart.ball, image):
+            return None
+        raise WitnessInvalidError(f"witness charts {wa.chart.cid}, {wb.chart.cid} partially overlap")
+    return None
+
 
 class TestKeyPoint:
     def test_cone_pair_chain(self):
@@ -392,10 +448,8 @@ class TestReconstructionReference:
         for ca in atlas.chart_ids():
             for cb in atlas.chart_ids():
                 first = g.transports(ca, cb)
-                assert g.transports(ca, cb) is first
-                assert first == tuple(
-                    dict.fromkeys((t.map, t.domain) for t in atlas.transports(ca, cb))
-                )
+                assert g.transports(ca, cb) is first is atlas.transports(ca, cb)
+                assert first == distinct_transports(reference_transports(atlas, ca, cb))
 
 
 def _reference_restrict_r2(chart, x, r2):
