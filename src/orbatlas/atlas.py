@@ -10,7 +10,7 @@ an atlas keeps "all possible embeddings" in finite storage.
 Two chart points are identified exactly when some chart embeds into both charts
 carrying one marked point to each.  One walk over the invertible legs into the
 first chart (``Atlas._legs``) decides this; ``Atlas.refine``, ``Atlas.locate``
-and the translation groupoid's ``arrows_from`` read it.  Spans recorded in the
+and the translation groupoid's arrow builders read it.  Spans recorded in the
 atlas's oracle record (``orbatlas.oracles``) are document data: validation
 requires their legs to be stored embeddings, and no query consults them.
 """
@@ -131,10 +131,10 @@ class Atlas:
             cid: tuple((unit_points or {}).get(cid, ())) for cid in self.charts
         }
         self._family_cache: dict[tuple[str, str], tuple[Embedding, ...]] = {}
-        self._position_cache: dict[tuple[str, str], dict[AffineMap, int]] = {}
+        self._member_cache: dict[tuple[str, str], frozenset[AffineMap]] = {}
         self._leg_cache: dict[str, tuple[tuple[str, Embedding, Ball], ...]] = {}
-        self._transport_cache: dict[tuple[str, str], tuple[tuple[AffineMap, Ball], ...]] = {}
-        self._label_cache: dict[tuple[str, str], tuple[tuple[int | None, ...], ...]] = {}
+        self._transport_cache: dict[tuple[str, str], TransportTable] = {}
+        self._swap_cache: dict[tuple[str, str, int], int] = {}
 
     # -- chart and embedding enumeration ------------------------------------
 
@@ -181,85 +181,52 @@ class Atlas:
         return cached
 
     def transports(self, ca: str, cb: str) -> tuple[tuple[AffineMap, Ball], ...]:
-        """Each distinct (right . left^(-1), left(ball of k)) from chart ca to
-        chart cb through a common chart k, in first-occurrence order over the
-        legs into ca (``_legs`` order), then the right legs k -> cb in family
-        order.  The common refinement and the translation groupoid's
-        reconstruction data read this table."""
-        key = (ca, cb)
-        cached = self._transport_cache.get(key)
-        if cached is None:
-            cached = self._transport_cache[key] = tuple(
-                dict.fromkeys(
-                    (right.map.compose(left.map.inverse()), domain)
-                    for k, left, domain in self._legs(ca)
-                    for right in self.family(k, cb)
-                )
-            )
-        return cached
+        """The entries of ``transport_table(ca, cb)``."""
+        return self.transport_table(ca, cb).entries
 
-    def family_from(self, src: str) -> list[Embedding]:
-        return [e for dst in self.charts for e in self.family(src, dst)]
+    def transport_table(self, ca: str, cb: str) -> TransportTable:
+        """The transport table from chart ca to chart cb, built on first use
+        and cached per chart pair."""
+        table = self._transport_cache.get((ca, cb))
+        if table is None:
+            table = self._transport_cache[(ca, cb)] = TransportTable(self, ca, cb)
+        return table
 
-    def _family_positions(self, src: str, dst: str) -> dict[AffineMap, int]:
-        """map -> first position of that map in family(src, dst)."""
-        positions = self._position_cache.get((src, dst))
-        if positions is None:
-            positions = {}
-            for k, f in enumerate(self.family(src, dst)):
-                positions.setdefault(f.map, k)
-            self._position_cache[(src, dst)] = positions
-        return positions
+    def swapped(self, ca: str, cb: str, i: int) -> int:
+        """The index, in ``transport_table(cb, ca)``, of the entry of entry i
+        of ``transport_table(ca, cb)`` with its first leg pair swapped: the
+        inverse germ on the right leg's image; memoized per entry."""
+        if (ca, cb, i) not in self._swap_cache:
+            (germ, _), (_, right) = self.transports(ca, cb)[i], self.transport_table(ca, cb).legs[i]
+            if not germ.is_invertible():
+                raise InvalidAtlasError(f"{right!r} is not invertible")
+            domain = map_ball(right.map, self.charts[right.src].ball)
+            self._swap_cache[(ca, cb, i)] = self.transport_table(cb, ca).index(germ.inverse(), domain=domain)
+        return self._swap_cache[(ca, cb, i)]
 
     def in_family(self, e: Embedding) -> bool:
-        return e.map in self._family_positions(e.src, e.dst)
-
-    def family_index(self, e: Embedding) -> int:
-        k = self._family_positions(e.src, e.dst).get(e.map)
-        if k is None:
-            raise InvalidAtlasError(f"{e!r} is not a stored embedding of the atlas")
-        return k
-
-    def translate_indices(self, e: Embedding, rows) -> list[int]:
-        """The family index of G_dst[i] . e for each i in rows, read from a
-        table built on first use per chart pair: entry [i][j] is the index of
-        G_dst[i] . family(src, dst)[j], or None when that composite is not in
-        the family."""
-        key = (e.src, e.dst)
-        table = self._label_cache.get(key)
-        if table is None:
-            positions = self._family_positions(e.src, e.dst)
-            fam = self.family(e.src, e.dst)
-            table = self._label_cache[key] = tuple(
-                tuple(positions.get(g.compose(f.map)) for f in fam)
-                for g in self.charts[e.dst].group
-            )
-        j = self.family_index(e)
-        out = []
-        for i in rows:
-            k = table[i][j]
-            if k is None:
-                raise InvalidAtlasError(f"{e!r} is not a stored embedding of the atlas")
-            out.append(k)
-        return out
+        members = self._member_cache.get((e.src, e.dst))
+        if members is None:
+            members = self._member_cache[(e.src, e.dst)] = frozenset(f.map for f in self.family(e.src, e.dst))
+        return e.map in members
 
     # -- identification -----------------------------------------------------
 
     def _walk(self, ci: str, x: Point, cj: str):
-        """(k, left^(-1)(x), left, family(k, cj)) for each leg left : k -> ci
-        whose image holds x and whose chart k has right legs into cj, in leg
-        table order.  Every identification is read from this walk."""
+        """(k, left^(-1)(x), left, its image, family(k, cj)) for each leg left :
+        k -> ci whose image holds x and whose chart k has right legs into cj,
+        in leg table order.  Every identification is read from this walk."""
         for k, left, domain in self._legs(ci):
             rights = self.family(k, cj)
             if rights and point_in_ball(x, domain):
-                yield k, left.map.inverse()(x), left, rights
+                yield k, left.map.inverse()(x), left, domain, rights
 
     def refine(self, ci: str, x: Point, cj: str, y: Point) -> Span | None:
         """A span identifying (ci, x) with (cj, y), or None: at the first leg
         of the walk with a right leg carrying left^(-1)(x) to y, the first
         such right leg.  For a valid atlas the stored families realize every
         identification in one step, so this is the whole search."""
-        for k, z, left, rights in self._walk(ci, x, cj):
+        for k, z, left, _, rights in self._walk(ci, x, cj):
             for right in rights:
                 if right(z) == y:
                     return Span(k, z, left, right)
@@ -271,7 +238,7 @@ class Atlas:
         leg of the walk."""
         if ci == cj:
             return x
-        for _, z, _, rights in self._walk(ci, x, cj):
+        for _, z, _, _, rights in self._walk(ci, x, cj):
             return rights[0](z)
         return None
 
@@ -282,6 +249,44 @@ class Atlas:
             if p not in pts:
                 pts.append(p)
         return pts
+
+
+class TransportTable:
+    """Each distinct (right . left^(-1), left(ball of k)) from chart ca to
+    chart cb through a common chart k, in first-occurrence order over the
+    legs into ca (``Atlas._legs`` order), then the right legs k -> cb in
+    family order, with the first leg pair (left, right) giving each entry:
+    the translation groupoid's arrow components."""
+
+    def __init__(self, atlas: Atlas, ca: str, cb: str):
+        first: dict = {}
+        for k, left, domain in atlas._legs(ca):
+            unleft = left.map.inverse()
+            for right in atlas.family(k, cb):
+                first.setdefault((right.map.compose(unleft), domain), (left, right))
+        self.route, self.group = (ca, cb), atlas.chart(cb).group
+        self.entries: tuple[tuple[AffineMap, Ball], ...] = tuple(first)
+        self.legs: tuple[tuple[Embedding, Embedding], ...] = tuple(first.values())
+        self._by_germ: dict[AffineMap, list[tuple[int, Ball]]] = {}
+        for i, (germ, d) in enumerate(self.entries):
+            self._by_germ.setdefault(germ, []).append((i, d))
+        self._translates: dict[int, tuple[int, ...]] = {}
+
+    def index(self, germ: AffineMap, x: Point | None = None, domain: Ball | None = None) -> int:
+        """The index of the first entry carrying germ on the given domain or,
+        with none given, on a domain holding x."""
+        for i, d in self._by_germ.get(germ, ()):
+            if d == domain if domain is not None else point_in_ball(x, d):
+                return i
+        raise InvalidAtlasError("no transport {}->{} carries this germ there".format(*self.route))
+
+    def translates(self, i: int) -> tuple[int, ...]:
+        """For each h of the target chart group, in group order, the index of
+        the entry (h . germ, domain) of entry i = (germ, domain); memoized."""
+        if i not in self._translates:
+            germ, domain = self.entries[i]
+            self._translates[i] = tuple(self.index(h.compose(germ), domain=domain) for h in self.group)
+        return self._translates[i]
 
 
 # -- chart-level operations ---------------------------------------------------

@@ -71,8 +71,8 @@ def is_subatlas(sub: Atlas, full: Atlas) -> bool:
 
 
 def subatlas_inclusion_morphism(sub: Atlas, full: Atlas) -> GroupoidMorphism:
-    """Units include component-wise; an arrow keeps its point and its legs,
-    relabelled by their family indices in the larger atlas."""
+    """Units include component-wise; an arrow keeps its point and its germ,
+    relabelled by the larger atlas's transport table."""
     if not is_subatlas(sub, full):
         raise NotASubAtlasError("first atlas is not contained in the second")
     src = TranslationGroupoid(sub)
@@ -82,8 +82,8 @@ def subatlas_inclusion_morphism(sub: Atlas, full: Atlas) -> GroupoidMorphism:
     }
 
     def arrow_map(a):
-        left, _, right = src._legs_of(a.component)
-        return dst._arrow(left, a.point, right)
+        comp = src.arrow_component(a.component)
+        return dst._arrow(comp.s_component, comp.t_component, comp.germ, a.point)
 
     return GroupoidMorphism(src, dst, unit_maps, arrow_map)
 

@@ -337,8 +337,13 @@ def atlas_from_doc(doc) -> Atlas:
 
 
 def _component_table(g: TranslationGroupoid) -> list:
-    labels = sorted(g.arrow_labels())
-    return [{"chart": k, "left": list(left), "right": list(right)} for k, left, right in labels]
+    """Each arrow component under its label (source, target, index): an entry
+    of the transport table between the two charts, its germ and its domain."""
+    return [
+        dict(zip(("source", "target", "index"), c.label), germ=affine_to_doc(c.germ),
+             center=point_to_doc(c.ball.center), radius2=_radius_to_doc(c.ball.r2))
+        for c in g.arrow_components()
+    ]
 
 
 def groupoid_to_doc(g: GroupoidPresentation) -> dict:

@@ -3,10 +3,10 @@
 Arrows are classes of triples (left embedding, marked point, right embedding)
 over a common chart.  A reduced atlas gives an effective groupoid, where an
 arrow is the germ of its transition right . left^(-1) at its source point; as
-transitions are similarities, equal germs are equal maps, and an arrow is
-stored at its source point.  Equality compares source unit, target chart and
-germ; multiplication scans the components between the two charts for the
-composed germ.
+transitions are similarities, equal germs are equal maps.  The arrow
+components are the entries of the atlas's transport tables, one per distinct
+(germ, domain); equality compares source unit, target chart and germ, and a
+product is the first entry carrying the composed germ at the source point.
 multiply_triples keeps the span-completion product.
 """
 
@@ -22,7 +22,7 @@ from .errors import (
     InvalidAtlasError,
     NotComposableError,
 )
-from .geometry import AffineMap, Point, map_ball, point_in_ball
+from .geometry import AffineMap, Ball, Point, point_in_ball
 from .groupoids import (
     Arrow,
     ArrowComponent,
@@ -51,18 +51,22 @@ class Triple:
             raise IllTypedError("triple legs do not share a source chart")
 
 
-def _emb_label(atlas: Atlas, e: Embedding) -> tuple[str, int]:
-    return (e.dst, atlas.family_index(e))
+def _transition(left: Embedding, right: Embedding) -> AffineMap:
+    """right . left^(-1); a left leg that is not invertible is an invalid atlas."""
+    if not left.map.is_invertible():
+        raise InvalidAtlasError(f"{left!r} is not invertible")
+    return right.map.compose(left.map.inverse())
 
 
 class TranslationGroupoid(GroupoidPresentation):
     """Groupoid of chart-point identifications of an atlas.
 
-    Components are indexed by pairs of stored embeddings (left, right) out of
-    a common chart k; the component's ball is left(ball of k) and its germ is
-    right . left^(-1).  The labels and legs are listed up front, with the
-    labels of invertible left legs per (source chart, target chart), and each
-    component is built from its legs on first use.
+    The arrow components from chart ca to chart cb are the entries of the
+    atlas's ``transport_table(ca, cb)``, labelled (ca, cb, index): the entry's
+    domain is the component's ball, its map the germ, and its first leg pair
+    the arrow's triple.  An arrow built from legs takes the entry of its germ
+    on its left leg's image; an arrow known only by its germ at a point takes
+    the first entry of that germ whose domain holds the point.
     """
 
     strategy = "translation"
@@ -72,54 +76,32 @@ class TranslationGroupoid(GroupoidPresentation):
         self.conductor = atlas.conductor
         self.dim = atlas.dim
         self._units = [UnitComponent(cid, atlas.chart(cid).ball) for cid in atlas.chart_ids()]
-        self._legs: dict = {}
         self._components: dict = {}
-        self._labels_between: dict = {}
-        for k in atlas.chart_ids():
-            legs = [(e, _emb_label(atlas, e)) for e in atlas.family_from(k)]
-            for left, left_label in legs:
-                invertible = left.map.is_invertible()
-                for right, right_label in legs:
-                    label = (k, left_label, right_label)
-                    self._legs[label] = (left, right)
-                    if invertible:
-                        self._labels_between.setdefault((left.dst, right.dst), []).append(label)
 
     # -- triples <-> arrows ---------------------------------------------------
 
-    def _arrow(self, left: Embedding, x: Point, right: Embedding) -> Arrow:
-        """The arrow of stored legs out of one chart at a source point x built
-        inside left's image; nothing is re-tested."""
-        return Arrow((left.src, _emb_label(self.atlas, left), _emb_label(self.atlas, right)), x)
+    def _arrow(self, ca: str, cb: str, germ: AffineMap, x: Point) -> Arrow:
+        """The arrow of germ at x from ca to cb: the first entry carrying germ on a domain holding x."""
+        return Arrow((ca, cb, self.atlas.transport_table(ca, cb).index(germ, x)), x)
 
-    def arrow_of(self, t: Triple) -> Arrow:
-        """The arrow of a triple from outside: its component must exist and
-        its point must lie in the chart."""
-        a = self._arrow(t.left, t.left(t.point), t.right)
-        if a.component not in self._legs:
-            raise InvalidAtlasError(f"no arrow component for {a.component}")
+    def _germ_of(self, t: Triple) -> tuple[str, str, AffineMap, Point]:
+        """(source chart, target chart, germ, source point) of a triple from outside:
+        its legs must be stored embeddings and its point must lie in the chart."""
+        for leg in (t.left, t.right):
+            if not self.atlas.in_family(leg):
+                raise InvalidAtlasError(f"{leg!r} is not a stored embedding of the atlas")
         if not point_in_ball(t.point, self.atlas.chart(t.left.src).ball):
             raise InvalidAtlasError("triple point outside its chart")
-        return a
+        return t.left.dst, t.right.dst, _transition(t.left, t.right), t.left(t.point)
+
+    def arrow_of(self, t: Triple) -> Arrow:
+        return self._arrow(*self._germ_of(t))
 
     def triple_of(self, a: Arrow) -> Triple:
-        left, unleft, right = self._legs_of(a.component)
-        return Triple(left, unleft(a.point), right)
-
-    def _legs_of(self, label) -> tuple[Embedding, AffineMap, Embedding]:
-        """left, left^(-1) and right of a component; a left leg that is not
-        invertible is an invalid atlas."""
-        try:
-            left, right = self._legs[label]
-        except KeyError:
-            raise AtlasMismatchError(f"arrow component {label!r} is not over this atlas") from None
-        if not left.map.is_invertible():
-            raise InvalidAtlasError(f"{left!r} is not invertible")
-        return left, left.map.inverse(), right
-
-    def arrow_labels(self) -> list:
-        """The component labels, in construction order; builds no component."""
-        return list(self._legs)
+        """The triple of the first leg pair of the arrow's entry."""
+        ca, cb, i = self.arrow_component(a.component).label
+        left, right = self.atlas.transport_table(ca, cb).legs[i]
+        return Triple(left, left.map.inverse()(a.point), right)
 
     # -- presentation interface ----------------------------------------------
 
@@ -127,39 +109,39 @@ class TranslationGroupoid(GroupoidPresentation):
         return list(self._units)
 
     def arrow_components(self):
-        return [self.arrow_component(label) for label in self._legs]
+        pairs = [(ca, cb) for ca in self.atlas.chart_ids() for cb in self.atlas.chart_ids()]
+        return [self.arrow_component((*p, i)) for p in pairs for i in range(len(self.atlas.transports(*p)))]
 
     def arrow_component(self, label):
         comp = self._components.get(label)
         if comp is None:
-            left, unleft, right = self._legs_of(label)
-            germ = right.map.compose(unleft)
-            ball = map_ball(left.map, self.atlas.chart(left.src).ball)
-            comp = self._components[label] = ArrowComponent(label, ball, germ, left.dst, right.dst)
+            try:
+                ca, cb, i = label
+                if not ({ca, cb} <= self.atlas.charts.keys() and i >= 0):
+                    raise IndexError(i)
+                germ, domain = self.atlas.transports(ca, cb)[i]
+            except (TypeError, ValueError, IndexError):
+                raise AtlasMismatchError(f"arrow component {label!r} is not over this atlas") from None
+            comp = self._components[label] = ArrowComponent(label, domain, germ, ca, cb)
         return comp
 
     def identity(self, u: UnitPoint) -> Arrow:
-        e = self.atlas.identity_embedding(u.component)
-        return self._arrow(e, u.point, e)
+        c, chart = u.component, self.atlas.chart(u.component)
+        return Arrow((c, c, self.atlas.transport_table(c, c).index(chart.identity(), domain=chart.ball)), u.point)
 
     def inverse(self, a: Arrow) -> Arrow:
-        """The two leg labels swapped, at the target point."""
-        k, left_label, right_label = a.component
-        return Arrow((k, right_label, left_label), self.target(a).point)
+        """The entry of the swapped first leg pair, at the target point."""
+        ca, cb, i = self.arrow_component(a.component).label
+        return Arrow((cb, ca, self.atlas.swapped(ca, cb, i)), self.target(a).point)
 
     def multiply(self, a: Arrow, b: Arrow) -> Arrow:
-        """The first component from s(a)'s chart to t(b)'s chart, in label
-        order, whose germ is germ(b) . germ(a) and whose ball holds s(a)."""
+        """The first entry from s(a)'s chart to t(b)'s chart carrying
+        germ(b) . germ(a) whose domain holds s(a)."""
         if not self.composable(a, b):
             raise NotComposableError("t(first) != s(second)")
         germ = self.local_bisection(b).compose(self.local_bisection(a))
-        x = self.source(a)
-        ck = self.arrow_component(b.component).t_component
-        for label in self._labels_between.get((x.component, ck), ()):
-            comp = self.arrow_component(label)
-            if comp.germ == germ and point_in_ball(x.point, comp.ball):
-                return Arrow(label, x.point)
-        raise InvalidAtlasError(f"no component {x.component}->{ck} carries the composed germ")
+        ca = self.arrow_component(a.component).s_component
+        return self._arrow(ca, self.arrow_component(b.component).t_component, germ, a.point)
 
     def multiply_triples(self, p: Triple, q: Triple, span=None) -> Triple:
         """[left_p . f_left, x_f, right_q . f_right] for a span completion of the
@@ -190,34 +172,39 @@ class TranslationGroupoid(GroupoidPresentation):
         return ca.s_component == cb.s_component and ca.t_component == cb.t_component and ca.germ == cb.germ
 
     def triples_equal(self, p: Triple, q: Triple) -> bool:
-        return self.arrow_equal(self.arrow_of(p), self.arrow_of(q))
+        """The arrows of two triples are equal: the same charts, germ and
+        source point."""
+        return self._germ_of(p) == self._germ_of(q)
 
-    def _leg_arrows(self, left: Embedding, right: Embedding, x: Point, rows) -> list[Arrow]:
-        """The arrows of legs (left, G[i] . right) at their source point x,
-        for the target chart-group positions i in rows, labelled from the
-        atlas's family-index table."""
-        label = _emb_label(self.atlas, left)
-        return [
-            Arrow((left.src, label, (right.dst, k)), x)
-            for k in self.atlas.translate_indices(right, rows)
-        ]
+    def _leg_arrows(self, left: Embedding, domain: Ball, right: Embedding, x: Point, rows) -> list[Arrow]:
+        """The arrows at x of the legs (left, h . right) for the target chart
+        group elements h at the positions in rows: the translates of the
+        entry of the germ right . left^(-1) on left's image, domain."""
+        table = self.atlas.transport_table(left.dst, right.dst)
+        translates = table.translates(table.index(_transition(left, right), domain=domain))
+        return [Arrow((left.dst, right.dst, translates[k]), x) for k in rows]
 
     def arrows_between(self, u1: UnitPoint, u2: UnitPoint) -> list[Arrow]:
-        span = self.atlas.refine(u1.component, u1.point, u2.component, u2.point)
-        if span is None:
-            return []
-        rows = stabilizer_indices(self.atlas.chart(u2.component), u2.point)
-        return self._leg_arrows(span.left, span.right, u1.point, rows)
+        """The arrows at the first leg of the atlas's walk with a right leg
+        carrying the walk point to u2 (the span ``Atlas.refine`` finds), one
+        per element of u2's stabilizer."""
+        for _, z, left, domain, rights in self.atlas._walk(u1.component, u1.point, u2.component):
+            for right in rights:
+                if right(z) == u2.point:
+                    rows = stabilizer_indices(self.atlas.chart(u2.component), u2.point)
+                    return self._leg_arrows(left, domain, right, u1.point, rows)
+        return []
 
     def arrows_from(self, u: UnitPoint) -> list[Arrow]:
         """Per target chart, the arrows at the first leg of the atlas's walk:
         its first right leg, or on u's own chart the first right leg carrying
-        the walk point back to u (the leg itself does)."""
+        the walk point back to u (the leg itself does), translated by each
+        element of the target chart group."""
         out = []
         for cid in self.atlas.chart_ids():
-            for _, z, left, rights in self.atlas._walk(u.component, u.point, cid):
+            for _, z, left, domain, rights in self.atlas._walk(u.component, u.point, cid):
                 right = rights[0] if cid != u.component else next(r for r in rights if r(z) == u.point)
-                out.extend(self._leg_arrows(left, right, u.point, range(len(self.atlas.chart(cid).group))))
+                out.extend(self._leg_arrows(left, domain, right, u.point, range(len(rights))))
                 break
         return out
 
@@ -251,38 +238,39 @@ def build_translation_groupoid(atlas: Atlas, validate: bool = True) -> Translati
 
 
 def f_on_morphism(system) -> GroupoidMorphism:
-    """Image of a compatible system: units map by the lifts, a triple maps to
-    the triple of assigned embeddings around the lifted point."""
+    """Image of a compatible system: units map by the lifts, an arrow maps to
+    the arrow of the assigned embeddings of its legs at its lifted point."""
     src_g = TranslationGroupoid(system.src)
     dst_g = TranslationGroupoid(system.dst)
     return _morphism_of_system(system, src_g, dst_g)
 
 
 def _morphism_of_system(system, src_g: TranslationGroupoid, dst_g: TranslationGroupoid):
+    """An arrow with legs (left, right) at x maps to the germ of (F(left),
+    F(right)) at lift(x), which the cube condition F(left) . lift = lift .
+    left makes F(left) of the lifted triple point."""
     unit_maps = {
         cid: (system.theta[cid], system.lift(cid)) for cid in system.src.chart_ids()
     }
 
     def arrow_map(a: Arrow) -> Arrow:
-        t = src_g.triple_of(a)
-        left = system.on_embedding(t.left)
-        right = system.on_embedding(t.right)
-        y = system.lift(t.left.src)(t.point)
-        return dst_g.arrow_of(Triple(left, y, right))
+        ca, cb, i = src_g.arrow_component(a.component).label
+        left, right = (system.on_embedding(e) for e in system.src.transport_table(ca, cb).legs[i])
+        return dst_g._arrow(left.dst, right.dst, _transition(left, right), system.lift(ca)(a.point))
 
     return GroupoidMorphism(src_g, dst_g, unit_maps, arrow_map)
 
 
 def f_on_2cell(delta, f_src: GroupoidMorphism, f_dst: GroupoidMorphism) -> GrpNatTrans:
-    """Image of an atlas 2-cell: u -> [identity, lifted point, delta component]."""
+    """Image of an atlas 2-cell: u -> the germ of the delta component at the
+    lifted point (the arrow of [identity, lifted point, delta component])."""
     dst_g = f_src.dst
     system1 = delta.src_sys
 
     def component(u: UnitPoint) -> Arrow:
+        d = delta.component(u.component)
         v1 = system1.theta[u.component]
-        ident = system1.dst.identity_embedding(v1)
-        y = system1.lift(u.component)(u.point)
-        return dst_g.arrow_of(Triple(ident, y, delta.component(u.component)))
+        return dst_g._arrow(v1, d.dst, d.map, system1.lift(u.component)(u.point))
 
     return GrpNatTrans(f_src, f_dst, component)
 
@@ -375,13 +363,12 @@ def action_groupoid_oracle_report(atlas: Atlas, samples: int = 200, seed: int = 
     cid = atlas.chart_ids()[0]
     chart = atlas.chart(cid)
     tg = TranslationGroupoid(atlas)
-    ident = atlas.identity_embedding(cid)
     rng = random.Random(seed)
     group = chart.group
+    labels = [(cid, cid, atlas.transport_table(cid, cid).index(g, domain=chart.ball)) for g in group]
 
     def to_triple(x: Point, g_index: int) -> Arrow:
-        g = group[g_index]
-        return tg._arrow(ident, x, Embedding(cid, cid, g.compose(ident.map)))
+        return Arrow(labels[g_index], x)
 
     product_index = [[group.index(h.compose(g)) for h in group] for g in group]
     inverse_index = [group.index(g.inverse()) for g in group]

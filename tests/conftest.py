@@ -11,6 +11,7 @@ from orbatlas.atlas import Atlas, Chart, Embedding, Span, restrict_chart
 from orbatlas.field import CycNum, sign_real
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, map_ball, point_in_ball
+from orbatlas.groupoids import Arrow
 from orbatlas.oracles import Oracle
 
 M = 12
@@ -123,14 +124,24 @@ def reference_transports(atlas, ca, cb):
 
 def record_arrows(g, u):
     """The arrow of every former transport record out of u's chart whose
-    domain holds u, labelled by its legs: every arrow out of u, under each
-    of its labels."""
+    domain holds u, labelled by the table entry of the record's (map,
+    domain): every arrow out of u, under each of its labels."""
     return [
-        g._arrow(t.left, u.point, t.right)
+        Arrow((u.component, cj, g.atlas.transports(u.component, cj).index((t.map, t.domain))), u.point)
         for cj in g.atlas.chart_ids()
         for t in reference_transports(g.atlas, u.component, cj)
         if point_in_ball(u.point, t.domain)
     ]
+
+
+def reference_arrow(g, ca, cb, germ, x):
+    """The arrow of germ at x as the former record scan found it: the first
+    record from ca to cb with this map whose domain holds x, labelled by the
+    table entry of its (map, domain); None when no record carries it."""
+    for t in reference_transports(g.atlas, ca, cb):
+        if t.map == germ and point_in_ball(x, t.domain):
+            return Arrow((ca, cb, g.atlas.transports(ca, cb).index((t.map, t.domain))), x)
+    return None
 
 
 def distinct_transports(records):

@@ -253,14 +253,17 @@ class TestComponentGerm:
                 assert g.source(a) == UnitPoint(comp.s_component, a.point)
                 assert g.target(a) == UnitPoint(comp.t_component, g.local_bisection(a)(a.point))
             if isinstance(g, TranslationGroupoid):
-                # a triple (l, z, r) is the arrow at l(z) with germ r . l^(-1)
-                for k, (i, li), (j, ri) in g.arrow_labels():
-                    left, right = g.atlas.family(k, i)[li], g.atlas.family(k, j)[ri]
+                # a triple (l, z, r) is the arrow at l(z) with germ r . l^(-1),
+                # for every pair of stored legs out of a chart
+                for k in g.atlas.chart_ids():
+                    legs = [e for c in g.atlas.chart_ids() for e in g.atlas.family(k, c)]
                     z = g.atlas.chart(k).ball.center
-                    a = g.arrow_of(Triple(left, z, right))
-                    assert g.source(a) == UnitPoint(left.dst, left(z))
-                    assert g.local_bisection(a)(a.point) == right(z)
-                    assert g.target(a) == UnitPoint(right.dst, right(z))
+                    for left in legs:
+                        for right in legs:
+                            a = g.arrow_of(Triple(left, z, right))
+                            assert g.source(a) == UnitPoint(left.dst, left(z))
+                            assert g.local_bisection(a) == right.map.compose(left.map.inverse())
+                            assert g.target(a) == UnitPoint(right.dst, right(z))
 
     def test_germ_is_computed_once(self):
         for g in germ_presentations():

@@ -321,7 +321,7 @@ class TestParseErrors:
             ("system over cone(3)", ("lifts", "cone3", "coords", 0, 0, "coeff"), ["0/1"] * 3),
             ("system over football(2, 3)", ("assignment", 0, "pair"), "ab"),
             ("2-cell over cone(3)", ("components",), None),
-            ("translation groupoid of cone(3)", ("components", 0, "left", 1), False),
+            ("translation groupoid of cone(3)", ("components", 0, "index"), False),
             ("translation groupoid of cone(3)", ("atlas_hash",), None),
             ("translation groupoid of football(2, 3)", ("atlas", "embeddings", 0, "A"), [[["0/1"] * 6]]),
             ("action groupoid of z/3", ("elements", 1, "label"), ["g1"]),
@@ -388,6 +388,36 @@ def run_cli(*argv, cwd, **env):
         env=cli_env(**env),
         timeout=600,
     )
+
+
+def leg_pair_table(atlas):
+    """The component table of groupoid documents written when components were
+    labelled by pairs of stored legs: one row per pair of legs out of a chart,
+    each leg as [target chart, family position]."""
+    rows = []
+    for k in atlas.chart_ids():
+        legs = [[c, j] for c in atlas.chart_ids() for j in range(len(atlas.family(k, c)))]
+        rows += [{"chart": k, "left": left, "right": right} for left in legs for right in legs]
+    return rows
+
+
+def test_leg_pair_component_table_is_refused(tmp_path):
+    # the entry table passes validate and the groupoid suites; a document
+    # holding the leg-pair table exits 2 with a parse error, not a traceback
+    doc = json.loads(serialize(TranslationGroupoid(football(2, 3))))
+    assert {"source", "target", "index", "germ", "center", "radius2"} == set(doc["components"][0])
+    good = tmp_path / "f23.json"
+    good.write_bytes(canonical_bytes(doc))
+    for command in ("validate", "groupoid"):
+        out = run_cli(command, str(good), cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+    doc["components"] = leg_pair_table(football(2, 3))
+    old = tmp_path / "legs.json"
+    old.write_bytes(canonical_bytes(doc))
+    out = run_cli("validate", str(old), cwd=tmp_path)
+    assert out.returncode == 2
+    assert "component table does not match the atlas" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 @pytest.fixture(scope="module")

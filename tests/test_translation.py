@@ -20,7 +20,7 @@ from orbatlas.atlas import (
 from orbatlas.errors import InvalidAtlasError, NotComposableError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
-from orbatlas.geometry import AffineMap, Ball, Point
+from orbatlas.geometry import AffineMap, Ball, Point, map_ball
 from orbatlas.groupoids import ActionGroupoid, Arrow, UnitPoint, validate_grp_nat_trans
 from orbatlas.morita import reconstruct_atlas
 from orbatlas.sampling import random_chart_point
@@ -36,7 +36,7 @@ from orbatlas.translation import (
     multiplication_well_defined_report,
 )
 
-from conftest import record_arrows, reference_transports
+from conftest import record_arrows, reference_arrow, reference_transports
 
 M = 3
 
@@ -70,11 +70,14 @@ class TestStructureMaps:
         assert tg.target(e) == UnitPoint("cone3", p)
 
     def test_inverse_swaps_legs(self, tg):
+        # the inverse is the arrow of the swapped triple: the inverse germ at
+        # the target point
         p = Point.of(M, Fraction(1, 4))
         a = tg.arrow_of(Triple(emb(0), p, emb(1)))
         inv = tg.inverse(a)
-        t = tg.triple_of(inv)
-        assert t.left.map == zrot(1) and t.right.map == zrot(0)
+        assert inv == tg.arrow_of(Triple(emb(1), p, emb(0)))
+        assert inv.point == zrot(1)(p) and tg.local_bisection(inv) == zrot(2)
+        assert tg.triples_equal(tg.triple_of(inv), Triple(emb(1), p, emb(0)))
 
     def test_source_and_target_formulas(self, tg):
         p = Point.of(M, Fraction(1, 4))
@@ -170,15 +173,16 @@ class TestArrowEquality:
         # the arrow of (l, z, r) is stored at its source point l(z), and its
         # germ r . l^(-1) carries that point to the target r(z)
         rng = random.Random(13)
-        for k, (i, li), (j, ri) in tg.arrow_labels():
-            left, right = a3.family(k, i)[li], a3.family(k, j)[ri]
-            z = random_chart_point(rng, a3, k)
-            a = tg.arrow_of(Triple(left, z, right))
-            assert a.point == left(z)
-            assert tg.source(a) == UnitPoint(left.dst, left(z))
-            assert tg.local_bisection(a)(a.point) == right(z)
-            assert tg.target(a) == UnitPoint(right.dst, right(z))
-            assert tg.triple_of(a) == Triple(left, z, right)
+        legs = a3.family("cone3", "cone3")
+        for left in legs:
+            for right in legs:
+                z = random_chart_point(rng, a3, "cone3")
+                a = tg.arrow_of(Triple(left, z, right))
+                assert a.point == left(z)
+                assert tg.source(a) == UnitPoint(left.dst, left(z))
+                assert tg.local_bisection(a)(a.point) == right(z)
+                assert tg.target(a) == UnitPoint(right.dst, right(z))
+                assert tg.triples_equal(tg.triple_of(a), Triple(left, z, right))
 
     def test_equality_across_source_charts(self, sub_full_cone3):
         # the same identification represented over the restricted chart and
@@ -483,11 +487,12 @@ class TestActionOracleReference:
 
 
 
-# -- the label tables against the compose-and-look-up reference ------------------
+# -- the entry labels against the record-scan reference ---------------------------
 
 
 def reference_arrows_from(g, u):
-    """Each right leg composed as g . right and labelled by a fresh look-up."""
+    """Per chart, each right leg of the atlas's span composed as h . right,
+    its germ at u found by the record scan."""
     out = []
     for cid in g.atlas.chart_ids():
         z = g.atlas.locate(u.component, u.point, cid)
@@ -496,9 +501,9 @@ def reference_arrows_from(g, u):
         span = g.atlas.refine(u.component, u.point, cid, z)
         if span is None:
             continue
+        unleft = span.left.map.inverse()
         for h in g.atlas.chart(cid).group:
-            right = Embedding(span.right.src, span.right.dst, h.compose(span.right.map))
-            out.append(g._arrow(span.left, span.left(span.point), right))
+            out.append(reference_arrow(g, u.component, cid, h.compose(span.right.map).compose(unleft), u.point))
     return out
 
 
@@ -506,15 +511,21 @@ def reference_arrows_between(g, u1, u2):
     span = g.atlas.refine(u1.component, u1.point, u2.component, u2.point)
     if span is None:
         return []
+    unleft = span.left.map.inverse()
     return [
-        g._arrow(span.left, span.left(span.point), Embedding(span.right.src, span.right.dst, s.compose(span.right.map)))
+        reference_arrow(g, u1.component, u2.component, s.compose(span.right.map).compose(unleft), u1.point)
         for s in stabilizer(g.atlas.chart(u2.component), u2.point)
     ]
 
 
 def reference_inverse(g, a):
+    """The table entry of a's first leg pair swapped: the inverse germ on the
+    image of the right leg, at the target point."""
     t = g.triple_of(a)
-    return g._arrow(t.right, t.right(t.point), t.left)
+    germ = t.left.map.compose(t.right.map.inverse())
+    domain = map_ball(t.right.map, g.atlas.chart(t.right.src).ball)
+    back = g.atlas.transports(t.right.dst, t.left.dst)
+    return Arrow((t.right.dst, t.left.dst, back.index((germ, domain))), t.right(t.point))
 
 
 def reference_arrow_equal(g, a, b):
@@ -552,10 +563,11 @@ STABILIZED_UNITS = {"s3": [UnitPoint("s3", Point.of(3, Fraction(1, 4), Fraction(
 
 
 class TestLabelTables:
-    """arrows_from, arrows_between and inverse read leg labels from the
-    atlas's family-index table; they must give the arrows (labels, points and
-    order) that composing each leg and looking it up gives, and arrow_equal's
-    same-component shortcut must agree with the three-part rule."""
+    """arrows_from, arrows_between and inverse label arrows by entries of the
+    transport tables; they must give the arrows (labels, points and order)
+    that composing each leg and scanning the former record table gives, and
+    arrow_equal's same-component shortcut must agree with the three-part
+    rule."""
 
     @pytest.mark.parametrize("name", list(LABEL_ATLASES))
     def test_match_compose_and_look_up(self, name):
@@ -568,7 +580,9 @@ class TestLabelTables:
             built = g.arrows_from(u)
             assert built == reference_arrows_from(g, u)
             for a in built:
-                assert g.inverse(a) == reference_inverse(g, a)
+                inv = g.inverse(a)
+                assert inv == reference_inverse(g, a)
+                assert g.arrow_equal(inv, reference_arrow(g, inv.component[0], inv.component[1], g.local_bisection(inv), inv.point))
                 v = g.target(a)
                 assert g.arrows_between(u, v) == reference_arrows_between(g, u, v)
             assert g.arrows_between(u, u) == reference_arrows_between(g, u, u)
@@ -599,18 +613,17 @@ class TestLabelTables:
             assert reference_arrows_between(g, u, v) == []
 
     def test_unclosed_chart_group_raises(self):
-        # group (zeta, id): the first transport pairs zeta with zeta, and
-        # zeta . zeta is not in the family
+        # group (zeta, id): zeta . zeta is not in the group, so the atlas is
+        # refused; unvalidated, its arrows are still entries of its table
         base = cone(3)
         chart = base.chart("cone3")
         zeta = next(h for h in chart.group if not h.is_identity())
         atlas = Atlas(3, 1, [Chart("cone3", chart.ball, (zeta, chart.identity()))], [])
+        with pytest.raises(InvalidAtlasError, match="closed under composition"):
+            build_translation_groupoid(atlas)
         g = TranslationGroupoid(atlas)
         u = UnitPoint("cone3", chart.ball.center)
-        with pytest.raises(InvalidAtlasError, match="not a stored embedding"):
-            reference_arrows_from(g, u)
-        with pytest.raises(InvalidAtlasError, match="not a stored embedding"):
-            g.arrows_from(u)
+        assert g.arrows_from(u) == reference_arrows_from(g, u)
 
 
 class TestSourcePoint:
@@ -644,17 +657,110 @@ class TestSourcePoint:
             base.oracle,
             witnesses=base.witnesses,
         )
+        with pytest.raises(InvalidAtlasError, match="injective"):
+            build_translation_groupoid(atlas)
         g = TranslationGroupoid(atlas)
-        # the document path reads labels only, so it builds no component
         raw = serialize(g)
         assert serialize(groupoid_from_doc(json.loads(raw))) == raw
-        flat = [label for label in g.arrow_labels() if (label[0], label[1][0]) == (reps[0].src, reps[0].dst)]
-        assert flat
-        for label in flat:
+        # the flat leg is never a left leg of the table, and it cannot be
+        # inverted from outside or as the right leg of an arrow
+        flat = atlas.reps[(reps[0].src, reps[0].dst)]
+        lefts = [left for ca in atlas.chart_ids() for cb in atlas.chart_ids() for left, _ in atlas.transport_table(ca, cb).legs]
+        assert flat not in lefts
+        z = atlas.chart(flat.src).ball.center
+        with pytest.raises(InvalidAtlasError, match="not invertible"):
+            g.arrow_of(Triple(flat, z, atlas.identity_embedding(flat.src)))
+        flat_germs = [comp for comp in g.arrow_components() if not comp.germ.is_invertible()]
+        assert flat_germs
+        for comp in flat_germs:
             with pytest.raises(InvalidAtlasError, match="not invertible"):
-                g.arrow_component(label)
-            with pytest.raises(InvalidAtlasError, match="not invertible"):
-                g.triple_of(Arrow(label, reps[0].map.b))
+                g.inverse(Arrow(comp.label, comp.ball.center))
+
+
+class TestEntryTable:
+    """The arrow components are the entries of the atlas's transport tables,
+    one per distinct germ and domain, labelled (source, target, index)."""
+
+    @pytest.mark.parametrize(
+        "make, count",
+        [
+            (lambda: cone(3), 3),
+            (lambda: cone(6), 6),
+            (lambda: football(2, 3), 41),
+            (lambda: football(3, 3), 55),
+            (lambda: teardrop(3), 29),
+            (lambda: global_quotient(2, 2), 2),
+        ],
+        ids=["cone3", "cone6", "football23", "football33", "teardrop3", "quot22"],
+    )
+    def test_one_component_per_distinct_transport(self, make, count):
+        g = TranslationGroupoid(make())
+        ids = g.atlas.chart_ids()
+        comps = g.arrow_components()
+        assert len(comps) == count
+        assert [(c.label, c.germ, c.ball) for c in comps] == [
+            ((ca, cb, i), germ, domain)
+            for ca in ids
+            for cb in ids
+            for i, (germ, domain) in enumerate(g.atlas.transports(ca, cb))
+        ]
+        # each entry's first leg pair gives it, and is the first record that does
+        for c in comps:
+            left, right = g.atlas.transport_table(c.s_component, c.t_component).legs[c.label[2]]
+            first = next(
+                t for t in reference_transports(g.atlas, c.s_component, c.t_component)
+                if (t.map, t.domain) == (c.germ, c.ball)
+            )
+            assert (left, right) == (first.left, first.right)
+
+
+def old_route_arrow(system, src_g, dst_g, a):
+    """The image of an arrow as first written: unleft its point, lift it on
+    the triple's chart, and take the arrow of the image triple."""
+    t = src_g.triple_of(a)
+    left, right = system.on_embedding(t.left), system.on_embedding(t.right)
+    return dst_g.arrow_of(Triple(left, system.lift(t.left.src)(t.point), right))
+
+
+def old_route_component(delta, dst_g, u):
+    """A 2-cell image component as first written: the arrow of [identity,
+    lifted point, delta component]."""
+    system = delta.src_sys
+    ident = system.dst.identity_embedding(system.theta[u.component])
+    return dst_g.arrow_of(Triple(ident, system.lift(u.component)(u.point), delta.component(u.component)))
+
+
+class TestFunctorImageReference:
+    """The functor's images are built from the relabelled legs at the lifted
+    point; by the cube condition they equal the images of the lifted triples."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: cone(3), lambda: football(2, 3), lambda: teardrop(3), lambda: cone(4, conductor=12), lambda: global_quotient(2, 2)],
+        ids=["cone3", "football23", "teardrop3", "cone4m12", "quot22"],
+    )
+    def test_images_match_the_lifted_triples(self, make):
+        rng = random.Random(17)
+        fx = rotation_fixture(make(), rng)
+        F = FunctorImage()
+        compared = 0
+        for system in (fx.f1, fx.f2, fx.f3, fx.g1, fx.g2, fx.g3):
+            mor = F.on_system(system)
+            src_g, dst_g = mor.src, mor.dst
+            units = src_g.unit_witness_points() + [src_g.random_unit(rng) for _ in range(3)]
+            for u in units:
+                arrows = src_g.arrows_from(u)
+                arrows += [src_g.identity(u)] + [src_g.inverse(a) for a in arrows]
+                for a in arrows:
+                    assert dst_g.arrow_equal(mor.Psi(a), old_route_arrow(system, src_g, dst_g, a))
+                    compared += 1
+        for delta in (fx.delta, fx.sigma, fx.eta, fx.mu):
+            alpha = F.on_cell(delta)
+            src_g, dst_g = alpha.src_mor.src, alpha.src_mor.dst
+            for u in src_g.unit_witness_points() + [src_g.random_unit(rng) for _ in range(3)]:
+                assert dst_g.arrow_equal(alpha(u), old_route_component(delta, dst_g, u))
+                compared += 1
+        assert compared > 0
 
 
 class TestFunctor:
