@@ -3,6 +3,12 @@
 All linear parts are required to satisfy A^H A = lambda * Id with lambda in the
 real subfield, so the image of a ball is again a ball and every containment,
 membership and disjointness question below is decided exactly.
+
+``AffineMap.compose`` keeps one module-level table, ``_COMPOSITES``, keyed by
+the pair (outer, inner) by value: one entry per distinct pair, never evicted,
+so an equal pair gets the same result object, with its cached inverse, factor
+and hash.  It stays small because the maps composed are drawn from the finite
+germ sets of the atlases in play (chart-group elements and stored embeddings).
 """
 
 from __future__ import annotations
@@ -209,15 +215,18 @@ class AffineMap:
         return Point(tuple(_dot(bi, row, z) for bi, row in zip(self.b.coords, self.a)))
 
     def compose(self, other: AffineMap) -> AffineMap:
-        """self after other: (self . other)(z) = self(other(z))."""
+        """self after other: (self . other)(z) = self(other(z)).  A pair equal
+        to one composed before gets that result object from ``_COMPOSITES``."""
+        out = _COMPOSITES.get((self, other))
+        if out is not None:
+            return out
         if self.dim != other.dim:
             raise DimensionMismatchError("composition of maps of different dimensions")
-        if self.dim == 0:
-            return AffineMap._make((), self(other.b), None)
-        zero = _ZERO[self.b.coords[0].m]
+        zero = _ZERO[self.b.coords[0].m] if self.dim else None
         cols = tuple(zip(*other.a))
         a = tuple(tuple(_dot(zero, row, col) for col in cols) for row in self.a)
-        return AffineMap._make(a, self(other.b), None)
+        out = _COMPOSITES[self, other] = AffineMap._make(a, self(other.b), None)
+        return out
 
     def inverse(self) -> AffineMap:
         """Exact inverse; uses A^{-1} = A^H / lambda for similarities."""
@@ -239,6 +248,7 @@ class AffineMap:
 
 
 _ZERO = {m: CycNum.rational(m, 0) for m in SUPPORTED_CONDUCTORS}
+_COMPOSITES: dict[tuple[AffineMap, AffineMap], AffineMap] = {}
 
 
 def _dot(acc: CycNum, xs, ys) -> CycNum:

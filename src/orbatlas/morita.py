@@ -157,13 +157,11 @@ def check_morita(m: GroupoidMorphism, samples: int = 100, seed: int = 0) -> Mori
 def _hits_witness(m: GroupoidMorphism, w: UnitPoint) -> bool:
     """Does some source unit point map to a point connected to the witness?
 
-    The witness itself (the identity's target) is tested first; the arrows
-    out of it are built only when that misses, and the search stops at the
-    first target reached."""
+    The witness itself is tested first, with no arrow built; the arrows out of
+    it are built only when that misses, and the search stops at the first
+    target reached."""
     dst = m.dst
-    if _reaches(m, dst.target(dst.identity(w))):
-        return True
-    return any(_reaches(m, dst.target(a)) for a in dst.arrows_from(w))
+    return _reaches(m, w) or any(_reaches(m, dst.target(a)) for a in dst.arrows_from(w))
 
 
 def _reaches(m: GroupoidMorphism, z: UnitPoint) -> bool:

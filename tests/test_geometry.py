@@ -1,11 +1,13 @@
 """Similarity maps, ball predicates and polynomial maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbatlas import geometry
 from orbatlas.errors import ConductorMismatchError, DimensionMismatchError, NotSimilarityError
 from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum, _degree, sign_real
 from orbatlas.geometry import (
@@ -22,6 +24,8 @@ from orbatlas.geometry import (
     point_in_ball,
     solve_linear,
 )
+from orbatlas.systems import check_2cat_laws, rotation_fixture
+from orbatlas.translation import check_functor_laws
 
 from conftest import reference_ball_in_ball, reference_balls_disjoint, reference_dist2
 
@@ -219,6 +223,68 @@ class TestAffineReference:
             f(Point.of(M, 1))
         with pytest.raises(DimensionMismatchError):
             f.compose(rot(1))
+
+
+class TestCompositionTable:
+    """AffineMap.compose keeps one value-keyed table of composites; each test
+    starts from an empty table."""
+
+    @pytest.fixture(autouse=True)
+    def table(self, monkeypatch):
+        fresh = {}
+        monkeypatch.setattr(geometry, "_COMPOSITES", fresh)
+        return fresh
+
+    def test_equal_pairs_share_one_result(self, table):
+        def pair():
+            return (
+                quaternion_map(zeta(4) * Fraction(1, 2), zeta(9), (Fraction(1, 4), Fraction(1, 5))),
+                quaternion_map(CycNum.rational(M, 2), zeta(5), (0, Fraction(-1, 2))),
+            )
+
+        (f1, g1), (f2, g2) = pair(), pair()
+        assert f1 == f2 and f1 is not f2 and g1 == g2 and g1 is not g2
+        first = f1.compose(g1)
+        assert f2.compose(g2) is first
+        assert first.a == loop_matmul(f1.a, g1.a)
+        assert first.b.coords == loop_apply(f1, g1.b)
+        assert list(table) == [(f1, g1)]
+
+    def test_repeated_pair_adds_one_entry(self, table):
+        f, g = TestAffineReference.MAPS[:2]
+        results = {id(f.compose(g)) for _ in range(50)}
+        assert len(results) == 1 and len(table) == 1
+        g.compose(f)
+        assert len(table) == 2
+
+    def test_mismatched_pairs_raise_every_time_and_are_not_stored(self, table):
+        f = rot(1)
+        f.compose(f)
+        before = dict(table)
+        cases = [
+            (f, AffineMap.identity(M, 2), DimensionMismatchError),
+            (AffineMap.identity(M, 2), f, DimensionMismatchError),
+            (f, AffineMap.scaling(3, 1, CycNum.zeta(3)), ConductorMismatchError),
+            (AffineMap.scaling(3, 1, CycNum.zeta(3)), f, ConductorMismatchError),
+        ]
+        for outer, inner, error in cases:
+            for _ in range(3):
+                with pytest.raises(error):
+                    outer.compose(inner)
+        assert table == before
+
+    def test_law_reports_from_empty_and_warm_table(self, table, cone3):
+        fx = rotation_fixture(cone3, random.Random(5))
+
+        def lines():
+            return check_2cat_laws(fx).lines() + check_functor_laws(fx, samples=10, seed=2).lines()
+
+        cold = lines()
+        assert table
+        warm_size = len(table)
+        assert lines() == cold
+        assert len(table) == warm_size
+        assert cold.count("verdict: pass") == 2
 
 
 class TestBalls:

@@ -49,6 +49,7 @@ from orbatlas.groupoids import (
 from orbatlas.morita import (
     _embedding_problems,
     _hits_witness,
+    _reaches,
     _self_maps,
     atlases_equivalent,
     bijection_demo,
@@ -700,6 +701,28 @@ class TestWitnessSearchReference:
                 assert unreached and not report.verdict
             else:
                 assert not unreached and report.verdict, report.lines()
+
+    IDENTITY_ROUTE_CASES = {
+        "cone-pair": CASES["cone-pair"],
+        "teardrop-pair": CASES["teardrop-pair"],
+        "pushforward-pair": CASES["pushforward-pair"],
+        "reconstructions": lambda: [
+            _reconstruction_morphism(TranslationGroupoid(a)) for a in (cone(3), football(2, 3))
+        ],
+    }
+
+    @pytest.mark.parametrize("case", list(IDENTITY_ROUTE_CASES))
+    def test_witness_tested_as_the_identity_target(self, case):
+        """The witness is tested directly where it was once tested as the
+        target of its identity arrow; the two routes agree on every witness."""
+        for m in self.IDENTITY_ROUTE_CASES[case]():
+            dst = m.dst
+            for w in dst.unit_witness_points():
+                assert dst.target(dst.identity(w)) == w
+                identity_route = _reaches(m, dst.target(dst.identity(w))) or any(
+                    _reaches(m, dst.target(a)) for a in dst.arrows_from(w)
+                )
+                assert _hits_witness(m, w) == identity_route
 
     def test_arrows_built_only_when_the_witness_itself_misses(self, sub_full_cone3):
         sub, full = sub_full_cone3
