@@ -10,9 +10,12 @@ an atlas keeps "all possible embeddings" in finite storage.
 Two chart points are identified exactly when some chart embeds into both charts
 carrying one marked point to each.  One walk over the invertible legs into the
 first chart (``Atlas._legs``) decides this; ``Atlas.refine``, ``Atlas.locate``
-and the translation groupoid's arrow builders read it.  Spans recorded in the
-atlas's oracle record (``orbatlas.oracles``) are document data: validation
-requires their legs to be stored embeddings, and no query consults them.
+and the translation groupoid's arrow builders read it.  Two embeddings into one
+chart are completed to a commuting square (``common_span``) by searching the
+stored legs out of the chart of the span ``Atlas.refine`` finds.  Spans
+recorded in the atlas's oracle record (``orbatlas.oracles``) are document data:
+validation requires their legs to be stored embeddings, and no query consults
+them.
 """
 
 from __future__ import annotations
@@ -356,7 +359,8 @@ def embedding_conditions(f: AffineMap, src: Chart, dst: Chart) -> tuple[bool, bo
     group with no h in dst's group such that f . g = h . f (empty when f is
     equivariant)."""
     inside = ball_in_ball(map_ball(f, src.ball), dst.ball)
-    missing = [g for g in src.group if not _after(dst.group, f, f.compose(g))]
+    images = {h.compose(f) for h in dst.group}
+    missing = [g for g in src.group if f.compose(g) not in images]
     return f.is_invertible(), inside, missing
 
 
@@ -375,7 +379,7 @@ def validate_embedding(e: Embedding, atlas: Atlas) -> Report:
 
 def find_conjugator(dst_chart: Chart, lam: AffineMap, mu: AffineMap) -> AffineMap:
     """The unique h in the target group with mu = h . lam."""
-    found = _after(dst_chart.group, lam, mu)
+    found = [h for h in dst_chart.group if h.compose(lam) == mu]
     if not found:
         raise NoConjugatorError(
             f"no element of G_{dst_chart.cid} carries the first map to the second"
@@ -402,30 +406,11 @@ def overlap_transport(e: Embedding, h: AffineMap, atlas: Atlas) -> AffineMap | N
     image = map_ball(e.map, src.ball)
     if balls_disjoint(map_ball(h, image), image):
         return None
-    found = _before(src.group, e.map, h.compose(e.map))
-    if not found:
-        raise InvalidAtlasError(
-            f"{h!r} meets the image of {e!r} but is not induced by the source group"
-        )
-    return found[0]
-
-
-def _after(group, lam: AffineMap, mu: AffineMap) -> list[AffineMap]:
-    """The h in group with h . lam == mu, in group order: those equal to the
-    one solution mu . lam^(-1) when lam is invertible, else a scan."""
-    if lam.is_invertible():
-        w = mu.compose(lam.inverse())
-        return [h for h in group if h == w]
-    return [h for h in group if h.compose(lam) == mu]
-
-
-def _before(group, lam: AffineMap, mu: AffineMap) -> list[AffineMap]:
-    """The g in group with lam . g == mu, in group order: those equal to the
-    one solution lam^(-1) . mu when lam is invertible, else a scan."""
-    if lam.is_invertible():
-        w = lam.inverse().compose(mu)
-        return [g for g in group if g == w]
-    return [g for g in group if lam.compose(g) == mu]
+    moved = h.compose(e.map)
+    for g in src.group:
+        if e.map.compose(g) == moved:
+            return g
+    raise InvalidAtlasError(f"{h!r} meets the image of {e!r} but is not induced by the source group")
 
 
 def _short_hash(*parts: str) -> str:
@@ -480,9 +465,13 @@ def common_span(
     """Complete two embeddings into a common target, with marked points mapping
     to the same image, to a commuting square on maps and marked points.
 
-    The oracle supplies a raw span identifying the points; a conjugator in the
-    target group measures the failure of the square, and the unique stabilizer
-    element of the marked point repairs it.
+    The raw span ``Atlas.refine`` finds keeps its chart, point and left leg;
+    the right leg is the first stored leg into lam_pl's source chart, in
+    family order, that carries the point to x_p and closes the square.  In a
+    valid atlas one always does: the raw composites alpha (left) and beta
+    (right) differ by some g of the target group fixing their common image,
+    g . alpha = alpha . s for an s fixing the point, and the raw right leg
+    composed with s^(-1) is such a leg.
     """
     if lam_nl.dst != lam_pl.dst:
         raise OracleRefusedError("embeddings do not share a target chart")
@@ -493,24 +482,11 @@ def common_span(
         raise OracleRefusedError(
             f"oracle did not identify ({lam_nl.src}, {x_n!r}) with ({lam_pl.src}, {x_p!r})"
         )
-    target = atlas.chart(lam_nl.dst)
     alpha = lam_nl.map.compose(raw.left.map)
-    beta = lam_pl.map.compose(raw.right.map)
-    g = find_conjugator(target, alpha, beta)
-    if g.is_identity():
-        left = raw.left
-    else:
-        fixed = _before(stabilizer(atlas.chart(raw.chart), raw.point), alpha, g.compose(alpha))
-        if not fixed:
-            raise InvalidAtlasError("no stabilizer element repairs the span")
-        left = Embedding(raw.left.src, raw.left.dst, raw.left.map.compose(fixed[0]))
-    span = Span(raw.chart, raw.point, left, raw.right)
-    # postcondition: both squares commute on maps and on marked points
-    if lam_nl.map.compose(span.left.map) != lam_pl.map.compose(span.right.map):
-        raise InvalidAtlasError("span square does not commute")
-    if span.left(span.point) != x_n or span.right(span.point) != x_p:
-        raise InvalidAtlasError("span does not hit the marked points")
-    return span
+    for right in atlas.family(raw.chart, lam_pl.src):
+        if right(raw.point) == x_p and lam_pl.map.compose(right.map) == alpha:
+            return Span(raw.chart, raw.point, raw.left, right)
+    raise InvalidAtlasError("no stored leg closes the span square")
 
 
 def validate_span(atlas: Atlas, span: Span) -> Report:

@@ -130,7 +130,7 @@ def check_morita(m: GroupoidMorphism, samples: int = 100, seed: int = 0) -> Mori
 
     cond2 = Report("condition (ii): arrow fibers")
     ok_inj = ok_sur = True
-    detail = ""
+    inj_detail = sur_detail = ""
     for k in range(samples):
         u1 = src.random_unit(rng)
         if k % 2 == 0:
@@ -144,13 +144,13 @@ def check_morita(m: GroupoidMorphism, samples: int = 100, seed: int = 0) -> Mori
             for j in range(i + 1, len(images)):
                 if dst.arrow_equal(images[i], images[j]):
                     ok_inj = False
-                    detail = f"two arrows {u1}->{u2} collapse"
+                    inj_detail = f"two arrows {u1}->{u2} collapse"
         for b in fiber_dst:
             if not any(dst.arrow_equal(b, img) for img in images):
                 ok_sur = False
-                detail = f"target arrow over {u1}->{u2} not hit"
-    cond2.add("arrow map injective on sampled fibers", ok_inj, detail if not ok_inj else "")
-    cond2.add("arrow map onto sampled fibers", ok_sur, detail if not ok_sur else "")
+                sur_detail = f"target arrow over {u1}->{u2} not hit"
+    cond2.add("arrow map injective on sampled fibers", ok_inj, inj_detail)
+    cond2.add("arrow map onto sampled fibers", ok_sur, sur_detail)
     return MoritaReport(cond1, cond2)
 
 

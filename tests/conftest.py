@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import pytest
 
-from orbatlas.atlas import Atlas, Chart, Embedding, Span, restrict_chart
+from orbatlas.atlas import Atlas, Chart, Embedding, Span, find_conjugator, restrict_chart, stabilizer
 from orbatlas.field import CycNum, sign_real
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, map_ball, point_in_ball
@@ -148,6 +148,20 @@ def distinct_transports(records):
     """The (map, domain) pairs of the records, each once, in first-occurrence
     order."""
     return tuple(dict.fromkeys((t.map, t.domain) for t in records))
+
+
+def reference_common_span(atlas, lam_nl, x_n, lam_pl, x_p):
+    """The former span completion, written out: the span of ``Atlas.refine``,
+    with its left leg repaired by the stabilizer element s of the marked point
+    with alpha . s = g . alpha, where alpha is the left composite and g the
+    conjugator in the target group carrying it to the right composite."""
+    raw = atlas.refine(lam_nl.src, x_n, lam_pl.src, x_p)
+    alpha = lam_nl.map.compose(raw.left.map)
+    g = find_conjugator(atlas.chart(lam_nl.dst), alpha, lam_pl.map.compose(raw.right.map))
+    if g.is_identity():
+        return raw
+    s = next(s for s in stabilizer(atlas.chart(raw.chart), raw.point) if alpha.compose(s) == g.compose(alpha))
+    return Span(raw.chart, raw.point, Embedding(raw.left.src, raw.left.dst, raw.left.map.compose(s)), raw.right)
 
 
 @pytest.fixture(scope="session")

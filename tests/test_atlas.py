@@ -47,13 +47,14 @@ from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, 
 from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, union_atlas
 from orbatlas.oracles import Oracle
 from orbatlas.sampling import random_chart_point
-from orbatlas.translation import TranslationGroupoid
+from orbatlas.translation import TranslationGroupoid, Triple
 
 from conftest import (
     distinct_transports,
     make_sub_full_pair,
     record_arrows,
     reference_arrow,
+    reference_common_span,
     reference_transports,
     three_disc_table_atlas,
     two_disc_table_atlas,
@@ -218,6 +219,68 @@ class TestConjugatorSolve:
             assert overlap_transport(inc, h, atlas) == next(g for g in sub.group if g == h)
 
 
+def _solve_after(group, lam, mu):
+    """The h in group with h . lam == mu, by the one solution mu . lam^(-1)
+    (lam invertible)."""
+    w = mu.compose(lam.inverse())
+    return [h for h in group if h == w]
+
+
+def _solve_before(group, lam, mu):
+    """The g in group with lam . g == mu, by the one solution lam^(-1) . mu
+    (lam invertible)."""
+    w = lam.inverse().compose(mu)
+    return [g for g in group if g == w]
+
+
+_CONJUGATOR_ATLASES = {
+    "cone3": lambda: cone(3),
+    "cone6": lambda: cone(6),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+    "quot22": lambda: global_quotient(2, 2),
+    "cone4-m12": lambda: cone(4, conductor=12),
+    "football34-m12": lambda: football(3, 4, conductor=12),
+    "quot42-m8": lambda: global_quotient(4, 2, conductor=8),
+    "point": point_atlas,
+}
+
+
+class TestConjugatorScan:
+    """The conjugator scans decide what the inverse-then-compose solve decided,
+    on every chart group element and stored representative of the gallery."""
+
+    @pytest.mark.parametrize("make", _CONJUGATOR_ATLASES.values(), ids=_CONJUGATOR_ATLASES.keys())
+    def test_scans_match_the_solve(self, make):
+        atlas = make()
+        embeddings = list(atlas.reps.values()) + [
+            Embedding(cid, cid, g) for cid, chart in atlas.charts.items() for g in chart.group
+        ]
+        for e in embeddings:
+            src, dst = atlas.chart(e.src), atlas.chart(e.dst)
+            missing = [g for g in src.group if not _solve_after(dst.group, e.map, e.map.compose(g))]
+            assert embedding_conditions(e.map, src, dst)[2] == missing == []
+            assert induced_homomorphism(e, atlas) == {
+                g: _solve_after(dst.group, e.map, e.map.compose(g))[0] for g in src.group
+            }
+            image = map_ball(e.map, src.ball)
+            for h in dst.group:
+                assert find_conjugator(dst, e.map, h.compose(e.map)) == h
+                assert _solve_after(dst.group, e.map, h.compose(e.map)) == [h]
+                moved_off = balls_disjoint(map_ball(h, image), image)
+                expected = None if moved_off else _solve_before(src.group, e.map, h.compose(e.map))[0]
+                assert overlap_transport(e, h, atlas) == expected
+
+    def test_flat_lambda_is_decided_by_the_scan(self, cone3_m12):
+        chart = cone3_m12.chart("cone3")
+        flat = AffineMap.scaling(M, 1, 0).shift(Point.of(M, Fraction(1, 3)))
+        assert not flat.is_invertible()
+        for h in chart.group:
+            assert find_conjugator(chart, flat, h.compose(flat)) == h
+        # a constant map is equivariant: the identity matches every element
+        assert embedding_conditions(flat, chart, chart) == (False, True, [])
+
+
 class TestInducedHomomorphism:
     def test_inclusion_restricts_identically(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
@@ -340,6 +403,81 @@ class TestCommonSpan:
             common_span(
                 cone3_m12, ident, Point.of(M, Fraction(1, 4)), ident, Point.of(M, Fraction(1, 8))
             )
+
+
+_SPAN_SEARCH_ATLASES = {
+    "cone3-m12": lambda: cone(3, conductor=12),
+    "cone6": lambda: cone(6),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+    "quot42-m8": lambda: global_quotient(4, 2, conductor=8),
+}
+
+
+def _span_cases(atlas, rng):
+    """(lam_nl, x_n, lam_pl, x_p) for every ordered pair of invertible stored
+    legs into a chart whose images hold one of its test points (the centre,
+    the unit witness points and two random points), with x_n and x_p that
+    point pulled back along each leg."""
+    for t in atlas.chart_ids():
+        legs = [e for k in atlas.chart_ids() for e in atlas.family(k, t) if e.map.is_invertible()]
+        for y in atlas.witness_points(t) + [random_chart_point(rng, atlas, t) for _ in range(2)]:
+            ends = [(e, e.map.inverse()(y)) for e in legs]
+            ends = [(e, x) for e, x in ends if point_in_ball(x, atlas.chart(e.src).ball)]
+            for lam_nl, x_n in ends:
+                for lam_pl, x_p in ends:
+                    yield lam_nl, x_n, lam_pl, x_p
+
+
+def _is_completion(atlas, span, lam_nl, x_n, lam_pl, x_p):
+    return (
+        atlas.in_family(span.left)
+        and atlas.in_family(span.right)
+        and span.left(span.point) == x_n
+        and span.right(span.point) == x_p
+        and lam_nl.map.compose(span.left.map) == lam_pl.map.compose(span.right.map)
+    )
+
+
+class TestSpanSearch:
+    """common_span keeps the span of Atlas.refine but for its right leg, the
+    first stored leg closing the square; it agrees with the former stabilizer
+    repair of the left leg up to the class of every product."""
+
+    @pytest.mark.parametrize("make", _SPAN_SEARCH_ATLASES.values(), ids=_SPAN_SEARCH_ATLASES.keys())
+    def test_search_against_the_repair(self, make):
+        atlas = make()
+        g = TranslationGroupoid(atlas)
+        cases = differing = 0
+        for lam_nl, x_n, lam_pl, x_p in _span_cases(atlas, random.Random(23)):
+            span = common_span(atlas, lam_nl, x_n, lam_pl, x_p)
+            ref = reference_common_span(atlas, lam_nl, x_n, lam_pl, x_p)
+            raw = atlas.refine(lam_nl.src, x_n, lam_pl.src, x_p)
+            assert (span.chart, span.point, span.left) == (raw.chart, raw.point, raw.left)
+            closing = [
+                r for r in atlas.family(raw.chart, lam_pl.src)
+                if _is_completion(atlas, Span(raw.chart, raw.point, raw.left, r), lam_nl, x_n, lam_pl, x_p)
+            ]
+            assert span.right == closing[0]
+            assert _is_completion(atlas, span, lam_nl, x_n, lam_pl, x_p)
+            assert _is_completion(atlas, ref, lam_nl, x_n, lam_pl, x_p)
+            p = Triple(atlas.identity_embedding(lam_nl.src), x_n, lam_nl)
+            q = Triple(lam_pl, x_p, atlas.identity_embedding(lam_pl.src))
+            assert g.triples_equal(g.multiply_triples(p, q, span=span), g.multiply_triples(p, q, span=ref))
+            cases += 1
+            differing += (span.left, span.right) != (ref.left, ref.right)
+        assert cases and differing
+
+    def test_rotated_legs_at_the_cone_point(self):
+        atlas = cone(3)
+        group = atlas.chart("cone3").group
+        ident = atlas.identity_embedding("cone3")
+        rot = Embedding("cone3", "cone3", group[1])
+        origin = Point.origin(atlas.conductor, 1)
+        span = common_span(atlas, ident, origin, rot, origin)
+        ref = reference_common_span(atlas, ident, origin, rot, origin)
+        assert (ref.left.map, ref.right.map) == (group[1], group[0])
+        assert (span.left.map, span.right.map) == (group[0], group[2])
 
 
 class TestAtlasValidation:

@@ -41,6 +41,7 @@ from orbatlas.geometry import (
 )
 from orbatlas.groupoids import (
     ActionGroupoid,
+    Arrow,
     GroupoidMorphism,
     UnitPoint,
     check_groupoid_axioms,
@@ -191,6 +192,27 @@ class TestCheckMorita:
         assert report.condition_i.ok
         assert not report.condition_ii.ok
         assert any("not hit" in d for _, d in report.condition_ii.failures())
+
+    def test_fiber_failures_keep_their_own_details(self):
+        # z/3 onto z/2, both acting trivially on the unit disc, every arrow
+        # sent to the identity: the arrow map both collapses and misses
+        m = 6
+        ball = Ball(Point.origin(m, 1), CycNum.rational(m, 1))
+        ident = AffineMap.identity(m, 1)
+
+        def trivial_cyclic(prefix, n):
+            labels = [f"{prefix}{k}" for k in range(n)]
+            mult = {(labels[a], labels[b]): labels[(a + b) % n] for a in range(n) for b in range(n)}
+            inv = {labels[a]: labels[-a % n] for a in range(n)}
+            return ActionGroupoid(m, ball, [(lab, ident) for lab in labels], mult=mult, inv=inv)
+
+        src, dst = trivial_cyclic("g", 3), trivial_cyclic("h", 2)
+        unit = PolyMap.from_affine(ident)
+        mor = GroupoidMorphism(src, dst, {"U": ("U", unit)}, lambda a: Arrow("h0", a.point))
+        report = check_morita(mor, samples=6, seed=0)
+        details = dict(report.condition_ii.failures())
+        assert details["arrow map injective on sampled fibers"].endswith("collapse")
+        assert details["arrow map onto sampled fibers"].endswith("not hit")
 
     def test_isotropy_orders_preserved_along_passing_morphism(self, sub_full_cone3):
         sub, full = sub_full_cone3
