@@ -5,7 +5,10 @@ denominator, in the basis 1, zeta, ..., zeta^(d-1) with d = deg Phi_m,
 normalised so that the numerators and the denominator have no common factor.
 Equal elements therefore have equal data.  Every Phi_m is monic with integer
 coefficients, so reduction, complex conjugation and the other Galois
-automorphisms act on the numerators by integer rows.
+automorphisms act on the numerators by integer rows.  Products and the
+automorphisms zeta -> zeta^a are straight-line integer kernels generated at
+import from those rows of Phi_m, one product per conductor and one
+automorphism per unit a mod m.
 
 The real subfield of every supported field is Q, Q(sqrt 2) (m = 8) or
 Q(sqrt 3) (m = 12).  A real element is (a + b sqrt d) / (2 den) with integers
@@ -42,13 +45,12 @@ def _degree(m: int) -> int:
 
 
 def _power_rows(m: int) -> tuple:
-    """zeta_m^k for k = 0..m-1 in the canonical basis, as sparse integer rows
-    ((i, v), ...) of the nonzero coefficients."""
+    """zeta_m^k for k = 0..m-1 in the canonical basis, as integer rows."""
     phi = _CYCLOTOMIC[m]
     row = [1] + [0] * (_degree(m) - 1)
     rows = []
     for _ in range(m):
-        rows.append(tuple((i, v) for i, v in enumerate(row) if v))
+        rows.append(tuple(row))
         # times zeta, with zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^(d-1))
         lead = row[-1]
         row = [r - lead * c for r, c in zip([0] + row[:-1], phi)]
@@ -56,9 +58,48 @@ def _power_rows(m: int) -> tuple:
 
 
 _ROWS = {m: _power_rows(m) for m in _CYCLOTOMIC}
-# The Galois group of Q(zeta_m) is zeta -> zeta^a for a in (Z/m)^*; these are
-# the a other than 1.
-_OTHER_UNITS = {m: tuple(a for a in range(2, m) if gcd(a, m) == 1) for m in _CYCLOTOMIC}
+
+
+def _sum(terms) -> str:
+    """Source of the sum of c * t over the (integer c, source t) pairs, with
+    the terms whose c is 0 dropped."""
+    out = " + ".join(t if c == 1 else f"-{t}" if c == -1 else f"{c} * {t}" for c, t in terms if c)
+    return out.replace("+ -", "- ") or "0"
+
+
+def _kernel(name: str, params: tuple, d: int, body: list[str], outputs: list[str]):
+    """The function name(*params) that unpacks each numerator vector p into
+    p0, ..., p(d-1), runs the body lines and returns the tuple of the outputs,
+    compiled from source built from this module's integer tables alone."""
+    unpack = [", ".join(f"{p}{i}" for i in range(d)) + f", = {p}" for p in params]
+    src = "\n    ".join([f"def {name}({', '.join(params)}):", *unpack, *body, f"return ({', '.join(outputs)},)"])
+    scope = {}
+    exec(compile(src, f"<{name}>", "exec"), scope)
+    return scope[name]
+
+
+def _mul_kernel(m: int):
+    """The product of canonical numerators: the convolution
+    c_k = sum_{i+j=k} a_i b_j, then per output the integer combination of the
+    c_k that reduces each zeta^k mod Phi_m."""
+    rows, d = _ROWS[m], _degree(m)
+    conv = [" + ".join(f"a{i} * b{k - i}" for i in range(d) if 0 <= k - i < d) for k in range(2 * d - 1)]
+    out = [_sum((rows[k][t], f"c{k}") for k in range(len(conv))) for t in range(d)]
+    return _kernel(f"mul{m}", ("a", "b"), d, [f"c{k} = {c}" for k, c in enumerate(conv)], out)
+
+
+def _aut_kernel(m: int, a: int):
+    """The automorphism zeta -> zeta^a on canonical numerators."""
+    rows, d = _ROWS[m], _degree(m)
+    out = [_sum((rows[a * k % m][t], f"n{k}") for k in range(d)) for t in range(d)]
+    return _kernel(f"aut{m}_{a}", ("n",), d, [], out)
+
+
+# Straight-line kernels generated from _ROWS: _MUL[m](a, b) multiplies two
+# numerator vectors, and _AUT[m][a](n) applies zeta -> zeta^a for each a in
+# (Z/m)^*, the Galois group of Q(zeta_m); complex conjugation is a = -1 mod m.
+_MUL = {m: _mul_kernel(m) for m in _CYCLOTOMIC}
+_AUT = {m: {a: _aut_kernel(m, a) for a in range(m) if gcd(a, m) == 1} for m in _CYCLOTOMIC}
 
 
 def _check_conductor(m: int) -> None:
@@ -66,28 +107,15 @@ def _check_conductor(m: int) -> None:
         raise ConductorMismatchError(f"unsupported conductor {m}")
 
 
-def _combine(m: int, a: int, nums) -> list[int]:
-    """Canonical numerators of sum_k nums[k] * zeta^(a k).
-
-    With a = 1 this reduces a power-basis vector of any length; with a unit a
-    it applies the automorphism zeta -> zeta^a.
-    """
+def _combine(m: int, nums) -> list[int]:
+    """Canonical numerators of sum_k nums[k] * zeta^k, for a power-basis
+    vector of any length."""
     rows = _ROWS[m]
     out = [0] * _degree(m)
     for k, c in enumerate(nums):
         if c:
-            for i, v in rows[a * k % m]:
-                out[i] += c * v
+            out = [o + c * v for o, v in zip(out, rows[k % m])]
     return out
-
-
-def _mul_nums(m: int, a, b) -> list[int]:
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                conv[i + j] += x * y
-    return _combine(m, 1, conv)
 
 
 def _make(m: int, nums, den: int) -> CycNum:
@@ -102,7 +130,7 @@ def _make(m: int, nums, den: int) -> CycNum:
         x._n = tuple(nums)
         x._d = den
     else:
-        x._n = tuple(n // g for n in nums)
+        x._n = tuple([n // g for n in nums])
         x._d = den // g
     x._hash = None
     return x
@@ -118,7 +146,7 @@ class CycNum:
         _check_conductor(m)
         pairs = [(c.numerator, c.denominator) for c in coeffs]
         den = lcm(*(q for _, q in pairs))
-        x = _make(m, _combine(m, 1, [p * (den // q) for p, q in pairs]), den)
+        x = _make(m, _combine(m, [p * (den // q) for p, q in pairs]), den)
         self.m, self._n, self._d, self._hash = m, x._n, x._d, None
 
     # -- constructors ------------------------------------------------------
@@ -131,8 +159,7 @@ class CycNum:
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> CycNum:
         _check_conductor(m)
-        # zeta^power is the image of zeta under zeta -> zeta^power
-        return _make(m, _combine(m, power, (0, 1)), 1)
+        return _make(m, _ROWS[m][power % m], 1)
 
     # -- canonical data ----------------------------------------------------
 
@@ -163,10 +190,10 @@ class CycNum:
         return self._hash
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not CycNum:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = CycNum.rational(self.m, other)
-        if not isinstance(other, CycNum):
-            return NotImplemented
         return self.m == other.m and self._n == other._n and self._d == other._d
 
     def __repr__(self):
@@ -176,7 +203,7 @@ class CycNum:
     # -- field operations --------------------------------------------------
 
     def _coerce(self, other) -> CycNum:
-        if isinstance(other, CycNum):
+        if type(other) is CycNum:
             if other.m != self.m:
                 raise ConductorMismatchError(f"conductor {self.m} vs {other.m}")
             return other
@@ -213,7 +240,7 @@ class CycNum:
         if not any(a[1:]):
             s = a[0]
             return _make(self.m, [x * s for x in b], den)
-        return _make(self.m, _mul_nums(self.m, a, b), den)
+        return _make(self.m, _MUL[self.m](a, b), den)
 
     __rmul__ = __mul__
 
@@ -225,10 +252,8 @@ class CycNum:
         m, n = self.m, self._n
         if self.is_rational():
             return _make(m, [self._d] + [0] * (len(n) - 1), n[0])
-        others = [1] + [0] * (len(n) - 1)
-        for a in _OTHER_UNITS[m]:
-            others = _mul_nums(m, others, _combine(m, a, n))
-        norm = _mul_nums(m, n, others)[0]
+        others = functools.reduce(_MUL[m], [aut(n) for a, aut in _AUT[m].items() if a != 1])
+        norm = _MUL[m](n, others)[0]
         return _make(m, [self._d * c for c in others], norm)
 
     def __truediv__(self, other):
@@ -250,7 +275,7 @@ class CycNum:
         return out
 
     def _conj_nums(self) -> tuple[int, ...]:
-        return tuple(_combine(self.m, -1, self._n))
+        return _AUT[self.m][-1 % self.m](self._n)
 
     def conj(self) -> CycNum:
         """Complex conjugation, zeta -> zeta^(-1); a real element is its own conjugate."""

@@ -17,7 +17,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 from .errors import ConductorMismatchError, DimensionMismatchError, NotSimilarityError
-from .field import SUPPORTED_CONDUCTORS, CycNum, _combine, _make, _mul_nums, _real_nums, sign_quadratic, sign_real
+from .field import SUPPORTED_CONDUCTORS, _AUT, _MUL, CycNum, _make, _real_nums, sign_quadratic, sign_real
 
 
 def _as_cyc(m: int, value) -> CycNum:
@@ -67,13 +67,14 @@ def _dist2_nums(p: Point, q: Point, m: int | None = None) -> tuple[list[int], in
         raise DimensionMismatchError("squared distance of dimension-0 points")
     if m is None:
         m = p.coords[0].m
+    mul, conj = _MUL[m], _AUT[m][-1 % m]
     total, den = [0] * len(p.coords[0]._n), 1
     for x, y in zip(p.coords, q.coords):
         if x.m != m or y.m != m:
             raise ConductorMismatchError(f"coordinates over conductors {x.m} and {y.m}, expected {m}")
         xd, yd = x._d, y._d
         n = [a * yd - b * xd for a, b in zip(x._n, y._n)]
-        sq = _mul_nums(m, n, _combine(m, -1, n))
+        sq = mul(n, conj(n))
         d = (xd * yd) ** 2
         if d == den:
             total = [s + t for s, t in zip(total, sq)]
@@ -277,7 +278,7 @@ def _dot(acc: CycNum, xs, ys) -> CycNum:
                 continue
             t = [v * s for v in b]
         else:
-            t = _mul_nums(m, a, b)
+            t = _MUL[m](a, b)
         d = x._d * y._d
         if d == den:
             total = [u + v for u, v in zip(total, t)]

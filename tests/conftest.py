@@ -199,3 +199,40 @@ def reference_balls_disjoint(b1, b2):
     if sign_real(t) < 0:
         return False
     return sign_real(t * t - 4 * b1.r2 * b2.r2) >= 0
+
+
+def reference_power_rows(phi, m):
+    """zeta_m^k for k = 0..m-1 reduced by the monic integer polynomial phi
+    (ascending coefficients), as sparse rows ((i, v), ...) of the nonzero
+    coefficients: the loop the field kernel used before its generated code."""
+    d = len(phi) - 1
+    row = [1] + [0] * (d - 1)
+    rows = []
+    for _ in range(m):
+        rows.append(tuple((i, v) for i, v in enumerate(row) if v))
+        lead = row[-1]
+        row = [r - lead * c for r, c in zip([0] + row[:-1], phi)]
+    return tuple(rows)
+
+
+def reference_combine(phi, m, a, nums):
+    """Canonical numerators of sum_k nums[k] * zeta^(a k), one sparse row per
+    nonzero power."""
+    rows = reference_power_rows(phi, m)
+    out = [0] * (len(phi) - 1)
+    for k, c in enumerate(nums):
+        if c:
+            for i, v in rows[a * k % m]:
+                out[i] += c * v
+    return out
+
+
+def reference_mul_nums(phi, m, a, b):
+    """Canonical numerators of a product: the full convolution, then
+    ``reference_combine``."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    return reference_combine(phi, m, 1, conv)

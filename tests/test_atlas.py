@@ -170,8 +170,9 @@ def _conjugator_outcome(fn):
 
 
 class TestConjugatorSolve:
-    """find_conjugator solves h = mu . lam^(-1) once for an invertible lam and
-    scans h . lam otherwise; both fail exactly as the scan did."""
+    """find_conjugator scans the target group for the h with h . lam = mu,
+    for invertible and constant lam alike, and its outcomes and failures are
+    those of the reference scan."""
 
     CHARTS = {
         "reduced": Chart("c", Ball.of(M, [0], 1), tuple(zrot(k) for k in (0, 4, 8))),

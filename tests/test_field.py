@@ -1,6 +1,8 @@
 """Field kernel: canonical forms, arithmetic laws, exact sign determination."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -8,7 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbatlas.errors import ConductorMismatchError, NotRealError
-from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum, real_parts, sign_quadratic, sign_real
+from orbatlas.field import (
+    _AUT,
+    _CYCLOTOMIC,
+    _MUL,
+    SUPPORTED_CONDUCTORS,
+    CycNum,
+    _degree,
+    real_parts,
+    sign_quadratic,
+    sign_real,
+)
+
+from conftest import reference_combine, reference_mul_nums
 
 CONDUCTOR = 12
 
@@ -195,3 +209,77 @@ class TestSign:
                     assert sign_real(x) == want
         finally:
             mpmath.iv.prec = old
+
+
+def _random_nums(rng, d):
+    """A numerator vector with zeros, negatives and entries above 2^64."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return tuple(rng.choice((0, 0, 1, -1)) for _ in range(d))
+    bits = 100 if pick == 1 else 20
+    return tuple(rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(d))
+
+
+class TestGeneratedKernels:
+    """The straight-line product and automorphism kernels against the loops
+    kept in conftest as the reference."""
+
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    def test_kernels_equal_reference_loops(self, m):
+        phi, d = _CYCLOTOMIC[m], _degree(m)
+        units = [a for a in range(m) if gcd(a, m) == 1]
+        assert sorted(_AUT[m]) == units
+        rng = random.Random(f"kernels:{m}")
+        for _ in range(200):
+            a, b = _random_nums(rng, d), _random_nums(rng, d)
+            assert list(_MUL[m](a, b)) == reference_mul_nums(phi, m, a, b)
+            for u in units:
+                assert list(_AUT[m][u](a)) == reference_combine(phi, m, u, a)
+
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    def test_automorphisms_form_the_galois_group(self, m):
+        rng = random.Random(f"galois:{m}")
+        mul, aut = _MUL[m], _AUT[m]
+        for _ in range(50):
+            x, y = _random_nums(rng, _degree(m)), _random_nums(rng, _degree(m))
+            for a, sa in aut.items():
+                assert sa(mul(x, y)) == mul(sa(x), sa(y))
+                for b, sb in aut.items():
+                    assert sa(sb(x)) == aut[a * b % m](x)
+
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    def test_zeta_powers_match_repeated_products(self, m):
+        zm = CycNum.zeta(m)
+        for k in range(-2 * m, 2 * m):
+            assert CycNum.zeta(m, k) == zm**k
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        (lambda: rat(3) == 3, True),
+        (lambda: z() == 3, False),
+        (lambda: rat(Fraction(2, 3)) == Fraction(2, 3), True),
+        (lambda: rat(1) == True, True),  # noqa: E712 -- bool is an int
+        (lambda: CycNum.rational(3, 1) == CycNum.rational(4, 1), False),
+        (lambda: z() == "z", False),
+        (lambda: z() != "z", True),
+        (lambda: z() + 1 == CycNum(CONDUCTOR, [1, 1]), True),
+        (lambda: 1 + z() == CycNum(CONDUCTOR, [1, 1]), True),
+        (lambda: z() - Fraction(1, 3) == CycNum(CONDUCTOR, [Fraction(-1, 3), 1]), True),
+        (lambda: z() * Fraction(1, 2) == CycNum(CONDUCTOR, [0, Fraction(1, 2)]), True),
+        (lambda: CycNum.zeta(3) + CycNum.zeta(4), ConductorMismatchError),
+        (lambda: CycNum.zeta(3) * CycNum.zeta(4), ConductorMismatchError),
+    ],
+    ids=[
+        "eq-int", "ne-int", "eq-fraction", "eq-true", "other-conductor", "eq-str", "ne-str",
+        "add-int", "radd-int", "sub-fraction", "mul-fraction", "add-mixed", "mul-mixed",
+    ],
+)
+def test_equality_and_coercion(expr, expected):
+    """The behaviour around the exact-type fast paths of __eq__ and _coerce."""
+    if expected is ConductorMismatchError:
+        with pytest.raises(ConductorMismatchError):
+            expr()
+    else:
+        assert expr() is expected
