@@ -69,10 +69,6 @@ class WitnessInvalidError(OrbAtlasError):
     """Equivalence witness fails validation."""
 
 
-class InvalidRelabelingError(OrbAtlasError):
-    """Pushforward data is not a bijective relabeling."""
-
-
 class UnsupportedPresentationError(OrbAtlasError):
     """Groupoid presentation outside the supported strategies."""
 

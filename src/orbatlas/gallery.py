@@ -219,19 +219,21 @@ class WitnessSpan:
     right: Embedding  # into a chart of the second atlas
 
 
-def pushforward_pair(base: Atlas, relabel: dict[str, str] | None = None):
-    """An atlas together with its pushforward along a relabeling homeomorphism."""
+def pushforward_pair(base: Atlas):
+    """An atlas together with its pushforward along the similarity
+    z -> zeta_m z / 2 + (1/3, 0, ..., 0), and one witness per chart: a
+    restriction at the chart's centre, its left leg the identity into the
+    chart and its right leg that similarity into the pushed chart."""
     from .morita import pushforward_atlas
 
-    relabel = relabel if relabel is not None else {cid: cid for cid in base.chart_ids()}
-    pushed = pushforward_atlas(relabel, base)
-    m = base.conductor
+    m, dim = base.conductor, base.dim
+    shift = Point(tuple(CycNum.rational(m, Fraction(1, 3) if i == 0 else 0) for i in range(dim)))
+    h = AffineMap.scaling(m, dim, CycNum.zeta(m) * Fraction(1, 2)).shift(shift)
     witnesses = []
     for k, cid in enumerate(base.chart_ids()):
         chart = base.chart(cid)
         sub, _ = restrict_chart(chart, chart.ball.center, Fraction(1, 4), cid=f"wp{k}")
-        ident = AffineMap.identity(m, chart.dim)
         witnesses.append(
-            WitnessSpan(sub, Embedding(sub.cid, cid, ident), Embedding(sub.cid, cid, ident))
+            WitnessSpan(sub, Embedding(sub.cid, cid, AffineMap.identity(m, dim)), Embedding(sub.cid, cid, h))
         )
-    return base, pushed, witnesses
+    return base, pushforward_atlas(h, base), witnesses

@@ -17,6 +17,7 @@ from .atlas import (
     Atlas,
     Chart,
     Embedding,
+    Span,
     _composable_reps,
     embedding_conditions,
     find_conjugator,
@@ -25,6 +26,7 @@ from .atlas import (
     validate_chart,
 )
 from .errors import (
+    InvalidAtlasError,
     NotASubAtlasError,
     NotEquivalentError,
     UnsupportedPresentationError,
@@ -439,17 +441,30 @@ def morita_equivalence_chain(
 # -- pushforward ---------------------------------------------------------------------
 
 
-def pushforward_atlas(relabel: dict[str, str], atlas: Atlas) -> Atlas:
-    """Same charts, embeddings and witnesses; the oracle record gains a
-    relabeling of the underlying space, which changes no identification."""
+def pushforward_atlas(h: AffineMap, atlas: Atlas) -> Atlas:
+    """The atlas transported along an invertible similarity h of the ambient
+    space: chart ids stay, balls map by h, chart group elements and embeddings
+    become h . g . h^(-1), witness and unit points move by h and witness legs
+    are conjugated.  An h that is not invertible raises InvalidAtlasError; one
+    of another dimension or conductor raises the geometry layer's errors."""
+    if not h.is_invertible():
+        raise InvalidAtlasError("pushforward along a map that is not invertible")
+    unh = h.inverse()
+
+    def moved(e: Embedding) -> Embedding:
+        return Embedding(e.src, e.dst, h.compose(e.map).compose(unh))
+
+    charts = [
+        Chart(c.cid, map_ball(h, c.ball), tuple(h.compose(g).compose(unh) for g in c.group))
+        for c in atlas.charts.values()
+    ]
     return Atlas(
         atlas.conductor,
         atlas.dim,
-        list(atlas.charts.values()),
-        list(atlas.reps.values()),
-        atlas.oracle.pushed(relabel),
-        witnesses=atlas.witnesses,
-        unit_points=atlas.unit_points,
+        charts,
+        [moved(e) for e in atlas.reps.values()],
+        witnesses=[Span(w.chart, h(w.point), moved(w.left), moved(w.right)) for w in atlas.witnesses],
+        unit_points={cid: tuple(h(p) for p in pts) for cid, pts in atlas.unit_points.items()},
     )
 
 

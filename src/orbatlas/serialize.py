@@ -23,7 +23,7 @@ from .field import SUPPORTED_CONDUCTORS, CycNum, _degree
 from .gallery import WitnessSpan
 from .geometry import AffineMap, Ball, Point, PolyMap
 from .groupoids import ActionGroupoid, GroupoidPresentation
-from .oracles import Oracle
+from .oracles import SPAN_SEARCH
 from .systems import CompatibleSystem, OrbNatTrans
 from .translation import TranslationGroupoid
 
@@ -227,40 +227,6 @@ def span_from_doc(m: int, doc) -> Span:
     return Span(chart, point, left, right)
 
 
-def oracle_to_doc(oracle: Oracle) -> dict:
-    if oracle.spans is None:
-        doc = {"kind": "span_search", "params": {}}
-    else:
-        doc = {"kind": "span_table", "params": {"spans": [span_to_doc(s) for s in oracle.spans]}}
-    for relabel in reversed(oracle.relabels):
-        doc = {"kind": "pushforward", "params": {"relabel": dict(relabel), "inner": doc}}
-    return doc
-
-
-# the params each oracle kind reads; global_quotient and gluing are older names of span_search
-_ORACLE_PARAMS = {
-    "span_search": set(), "global_quotient": set(), "gluing": set(),
-    "span_table": {"spans"}, "pushforward": {"relabel", "inner"},
-}
-
-
-def oracle_from_doc(m: int, doc) -> Oracle:
-    doc = _typed(doc, dict, "oracle")
-    kind = _typed(doc.get("kind"), str, "oracle kind")
-    params = _typed(doc.get("params", {}), dict, "oracle params")
-    allowed = _ORACLE_PARAMS.get(kind)
-    if allowed is None or not doc.keys() <= {"kind", "params"} or not params.keys() <= allowed:
-        raise ParseError(f"unknown oracle kind {kind!r} or fields {sorted(doc)}, {sorted(params)}")
-    if kind == "pushforward":
-        relabel = _typed(params.get("relabel", {}), dict, "pushforward relabel")
-        for label in relabel.values():
-            _typed(label, str, "pushforward label")
-        return oracle_from_doc(m, params["inner"]).pushed(relabel)
-    if kind == "span_table":
-        return Oracle(tuple(span_from_doc(m, s) for s in _typed(params.get("spans", []), list, "span table")))
-    return Oracle()
-
-
 def atlas_to_doc(atlas: Atlas) -> dict:
     return {
         "kind": "atlas",
@@ -271,7 +237,7 @@ def atlas_to_doc(atlas: Atlas) -> dict:
             {"src": e.src, "dst": e.dst, **affine_to_doc(e.map)}
             for (_, _), e in sorted(atlas.reps.items())
         ],
-        "oracle": oracle_to_doc(atlas.oracle),
+        "oracle": dict(SPAN_SEARCH, params={}),
         "witnesses": [span_to_doc(w) for w in atlas.witnesses],
         "unit_points": {
             cid: [point_to_doc(p) for p in pts]
@@ -297,7 +263,6 @@ def atlas_from_doc(doc) -> Atlas:
             _embedding(m, e["src"], e["dst"], e, "embedding")
             for e in _typed(doc.get("embeddings", []), list, "embeddings")
         ]
-        oracle = oracle_from_doc(m, doc["oracle"]) if "oracle" in doc else Oracle()
         witnesses = [span_from_doc(m, w) for w in _typed(doc.get("witnesses", []), list, "witnesses")]
         unit_points = {
             cid: tuple(point_from_doc(m, p, "unit point") for p in pts)
@@ -305,6 +270,8 @@ def atlas_from_doc(doc) -> Atlas:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed atlas document: {exc}") from exc
+    if doc.get("oracle", SPAN_SEARCH) != SPAN_SEARCH:
+        raise ParseError(f"oracle section other than {SPAN_SEARCH}")
     if not charts:
         raise ParseError("atlas has no charts")
     ids = [c.cid for c in charts]
@@ -325,12 +292,11 @@ def atlas_from_doc(doc) -> Atlas:
             raise ParseError(f"chart {c.cid} has an empty group")
         points += [(f"chart {c.cid}", q) for q in (c.ball.center, *(g.b for g in c.group))]
     points += [(f"embedding {e.src}->{e.dst}", e.map.b) for e in reps]
-    spans = witnesses + list(oracle.spans or ())
-    points += [(f"span via {w.chart}", q) for w in spans for q in (w.point, w.left.map.b, w.right.map.b)]
+    points += [(f"span via {w.chart}", q) for w in witnesses for q in (w.point, w.left.map.b, w.right.map.b)]
     for where, q in points:
         if q.dim != dim:
             raise ParseError(f"length {q.dim}, expected dimension {dim}", where)
-    return Atlas(m, dim, charts, reps, oracle, witnesses=witnesses, unit_points=unit_points)
+    return Atlas(m, dim, charts, reps, witnesses=witnesses, unit_points=unit_points)
 
 
 # -- groupoid presentations ------------------------------------------------------

@@ -89,7 +89,7 @@ def identity_system(atlas: Atlas) -> CompatibleSystem:
 
 def compose_compatible(g: CompatibleSystem, f: CompatibleSystem) -> CompatibleSystem:
     """g after f: chart maps compose, lifts compose, embedding images compose."""
-    if f.dst is not g.src and f.dst.charts.keys() != g.src.charts.keys():
+    if not _same_atlas(f.dst, g.src):
         raise AtlasMismatchError("middle atlases do not match")
     theta = {cid: g.theta[f.theta[cid]] for cid in f.src.chart_ids()}
     assign = {}
@@ -102,6 +102,8 @@ def compose_compatible(g: CompatibleSystem, f: CompatibleSystem) -> CompatibleSy
 
 
 def systems_equal(a: CompatibleSystem, b: CompatibleSystem) -> bool:
+    if not (_same_atlas(a.src, b.src) and _same_atlas(a.dst, b.dst)):
+        return False
     if a.theta != b.theta or a.lifts.keys() != b.lifts.keys():
         return False
     if any(a.lifts[c] != b.lifts[c] for c in a.lifts):
@@ -275,7 +277,7 @@ def _same_atlas(a: Atlas, b: Atlas) -> bool:
     """One atlas object, or two whose stored data are equal."""
     return a is b or all(
         getattr(a, k) == getattr(b, k)
-        for k in ("conductor", "dim", "charts", "reps", "oracle", "witnesses", "unit_points")
+        for k in ("conductor", "dim", "charts", "reps", "witnesses", "unit_points")
     )
 
 
@@ -305,7 +307,7 @@ def hcomp_orb(eta: OrbNatTrans, delta: OrbNatTrans) -> OrbNatTrans:
     component."""
     f1 = delta.src_sys
     g1 = eta.src_sys
-    if f1.dst is not g1.src and f1.dst.charts.keys() != g1.src.charts.keys():
+    if not _same_atlas(f1.dst, g1.src):
         raise BoundaryMismatchError("horizontal composition boundary mismatch")
     comps = {}
     for cid in f1.src.chart_ids():

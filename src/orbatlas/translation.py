@@ -412,12 +412,13 @@ def action_groupoid_oracle_report(atlas: Atlas, samples: int = 200, seed: int = 
     return rep
 
 
-def multiplication_well_defined_report(
-    atlas: Atlas, products: int = 50, completions: int = 5, seed: int = 0
-) -> Report:
+_COMPLETIONS = 5
+
+
+def multiplication_well_defined_report(atlas: Atlas, products: int = 50, seed: int = 0) -> Report:
     """Re-verifies that the product class does not depend on the span
-    completion: alternative spans come from translating the oracle span by
-    stabilizer elements of the marked point."""
+    completion: alternative spans come from translating the completed span by
+    elements of its chart group, the first ``_COMPLETIONS`` of them."""
     rep = Report("multiplication well-definedness")
     tg = TranslationGroupoid(atlas)
     rng = random.Random(seed)
@@ -439,7 +440,7 @@ def multiplication_well_defined_report(
             )
             for h in chart.group
         ]
-        for span in variants[:completions]:
+        for span in variants[:_COMPLETIONS]:
             assert p.right.map.compose(span.left.map) == q.left.map.compose(span.right.map)
             assert span.left(span.point) == p.point and span.right(span.point) == q.point
             other = tg.multiply_triples(p, q, span=span)

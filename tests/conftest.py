@@ -12,7 +12,6 @@ from orbatlas.field import CycNum, sign_real
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, map_ball, point_in_ball
 from orbatlas.groupoids import Arrow
-from orbatlas.oracles import Oracle
 
 M = 12
 
@@ -66,18 +65,18 @@ def make_sub_full_pair(p: int = 3):
 
 
 def two_disc_table_atlas(unit_points=None):
-    """Two discs with no stored embedding between them and a recorded span
+    """Two discs with no stored embedding between them and a witness span
     that claims to identify them at one point: its leg into b is not stored."""
     ident = AffineMap.identity(M, 1)
     a = Chart("a", Ball.of(M, [0], 1), (ident,))
     b = Chart("b", Ball.of(M, [0], 1), (ident,))
     p = Point.of(M, Fraction(1, 3))
     entry = Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident))
-    return Atlas(M, 1, [a, b], [], Oracle((entry,)), unit_points=unit_points), entry
+    return Atlas(M, 1, [a, b], [], witnesses=[entry], unit_points=unit_points), entry
 
 
 def three_disc_table_atlas():
-    """Three discs with no stored embeddings; recorded spans, two of them
+    """Three discs with no stored embeddings; witness spans, two of them
     through a chart whose group is {1, -1}, claim to identify a and b in both
     directions and some pairs twice, though none of their cross-chart legs is
     stored."""
@@ -90,7 +89,7 @@ def three_disc_table_atlas():
         Span("c", p, Embedding("c", "b", ident), Embedding("c", "a", ident)),
         Span("a", p, Embedding("a", "a", ident), Embedding("a", "b", ident)),
     )
-    return Atlas(M, 1, charts, [], Oracle(entries)), entries
+    return Atlas(M, 1, charts, [], witnesses=entries), entries
 
 
 class ReferenceTransport(NamedTuple):

@@ -97,7 +97,7 @@ def test_criterion_2_groupoid_axioms(gallery_groupoids):
 
 def test_criterion_3_multiplication_well_defined(gallery_atlases):
     rep = multiplication_well_defined_report(
-        gallery_atlases["cone6"], products=200, completions=5, seed=103
+        gallery_atlases["cone6"], products=200, seed=103
     )
     announce(3, rep.ok, "200 products x 5 independent span completions all give equal classes")
 

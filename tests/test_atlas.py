@@ -45,7 +45,6 @@ from orbatlas.gallery import (
 )
 from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, point_in_ball
 from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, union_atlas
-from orbatlas.oracles import Oracle
 from orbatlas.sampling import random_chart_point
 from orbatlas.translation import TranslationGroupoid, Triple
 
@@ -590,8 +589,20 @@ _LEG_TABLE_ATLASES = {
     )
     for i, part in enumerate(("refinement", "union1", "union2"))
 }
-_LEG_TABLE_ATLASES["table"] = lambda: _realized_table(football(2, 3))
-_LEG_TABLE_ATLASES["table-3"] = lambda: _realized_table(_refinement_atlases(teardrop_pair(3))[1])
+# the bases of the former span-table documents, whose spans are their witnesses
+_LEG_TABLE_ATLASES["table"] = lambda: football(2, 3)
+_LEG_TABLE_ATLASES["table-3"] = lambda: _refinement_atlases(teardrop_pair(3))[1]
+
+
+def _witness_queries(atlas):
+    """(chart, point) at both ends of every witness span, the span's point
+    moved by each element of the span chart's group."""
+    return [
+        (leg.dst, leg(g(w.point)))
+        for w in atlas.witnesses
+        for g in atlas.chart(w.chart).group
+        for leg in (w.left, w.right)
+    ]
 
 
 _SCAN_ATLASES = {
@@ -698,19 +709,16 @@ class TestTransportTable:
     @pytest.mark.parametrize("make", _LEG_TABLE_ATLASES.values(), ids=_LEG_TABLE_ATLASES.keys())
     def test_leg_search_matches_the_composite_table_walk(self, make):
         # refine and locate walk the legs into ci; the former answers walked
-        # the composite table transports(ci, cj), then the recorded spans
+        # the composite table transports(ci, cj)
         atlas = make()
-        reference = _ReferenceSpanTable(atlas.oracle.spans or ())
+        reference = _ReferenceSpanSearch()
         rng = random.Random(37)
         queries = []
         for _ in range(12):
             ci = rng.choice(atlas.chart_ids())
             queries.append((ci, random_chart_point(rng, atlas, ci)))
         queries += [(cid, atlas.chart(cid).ball.center) for cid in atlas.chart_ids()]
-        for span in atlas.oracle.spans or ():
-            for g in atlas.chart(span.chart).group:
-                z = g(span.point)
-                queries += [(span.left.dst, span.left(z)), (span.right.dst, span.right(z))]
+        queries += _witness_queries(atlas)
         hits = same_chart = 0
         for ci, x in queries:
             for cj in atlas.chart_ids():
@@ -726,39 +734,23 @@ class TestTransportTable:
                     assert _span_key(span) == _span_key(reference.refine(atlas, ci, x, cj, t))
                     hits += span is not None
                     same_chart += span is not None and ci == cj
-        # across charts only where a representative or a recorded span relates two
+        # across charts only where a representative relates two
         assert same_chart > 0
-        assert (hits > same_chart) == bool(atlas.reps or atlas.oracle.spans)
+        assert (hits > same_chart) == bool(atlas.reps)
 
-
-def _realized_table(atlas):
-    """atlas with its own witnesses recorded as its span table: spans whose
-    legs are stored embeddings, so the walk realizes every one of them."""
-    return Atlas(
-        atlas.conductor,
-        atlas.dim,
-        list(atlas.charts.values()),
-        list(atlas.reps.values()),
-        Oracle(atlas.witnesses),
-        witnesses=atlas.witnesses,
-        unit_points=atlas.unit_points,
-    )
-
-
-_TABLE_BASES = {
-    "football23": lambda: football(2, 3),
-    "teardrop3-union1": lambda: _refinement_atlases(teardrop_pair(3))[1],
-}
 
 class TestSpanTableOracle:
+    """The two- and three-disc atlases of the former span-table documents,
+    their spans now witnesses whose cross-chart legs are not stored."""
+
     def test_serialize_round_trip_is_byte_identical(self):
         from orbatlas.serialize import atlas_from_doc, serialize
 
         atlas, entry = two_disc_table_atlas()
         payload = serialize(atlas)
-        assert b'"span_table"' in payload
+        assert b'"oracle":{"kind":"span_search","params":{}}' in payload
         again = atlas_from_doc(json.loads(payload))
-        assert again.oracle == atlas.oracle == Oracle((entry,))
+        assert again.witnesses == atlas.witnesses == (entry,)
         assert serialize(again) == payload
 
     def test_table_span_of_wrong_length_is_parse_error(self):
@@ -766,40 +758,35 @@ class TestSpanTableOracle:
         from orbatlas.serialize import atlas_from_doc, atlas_to_doc
 
         doc = atlas_to_doc(two_disc_table_atlas()[0])
-        doc["oracle"]["params"]["spans"][0]["point"] = []
+        doc["witnesses"][0]["point"] = []
         with pytest.raises(ParseError, match="expected dimension 1"):
             atlas_from_doc(doc)
-        doc["oracle"] = {"kind": "pushforward", "params": {"relabel": {}, "inner": doc["oracle"]}}
-        with pytest.raises(ParseError, match="expected dimension 1"):
+        # the span as a recorded span table is a section the reader refuses
+        doc = atlas_to_doc(two_disc_table_atlas()[0])
+        doc["oracle"] = {"kind": "span_table", "params": {"spans": doc.pop("witnesses")}}
+        with pytest.raises(ParseError, match="oracle section"):
             atlas_from_doc(doc)
 
     def test_query_answered_only_by_the_table(self):
         # a span the stored embeddings do not realize identifies nothing, and
-        # the atlas recording it fails validation
+        # the atlas carrying it as a witness fails validation
         atlas, entry = two_disc_table_atlas()
         p = entry.point
         assert atlas.transports("a", "b") == atlas.transports("b", "a") == ()
         assert atlas.locate("a", p, "b") is None and atlas.locate("b", p, "a") is None
         assert atlas.refine("a", p, "b", p) is None and atlas.refine("b", p, "a", p) is None
         failures = validate_atlas(atlas).failures()
-        assert failures == [("oracle spans valid", "recorded span at a: leg to b stored in the atlas")]
+        assert failures == [("witness a|b via a", "leg to b stored in the atlas")]
 
     def test_unrealized_three_disc_table_fails_validation(self):
-        # the detail names the first failing recorded span's unstored legs;
-        # both also fail equivariance, as c's group {1, -1} has no image in a or b
-        detail = (
-            "recorded span at c: leg to b stored in the atlas; leg to b valid; "
-            "leg to a stored in the atlas; leg to a valid"
-        )
-        assert validate_atlas(three_disc_table_atlas()[0]).failures() == [("oracle spans valid", detail)]
-
-    @pytest.mark.parametrize("make", _TABLE_BASES.values(), ids=_TABLE_BASES.keys())
-    def test_realized_table_validates_with_the_report_of_its_search(self, make):
-        # recorded spans that the stored embeddings realize add no check and
-        # no detail to the report of the same atlas without a table
-        atlas = make()
-        rep = validate_atlas(_realized_table(atlas))
-        assert rep.ok and rep.checks == validate_atlas(atlas).checks
+        # each witness names its unstored legs; those out of c also fail
+        # equivariance, as c's group {1, -1} has no image in a or b
+        c_legs = "leg to b stored in the atlas; leg to b valid; leg to a stored in the atlas; leg to a valid"
+        assert validate_atlas(three_disc_table_atlas()[0]).failures() == [
+            ("witness b|a via c", c_legs),
+            ("witness b|a via c", c_legs),
+            ("witness a|b via a", "leg to b stored in the atlas"),
+        ]
 
 
 class _ReferenceSpanSearch:
@@ -826,99 +813,78 @@ class _ReferenceSpanSearch:
         return None
 
 
-def _reference_flip(span):
-    return Span(span.chart, span.point, span.right, span.left)
-
-
-class _ReferenceSpanTable:
-    """The former span-table oracle class: the search, then the recorded spans."""
-
-    def __init__(self, entries=()):
-        self.entries = tuple(entries)
-
-    def _matches(self, atlas, span, ci, x, cj, y):
-        if span.left.dst != ci or span.right.dst != cj:
-            return None
-        for g in atlas.chart(span.chart).group:
-            z = g(span.point)
-            if span.left(z) == x and span.right(z) == y:
-                return Span(span.chart, z, span.left, span.right)
-        return None
-
-    def refine(self, atlas, ci, x, cj, y):
-        fallback = _ReferenceSpanSearch().refine(atlas, ci, x, cj, y)
-        if fallback is not None:
-            return fallback
-        for span in self.entries:
-            hit = self._matches(atlas, span, ci, x, cj, y)
-            if hit is not None:
-                return hit
-            hit = self._matches(atlas, span, cj, y, ci, x)
-            if hit is not None:
-                return _reference_flip(hit)
-        return None
-
-    def locate(self, atlas, ci, x, cj):
-        found = _ReferenceSpanSearch().locate(atlas, ci, x, cj)
-        if found is not None:
-            return found
-        for span in list(self.entries) + [_reference_flip(s) for s in self.entries]:
-            if span.left.dst != ci or span.right.dst != cj:
-                continue
-            for g in atlas.chart(span.chart).group:
-                z = g(span.point)
-                if span.left(z) == x:
-                    return span.right(z)
-        return None
+def _moved_span(span, h):
+    """span transported along the similarity h."""
+    unh = h.inverse()
+    left, right = (Embedding(e.src, e.dst, h.compose(e.map).compose(unh)) for e in (span.left, span.right))
+    return Span(span.chart, h(span.point), left, right)
 
 
 class _ReferencePushforward:
-    """The former pushforward oracle class: answers pass through unchanged."""
+    """The answers of a reference on the base atlas, carried along the
+    similarity h that pushes the base forward."""
 
-    def __init__(self, inner, relabel):
-        self.inner = inner
-        self.relabel = dict(relabel)
+    def __init__(self, base, inner, h):
+        self.base, self.inner, self.h = base, inner, h
 
     def refine(self, atlas, ci, x, cj, y):
-        return self.inner.refine(atlas, ci, x, cj, y)
+        unh = self.h.inverse()
+        span = self.inner.refine(self.base, ci, unh(x), cj, unh(y))
+        return None if span is None else _moved_span(span, self.h)
 
     def locate(self, atlas, ci, x, cj):
-        return self.inner.locate(atlas, ci, x, cj)
+        found = self.inner.locate(self.base, ci, self.h.inverse()(x), cj)
+        return None if found is None else self.h(found)
 
 
-_SWAP = {"north": "south", "south": "north", "glue": "glue"}
-_RENAME = {"north": "n", "south": "s", "glue": "g"}
+def _similarity(m, scalar, *shift):
+    """z -> scalar z + shift, over conductor m in dimension len(shift)."""
+    return AffineMap.scaling(m, len(shift), scalar).shift(Point.of(m, *shift))
 
 
-def _with_table_reference(atlas):
-    """atlas with the former span-table oracle class over its recorded spans."""
-    return atlas, _ReferenceSpanTable(atlas.oracle.spans)
+def _h1(m):
+    return _similarity(m, CycNum.zeta(m) * Fraction(1, 2), Fraction(1, 3))
 
 
-def _pushed(base, reference, *relabels):
-    """base pushed forward by each relabel in turn, with its reference oracle."""
-    atlas = base
-    for relabel in relabels:
-        atlas = pushforward_atlas(relabel, atlas)
-        reference = _ReferencePushforward(reference, relabel)
-    assert atlas.oracle.relabels == tuple(tuple(sorted(r.items())) for r in reversed(relabels))
+def _h2(m):
+    return _similarity(m, 3, Fraction(-2, 5))
+
+
+def _pushed(base, *hs):
+    """base pushed forward along h(m) for each h in turn, with its reference:
+    the span search on base, carried along each of those maps."""
+    atlas, reference = base, _ReferenceSpanSearch()
+    for make_h in hs:
+        h = make_h(base.conductor)
+        atlas, reference = pushforward_atlas(h, atlas), _ReferencePushforward(atlas, reference, h)
     return atlas, reference
+
+
+def _search(atlas, reference=None):
+    """A reference case queried at random chart points."""
+    return atlas, reference or _ReferenceSpanSearch(), []
+
+
+def _table(atlas, reference=None):
+    """A reference case queried at its witness spans' points too, as the
+    former span-table cases were at their recorded spans."""
+    return atlas, reference or _ReferenceSpanSearch(), _witness_queries(atlas)
 
 
 class TestOracleReference:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: (cone(3), _ReferenceSpanSearch()),
-            lambda: (football(2, 3), _ReferenceSpanSearch()),
-            lambda: (teardrop(3), _ReferenceSpanSearch()),
-            lambda: (cone(4, conductor=12), _ReferenceSpanSearch()),
-            lambda: _with_table_reference(_realized_table(football(2, 3))),
-            lambda: _with_table_reference(_realized_table(_refinement_atlases(teardrop_pair(3))[1])),
-            lambda: _pushed(football(2, 3), _ReferenceSpanSearch(), _SWAP),
-            lambda: _pushed(football(2, 3), _ReferenceSpanSearch(), _SWAP, _RENAME),
-            lambda: _pushed(*_with_table_reference(_realized_table(football(2, 3))), _SWAP),
-            lambda: _pushed(*_with_table_reference(_realized_table(football(2, 3))), _SWAP, {}),
+            lambda: _search(cone(3)),
+            lambda: _search(football(2, 3)),
+            lambda: _search(teardrop(3)),
+            lambda: _search(cone(4, conductor=12)),
+            lambda: _table(football(2, 3)),
+            lambda: _table(_refinement_atlases(teardrop_pair(3))[1]),
+            lambda: _search(*_pushed(football(2, 3), _h1)),
+            lambda: _search(*_pushed(football(2, 3), _h1, _h2)),
+            lambda: _table(*_pushed(_refinement_atlases(teardrop_pair(3))[1], _h1)),
+            lambda: _table(*_pushed(_refinement_atlases(teardrop_pair(3))[1], _h1, lambda m: AffineMap.identity(m, 1))),
         ],
         ids=[
             "cone3", "football23", "teardrop3", "cone4-m12", "table", "table-3",
@@ -926,17 +892,13 @@ class TestOracleReference:
         ],
     )
     def test_refine_and_locate_match_the_oracle_classes(self, make):
-        atlas, reference = make()
+        atlas, reference, extra = make()
         rng = random.Random(31)
         queries = []
         for _ in range(40):
             ci = rng.choice(atlas.chart_ids())
             queries.append((ci, random_chart_point(rng, atlas, ci)))
-        # the recorded spans' own points, moved by the span chart's group
-        for span in atlas.oracle.spans or ():
-            for g in atlas.chart(span.chart).group:
-                z = g(span.point)
-                queries += [(span.left.dst, span.left(z)), (span.right.dst, span.right(z))]
+        queries += extra
         hits = cross = 0
         for ci, x in queries:
             for cj in atlas.chart_ids():

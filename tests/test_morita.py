@@ -353,27 +353,108 @@ class TestKeyPoint:
         assert chain.reports["refinement into second union"].verdict
 
 
+def _push_maps(m, dim):
+    """A few invertible similarities over conductor m in dimension dim:
+    pushforward_pair's own, an expansion and a half-turn with a shift off the
+    real axis."""
+
+    def similarity(scalar, shift):
+        return AffineMap.scaling(m, dim, scalar).shift(Point(tuple(CycNum.rational(m, 0) + shift for _ in range(dim))))
+
+    return {
+        "pair-map": similarity(CycNum.zeta(m) * Fraction(1, 2), Fraction(1, 3)),
+        "expand": similarity(3, Fraction(-2, 5)),
+        "half-turn": similarity(-1, CycNum.zeta(m) * Fraction(1, 5)),
+    }
+
+
+_PUSH_BASES = {
+    "cone3": lambda: cone(3),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+    "cone4-m12": lambda: cone(4, conductor=12),
+    "quot22": lambda: global_quotient(2, 2),
+    "point": point_atlas,
+}
+
+
+def _conjugated(h, f):
+    return h.compose(f).compose(h.inverse())
+
+
+def _span_data(span):
+    if span is None:
+        return None
+    return (span.chart, span.point, span.left.dst, span.left.map, span.right.dst, span.right.map)
+
+
 class TestPushforward:
-    def test_identity_relabel(self, cone3):
-        pushed = pushforward_atlas({"cone3": "cone3"}, cone3)
-        assert pushed.charts.keys() == cone3.charts.keys()
+    def test_identity_similarity(self, cone3):
+        pushed = pushforward_atlas(AffineMap.identity(cone3.conductor, 1), cone3)
+        assert serialize(pushed) == serialize(cone3)
         assert presentations_structurally_equal(
             TranslationGroupoid(cone3), TranslationGroupoid(pushed)
         )
 
-    def test_football_pole_swap(self, football23):
-        pushed = pushforward_atlas(
-            {"north": "south", "south": "north", "glue": "glue"}, football23
-        )
-        assert presentations_structurally_equal(
-            TranslationGroupoid(football23), TranslationGroupoid(pushed)
-        )
+    @pytest.mark.parametrize("hname", ["pair-map", "expand", "half-turn"])
+    @pytest.mark.parametrize("make", _PUSH_BASES.values(), ids=_PUSH_BASES.keys())
+    def test_pushforward_is_transport_along_h(self, make, hname):
+        # the pushed atlas validates, its span search, transport table and
+        # isotropy signature are the base's carried along h
+        base = make()
+        h = _push_maps(base.conductor, base.dim)[hname]
+        pushed = pushforward_atlas(h, base)
+        assert validate_atlas(pushed).ok
+        assert pushed.chart_ids() == base.chart_ids()
+        for cid in base.chart_ids():
+            assert pushed.chart(cid).ball == map_ball(h, base.chart(cid).ball)
+            assert pushed.unit_points[cid] == tuple(h(p) for p in base.unit_points[cid])
+        for ca in base.chart_ids():
+            for cb in base.chart_ids():
+                assert pushed.transports(ca, cb) == tuple(
+                    (_conjugated(h, germ), map_ball(h, domain)) for germ, domain in base.transports(ca, cb)
+                )
+        rng = random.Random(41)
+        hits = 0
+        for _ in range(8):
+            ci = rng.choice(base.chart_ids())
+            x = random_chart_point(rng, base, ci)
+            for cj in base.chart_ids():
+                y = base.locate(ci, x, cj)
+                assert pushed.locate(ci, h(x), cj) == (None if y is None else h(y))
+                for t in [random_chart_point(rng, base, cj)] + ([] if y is None else [y]):
+                    span = base.refine(ci, x, cj, t)
+                    moved = None if span is None else (
+                        span.chart, h(span.point), span.left.dst, _conjugated(h, span.left.map),
+                        span.right.dst, _conjugated(h, span.right.map),
+                    )
+                    assert _span_data(pushed.refine(ci, h(x), cj, h(t))) == moved
+                    hits += span is not None
+        assert hits > 0
+        assert isotropy_signature(TranslationGroupoid(pushed)) == isotropy_signature(TranslationGroupoid(base))
 
-    def test_non_injective_relabel_rejected(self, cone3):
-        from orbatlas.errors import InvalidRelabelingError
+    def test_non_invertible_similarity_rejected(self, cone3):
+        from orbatlas.errors import InvalidAtlasError
 
-        with pytest.raises(InvalidRelabelingError):
-            pushforward_atlas({"a": "x", "b": "x"}, cone3)
+        flat = AffineMap.scaling(cone3.conductor, 1, 0).shift(Point.of(cone3.conductor, Fraction(1, 3)))
+        with pytest.raises(InvalidAtlasError, match="not invertible"):
+            pushforward_atlas(flat, cone3)
+
+    def test_mismatched_similarity_raises_the_geometry_errors(self, cone3):
+        from orbatlas.errors import ConductorMismatchError, DimensionMismatchError
+
+        with pytest.raises(DimensionMismatchError):
+            pushforward_atlas(AffineMap.scaling(cone3.conductor, 2, 2), cone3)
+        with pytest.raises(ConductorMismatchError):
+            pushforward_atlas(AffineMap.scaling(6, 1, 2), cone3)
+
+    def test_pair_witnesses_carry_the_map(self):
+        # every right leg is the pair's similarity, not an identity map
+        base, pushed, witnesses = pushforward_pair(football(2, 3))
+        h = _push_maps(base.conductor, 1)["pair-map"]
+        assert pushed.charts == pushforward_atlas(h, base).charts
+        assert [w.right.map for w in witnesses] == [h] * len(base.charts)
+        assert all(w.left.map.is_identity() for w in witnesses)
 
 
 def z3_action():

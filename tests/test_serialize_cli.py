@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 from orbatlas.errors import ParseError
 from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum
-from orbatlas.gallery import cone, cone_pair, football, global_quotient, point_atlas, teardrop
+from orbatlas.gallery import cone, cone_pair, football, global_quotient, point_atlas, pushforward_pair, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, PolyMap
 from orbatlas.groupoids import ActionGroupoid
-from orbatlas.morita import pushforward_atlas
 from orbatlas.serialize import (
     _parse_frac,
     atlas_from_doc,
@@ -53,7 +52,7 @@ class TestRoundTrips:
             lambda: football(2, 3),
             lambda: point_atlas(),
             lambda: global_quotient(2, 2),
-            lambda: pushforward_atlas({"north": "south", "south": "north", "glue": "glue"}, football(2, 3)),
+            lambda: pushforward_pair(football(2, 3))[1],
         ],
     )
     def test_atlas_bit_exact(self, make):
@@ -66,25 +65,8 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize(
         "oracle",
-        [
-            lambda doc: {"kind": "span_search", "params": {}},
-            lambda doc: {"kind": "span_table", "params": {"spans": []}},
-            lambda doc: {"kind": "span_table", "params": {"spans": doc["witnesses"]}},
-            lambda doc: {
-                "kind": "pushforward",
-                "params": {
-                    "relabel": {"cone3": "apex"},
-                    "inner": {
-                        "kind": "pushforward",
-                        "params": {
-                            "relabel": {"cone3": "tip", "elsewhere": "there"},
-                            "inner": {"kind": "span_table", "params": {"spans": doc["witnesses"]}},
-                        },
-                    },
-                },
-            },
-        ],
-        ids=["span-search", "empty-span-table", "span-table", "pushforward-2-deep"],
+        [lambda doc: {"kind": "span_search", "params": {}}],
+        ids=["span-search"],
     )
     def test_oracle_forms_bit_exact(self, oracle):
         doc = json.loads(serialize(cone(3)))
@@ -94,14 +76,10 @@ class TestRoundTrips:
         back = atlas_from_doc(json.loads(raw))
         assert serialize(back) == raw
 
-    @pytest.mark.parametrize("kind", ["global_quotient", "gluing"])
-    def test_oracle_aliases_parse_as_span_search(self, kind):
-        atlas = cone(3)
-        doc = json.loads(serialize(atlas))
-        doc["oracle"] = {"kind": kind}
-        back = atlas_from_doc(doc)
-        assert back.oracle == atlas.oracle
-        assert serialize(back) == serialize(atlas)
+    def test_missing_oracle_section_reads_as_span_search(self):
+        doc = json.loads(serialize(cone(3)))
+        del doc["oracle"]
+        assert serialize(atlas_from_doc(doc)) == serialize(cone(3))
 
     def test_non_canonical_input_is_canonicalized(self):
         # an unreduced power-basis array would re-serialize to other bytes, so
@@ -597,14 +575,34 @@ class TestCli:
         assert out.returncode == 2, out.stderr
         assert out.stderr.splitlines() == ["error: JSON in deep.json is nested too deeply"], out.stderr
 
-    def test_non_injective_relabel_fails_check(self, cli_dir):
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda doc: {"kind": "span_table", "params": {"spans": []}},
+            lambda doc: {"kind": "span_table", "params": {"spans": doc["witnesses"]}},
+            lambda doc: {"kind": "pushforward", "params": {"relabel": {"cone3": "apex"}, "inner": doc["oracle"]}},
+            lambda doc: {"kind": "global_quotient"},
+            lambda doc: {"kind": "gluing"},
+            lambda doc: {"kind": "global_quotient", "params": {}},
+            lambda doc: {"kind": "span_search"},
+            lambda doc: {"kind": "span_search", "params": {"spans": []}},
+        ],
+        ids=[
+            "empty-span_table", "span_table", "pushforward", "global_quotient", "gluing",
+            "global_quotient-with-params", "span_search-without-params", "span_search-with-params",
+        ],
+    )
+    def test_retired_oracle_section_exits_2(self, cli_dir, oracle):
+        # the one section an atlas document may carry is the plain span search
         doc = json.loads((cli_dir / "cone3.json").read_text())
-        relabel = {"a": "x", "b": "x"}
-        doc["oracle"] = {"kind": "pushforward", "params": {"relabel": relabel, "inner": doc["oracle"]}}
-        (cli_dir / "bad_relabel.json").write_text(json.dumps(doc))
-        out = run_cli("validate", "bad_relabel.json", cwd=cli_dir)
-        assert out.returncode == 1, out.stderr
-        assert out.stderr.splitlines() == ["error: relabeling is not injective"], out.stderr
+        doc["oracle"] = oracle(doc)
+        (cli_dir / "retired.json").write_text(json.dumps(doc))
+        out = run_cli("validate", "retired.json", cwd=cli_dir)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert out.stdout == "", out.stdout
+        assert out.stderr.splitlines() == [
+            "error: oracle section other than {'kind': 'span_search', 'params': {}}"
+        ], out.stderr
 
     @pytest.fixture(scope="class")
     def bad_football(self, cli_dir):
@@ -643,7 +641,7 @@ class TestCli:
 
     @pytest.fixture(scope="class")
     def unrealized_table(self, cli_dir):
-        """Two discs whose recorded span uses an embedding a -> b the atlas
+        """Two discs whose witness span uses an embedding a -> b the atlas
         does not store, with unit witness points at that span's point."""
         p = Point.of(12, Fraction(1, 3))
         atlas, _ = two_disc_table_atlas(unit_points={"a": (p,), "b": (p,)})
@@ -667,11 +665,11 @@ class TestCli:
         if argv[0] == "validate":
             assert out.stderr == "", out.stderr
             assert out.stdout.count("[FAIL]") == 1, out.stdout
-            assert "[FAIL] oracle spans valid -- recorded span at a: leg to b stored in the atlas" in out.stdout
+            assert "[FAIL] witness a|b via a -- leg to b stored in the atlas" in out.stdout
         else:
             assert out.stdout == "", out.stdout
             lines = out.stderr.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: invalid atlas: oracle spans valid"), out.stderr
+            assert len(lines) == 1 and lines[0].startswith("error: invalid atlas: witness a|b via a"), out.stderr
 
     @pytest.fixture(scope="class")
     def unknown_leg_targets(self, cli_dir):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from orbatlas.atlas import Embedding
-from orbatlas.errors import BoundaryMismatchError, NoConjugatorError, NotUniqueError
+from orbatlas.errors import AtlasMismatchError, BoundaryMismatchError, NoConjugatorError, NotUniqueError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, PolyMap
@@ -134,6 +134,26 @@ class TestNatTrans:
         z3 = Embedding("cone3", "cone3", AffineMap.scaling(a.conductor, 1, CycNum.zeta(3)))
         rep = validate_orb_nat_trans(OrbNatTrans(f1, f2, {"cone3": z3}))
         assert [name for name, _ in rep.failures()] == ["systems share source and target atlases"]
+
+    @pytest.mark.parametrize("case", ["compose_compatible", "hcomp_orb", "systems_equal", "cells_equal"])
+    def test_atlases_sharing_only_chart_ids_do_not_match(self, case):
+        # cone(3) at two radii has one chart id and two different charts; a
+        # second cone(3) object with equal data matches the first
+        small, other = identity_system(cone(3, radius2=Fraction(1, 2))), identity_system(cone(3))
+        f = identity_system(cone(3))
+        if case == "compose_compatible":
+            with pytest.raises(AtlasMismatchError):
+                compose_compatible(small, f)
+            assert systems_equal(compose_compatible(other, f), f)
+        elif case == "hcomp_orb":
+            with pytest.raises(BoundaryMismatchError):
+                hcomp_orb(identity_cell(small), identity_cell(f))
+            assert cells_equal(hcomp_orb(identity_cell(other), identity_cell(f)), identity_cell(f))
+        elif case == "systems_equal":
+            assert not systems_equal(small, f) and systems_equal(other, f)
+        else:
+            assert not cells_equal(identity_cell(small), identity_cell(f))
+            assert cells_equal(identity_cell(other), identity_cell(f))
 
     def test_vertical_composition(self, a3):
         f = [rotation_system(a3, {"cone3": k}) for k in range(3)]

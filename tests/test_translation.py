@@ -321,11 +321,11 @@ class TestMultiplication:
             tg.source(foreign)
 
     def test_well_definedness(self, a3):
-        rep = multiplication_well_defined_report(a3, products=25, completions=5, seed=3)
+        rep = multiplication_well_defined_report(a3, products=25, seed=3)
         assert rep.ok, rep.failures()
 
     def test_well_definedness_football(self):
-        rep = multiplication_well_defined_report(football(2, 3), products=20, completions=5, seed=4)
+        rep = multiplication_well_defined_report(football(2, 3), products=20, seed=4)
         assert rep.ok, rep.failures()
 
 
@@ -654,7 +654,6 @@ class TestSourcePoint:
             base.dim,
             list(base.charts.values()),
             [Embedding(reps[0].src, reps[0].dst, zero)] + reps[1:],
-            base.oracle,
             witnesses=base.witnesses,
         )
         with pytest.raises(InvalidAtlasError, match="injective"):
