@@ -581,6 +581,20 @@ class TestCli:
             lambda doc: {"kind": "span_table", "params": {"spans": []}},
             lambda doc: {"kind": "span_table", "params": {"spans": doc["witnesses"]}},
             lambda doc: {"kind": "pushforward", "params": {"relabel": {"cone3": "apex"}, "inner": doc["oracle"]}},
+            lambda doc: {"kind": "pushforward", "params": {"relabel": {"a": "x", "b": "x"}, "inner": doc["oracle"]}},
+            lambda doc: {
+                "kind": "pushforward",
+                "params": {
+                    "relabel": {"cone3": "apex"},
+                    "inner": {
+                        "kind": "pushforward",
+                        "params": {
+                            "relabel": {"cone3": "tip", "elsewhere": "there"},
+                            "inner": {"kind": "span_table", "params": {"spans": doc["witnesses"]}},
+                        },
+                    },
+                },
+            },
             lambda doc: {"kind": "global_quotient"},
             lambda doc: {"kind": "gluing"},
             lambda doc: {"kind": "global_quotient", "params": {}},
@@ -588,7 +602,8 @@ class TestCli:
             lambda doc: {"kind": "span_search", "params": {"spans": []}},
         ],
         ids=[
-            "empty-span_table", "span_table", "pushforward", "global_quotient", "gluing",
+            "empty-span_table", "span_table", "pushforward", "pushforward-non-injective-relabel",
+            "pushforward-2-deep", "global_quotient", "gluing",
             "global_quotient-with-params", "span_search-without-params", "span_search-with-params",
         ],
     )
