@@ -64,8 +64,6 @@ from .translation import (
     Triple,
     build_translation_groupoid,
     check_functor_laws,
-    f_on_2cell,
-    f_on_morphism,
 )
 
 __version__ = "0.1.0"

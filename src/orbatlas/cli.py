@@ -225,7 +225,7 @@ def cmd_bijection(args) -> int:
     doc["verdict"] = "pass" if verdict.details.ok else "fail"
     doc["atlas_side"] = verdict.atlas_side
     doc["groupoid_side"] = verdict.groupoid_side
-    doc["agreement"] = verdict.agreement or verdict.atlas_side == "not determined"
+    doc["agreement"] = verdict.verdicts_agree
     print(f"atlas side: {verdict.atlas_side}")
     print(f"groupoid side: {verdict.groupoid_side}")
     print(f"verdict: {doc['verdict']}")

@@ -19,6 +19,7 @@ from .errors import (
     BoundaryMismatchError,
     NotComposableError,
     PointOutsideDomainError,
+    UnsupportedPresentationError,
 )
 from .geometry import AffineMap, Ball, Point, PolyMap, point_in_ball
 from .report import Report
@@ -94,6 +95,11 @@ class GroupoidPresentation(ABC):
     def arrows_between(self, u1: UnitPoint, u2: UnitPoint) -> list[Arrow]: ...
 
     @abstractmethod
+    def arrow_at(self, s: str, t: str, germ: AffineMap, x: Point) -> Arrow:
+        """The arrow from (s, x) to t that carries germ; an OrbAtlasError when
+        no arrow does."""
+
+    @abstractmethod
     def arrows_from(self, u: UnitPoint) -> list[Arrow]: ...
 
     @abstractmethod
@@ -138,11 +144,8 @@ class GroupoidPresentation(ABC):
         comp = rng.choice(self.unit_components())
         return UnitPoint(comp.label, random_point_in_ball(rng, comp.ball, self.conductor))
 
-    def random_arrow(self, rng: random.Random) -> Arrow:
-        return rng.choice(self.arrows_from(self.random_unit(rng)))
-
     def random_composable_pair(self, rng: random.Random) -> tuple[Arrow, Arrow]:
-        a = self.random_arrow(rng)
+        a = rng.choice(self.arrows_from(self.random_unit(rng)))
         b = rng.choice(self.arrows_from(self.target(a)))
         return a, b
 
@@ -224,6 +227,13 @@ class ActionGroupoid(GroupoidPresentation):
     def arrows_from(self, u):
         return [Arrow(lab, u.point) for lab in self.labels]
 
+    def arrow_at(self, s, t, germ, x):
+        """The first label, in label order, whose map is germ."""
+        for lab in self.labels:
+            if self.rep[lab] == germ:
+                return Arrow(lab, x)
+        raise UnsupportedPresentationError("no element of the action carries this germ")
+
     def transports(self, ca, cb):
         return [(self.rep[lab], self.ball) for lab in self.labels]
 
@@ -303,7 +313,8 @@ class GroupoidMorphism:
     """A pair of maps (units, arrows) commuting with all structure maps.
 
     unit_maps: {src unit component -> (dst unit component, PolyMap)};
-    arrow_map: a callable Arrow -> Arrow.
+    arrow_map: a callable Arrow -> Arrow.  ``of_germs`` builds the arrow map
+    of an effective target from the germ of each source component's image.
     """
 
     def __init__(self, src, dst, unit_maps, arrow_map):
@@ -318,6 +329,19 @@ class GroupoidMorphism:
 
     def Psi(self, a: Arrow) -> Arrow:
         return self.arrow_map(a)
+
+    @classmethod
+    def of_germs(cls, src, dst, unit_maps, germ_of=lambda comp: comp.germ) -> GroupoidMorphism:
+        """The morphism whose image of an arrow over the component c at x is
+        the arrow of dst carrying germ_of(c) from the image of (c's source, x):
+        an arrow of an effective groupoid is a germ at its source point."""
+
+        def arrow_map(a: Arrow) -> Arrow:
+            c = src.arrow_component(a.component)
+            s, mp = unit_maps[c.s_component]
+            return dst.arrow_at(s, unit_maps[c.t_component][0], germ_of(c), mp(a.point))
+
+        return cls(src, dst, unit_maps, arrow_map)
 
     def compose(self, other: GroupoidMorphism) -> GroupoidMorphism:
         """self after other."""

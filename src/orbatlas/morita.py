@@ -73,21 +73,12 @@ def is_subatlas(sub: Atlas, full: Atlas) -> bool:
 
 
 def subatlas_inclusion_morphism(sub: Atlas, full: Atlas) -> GroupoidMorphism:
-    """Units include component-wise; an arrow keeps its point and its germ,
-    relabelled by the larger atlas's transport table."""
+    """Units include component-wise; an arrow keeps its point and its germ."""
     if not is_subatlas(sub, full):
         raise NotASubAtlasError("first atlas is not contained in the second")
-    src = TranslationGroupoid(sub)
-    dst = TranslationGroupoid(full)
-    unit_maps = {
-        cid: (cid, PolyMap.identity(full.conductor, full.dim)) for cid in sub.chart_ids()
-    }
-
-    def arrow_map(a):
-        comp = src.arrow_component(a.component)
-        return dst._arrow(comp.s_component, comp.t_component, comp.germ, a.point)
-
-    return GroupoidMorphism(src, dst, unit_maps, arrow_map)
+    ident = PolyMap.identity(full.conductor, full.dim)
+    unit_maps = {cid: (cid, ident) for cid in sub.chart_ids()}
+    return GroupoidMorphism.of_germs(TranslationGroupoid(sub), TranslationGroupoid(full), unit_maps)
 
 
 # -- the Morita checker ----------------------------------------------------------
@@ -571,24 +562,12 @@ def reconstruction_morita_morphism(
     g: GroupoidPresentation, recon: Reconstruction | None = None
 ) -> GroupoidMorphism:
     """Morphism from the translation groupoid of the reconstructed atlas back to
-    the source: units by inclusion, arrows matched by their germs."""
+    the source: units by inclusion, an arrow to the arrow of g with its germ."""
     if recon is None:
         recon = reconstruct_atlas(g)
-    src = TranslationGroupoid(recon.atlas)
     ident = PolyMap.identity(g.conductor, g.dim)
     unit_maps = {cid: (recon.anchors[cid], ident) for cid in recon.atlas.chart_ids()}
-
-    def arrow_map(a):
-        germ = src.local_bisection(a)
-        s, t = src.source(a), src.target(a)
-        u1 = UnitPoint(recon.anchors[s.component], s.point)
-        u2 = UnitPoint(recon.anchors[t.component], t.point)
-        for cand in g.arrows_between(u1, u2):
-            if g.local_bisection(cand) == germ:
-                return cand
-        raise UnsupportedPresentationError("no arrow matches the reconstructed germ")
-
-    return GroupoidMorphism(src, g, unit_maps, arrow_map)
+    return GroupoidMorphism.of_germs(TranslationGroupoid(recon.atlas), g, unit_maps)
 
 
 def _self_maps(g: GroupoidPresentation, c: str) -> list[AffineMap]:
@@ -629,6 +608,11 @@ class BijectionVerdict:
             return False
         return self.atlas_side == self.groupoid_side
 
+    @property
+    def verdicts_agree(self) -> bool:
+        """The two sides agree, or the atlas side has no verdict to compare."""
+        return self.agreement or self.atlas_side == "not determined"
+
 
 def bijection_demo(
     u1: Atlas, u2: Atlas, witnesses=None, samples: int = 40, seed: int = 0
@@ -661,10 +645,6 @@ def bijection_demo(
     else:
         chain = None
         groupoid_side = "not found at this bound"
-    details.add(
-        "verdicts agree",
-        BijectionVerdict(atlas_side, groupoid_side, chain, Report("")).agreement
-        or (atlas_side == "not determined"),
-        f"atlas: {atlas_side}; groupoid: {groupoid_side}",
-    )
-    return BijectionVerdict(atlas_side, groupoid_side, chain, details)
+    verdict = BijectionVerdict(atlas_side, groupoid_side, chain, details)
+    details.add("verdicts agree", verdict.verdicts_agree, f"atlas: {atlas_side}; groupoid: {groupoid_side}")
+    return verdict

@@ -5,8 +5,10 @@ over a common chart.  A reduced atlas gives an effective groupoid, where an
 arrow is the germ of its transition right . left^(-1) at its source point; as
 transitions are similarities, equal germs are equal maps.  The arrow
 components are the entries of the atlas's transport tables, one per distinct
-(germ, domain); equality compares source unit, target chart and germ, and a
-product is the first entry carrying the composed germ at the source point.
+(germ, domain); equality compares source unit, target chart and germ.  An
+arrow known by its germ at a point is ``arrow_at``: the first entry carrying
+the germ whose domain holds the point.  Products and the images of the functor
+F (``FunctorImage``, built with ``GroupoidMorphism.of_germs``) go through it.
 multiply_triples keeps the span-completion product.
 """
 
@@ -80,8 +82,9 @@ class TranslationGroupoid(GroupoidPresentation):
 
     # -- triples <-> arrows ---------------------------------------------------
 
-    def _arrow(self, ca: str, cb: str, germ: AffineMap, x: Point) -> Arrow:
-        """The arrow of germ at x from ca to cb: the first entry carrying germ on a domain holding x."""
+    def arrow_at(self, ca: str, cb: str, germ: AffineMap, x: Point) -> Arrow:
+        """The arrow of germ at x from ca to cb: the first entry carrying germ
+        on a domain holding x; InvalidAtlasError when none does."""
         return Arrow((ca, cb, self.atlas.transport_table(ca, cb).index(germ, x)), x)
 
     def _germ_of(self, t: Triple) -> tuple[str, str, AffineMap, Point]:
@@ -95,7 +98,7 @@ class TranslationGroupoid(GroupoidPresentation):
         return t.left.dst, t.right.dst, _transition(t.left, t.right), t.left(t.point)
 
     def arrow_of(self, t: Triple) -> Arrow:
-        return self._arrow(*self._germ_of(t))
+        return self.arrow_at(*self._germ_of(t))
 
     def triple_of(self, a: Arrow) -> Triple:
         """The triple of the first leg pair of the arrow's entry."""
@@ -141,7 +144,7 @@ class TranslationGroupoid(GroupoidPresentation):
             raise NotComposableError("t(first) != s(second)")
         germ = self.local_bisection(b).compose(self.local_bisection(a))
         ca = self.arrow_component(a.component).s_component
-        return self._arrow(ca, self.arrow_component(b.component).t_component, germ, a.point)
+        return self.arrow_at(ca, self.arrow_component(b.component).t_component, germ, a.point)
 
     def multiply_triples(self, p: Triple, q: Triple, span=None) -> Triple:
         """[left_p . f_left, x_f, right_q . f_right] for a span completion of the
@@ -237,47 +240,10 @@ def build_translation_groupoid(atlas: Atlas, validate: bool = True) -> Translati
 # -- the functor on 1-cells and 2-cells -----------------------------------------
 
 
-def f_on_morphism(system) -> GroupoidMorphism:
-    """Image of a compatible system: units map by the lifts, an arrow maps to
-    the arrow of the assigned embeddings of its legs at its lifted point."""
-    src_g = TranslationGroupoid(system.src)
-    dst_g = TranslationGroupoid(system.dst)
-    return _morphism_of_system(system, src_g, dst_g)
-
-
-def _morphism_of_system(system, src_g: TranslationGroupoid, dst_g: TranslationGroupoid):
-    """An arrow with legs (left, right) at x maps to the germ of (F(left),
-    F(right)) at lift(x), which the cube condition F(left) . lift = lift .
-    left makes F(left) of the lifted triple point."""
-    unit_maps = {
-        cid: (system.theta[cid], system.lift(cid)) for cid in system.src.chart_ids()
-    }
-
-    def arrow_map(a: Arrow) -> Arrow:
-        ca, cb, i = src_g.arrow_component(a.component).label
-        left, right = (system.on_embedding(e) for e in system.src.transport_table(ca, cb).legs[i])
-        return dst_g._arrow(left.dst, right.dst, _transition(left, right), system.lift(ca)(a.point))
-
-    return GroupoidMorphism(src_g, dst_g, unit_maps, arrow_map)
-
-
-def f_on_2cell(delta, f_src: GroupoidMorphism, f_dst: GroupoidMorphism) -> GrpNatTrans:
-    """Image of an atlas 2-cell: u -> the germ of the delta component at the
-    lifted point (the arrow of [identity, lifted point, delta component])."""
-    dst_g = f_src.dst
-    system1 = delta.src_sys
-
-    def component(u: UnitPoint) -> Arrow:
-        d = delta.component(u.component)
-        v1 = system1.theta[u.component]
-        return dst_g._arrow(v1, d.dst, d.map, system1.lift(u.component)(u.point))
-
-    return GrpNatTrans(f_src, f_dst, component)
-
-
 class FunctorImage:
-    """Caches the groupoids and morphism/2-cell images over a fixed fixture so
-    that functor-law checks compare composites inside identical objects."""
+    """The functor F on atlases, compatible systems and their 2-cells, caching
+    the groupoids and morphism images over a fixed fixture so that functor-law
+    checks compare composites inside identical objects."""
 
     def __init__(self):
         self._groupoids: dict[int, TranslationGroupoid] = {}
@@ -290,15 +256,34 @@ class FunctorImage:
         return self._groupoids[key]
 
     def on_system(self, system) -> GroupoidMorphism:
+        """Units map by the lifts; an arrow over the entry with first legs
+        (left, right) maps to the germ of (F(left), F(right)) at the lifted
+        point, which the cube condition F(left) . lift = lift . left makes
+        F(left) of the lifted triple point."""
         key = id(system)
         if key not in self._morphisms:
-            self._morphisms[key] = _morphism_of_system(
-                system, self.on_atlas(system.src), self.on_atlas(system.dst)
+
+            def germ_of(c: ArrowComponent) -> AffineMap:
+                legs = system.src.transport_table(c.s_component, c.t_component).legs[c.label[2]]
+                return _transition(*map(system.on_embedding, legs))
+
+            unit_maps = {cid: (system.theta[cid], system.lift(cid)) for cid in system.src.chart_ids()}
+            self._morphisms[key] = GroupoidMorphism.of_germs(
+                self.on_atlas(system.src), self.on_atlas(system.dst), unit_maps, germ_of
             )
         return self._morphisms[key]
 
     def on_cell(self, delta) -> GrpNatTrans:
-        return f_on_2cell(delta, self.on_system(delta.src_sys), self.on_system(delta.dst_sys))
+        """u -> the germ of the delta component at the lifted point (the arrow
+        of [identity, lifted point, delta component])."""
+        f_src = self.on_system(delta.src_sys)
+
+        def component(u: UnitPoint) -> Arrow:
+            d = delta.component(u.component)
+            s, lift = f_src.unit_maps[u.component]
+            return f_src.dst.arrow_at(s, d.dst, d.map, lift(u.point))
+
+        return GrpNatTrans(f_src, self.on_system(delta.dst_sys), component)
 
 
 def check_functor_laws(fixture, samples: int = 100, seed: int = 0) -> Report:

@@ -11,7 +11,7 @@ from orbatlas.atlas import Atlas, Chart, Embedding, Span, find_conjugator, restr
 from orbatlas.field import CycNum, sign_real
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, map_ball, point_in_ball
-from orbatlas.groupoids import Arrow
+from orbatlas.groupoids import ActionGroupoid, Arrow
 
 M = 12
 
@@ -39,6 +39,14 @@ def quotient22():
 @pytest.fixture(scope="session")
 def point_chart_atlas():
     return point_atlas()
+
+
+def z3_action():
+    """z/3 acting on the unit disc by rotations."""
+    m = 3
+    ball = Ball(Point.origin(m, 1), CycNum.rational(m, 1))
+    z = CycNum.zeta(3)
+    return ActionGroupoid(m, ball, [(f"g{k}", AffineMap.scaling(m, 1, z**k)) for k in range(3)])
 
 
 def make_sub_full_pair(p: int = 3):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbatlas.errors import NotComposableError
+from orbatlas.errors import NotComposableError, OrbAtlasError, ParseError, UnsupportedParamsError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point
@@ -26,19 +26,14 @@ from orbatlas.groupoids import (
 from orbatlas.translation import FunctorImage, TranslationGroupoid, Triple, build_translation_groupoid
 from orbatlas.systems import rotation_fixture
 
+from conftest import z3_action
+
 
 def z2_ball_action(dim=2):
     m = 2
     ball = Ball(Point.origin(m, dim), CycNum.rational(m, 1))
     minus = AffineMap.scaling(m, dim, -1)
     return ActionGroupoid(m, ball, [("e", AffineMap.identity(m, dim)), ("s", minus)])
-
-
-def z3_action():
-    m = 3
-    ball = Ball(Point.origin(m, 1), CycNum.rational(m, 1))
-    z = CycNum.zeta(3)
-    return ActionGroupoid(m, ball, [(f"g{k}", AffineMap.scaling(m, 1, z**k)) for k in range(3)])
 
 
 def noneffective_double():
@@ -271,6 +266,45 @@ class TestComponentGerm:
                 germ = comp.germ
                 assert comp.germ is germ
                 assert g.local_bisection(Arrow(comp.label, comp.ball.center)) is germ
+
+
+def z4_by_sign():
+    """z/4 acting on the unit disc through z/2: g1 and g3 both act by -1, so
+    the action is not faithful."""
+    m = 2
+    ball = Ball(Point.origin(m, 1), CycNum.rational(m, 1))
+    ident, minus = AffineMap.identity(m, 1), AffineMap.scaling(m, 1, -1)
+    labels = [f"g{k}" for k in range(4)]
+    mult = {(labels[j], labels[i]): labels[(i + j) % 4] for i in range(4) for j in range(4)}
+    inv = {labels[k]: labels[-k % 4] for k in range(4)}
+    return ActionGroupoid(m, ball, [(lab, minus if k % 2 else ident) for k, lab in enumerate(labels)], mult, inv)
+
+
+class TestArrowAt:
+    def test_non_faithful_action_takes_the_first_label_carrying_the_germ(self):
+        g = z4_by_sign()
+        assert not g.is_faithful()
+        minus = g.rep["g1"]
+        for x in (Point.origin(2, 1), Point.of(2, Fraction(1, 3))):
+            assert g.arrow_at("U", "U", g.rep["g0"], x) == Arrow("g0", x)
+            assert g.arrow_at("U", "U", minus, x) == Arrow("g1", x)
+            # the arrow the reconstruction morphism once scanned arrows_between for
+            u1, u2 = UnitPoint("U", x), UnitPoint("U", minus(x))
+            scan = [a for a in g.arrows_between(u1, u2) if g.local_bisection(a) == minus]
+            assert g.arrow_at("U", "U", minus, x) == scan[0]
+
+    @pytest.mark.parametrize(
+        "make, component",
+        [(z3_action, "U"), (lambda: TranslationGroupoid(cone(3)), "cone3")],
+        ids=["action", "translation"],
+    )
+    def test_germ_no_arrow_carries_is_an_orbatlas_error(self, make, component):
+        g = make()
+        flip = AffineMap.scaling(g.conductor, 1, -1)
+        with pytest.raises(OrbAtlasError) as info:
+            g.arrow_at(component, component, flip, Point.of(g.conductor, Fraction(1, 3)))
+        # the CLI exits 2 only for these two classes, and 1 for every other
+        assert not isinstance(info.value, (ParseError, UnsupportedParamsError))
 
 
 class TestPredicates:

@@ -77,6 +77,7 @@ from conftest import (
     reference_ball_in_ball,
     reference_balls_disjoint,
     reference_transports,
+    z3_action,
 )
 
 
@@ -457,13 +458,6 @@ class TestPushforward:
         assert all(w.left.map.is_identity() for w in witnesses)
 
 
-def z3_action():
-    m = 3
-    ball = Ball(Point.origin(m, 1), CycNum.rational(m, 1))
-    z = CycNum.zeta(3)
-    return ActionGroupoid(m, ball, [(f"g{k}", AffineMap.scaling(m, 1, z**k)) for k in range(3)])
-
-
 class TestReconstruction:
     def test_action_groupoid_round_trip(self):
         g = z3_action()
@@ -694,7 +688,7 @@ class TestBijectionDemo:
             v = bijection_demo(u1, u2, ws, samples=15, seed=17)
             assert v.atlas_side == "equivalent"
             assert v.groupoid_side == "equivalent"
-            assert v.agreement
+            assert v.agreement and v.verdicts_agree
 
     def test_inequivalent_pairs(self):
         pairs = [
@@ -706,7 +700,13 @@ class TestBijectionDemo:
             v = bijection_demo(u1, u2, None, samples=10, seed=18)
             assert v.atlas_side == "inequivalent"
             assert v.groupoid_side == "inequivalent"
-            assert v.agreement
+            assert v.agreement and v.verdicts_agree
+
+    def test_verdicts_agree_when_the_atlas_side_is_not_determined(self):
+        v = bijection_demo(cone(3), cone(3, radius2=Fraction(1, 2)), None, samples=5, seed=0)
+        assert (v.atlas_side, v.groupoid_side) == ("not determined", "not found at this bound")
+        assert not v.agreement and v.verdicts_agree
+        assert [ok for name, ok, _ in v.details.checks if name == "verdicts agree"] == [True]
 
     def test_signature_values(self):
         assert isotropy_signature(TranslationGroupoid(cone(3))) == (1, (1, 3))

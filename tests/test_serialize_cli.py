@@ -20,7 +20,7 @@ from orbatlas.errors import ParseError
 from orbatlas.field import SUPPORTED_CONDUCTORS, CycNum
 from orbatlas.gallery import cone, cone_pair, football, global_quotient, point_atlas, pushforward_pair, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, PolyMap
-from orbatlas.groupoids import ActionGroupoid
+from orbatlas.groupoids import ActionGroupoid, Arrow
 from orbatlas.serialize import (
     _parse_frac,
     atlas_from_doc,
@@ -815,6 +815,44 @@ class TestInternalError:
         assert main(["groupoid", str(cli_dir / "cone3.json"), "--samples", "10"]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: internal error: RuntimeError: suite fault on two lines"]
+
+    def test_germ_no_arrow_carries_is_exit_1_not_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        # z/2 represented by the rotation zeta_3: the chart group {1, zeta}
+        # reconstructed at the centre is not closed, so its entry zeta^2 (the
+        # swapped entry of zeta) is a germ no element of the action carries;
+        # the Morita check is patched to map an arrow over every component first
+        import orbatlas.morita
+        from orbatlas.cli import main
+
+        z = AffineMap.scaling(3, 1, CycNum.zeta(3))
+        mult = {("g0", "g0"): "g0", ("g0", "g1"): "g1", ("g1", "g0"): "g1", ("g1", "g1"): "g0"}
+        g = ActionGroupoid(3, Ball.of(3, [0], 1), [("g0", AffineMap.identity(3, 1)), ("g1", z)], mult, {"g0": "g0", "g1": "g1"})
+        (tmp_path / "z2.json").write_bytes(serialize(g))
+        check_morita = orbatlas.morita.check_morita
+
+        def check_every_component(m, samples, seed):
+            for c in m.src.arrow_components():
+                m.Psi(Arrow(c.label, c.ball.center))
+            return check_morita(m, samples, seed)
+
+        monkeypatch.setattr(orbatlas.morita, "check_morita", check_every_component)
+        assert main(["reconstruct", str(tmp_path / "z2.json"), "--samples", "5"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: no element of the action carries this germ"]
+
+    def test_bijection_agreement_field_is_verdicts_agree(self, tmp_path, capsys):
+        # equal invariants and no witnesses: the atlas side is not determined,
+        # so the sides differ but the verdicts agree, in the report and the field
+        from orbatlas.cli import main
+
+        (tmp_path / "a.json").write_bytes(serialize(cone(3)))
+        (tmp_path / "b.json").write_bytes(serialize(cone(3, radius2=Fraction(1, 2))))
+        argv = ["bijection", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--samples", "5"]
+        assert main([*argv, "--out", str(tmp_path / "bij.json")]) == 0
+        doc = json.loads((tmp_path / "bij.json").read_text())
+        assert (doc["atlas_side"], doc["groupoid_side"]) == ("not determined", "not found at this bound")
+        assert doc["agreement"] is True
+        assert {"suite": "bijection demo", "name": "verdicts agree", "ok": True,
+                "detail": "atlas: not determined; groupoid: not found at this bound"} in doc["checks"]
 
 
 MUTATION_SOURCES = {

@@ -19,10 +19,16 @@ from orbatlas.atlas import (
 )
 from orbatlas.errors import InvalidAtlasError, NotComposableError
 from orbatlas.field import CycNum
-from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
+from orbatlas.gallery import cone, cone_pair, football, global_quotient, point_atlas, pushforward_pair, teardrop, teardrop_pair
 from orbatlas.geometry import AffineMap, Ball, Point, map_ball
 from orbatlas.groupoids import ActionGroupoid, Arrow, UnitPoint, validate_grp_nat_trans
-from orbatlas.morita import reconstruct_atlas
+from orbatlas.morita import (
+    common_refinement,
+    reconstruct_atlas,
+    reconstruction_morita_morphism,
+    subatlas_inclusion_morphism,
+    union_atlas,
+)
 from orbatlas.sampling import random_chart_point
 from orbatlas.serialize import groupoid_from_doc, serialize
 from orbatlas.systems import rotation_fixture, rotation_system, OrbNatTrans
@@ -36,7 +42,7 @@ from orbatlas.translation import (
     multiplication_well_defined_report,
 )
 
-from conftest import record_arrows, reference_arrow, reference_transports
+from conftest import record_arrows, reference_arrow, reference_transports, z3_action
 
 M = 3
 
@@ -316,7 +322,7 @@ class TestMultiplication:
 
         other = build_translation_groupoid(football(2, 3), validate=False)
         rng = random.Random(0)
-        foreign = other.random_arrow(rng)
+        foreign = rng.choice(other.arrows_from(other.random_unit(rng)))
         with pytest.raises(AtlasMismatchError):
             tg.source(foreign)
 
@@ -729,9 +735,39 @@ def old_route_component(delta, dst_g, u):
     return dst_g.arrow_of(Triple(ident, system.lift(u.component)(u.point), delta.component(u.component)))
 
 
+def old_reconstruction_arrow(g, recon, src, a):
+    """The reconstruction morphism's image of an arrow as first written: the
+    first arrow of g between the anchored endpoints that has the arrow's germ."""
+    germ = src.local_bisection(a)
+    s, t = src.source(a), src.target(a)
+    u1 = UnitPoint(recon.anchors[s.component], s.point)
+    u2 = UnitPoint(recon.anchors[t.component], t.point)
+    return next(cand for cand in g.arrows_between(u1, u2) if g.local_bisection(cand) == germ)
+
+
+def old_subatlas_arrow(src, dst, a):
+    """The sub-atlas inclusion's image of an arrow as first written: its point
+    and germ, relabelled by the larger atlas's transport table."""
+    comp = src.arrow_component(a.component)
+    return dst.arrow_at(comp.s_component, comp.t_component, comp.germ, a.point)
+
+
+def _witness_and_random_arrows(g, rng):
+    """Every arrow out of g's witness points and three random units, with the
+    identities there and the inverses of those arrows."""
+    out = []
+    for u in g.unit_witness_points() + [g.random_unit(rng) for _ in range(3)]:
+        arrows = g.arrows_from(u)
+        out += arrows + [g.identity(u)] + [g.inverse(a) for a in arrows]
+    return out
+
+
 class TestFunctorImageReference:
-    """The functor's images are built from the relabelled legs at the lifted
-    point; by the cube condition they equal the images of the lifted triples."""
+    """Every morphism image is built by GroupoidMorphism.of_germs.  The
+    functor's images take the germ of the relabelled legs at the lifted point;
+    by the cube condition they equal the images of the lifted triples.  The
+    reconstruction morphism and the sub-atlas inclusions equal the arrow maps
+    they were first written with."""
 
     @pytest.mark.parametrize(
         "make",
@@ -746,13 +782,9 @@ class TestFunctorImageReference:
         for system in (fx.f1, fx.f2, fx.f3, fx.g1, fx.g2, fx.g3):
             mor = F.on_system(system)
             src_g, dst_g = mor.src, mor.dst
-            units = src_g.unit_witness_points() + [src_g.random_unit(rng) for _ in range(3)]
-            for u in units:
-                arrows = src_g.arrows_from(u)
-                arrows += [src_g.identity(u)] + [src_g.inverse(a) for a in arrows]
-                for a in arrows:
-                    assert dst_g.arrow_equal(mor.Psi(a), old_route_arrow(system, src_g, dst_g, a))
-                    compared += 1
+            for a in _witness_and_random_arrows(src_g, rng):
+                assert dst_g.arrow_equal(mor.Psi(a), old_route_arrow(system, src_g, dst_g, a))
+                compared += 1
         for delta in (fx.delta, fx.sigma, fx.eta, fx.mu):
             alpha = F.on_cell(delta)
             src_g, dst_g = alpha.src_mor.src, alpha.src_mor.dst
@@ -760,6 +792,45 @@ class TestFunctorImageReference:
                 assert dst_g.arrow_equal(alpha(u), old_route_component(delta, dst_g, u))
                 compared += 1
         assert compared > 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TranslationGroupoid(cone(3)),
+            lambda: TranslationGroupoid(football(2, 3)),
+            lambda: TranslationGroupoid(teardrop(3)),
+            lambda: TranslationGroupoid(cone(4, conductor=12)),
+            lambda: TranslationGroupoid(global_quotient(2, 2)),
+            z3_action,
+        ],
+        ids=["cone3", "football23", "teardrop3", "cone4m12", "quot22", "z3-action"],
+    )
+    def test_reconstruction_images_match_the_germ_scan(self, make):
+        g = make()
+        recon = reconstruct_atlas(g, samples=2, seed=0)
+        mor = reconstruction_morita_morphism(g, recon)
+        arrows = _witness_and_random_arrows(mor.src, random.Random(19))
+        for a in arrows:
+            assert mor.Psi(a) == old_reconstruction_arrow(g, recon, mor.src, a)
+        assert len({a.component for a in arrows}) > 1
+
+    @pytest.mark.parametrize(
+        "pair",
+        [lambda: cone_pair(3), lambda: teardrop_pair(3), lambda: pushforward_pair(football(2, 3))],
+        ids=["cone3", "teardrop3", "push-football23"],
+    )
+    def test_chain_inclusion_images_match_the_relabelling(self, pair):
+        u1, u2, witnesses = pair()
+        ref = common_refinement(u1, u2, witnesses)
+        union1 = union_atlas(u1, ref.atlas, ref.into_first)
+        union2 = union_atlas(u2, ref.atlas, ref.into_second)
+        rng = random.Random(23)
+        for sub, full in ((ref.atlas, union1), (u1, union1), (ref.atlas, union2), (u2, union2)):
+            mor = subatlas_inclusion_morphism(sub, full)
+            arrows = _witness_and_random_arrows(mor.src, rng)
+            for a in arrows:
+                assert mor.Psi(a) == old_subatlas_arrow(mor.src, mor.dst, a)
+            assert arrows
 
 
 class TestFunctor:
