@@ -20,15 +20,7 @@ from .errors import OrbAtlasError, ParseError, UnsupportedParamsError
 from .gallery import GalleryParams, gallery
 from .groupoids import GroupoidPresentation
 from .report import Report
-from .serialize import (
-    atlas_to_doc,
-    canonical_bytes,
-    groupoid_to_doc,
-    load_document,
-    parse_any,
-    serialize,
-    witnesses_from_doc,
-)
+from .serialize import canonical_bytes, load_document, parse_any, serialize, witnesses_from_doc
 from .translation import TranslationGroupoid, build_translation_groupoid
 
 DEFAULT_SAMPLES = 500

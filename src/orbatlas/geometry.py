@@ -4,17 +4,20 @@ All linear parts are required to satisfy A^H A = lambda * Id with lambda in the
 real subfield, so the image of a ball is again a ball and every containment,
 membership and disjointness question below is decided exactly.
 
-``AffineMap.compose`` keeps one module-level table, ``_COMPOSITES``, keyed by
-the pair (outer, inner) by value: one entry per distinct pair, never evicted,
-so an equal pair gets the same result object, with its cached inverse, factor
-and hash.  It stays small because the maps composed are drawn from the finite
-germ sets of the atlases in play (chart-group elements and stored embeddings).
+``AffineMap`` is interned: every constructor looks its value up in a weak
+table, so equal maps are one object, ``==`` is ``is``, and the cached factor,
+inverse and hash are kept across constructions.  Each map also keeps its own
+composites (keyed by the inner map) and its polynomial form, which live exactly
+as long as it does.  The maps the program builds come from the finite germ sets
+of the atlases in play (chart-group elements, stored embeddings and their
+composites and inverses), so few distinct values are live at once.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 from .errors import ConductorMismatchError, DimensionMismatchError, NotSimilarityError
 from .field import SUPPORTED_CONDUCTORS, _AUT, _MUL, CycNum, _make, _real_nums, sign_quadratic, sign_real
@@ -91,20 +94,41 @@ def dist2(p: Point, q: Point) -> CycNum:
 
 
 class AffineMap:
-    """z -> A z + b with A^H A = lambda * Id (an exact similarity)."""
+    """z -> A z + b with A^H A = lambda * Id (an exact similarity).
 
-    __slots__ = ("a", "b", "dim", "_factor", "_inv", "_hash")
+    One object per value: ``AffineMap(a, b)`` returns the live map of an equal
+    value when there is one, so ``==`` is ``is``; the hash stays the value's,
+    hash((a, b.coords)), so no iteration order depends on object ids."""
 
-    def __init__(self, a: tuple[tuple[CycNum, ...], ...], b: Point):
+    __slots__ = ("a", "b", "dim", "_factor", "_inv", "_hash", "_after", "_poly", "__weakref__")
+
+    def __new__(cls, a: tuple[tuple[CycNum, ...], ...], b: Point):
         n = len(b.coords)
         if len(a) != n or any(len(row) != n for row in a):
             raise DimensionMismatchError("matrix shape does not match translation part")
-        self.a = a
-        self.b = b
-        self.dim = n
-        self._factor = self._check_similarity()
-        self._inv = None
-        self._hash = None
+        key = (a, b.coords)
+        obj = _INTERNED.get(key)
+        if obj is None:
+            obj = cls._build(a, b, None)
+            obj._factor = obj._check_similarity()
+            _INTERNED[key] = obj
+        return obj
+
+    @classmethod
+    def _build(cls, a, b: Point, factor) -> AffineMap:
+        obj = object.__new__(cls)
+        obj.a = a
+        obj.b = b
+        obj.dim = len(a)
+        obj._factor = factor
+        obj._inv = None
+        obj._hash = None
+        obj._after = {}
+        obj._poly = None
+        return obj
+
+    def __reduce__(self):
+        return (AffineMap, (self.a, self.b))
 
     def _check_similarity(self) -> CycNum:
         n = self.dim
@@ -160,7 +184,7 @@ class AffineMap:
     def __eq__(self, other):
         if not isinstance(other, AffineMap):
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self is other
 
     def __hash__(self):
         if self._hash is None:
@@ -176,13 +200,12 @@ class AffineMap:
     def _make(cls, a, b: Point, factor) -> AffineMap:
         """Trusted constructor for composites and inverses of validated
         similarities; factor None leaves the factor to its first read."""
-        obj = cls.__new__(cls)
-        obj.a = a
-        obj.b = b
-        obj.dim = len(a)
-        obj._factor = factor
-        obj._inv = None
-        obj._hash = None
+        key = (a, b.coords)
+        obj = _INTERNED.get(key)
+        if obj is None:
+            obj = _INTERNED[key] = cls._build(a, b, factor)
+        elif obj._factor is None:
+            obj._factor = factor
         return obj
 
     @classmethod
@@ -216,9 +239,10 @@ class AffineMap:
         return Point(tuple(_dot(bi, row, z) for bi, row in zip(self.b.coords, self.a)))
 
     def compose(self, other: AffineMap) -> AffineMap:
-        """self after other: (self . other)(z) = self(other(z)).  A pair equal
-        to one composed before gets that result object from ``_COMPOSITES``."""
-        out = _COMPOSITES.get((self, other))
+        """self after other: (self . other)(z) = self(other(z)).  The result is
+        kept in self's table of composites, keyed by other, so it lives as long
+        as self does."""
+        out = self._after.get(other)
         if out is not None:
             return out
         if self.dim != other.dim:
@@ -226,7 +250,7 @@ class AffineMap:
         zero = _ZERO[self.b.coords[0].m] if self.dim else None
         cols = tuple(zip(*other.a))
         a = tuple(tuple(_dot(zero, row, col) for col in cols) for row in self.a)
-        out = _COMPOSITES[self, other] = AffineMap._make(a, self(other.b), None)
+        out = self._after[other] = AffineMap._make(a, self(other.b), None)
         return out
 
     def inverse(self) -> AffineMap:
@@ -242,14 +266,14 @@ class AffineMap:
         ainv = tuple(
             tuple(self.a[j][i].conj() * inv_lam for j in range(n)) for i in range(n)
         )
-        partial = AffineMap._make(ainv, Point.origin(self.b.coords[0].m, n), inv_lam)
-        mb = Point(tuple(-c for c in partial(self.b).coords))
+        zero = _ZERO[self.b.coords[0].m]
+        mb = Point(tuple(-_dot(zero, row, self.b.coords) for row in ainv))
         self._inv = AffineMap._make(ainv, mb, inv_lam)
         return self._inv
 
 
 _ZERO = {m: CycNum.rational(m, 0) for m in SUPPORTED_CONDUCTORS}
-_COMPOSITES: dict[tuple[AffineMap, AffineMap], AffineMap] = {}
+_INTERNED: WeakValueDictionary[tuple, AffineMap] = WeakValueDictionary()
 
 
 def _dot(acc: CycNum, xs, ys) -> CycNum:
@@ -520,7 +544,12 @@ class PolyMap:
 
 def _poly_of_affine(f: AffineMap, m: int) -> PolyMap:
     """The polynomial map of f over conductor m, with f kept as its affine
-    form; the coordinates are built already clean, so __init__ is skipped."""
+    form; the coordinates are built already clean, so __init__ is skipped.
+    Kept on f, and reused when m matches: the one dimension-0 map serves
+    every conductor."""
+    obj = f._poly
+    if obj is not None and obj.m == m:
+        return obj
     n = f.dim
     zero_exp = (0,) * n
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -531,6 +560,7 @@ def _poly_of_affine(f: AffineMap, m: int) -> PolyMap:
         coords.append(poly)
     obj = PolyMap.__new__(PolyMap)
     obj.m, obj.dim_in, obj.dim_out, obj.coords, obj._affine = m, n, n, tuple(coords), f
+    f._poly = obj
     return obj
 
 

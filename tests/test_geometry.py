@@ -1,5 +1,6 @@
 """Similarity maps, ball predicates and polynomial maps."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -225,17 +226,27 @@ class TestAffineReference:
             f.compose(rot(1))
 
 
+def _live_table_entries():
+    """Entries of the composite tables of every live map, after a collection."""
+    gc.collect()
+    return sum(len(f._after) for f in list(geometry._INTERNED.values()))
+
+
 class TestCompositionTable:
-    """AffineMap.compose keeps one value-keyed table of composites; each test
-    starts from an empty table."""
+    """AffineMap.compose keeps each map's composites in its own table,
+    ``_after``, keyed by the inner map; ``fresh`` empties the tables of the
+    given maps for one test."""
 
-    @pytest.fixture(autouse=True)
-    def table(self, monkeypatch):
-        fresh = {}
-        monkeypatch.setattr(geometry, "_COMPOSITES", fresh)
-        return fresh
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        def empty(*maps):
+            for f in maps:
+                monkeypatch.setattr(f, "_after", {})
+            return maps
 
-    def test_equal_pairs_share_one_result(self, table):
+        return empty
+
+    def test_equal_pairs_share_one_result(self, fresh):
         def pair():
             return (
                 quaternion_map(zeta(4) * Fraction(1, 2), zeta(9), (Fraction(1, 4), Fraction(1, 5))),
@@ -243,24 +254,26 @@ class TestCompositionTable:
             )
 
         (f1, g1), (f2, g2) = pair(), pair()
-        assert f1 == f2 and f1 is not f2 and g1 == g2 and g1 is not g2
+        assert f1 is f2 and g1 is g2
+        fresh(f1, g1)
         first = f1.compose(g1)
         assert f2.compose(g2) is first
         assert first.a == loop_matmul(f1.a, g1.a)
         assert first.b.coords == loop_apply(f1, g1.b)
-        assert list(table) == [(f1, g1)]
+        assert list(f1._after) == [g1] and not g1._after
 
-    def test_repeated_pair_adds_one_entry(self, table):
-        f, g = TestAffineReference.MAPS[:2]
+    def test_repeated_pair_adds_one_entry(self, fresh):
+        f, g = fresh(*TestAffineReference.MAPS[:2])
         results = {id(f.compose(g)) for _ in range(50)}
-        assert len(results) == 1 and len(table) == 1
+        assert len(results) == 1 and len(f._after) == 1 and not g._after
         g.compose(f)
-        assert len(table) == 2
+        assert len(f._after) == 1 and len(g._after) == 1
 
-    def test_mismatched_pairs_raise_every_time_and_are_not_stored(self, table):
+    def test_mismatched_pairs_raise_every_time_and_are_not_stored(self, fresh):
         f = rot(1)
+        maps = fresh(f, AffineMap.identity(M, 2), AffineMap.scaling(3, 1, CycNum.zeta(3)))
         f.compose(f)
-        before = dict(table)
+        before = [dict(h._after) for h in maps]
         cases = [
             (f, AffineMap.identity(M, 2), DimensionMismatchError),
             (AffineMap.identity(M, 2), f, DimensionMismatchError),
@@ -271,20 +284,112 @@ class TestCompositionTable:
             for _ in range(3):
                 with pytest.raises(error):
                     outer.compose(inner)
-        assert table == before
+        assert [h._after for h in maps] == before
 
-    def test_law_reports_from_empty_and_warm_table(self, table, cone3):
+    def test_law_reports_from_empty_and_warm_table(self, fresh, cone3):
+        fresh(*geometry._INTERNED.values())
+        assert _live_table_entries() == 0
         fx = rotation_fixture(cone3, random.Random(5))
 
         def lines():
             return check_2cat_laws(fx).lines() + check_functor_laws(fx, samples=10, seed=2).lines()
 
         cold = lines()
-        assert table
-        warm_size = len(table)
+        warm_size = _live_table_entries()
+        assert warm_size
         assert lines() == cold
-        assert len(table) == warm_size
+        assert _live_table_entries() == warm_size
         assert cold.count("verdict: pass") == 2
+
+
+class TestInterning:
+    """Equal maps are one object, however they are built; the hash is the
+    value's; a map nothing holds leaves the table."""
+
+    def test_constructors_share_one_object(self):
+        one, zero = CycNum.rational(M, 1), CycNum.rational(M, 0)
+        shift = Point.of(M, Fraction(1, 2))
+        ident = AffineMap(((one,),), Point.origin(M, 1))
+        assert AffineMap.identity(M, 1) is ident
+        assert AffineMap.scaling(M, 1, 1) is ident
+        assert AffineMap.translation(M, shift) is ident.shift(shift) is AffineMap(((one,),), shift)
+        assert AffineMap.scaling(M, 2, zeta(4)) is AffineMap(((zeta(4), zero), (zero, zeta(4))), Point.origin(M, 2))
+        assert PolyMap(M, 1, 1, [{(1,): zeta(1), (0,): Fraction(1, 2)}]).to_affine() is rot(1).shift(shift)
+        assert rot(1).compose(rot(2)) is rot(3)
+        assert rot(1).inverse() is rot(11)
+        assert AffineMap((), Point(())) is AffineMap.identity(3, 0) is AffineMap.identity(M, 0)
+
+    @pytest.mark.parametrize("name", ["cone3", "football23", "teardrop3", "quotient22"])
+    def test_serialize_round_trip_gives_the_same_maps(self, name, request):
+        import json
+
+        from orbatlas.serialize import atlas_from_doc, serialize
+
+        atlas = request.getfixturevalue(name)
+        parsed = atlas_from_doc(json.loads(serialize(atlas)))
+        assert parsed is not atlas
+        for cid in atlas.chart_ids():
+            assert all(g is h for g, h in zip(parsed.chart(cid).group, atlas.chart(cid).group, strict=True))
+        assert list(parsed.reps) == list(atlas.reps)
+        assert all(parsed.reps[k].map is atlas.reps[k].map for k in atlas.reps)
+
+    def test_hash_is_the_value_hash(self):
+        for f in (*TestAffineReference.MAPS, AffineMap((), Point(())), rot(1).compose(rot(5)).inverse()):
+            assert hash(f) == hash((f.a, f.b.coords))
+
+    def test_dropped_map_leaves_the_table(self):
+        f = AffineMap.scaling(M, 2, zeta(1) * Fraction(7, 997)).shift(Point.of(M, Fraction(1, 991), 0))
+        keys = [(g.a, g.b.coords) for g in (f, f.compose(f), f.inverse())]
+        PolyMap.from_affine(f)  # the polynomial form refers back to f
+        assert all(k in geometry._INTERNED for k in keys)
+        del f
+        gc.collect()
+        assert not any(k in geometry._INTERNED for k in keys)
+
+    def test_make_hit_takes_the_given_factor(self):
+        f = AffineMap.scaling(M, 1, zeta(1) * Fraction(5, 983))
+        g = AffineMap.scaling(M, 1, Fraction(983, 7))
+        fg = f.compose(g)
+        assert fg._factor is None
+        given = f.factor * g.factor
+        assert AffineMap._make(fg.a, fg.b, given) is fg
+        assert fg._factor is given
+        recomputed = sum((row[0].conj() * row[0] for row in fg.a), CycNum.rational(M, 0))
+        assert fg.factor == recomputed
+
+    @pytest.mark.parametrize("f", [rot(1).shift(Point.of(M, Fraction(1, 3))), AffineMap((), Point(()))], ids=["dim1", "dim0"])
+    def test_copy_and_pickle_give_the_interned_object(self, f):
+        import copy
+        import pickle
+
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert copy.deepcopy([f, (f, 1)])[1][0] is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+
+class TestPolyMemo:
+    """_poly_of_affine keeps the polynomial form on the map and reuses it when
+    the conductor matches; the one dimension-0 map serves every conductor."""
+
+    def test_dimension_zero_checks_the_conductor(self):
+        f = AffineMap((), Point(()))
+        p3 = geometry._poly_of_affine(f, 3)
+        p4 = geometry._poly_of_affine(f, 4)
+        assert (p3.m, p4.m) == (3, 4)
+        assert geometry._poly_of_affine(f, 3).m == 3
+        assert PolyMap(3, 0, 0, []).compose(f).m == 3 and PolyMap(4, 0, 0, []).compose(f).m == 4
+        # from_affine gives dimension 0 conductor 1, whatever came before
+        assert PolyMap.identity(3, 0).m == PolyMap.identity(4, 0).m == 1
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_positive_dimension_is_built_once(self, dim):
+        f = AffineMap.scaling(M, dim, zeta(2) * Fraction(2, 3)).shift(Point.of(M, *[Fraction(1, 5)] * dim))
+        p = geometry._poly_of_affine(f, M)
+        assert p.to_affine() is f
+        assert geometry._poly_of_affine(f, M) is p
+        assert PolyMap.from_affine(f) is p
+        assert p == _reference_from_affine(f)
 
 
 class TestBalls:
