@@ -57,10 +57,10 @@ class Chart:
         return self.ball.dim
 
     def identity(self) -> AffineMap:
-        for g in self.group:
-            if g.is_identity():
-                return g
-        raise InvalidAtlasError(f"chart {self.cid} has no identity element")
+        ident = AffineMap.identity(self.ball.r2.m, self.dim)
+        if ident not in self.group:
+            raise InvalidAtlasError(f"chart {self.cid} has no identity element")
+        return ident
 
     def __repr__(self):
         return f"Chart({self.cid!r}, |G|={len(self.group)})"

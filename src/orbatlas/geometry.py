@@ -210,10 +210,11 @@ class AffineMap:
 
     @classmethod
     def identity(cls, m: int, dim: int) -> AffineMap:
-        one = CycNum.rational(m, 1)
-        zero = CycNum.rational(m, 0)
+        if m not in _ONE:
+            raise ConductorMismatchError(f"unsupported conductor {m}")
+        one, zero = _ONE[m], _ZERO[m]
         a = tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
-        return cls(a, Point.origin(m, dim))
+        return cls(a, Point((zero,) * dim))
 
     @classmethod
     def scaling(cls, m: int, dim: int, scalar) -> AffineMap:
@@ -273,6 +274,7 @@ class AffineMap:
 
 
 _ZERO = {m: CycNum.rational(m, 0) for m in SUPPORTED_CONDUCTORS}
+_ONE = {m: CycNum.rational(m, 1) for m in SUPPORTED_CONDUCTORS}
 _INTERNED: WeakValueDictionary[tuple, AffineMap] = WeakValueDictionary()
 
 

@@ -615,6 +615,33 @@ _SCAN_ATLASES = {
 }
 
 
+class TestChartIdentity:
+    """Chart.identity looks the interned identity up in the group; the
+    reference is the value scan it replaced."""
+
+    @staticmethod
+    def _scanned(chart):
+        return next((g for g in chart.group if g.is_identity()), None)
+
+    @pytest.mark.parametrize(
+        "make",
+        [*_SCAN_ATLASES.values(), lambda: football(3, 4, conductor=12), lambda: global_quotient(4, 2, conductor=8)],
+        ids=[*_SCAN_ATLASES.keys(), "football34-m12", "quot42-m8"],
+    )
+    def test_matches_the_scan(self, make):
+        atlas = make()
+        for cid in atlas.chart_ids():
+            chart = atlas.chart(cid)
+            assert chart.identity() is self._scanned(chart) is not None
+
+    @pytest.mark.parametrize("group", [(zrot(4), zrot(8)), ()], ids=["no-identity", "empty"])
+    def test_group_without_identity_raises(self, group):
+        chart = Chart("noid", Ball.of(M, [0], 1), group)
+        assert self._scanned(chart) is None
+        with pytest.raises(InvalidAtlasError, match="no identity element"):
+            chart.identity()
+
+
 def _record_scan_product(g, a, b):
     """multiply as it scanned the former record table: the first record from
     s(a)'s chart to t(b)'s chart with map germ(b) . germ(a) and s(a) in its

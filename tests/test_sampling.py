@@ -1,14 +1,29 @@
-"""Rejection sampling of points in balls: the integer proposal test against a
-reference loop that builds every proposal as a point."""
+"""Rejection sampling of points in balls: the integer sampler against a
+reference loop that sizes proposals with Fractions, draws with randint and
+builds every proposal as a point."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from orbatlas.field import CycNum
+from orbatlas.errors import ConductorMismatchError, NotRealError
+from orbatlas.field import CycNum, _degree, sign_real
+from orbatlas.gallery import cone, football, global_quotient, point_atlas, pushforward_pair, teardrop
 from orbatlas.geometry import Ball, Point, point_in_ball
-from orbatlas.sampling import _radius_overestimate, random_point_in_ball
+from orbatlas.sampling import random_chart_point, random_point_in_ball
+
+
+def _radius_overestimate(ball):
+    """The proposal bound (isqrt(floor(4 s) + 4) + 1) / 2 as a Fraction, where s
+    is the float sum of |r2 coefficients| in the canonical basis."""
+    approx = 0.0
+    for c in ball.r2.reduced:
+        approx += abs(float(c))
+    return Fraction(math.isqrt(int(4 * approx) + 4) + 1, 2)
 
 
 def _reference_fraction(rng, bound):
@@ -91,4 +106,94 @@ def test_dim0_ball_draws_nothing():
     state = rng.getstate()
     ball = Ball(Point(()), CycNum.rational(3, 1))
     assert random_point_in_ball(rng, ball, 3) == ball.center
+    assert rng.getstate() == state
+
+
+def reference_random_chart_point(rng, atlas, cid):
+    chart = atlas.chart(cid)
+    p, _ = reference_point_in_ball(rng, chart.ball, atlas.conductor)
+    return rng.choice(chart.group)(p)
+
+
+def _ball3(m, r2):
+    z = CycNum.zeta(m)
+    coords = (
+        CycNum.rational(m, Fraction(2, 9)) + z * Fraction(1, 4),
+        CycNum.rational(m, Fraction(-1, 5)),
+        z * Fraction(-3, 11),
+    )
+    return Ball(Point(coords), r2 if isinstance(r2, CycNum) else CycNum.rational(m, r2))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 6, 8, 12))
+def test_matches_reference_loop_dim3(m):
+    for k, r2 in enumerate((Fraction(1), Fraction(1, 50), Fraction(1, 900), Fraction(49, 4096))):
+        _assert_same_draws(_ball3(m, r2), m, draws=4, seed=1000 + 10 * m + k)
+
+
+@pytest.mark.parametrize("m", (8, 12))
+def test_matches_reference_loop_dim3_irrational_radius(m):
+    s = _sqrt_d(m)
+    for r2 in (s * Fraction(1, 8) + Fraction(3, 4), s * Fraction(1, 200)):
+        _assert_same_draws(_ball3(m, r2), m, draws=4, seed=2000 + m)
+
+
+_CHART_ATLASES = {
+    "cone3": lambda: cone(3),
+    "cone4-m12": lambda: cone(4, conductor=12),
+    "football23": lambda: football(2, 3),
+    "football34-m12": lambda: football(3, 4, conductor=12),
+    "teardrop3": lambda: teardrop(3),
+    "quot22": lambda: global_quotient(2, 2),
+    "quot42-m8": lambda: global_quotient(4, 2, conductor=8),
+    "point": point_atlas,
+    "push-football23": lambda: pushforward_pair(football(2, 3))[1],
+}
+
+
+@pytest.mark.parametrize("make", _CHART_ATLASES.values(), ids=_CHART_ATLASES.keys())
+def test_chart_point_matches_reference(make):
+    atlas = make()
+    new, old = random.Random(7), random.Random(7)
+    for cid in atlas.chart_ids():
+        for _ in range(4):
+            assert random_chart_point(new, atlas, cid) == reference_random_chart_point(old, atlas, cid)
+            assert new.getstate() == old.getstate()
+
+
+@st.composite
+def _balls(draw):
+    """A conductor from {1, 2, 3, 8, 12}, a centre of dimension 1 to 3 with
+    small rational coefficients, and a positive r2, irrational at m = 8, 12
+    when the draw says so."""
+    m = draw(st.sampled_from((1, 2, 3, 8, 12)))
+    q = st.fractions(min_value=-2, max_value=2, max_denominator=40)
+    dim = draw(st.integers(1, 3))
+    center = Point(tuple(CycNum(m, draw(st.lists(q, min_size=_degree(m), max_size=_degree(m)))) for _ in range(dim)))
+    r2 = CycNum.rational(m, draw(st.fractions(min_value=0, max_value=3, max_denominator=5000)))
+    if m in (8, 12) and draw(st.booleans()):
+        r2 = r2 + _sqrt_d(m) * draw(st.fractions(min_value=-1, max_value=1, max_denominator=300))
+    assume(sign_real(r2) > 0)
+    return m, Ball(center, r2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_balls(), st.integers(0, 2**32))
+def test_matches_reference_loop_property(mb, seed):
+    m, ball = mb
+    _assert_same_draws(ball, m, draws=2, seed=seed)
+
+
+def test_center_over_another_conductor_raises():
+    ball = Ball(Point.of(3, Fraction(1, 3)), CycNum.rational(3, 1))
+    with pytest.raises(ConductorMismatchError):
+        random_point_in_ball(random.Random(1), ball, 4)
+
+
+def test_non_real_radius_raises_before_any_draw():
+    rng = random.Random(2)
+    state = rng.getstate()
+    ball = Ball(Point.of(3, Fraction(1, 3)), CycNum.zeta(3))
+    with pytest.raises(NotRealError):
+        random_point_in_ball(rng, ball, 3)
     assert rng.getstate() == state
