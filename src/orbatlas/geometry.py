@@ -7,10 +7,11 @@ membership and disjointness question below is decided exactly.
 ``AffineMap`` is interned: every constructor looks its value up in a weak
 table, so equal maps are one object, ``==`` is ``is``, and the cached factor,
 inverse and hash are kept across constructions.  Each map also keeps its own
-composites (keyed by the inner map) and its polynomial form, which live exactly
-as long as it does.  The maps the program builds come from the finite germ sets
-of the atlases in play (chart-group elements, stored embeddings and their
-composites and inverses), so few distinct values are live at once.
+composites (keyed by the inner map), which live exactly as long as it does.
+The maps the program builds come from the finite germ sets of the atlases in
+play (chart-group elements, stored embeddings and their composites and
+inverses), so few distinct values are live at once.  A ``PolyMap`` is never a
+similarity: built from a similarity's coordinates, it is that ``AffineMap``.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class AffineMap:
     value when there is one, so ``==`` is ``is``; the hash stays the value's,
     hash((a, b.coords)), so no iteration order depends on object ids."""
 
-    __slots__ = ("a", "b", "dim", "_factor", "_inv", "_hash", "_after", "_poly", "__weakref__")
+    __slots__ = ("a", "b", "dim", "_factor", "_inv", "_hash", "_after", "__weakref__")
 
     def __new__(cls, a: tuple[tuple[CycNum, ...], ...], b: Point):
         n = len(b.coords)
@@ -124,7 +125,6 @@ class AffineMap:
         obj._inv = None
         obj._hash = None
         obj._after = {}
-        obj._poly = None
         return obj
 
     def __reduce__(self):
@@ -194,6 +194,24 @@ class AffineMap:
     def __repr__(self):
         return f"AffineMap(a={self.a!r}, b={self.b!r})"
 
+    dim_in = dim_out = property(lambda self: self.dim)
+
+    @property
+    def coords(self) -> tuple[dict, ...]:
+        """The coordinate polynomials of z -> A z + b, as a PolyMap keeps its own."""
+        n = self.dim
+        zero_exp = (0,) * n
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        coords = []
+        for bi, row in zip(self.b.coords, self.a):
+            poly = {zero_exp: bi} if not bi.is_zero() else {}
+            poly.update((e, c) for e, c in zip(units, row) if not c.is_zero())
+            coords.append(poly)
+        return tuple(coords)
+
+    def to_affine(self) -> AffineMap:
+        return self
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -210,11 +228,14 @@ class AffineMap:
 
     @classmethod
     def identity(cls, m: int, dim: int) -> AffineMap:
-        if m not in _ONE:
-            raise ConductorMismatchError(f"unsupported conductor {m}")
-        one, zero = _ONE[m], _ZERO[m]
-        a = tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
-        return cls(a, Point((zero,) * dim))
+        f = _IDENTITY.get((m, dim))
+        if f is None:
+            if m not in _ONE:
+                raise ConductorMismatchError(f"unsupported conductor {m}")
+            one, zero = _ONE[m], _ZERO[m]
+            a = tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
+            f = _IDENTITY[(m, dim)] = cls(a, Point((zero,) * dim))
+        return f
 
     @classmethod
     def scaling(cls, m: int, dim: int, scalar) -> AffineMap:
@@ -239,13 +260,18 @@ class AffineMap:
             raise DimensionMismatchError(f"point of dim {len(z)} under map of dim {self.dim}")
         return Point(tuple(_dot(bi, row, z) for bi, row in zip(self.b.coords, self.a)))
 
-    def compose(self, other: AffineMap) -> AffineMap:
-        """self after other: (self . other)(z) = self(other(z)).  The result is
-        kept in self's table of composites, keyed by other, so it lives as long
-        as self does."""
+    def then(self, f: AffineMap) -> AffineMap | PolyMap:
+        return f.compose(self)
+
+    def compose(self, other: AffineMap | PolyMap) -> AffineMap | PolyMap:
+        """self after other: (self . other)(z) = self(other(z)).  The composite
+        of a similarity is kept in self's table of composites, keyed by other,
+        so it lives as long as self does; a PolyMap other is substituted."""
         out = self._after.get(other)
         if out is not None:
             return out
+        if type(other) is PolyMap:
+            return _substitute(self.b.coords[0].m if self.dim else other.m, self, other)
         if self.dim != other.dim:
             raise DimensionMismatchError("composition of maps of different dimensions")
         zero = _ZERO[self.b.coords[0].m] if self.dim else None
@@ -275,6 +301,7 @@ class AffineMap:
 
 _ZERO = {m: CycNum.rational(m, 0) for m in SUPPORTED_CONDUCTORS}
 _ONE = {m: CycNum.rational(m, 1) for m in SUPPORTED_CONDUCTORS}
+_IDENTITY: dict[tuple[int, int], AffineMap] = {}  # built once per (m, dim)
 _INTERNED: WeakValueDictionary[tuple, AffineMap] = WeakValueDictionary()
 
 
@@ -417,22 +444,19 @@ def balls_equal(b1: Ball, b2: Ball) -> bool:
 
 # -- polynomial maps -----------------------------------------------------------
 
-_UNDECIDED = object()  # PolyMap._affine before the first to_affine() call
-
 
 class PolyMap:
     """Tuple of multivariate polynomials with CycNum coefficients.
 
     Coordinates are dictionaries {exponent tuple: coefficient} with zero
-    coefficients dropped, so equality is canonical data comparison.
+    coefficients dropped, so equality is canonical data comparison.  Square
+    coordinates of degree at most 1 that are a similarity give that interned
+    ``AffineMap`` instead, so no PolyMap is a similarity.
     """
 
-    __slots__ = ("m", "dim_in", "dim_out", "coords", "_affine")
+    __slots__ = ("m", "dim_in", "dim_out", "coords")
 
-    def __init__(self, m: int, dim_in: int, dim_out: int, coords):
-        self.m = m
-        self.dim_in = dim_in
-        self.dim_out = dim_out
+    def __new__(cls, m: int, dim_in: int, dim_out: int, coords):
         cleaned = []
         for poly in coords:
             entry = {}
@@ -445,31 +469,22 @@ class PolyMap:
             cleaned.append(entry)
         if len(cleaned) != dim_out:
             raise DimensionMismatchError("wrong number of coordinate polynomials")
-        self.coords = tuple(cleaned)
-        self._affine = _UNDECIDED
+        n = dim_in
+        if n == dim_out and all(sum(e) <= 1 for poly in cleaned for e in poly):
+            zero = CycNum.rational(m, 0)
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            a = tuple(tuple(poly.get(e, zero) for e in units) for poly in cleaned)
+            with suppress(NotSimilarityError):
+                return AffineMap(a, Point(tuple(poly.get((0,) * n, zero) for poly in cleaned)))
+        obj = object.__new__(cls)
+        obj.m, obj.dim_in, obj.dim_out, obj.coords = m, dim_in, dim_out, tuple(cleaned)
+        return obj
 
-    @classmethod
-    def from_affine(cls, f: AffineMap) -> PolyMap:
-        return _poly_of_affine(f, f.b.coords[0].m if f.dim else 1)
+    def __reduce__(self):
+        return (PolyMap, (self.m, self.dim_in, self.dim_out, self.coords))
 
-    @classmethod
-    def identity(cls, m: int, dim: int) -> PolyMap:
-        return cls.from_affine(AffineMap.identity(m, dim))
-
-    def to_affine(self) -> AffineMap | None:
-        """The similarity affine map this is, or None when the degree is above
-        1, dim_in != dim_out or the linear part is not a similarity.  Decided
-        on the first call and kept."""
-        if self._affine is _UNDECIDED:
-            self._affine = None
-            n = self.dim_in
-            if n == self.dim_out and all(sum(e) <= 1 for poly in self.coords for e in poly):
-                zero = CycNum.rational(self.m, 0)
-                units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-                a = tuple(tuple(poly.get(e, zero) for e in units) for poly in self.coords)
-                with suppress(NotSimilarityError):
-                    self._affine = AffineMap(a, Point(tuple(poly.get((0,) * n, zero) for poly in self.coords)))
-        return self._affine
+    def to_affine(self) -> None:
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
@@ -498,9 +513,6 @@ class PolyMap:
     def __call__(self, p: Point) -> Point:
         if p.dim != self.dim_in:
             raise DimensionMismatchError("point dimension mismatch")
-        aff = self.to_affine()
-        if aff is not None:
-            return aff(p)
         out = []
         for poly in self.coords:
             acc = CycNum.rational(self.m, 0)
@@ -513,57 +525,35 @@ class PolyMap:
             out.append(acc)
         return Point(tuple(out))
 
-    def compose(self, other: PolyMap | AffineMap) -> PolyMap:
-        """self after other: the composite of the two affine forms when both
-        are similarities, else by substituting other's coordinates into self.
-        The result has self's conductor either way."""
-        aff = self.to_affine()
-        other_aff = other if isinstance(other, AffineMap) else other.to_affine()
-        if aff is not None and other_aff is not None and aff.dim == other_aff.dim:
-            return _poly_of_affine(aff.compose(other_aff), self.m)
-        if isinstance(other, AffineMap):
-            other = PolyMap.from_affine(other)
-        if other.dim_out != self.dim_in:
-            raise DimensionMismatchError("composition dimension mismatch")
-        one = {(0,) * other.dim_in: CycNum.rational(self.m, 1)}
-        out = []
-        for poly in self.coords:
-            acc: dict = {}
-            for exps, c in poly.items():
-                term = dict(one)
-                for var, e in enumerate(exps):
-                    for _ in range(e):
-                        term = _poly_mul(term, other.coords[var])
-                for mono, coeff in term.items():
-                    acc[mono] = acc.get(mono, CycNum.rational(self.m, 0)) + c * coeff
-            out.append(acc)
-        return PolyMap(self.m, other.dim_in, self.dim_out, out)
+    def compose(self, other: AffineMap | PolyMap) -> AffineMap | PolyMap:
+        """self after other, by substituting other's coordinates into self;
+        the result has self's conductor."""
+        return _substitute(self.m, self, other)
 
-    def then(self, f: AffineMap) -> PolyMap:
-        """f after self (post-compose with an affine map)."""
-        return PolyMap.from_affine(f).compose(self)
+    def then(self, f: AffineMap) -> AffineMap | PolyMap:
+        return f.compose(self)
 
 
-def _poly_of_affine(f: AffineMap, m: int) -> PolyMap:
-    """The polynomial map of f over conductor m, with f kept as its affine
-    form; the coordinates are built already clean, so __init__ is skipped.
-    Kept on f, and reused when m matches: the one dimension-0 map serves
-    every conductor."""
-    obj = f._poly
-    if obj is not None and obj.m == m:
-        return obj
-    n = f.dim
-    zero_exp = (0,) * n
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    coords = []
-    for bi, row in zip(f.b.coords, f.a):
-        poly = {zero_exp: bi} if not bi.is_zero() else {}
-        poly.update((e, c) for e, c in zip(units, row) if not c.is_zero())
-        coords.append(poly)
-    obj = PolyMap.__new__(PolyMap)
-    obj.m, obj.dim_in, obj.dim_out, obj.coords, obj._affine = m, n, n, tuple(coords), f
-    f._poly = obj
-    return obj
+def _substitute(m: int, outer, inner) -> AffineMap | PolyMap:
+    """outer after inner over conductor m, by substituting inner's coordinate
+    polynomials into outer's; either map may be affine."""
+    if inner.dim_out != outer.dim_in:
+        raise DimensionMismatchError("composition dimension mismatch")
+    subs = inner.coords
+    one = {(0,) * inner.dim_in: CycNum.rational(m, 1)}
+    zero = CycNum.rational(m, 0)
+    out = []
+    for poly in outer.coords:
+        acc: dict = {}
+        for exps, c in poly.items():
+            term = dict(one)
+            for var, e in enumerate(exps):
+                for _ in range(e):
+                    term = _poly_mul(term, subs[var])
+            for mono, coeff in term.items():
+                acc[mono] = acc.get(mono, zero) + c * coeff
+        out.append(acc)
+    return PolyMap(m, inner.dim_in, outer.dim_out, out)
 
 
 def solve_linear(a: list[list[CycNum]], b: list[CycNum]) -> list[CycNum] | None:

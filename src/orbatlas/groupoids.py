@@ -21,7 +21,7 @@ from .errors import (
     PointOutsideDomainError,
     UnsupportedPresentationError,
 )
-from .geometry import AffineMap, Ball, Point, PolyMap, point_in_ball
+from .geometry import AffineMap, Ball, Point, point_in_ball
 from .report import Report
 from .sampling import random_point_in_ball
 
@@ -312,7 +312,7 @@ def check_groupoid_axioms(g: GroupoidPresentation, samples: int = 200, seed: int
 class GroupoidMorphism:
     """A pair of maps (units, arrows) commuting with all structure maps.
 
-    unit_maps: {src unit component -> (dst unit component, PolyMap)};
+    unit_maps: {src unit component -> (dst unit component, AffineMap or PolyMap)};
     arrow_map: a callable Arrow -> Arrow.  ``of_germs`` builds the arrow map
     of an effective target from the germ of each source component's image.
     """
@@ -360,7 +360,7 @@ class GroupoidMorphism:
     @classmethod
     def identity_on(cls, g: GroupoidPresentation) -> GroupoidMorphism:
         unit_maps = {
-            comp.label: (comp.label, PolyMap.identity(g.conductor, g.dim))
+            comp.label: (comp.label, AffineMap.identity(g.conductor, g.dim))
             for comp in g.unit_components()
         }
         return cls(g, g, unit_maps, lambda a: a)

@@ -38,7 +38,6 @@ from .geometry import (
     AffineMap,
     Ball,
     Point,
-    PolyMap,
     ball_in_ball,
     balls_disjoint,
     balls_equal,
@@ -76,7 +75,7 @@ def subatlas_inclusion_morphism(sub: Atlas, full: Atlas) -> GroupoidMorphism:
     """Units include component-wise; an arrow keeps its point and its germ."""
     if not is_subatlas(sub, full):
         raise NotASubAtlasError("first atlas is not contained in the second")
-    ident = PolyMap.identity(full.conductor, full.dim)
+    ident = AffineMap.identity(full.conductor, full.dim)
     unit_maps = {cid: (cid, ident) for cid in sub.chart_ids()}
     return GroupoidMorphism.of_germs(TranslationGroupoid(sub), TranslationGroupoid(full), unit_maps)
 
@@ -565,7 +564,7 @@ def reconstruction_morita_morphism(
     the source: units by inclusion, an arrow to the arrow of g with its germ."""
     if recon is None:
         recon = reconstruct_atlas(g)
-    ident = PolyMap.identity(g.conductor, g.dim)
+    ident = AffineMap.identity(g.conductor, g.dim)
     unit_maps = {cid: (recon.anchors[cid], ident) for cid in recon.atlas.chart_ids()}
     return GroupoidMorphism.of_germs(TranslationGroupoid(recon.atlas), g, unit_maps)
 

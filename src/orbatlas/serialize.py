@@ -135,7 +135,7 @@ def _embedding(m: int, src, dst, doc, where: str) -> Embedding:
     return Embedding(_typed(src, str, where), _typed(dst, str, where), affine_from_doc(m, doc, where))
 
 
-def poly_to_doc(p: PolyMap) -> dict:
+def poly_to_doc(p: AffineMap | PolyMap) -> dict:
     coords = []
     for poly in p.coords:
         coords.append(
@@ -147,9 +147,9 @@ def poly_to_doc(p: PolyMap) -> dict:
     return {"dim_in": p.dim_in, "dim_out": p.dim_out, "coords": coords}
 
 
-def poly_from_doc(m: int, doc, where="lift") -> PolyMap:
-    """A polynomial map as ``poly_to_doc`` writes it: per coordinate, terms
-    with nonzero coefficients in strictly increasing exponent order."""
+def poly_from_doc(m: int, doc, where="lift") -> AffineMap | PolyMap:
+    """A lift as ``poly_to_doc`` writes it (a similarity is its AffineMap):
+    per coordinate, nonzero terms in strictly increasing exponent order."""
     try:
         coords = []
         for poly in _typed(doc["coords"], list, where):

@@ -2,10 +2,11 @@
 executable law suite of the resulting 2-category.
 
 A compatible system is a functor on charts and stored embeddings plus one
-polynomial lift per chart; the lift determines the functor on chart groups by
-solving lift . g = h . lift for the unique target element h, and the cube
-condition ties the lifts to the embedding assignment.  All conditions are
-polynomial-coefficient identities, so validation is exact.
+lift per chart (an ``AffineMap`` when a similarity, else a ``PolyMap``); the
+lift determines the functor on chart groups by solving lift . g = h . lift
+for the unique target element h, and the cube condition ties the lifts to the
+embedding assignment.  All conditions are identities of canonical maps, so
+validation is exact.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .sampling import random_point_in_ball
 
 class CompatibleSystem:
     """theta: chart assignment; assign: images of stored representatives;
-    lifts: one PolyMap per source chart into its assigned target chart."""
+    lifts: one AffineMap or PolyMap per source chart into its target chart."""
 
     def __init__(self, src: Atlas, dst: Atlas, theta, assign, lifts):
         self.src = src
@@ -40,7 +41,7 @@ class CompatibleSystem:
         self.lifts = dict(lifts)
         self._group_maps: dict[str, dict[AffineMap, AffineMap]] = {}
 
-    def lift(self, cid: str) -> PolyMap:
+    def lift(self, cid: str) -> AffineMap | PolyMap:
         return self.lifts[cid]
 
     def group_map(self, cid: str) -> dict[AffineMap, AffineMap]:
@@ -48,17 +49,18 @@ class CompatibleSystem:
 
         The image h . lift is composed once for every target element h, and
         lift . g once for every source element g; f(g) is the one target
-        element whose image matches."""
+        element whose image is lift . g, looked up by that map."""
         cached = self._group_maps.get(cid)
         if cached is not None:
             return cached
         target = self.dst.chart(self.theta[cid])
         lift = self.lift(cid)
-        images = [(h, lift.then(h)) for h in target.group]
+        images: dict = {}
+        for h in target.group:
+            images.setdefault(lift.then(h), []).append(h)
         table = {}
         for g in self.src.chart(cid).group:
-            lhs = lift.compose(g)
-            hits = [h for h, image in images if image == lhs]
+            hits = images.get(lift.compose(g), ())
             if not hits:
                 raise NoConjugatorError(
                     f"no target element tracks {g!r} through the lift of {cid}"
@@ -83,7 +85,7 @@ class CompatibleSystem:
 
 def identity_system(atlas: Atlas) -> CompatibleSystem:
     theta = {cid: cid for cid in atlas.chart_ids()}
-    lifts = {cid: PolyMap.identity(atlas.conductor, atlas.dim) for cid in atlas.chart_ids()}
+    lifts = {cid: AffineMap.identity(atlas.conductor, atlas.dim) for cid in atlas.chart_ids()}
     return CompatibleSystem(atlas, atlas, theta, atlas.reps, lifts)
 
 
@@ -441,8 +443,7 @@ def rotation_system(atlas: Atlas, powers: dict[str, int]) -> CompatibleSystem:
         assign[key] = Embedding(
             e.src, e.dst, rots[e.dst].compose(e.map).compose(rots[e.src].inverse())
         )
-    lifts = {cid: PolyMap.from_affine(rots[cid]) for cid in atlas.chart_ids()}
-    return CompatibleSystem(atlas, atlas, theta, assign, lifts)
+    return CompatibleSystem(atlas, atlas, theta, assign, rots)
 
 
 def _zeta_power(atlas: Atlas, power: int):

@@ -1,8 +1,10 @@
 """Similarity maps, ball predicates and polynomial maps."""
 
 import gc
+import itertools
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -314,7 +316,7 @@ class TestInterning:
         assert AffineMap.scaling(M, 1, 1) is ident
         assert AffineMap.translation(M, shift) is ident.shift(shift) is AffineMap(((one,),), shift)
         assert AffineMap.scaling(M, 2, zeta(4)) is AffineMap(((zeta(4), zero), (zero, zeta(4))), Point.origin(M, 2))
-        assert PolyMap(M, 1, 1, [{(1,): zeta(1), (0,): Fraction(1, 2)}]).to_affine() is rot(1).shift(shift)
+        assert PolyMap(M, 1, 1, [{(1,): zeta(1), (0,): Fraction(1, 2)}]) is rot(1).shift(shift)
         assert rot(1).compose(rot(2)) is rot(3)
         assert rot(1).inverse() is rot(11)
         assert AffineMap((), Point(())) is AffineMap.identity(3, 0) is AffineMap.identity(M, 0)
@@ -340,7 +342,10 @@ class TestInterning:
     def test_dropped_map_leaves_the_table(self):
         f = AffineMap.scaling(M, 2, zeta(1) * Fraction(7, 997)).shift(Point.of(M, Fraction(1, 991), 0))
         keys = [(g.a, g.b.coords) for g in (f, f.compose(f), f.inverse())]
-        PolyMap.from_affine(f)  # the polynomial form refers back to f
+        assert PolyMap(M, 2, 2, f.coords) is f
+        square = PolyMap(M, 2, 2, [{(2, 0): 1}, {(0, 1): 1}])
+        _same_poly(f.compose(square), _reference_compose(f, square))  # substituted, not kept
+        assert square not in f._after
         assert all(k in geometry._INTERNED for k in keys)
         del f
         gc.collect()
@@ -368,28 +373,34 @@ class TestInterning:
         assert pickle.loads(pickle.dumps(f)) is f
 
 
-class TestPolyMemo:
-    """_poly_of_affine keeps the polynomial form on the map and reuses it when
-    the conductor matches; the one dimension-0 map serves every conductor."""
+class TestIdentityTable:
+    """AffineMap.identity builds each (conductor, dimension) once and keeps it;
+    the checks around it still run on every call."""
 
-    def test_dimension_zero_checks_the_conductor(self):
-        f = AffineMap((), Point(()))
-        p3 = geometry._poly_of_affine(f, 3)
-        p4 = geometry._poly_of_affine(f, 4)
-        assert (p3.m, p4.m) == (3, 4)
-        assert geometry._poly_of_affine(f, 3).m == 3
-        assert PolyMap(3, 0, 0, []).compose(f).m == 3 and PolyMap(4, 0, 0, []).compose(f).m == 4
-        # from_affine gives dimension 0 conductor 1, whatever came before
-        assert PolyMap.identity(3, 0).m == PolyMap.identity(4, 0).m == 1
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    def test_built_once_per_conductor_and_dimension(self, m):
+        for dim in range(4):
+            f = AffineMap.identity(m, dim)
+            assert geometry._IDENTITY[(m, dim)] is f
+            assert AffineMap.identity(m, dim) is f and f.is_identity()
+            assert f is AffineMap.scaling(m, dim, 1)
 
-    @pytest.mark.parametrize("dim", (1, 2))
-    def test_positive_dimension_is_built_once(self, dim):
-        f = AffineMap.scaling(M, dim, zeta(2) * Fraction(2, 3)).shift(Point.of(M, *[Fraction(1, 5)] * dim))
-        p = geometry._poly_of_affine(f, M)
-        assert p.to_affine() is f
-        assert geometry._poly_of_affine(f, M) is p
-        assert PolyMap.from_affine(f) is p
-        assert p == _reference_from_affine(f)
+    def test_unsupported_conductor_raises_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ConductorMismatchError):
+                AffineMap.identity(5, 1)
+        assert (5, 1) not in geometry._IDENTITY
+
+    def test_chart_without_the_identity_raises_every_call(self):
+        from orbatlas.atlas import Chart
+        from orbatlas.errors import InvalidAtlasError
+
+        z = AffineMap.scaling(3, 1, CycNum.zeta(3))
+        chart = Chart("c", Ball.of(3, [0], 1), (z, z.compose(z)))
+        for _ in range(3):
+            with pytest.raises(InvalidAtlasError):
+                chart.identity()
+        assert Chart("c", chart.ball, (z, AffineMap.identity(3, 1))).identity() is AffineMap.identity(3, 1)
 
 
 class TestBalls:
@@ -631,17 +642,26 @@ class TestMismatchedInputs:
 
 
 class TestPolyMap:
+    """A PolyMap is a map that is not a similarity; constructing one from the
+    coordinates of a similarity gives that interned AffineMap."""
+
     def test_square_composition(self):
         sq = PolyMap(M, 1, 1, [{(2,): 1}])
         assert sq.compose(sq).coords[0] == {(4,): CycNum.rational(M, 1)}
 
     def test_affine_round_trip(self):
         f = rot(7).shift(Point.of(M, Fraction(1, 3)))
-        assert PolyMap.from_affine(f).to_affine() == f
+        assert PolyMap(M, 1, 1, f.coords) is f
+        assert f.to_affine() is f
+        assert (f.dim_in, f.dim_out) == (1, 1)
 
     def test_affine_form_decided_from_coefficients(self):
+        # ints, Fractions and zero terms are cleaned before the decision
         f = rot(7).shift(Point.of(M, Fraction(1, 3)))
-        assert PolyMap(M, 1, 1, PolyMap.from_affine(f).coords).to_affine() == f
+        assert PolyMap(M, 1, 1, [{(1,): zeta(7), (0,): Fraction(1, 3)}]) is f
+        g = AffineMap.scaling(M, 2, Fraction(1, 2))
+        assert PolyMap(M, 2, 2, [{(1, 0): Fraction(1, 2), (0, 1): 0, (0, 0): 0}, {(0, 1): Fraction(2, 4)}]) is g
+        assert PolyMap(M, 1, 1, [{(0,): 0}]) is AffineMap.scaling(M, 1, 0)
 
     @pytest.mark.parametrize(
         "mp",
@@ -653,14 +673,13 @@ class TestPolyMap:
         ids=["z^2", "1->2", "diag(1, 2)"],
     )
     def test_to_affine_none_off_similarities(self, mp):
-        assert mp.to_affine() is None
+        assert type(mp) is PolyMap and mp.m == M
         assert mp.to_affine() is None
 
     def test_to_affine_kept(self):
-        f = rot(5)
-        assert PolyMap.from_affine(f).to_affine() is f
+        # a similarity lift is its interned map, whichever constructor built it
         mp = PolyMap(M, 1, 1, [{(1,): zeta(5)}])
-        assert mp.to_affine() is mp.to_affine()
+        assert mp is rot(5) and mp.to_affine() is rot(5)
 
     def test_compose_with_affine(self):
         sq = PolyMap(M, 1, 1, [{(2,): 1}])
@@ -668,11 +687,47 @@ class TestPolyMap:
         assert pre.coords[0] == {(2,): zeta(8)}
         post = sq.then(rot(4))
         assert post.coords[0] == {(2,): zeta(4)}
+        assert type(pre) is type(post) is PolyMap
 
     def test_evaluation(self):
         p = PolyMap(M, 2, 1, [{(1, 1): 1, (0, 0): Fraction(1, 2)}])
         out = p(Point.of(M, 2, 3))
         assert out.coords[0] == Fraction(13, 2)
+
+    @pytest.mark.parametrize("name", ["cone3", "football23", "teardrop3", "quotient22"])
+    def test_every_fixture_similarity_is_its_own_polymap(self, name, request):
+        atlas = request.getfixturevalue(name)
+        maps = [g for cid in atlas.chart_ids() for g in atlas.chart(cid).group]
+        maps += [e.map for e in atlas.reps.values()] + TestAffineReference.MAPS
+        for f in maps:
+            m = f.b.coords[0].m if f.dim else atlas.conductor
+            assert PolyMap(m, f.dim, f.dim, f.coords) is f
+            assert PolyMap(m, f.dim, f.dim, _reference_from_affine(f).coords) is f
+
+    def test_dimension_mismatch_is_checked_before_any_term(self):
+        # the zero map has no terms to substitute into, and still refuses an
+        # inner map of the wrong output dimension
+        zero1 = PolyMap(M, 1, 1, [{(2,): 0}])
+        assert zero1 is AffineMap.scaling(M, 1, 0)
+        diag = PolyMap(M, 2, 2, [{(1, 0): 1}, {(0, 1): 2}])
+        for outer in (zero1, PolyMap(M, 1, 2, [{}, {}]), PolyMap(M, 1, 2, [{}, {(1,): 1}])):
+            with pytest.raises(DimensionMismatchError):
+                outer.compose(diag)
+            with pytest.raises(DimensionMismatchError):
+                diag.then(outer)
+        with pytest.raises(DimensionMismatchError):
+            PolyMap(M, 1, 1, [{(2,): 1}]).compose(AffineMap.identity(M, 2))
+
+    def test_copy_and_pickle(self):
+        import copy
+        import pickle
+
+        p = PolyMap(M, 2, 1, [{(1, 1): zeta(1), (0, 0): Fraction(1, 2)}])
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(q) is PolyMap and q == p and hash(q) == hash(p) and q.m == M
+        f = PolyMap(M, 1, 1, [{(1,): zeta(5), (0,): Fraction(1, 3)}])
+        assert type(f) is AffineMap
+        assert copy.copy(f) is f and copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
 
 
 class TestLinearSolve:
@@ -743,10 +798,29 @@ class TestLazyFactor:
         assert f.compose(f).factor is None and f.compose(f).is_invertible()
 
 
-def _reference_from_affine(f):
-    """The former PolyMap.from_affine, written out."""
+class _Poly(NamedTuple):
+    """A polynomial map as plain data, outside the choice of presentation."""
+
+    m: int
+    dim_in: int
+    dim_out: int
+    coords: tuple
+
+
+def _conductor(*maps):
+    """The conductor of the first map that has one: a PolyMap's or _Poly's m,
+    or the coefficients' of an AffineMap (a dimension-0 one has none)."""
+    for p in maps:
+        if not isinstance(p, AffineMap):
+            return p.m
+        if p.dim:
+            return p.b.coords[0].m
+    return 1
+
+
+def _reference_from_affine(f, m=None):
+    """The coordinate polynomials of f over conductor m, written out."""
     n = f.dim
-    m = f.b.coords[0].m if n else 1
     coords = []
     for i in range(n):
         poly = {}
@@ -758,7 +832,11 @@ def _reference_from_affine(f):
                 e[j] = 1
                 poly[tuple(e)] = f.a[i][j]
         coords.append(poly)
-    return PolyMap(m, n, n, coords)
+    return _Poly(m or _conductor(f), n, n, tuple(coords))
+
+
+def _data(p, m=None):
+    return _reference_from_affine(p, m) if isinstance(p, AffineMap) else p
 
 
 def _reference_poly_mul(p, q):
@@ -771,10 +849,12 @@ def _reference_poly_mul(p, q):
 
 
 def _reference_compose(p, other):
-    """The former PolyMap.compose: substitute other's coordinates into p."""
-    if isinstance(other, AffineMap):
-        other = _reference_from_affine(other)
-    one = {(0,) * other.dim_in: CycNum.rational(p.m, 1)}
+    """p after other by substituting other's coordinates into p, over p's
+    conductor (other's when p is a dimension-0 AffineMap); zero terms dropped."""
+    m = _conductor(p, other)
+    p, other = _data(p, m), _data(other, m)
+    assert other.dim_out == p.dim_in
+    one = {(0,) * other.dim_in: CycNum.rational(m, 1)}
     out = []
     for poly in p.coords:
         acc = {}
@@ -784,13 +864,14 @@ def _reference_compose(p, other):
                 for _ in range(e):
                     term = _reference_poly_mul(term, other.coords[var])
             for mono, coeff in term.items():
-                acc[mono] = acc.get(mono, CycNum.rational(p.m, 0)) + c * coeff
-        out.append(acc)
-    return PolyMap(p.m, other.dim_in, p.dim_out, out)
+                acc[mono] = acc.get(mono, CycNum.rational(m, 0)) + c * coeff
+        out.append({e: c for e, c in acc.items() if not c.is_zero()})
+    return _Poly(m, other.dim_in, p.dim_out, tuple(out))
 
 
 def _reference_call(p, x):
-    """The former PolyMap.__call__: evaluate every monomial."""
+    """Evaluate every monomial of p at x."""
+    p = _data(p, _conductor(p))
     out = []
     for poly in p.coords:
         acc = CycNum.rational(p.m, 0)
@@ -804,18 +885,58 @@ def _reference_call(p, x):
     return Point(tuple(out))
 
 
+def _reference_similarity(p):
+    """The AffineMap whose coordinates p has, or None when p is not square,
+    has a term of degree above 1 or its linear part is not a similarity."""
+    n = p.dim_in
+    if n != p.dim_out or any(sum(e) > 1 for poly in p.coords for e in poly):
+        return None
+    zero = CycNum.rational(p.m, 0)
+    a = tuple(tuple(poly.get(tuple(int(i == j) for i in range(n)), zero) for j in range(n)) for poly in p.coords)
+    try:
+        return AffineMap(a, Point(tuple(poly.get((0,) * n, zero) for poly in p.coords)))
+    except NotSimilarityError:
+        return None
+
+
 def _same_poly(got, want):
+    """got has want's coordinates, compared by poly_to_doc bytes, and is the
+    interned AffineMap exactly when want is a similarity; a PolyMap keeps
+    want's conductor."""
     from orbatlas.serialize import canonical_bytes, poly_to_doc
 
-    assert got == want
-    assert got.m == want.m
-    assert hash(got) == hash(want)
+    want = _data(want)
     assert canonical_bytes(poly_to_doc(got)) == canonical_bytes(poly_to_doc(want))
+    aff = _reference_similarity(want)
+    if aff is None:
+        assert type(got) is PolyMap and got.m == want.m
+        rebuilt = PolyMap(want.m, want.dim_in, want.dim_out, want.coords)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+    else:
+        assert got is aff
+
+
+@st.composite
+def lifts(draw, m, dim_in, dim_out):
+    """A similarity drawn by ``similarities`` (square shapes, one draw in
+    three), or a map of degree at most 2 with up to three terms per
+    coordinate, some coefficients zero; in dimension 1 every map of degree at
+    most 1 is a similarity."""
+    if dim_in == dim_out and draw(st.integers(0, 2)) == 0:
+        return draw(similarities(m, dim_in))
+    monos = [e for e in itertools.product(range(3), repeat=dim_in) if sum(e) <= 2]
+    coeffs = st.one_of(st.just(0), cycnums(m))
+    coords = []
+    for _ in range(dim_out):
+        terms = draw(st.lists(st.sampled_from(monos), max_size=3, unique=True))
+        coords.append({e: draw(coeffs) for e in terms})
+    return PolyMap(m, dim_in, dim_out, coords)
 
 
 class TestPolyMapAffinePath:
-    """compose, then and __call__ of similarity lifts go through the affine
-    forms; every answer equals the former substitution code's."""
+    """compose, then and __call__ give the reference substitution and
+    evaluation; a result is the interned AffineMap exactly when it is a
+    similarity."""
 
     @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
     @pytest.mark.parametrize("dim", (1, 2, 3))
@@ -825,33 +946,29 @@ class TestPolyMapAffinePath:
         rng = random.Random(2000 * m + dim)
         for _ in range(4):
             f, g, h = (seeded_similarity(rng, m, dim) for _ in range(3))
-            # one lift with its affine form kept, one that decides it later
-            pf = PolyMap.from_affine(f)
-            pg = PolyMap(m, dim, dim, _reference_from_affine(g).coords)
-            _same_poly(pf, _reference_from_affine(f))
-            _same_poly(pf.compose(pg), _reference_compose(pf, pg))
-            assert pf.compose(pg).to_affine() == f.compose(g)
-            _same_poly(pg.compose(pf), _reference_compose(pg, pf))
-            _same_poly(pf.compose(h), _reference_compose(pf, h))
-            _same_poly(pg.then(h), _reference_compose(_reference_from_affine(h), pg))
-            _same_poly(pf.compose(pg).then(h), _reference_compose(_reference_from_affine(h), _reference_compose(pf, pg)))
+            assert PolyMap(m, dim, dim, g.coords) is g
+            _same_poly(f, _reference_from_affine(f))
+            _same_poly(f.compose(g), _reference_compose(f, g))
+            _same_poly(g.compose(f), _reference_compose(g, f))
+            _same_poly(g.then(h), _reference_compose(h, g))
+            _same_poly(f.compose(g).then(h), _reference_compose(h, _reference_compose(f, g)))
             x = Point(tuple(CycNum.zeta(m, rng.randrange(m)) * Fraction(rng.randint(-4, 4), 9) for _ in range(dim)))
-            assert pf(x) == _reference_call(pf, x) == f(x)
-            assert pg.compose(pf)(x) == _reference_call(_reference_compose(pg, pf), x)
+            assert f(x) == _reference_call(f, x)
+            assert g.compose(f)(x) == _reference_call(_reference_compose(g, f), x)
 
     @pytest.mark.parametrize("m", (1, 3, 12))
     def test_dimension_zero(self, m):
-        # from_affine gives a dimension-0 map conductor 1; a parsed lift keeps
-        # the document's conductor, and compose keeps self's either way
+        # every square dimension-0 map is the one dimension-0 AffineMap; a
+        # non-square one keeps its conductor through compose either way
         f = AffineMap((), Point(()))
-        parsed = PolyMap(m, 0, 0, [])
-        ident = PolyMap.identity(m, 0)
-        assert ident.m == 1
-        for p in (parsed, ident):
-            for q in (parsed, ident, f):
-                _same_poly(p.compose(q), _reference_compose(p, q))
-            _same_poly(p.then(f), _reference_compose(_reference_from_affine(f), p))
-            assert p(Point(())) == _reference_call(p, Point(())) == Point(())
+        assert PolyMap(m, 0, 0, []) is AffineMap.identity(m, 0) is f
+        const = PolyMap(m, 0, 1, [{(): 0}])
+        forget = PolyMap(m, 1, 0, [])
+        for p, q in ((f, f), (const, f), (f, forget), (forget, const), (const, forget.compose(const))):
+            _same_poly(p.compose(q), _reference_compose(p, q))
+            _same_poly(q.then(p), _reference_compose(p, q))
+        assert f(Point(())) == _reference_call(f, Point(())) == Point(())
+        assert const(Point(())) == _reference_call(const, Point(())) == Point.origin(m, 1)
 
     def test_point_atlas_rotation_lifts(self):
         import random
@@ -862,23 +979,40 @@ class TestPolyMapAffinePath:
         fx = rotation_fixture(point_atlas(), random.Random(4))
         for cid in fx.U.chart_ids():
             p, q = fx.g1.lift(cid), fx.f1.lift(cid)
+            assert p is q is AffineMap((), Point(()))
             _same_poly(p.compose(q), _reference_compose(p, q))
             _same_poly(compose_compatible(fx.g1, fx.f1).lift(cid), _reference_compose(p, q))
             comp = fx.delta.component(cid).map
-            _same_poly(q.then(comp), _reference_compose(_reference_from_affine(comp), q))
+            _same_poly(q.then(comp), _reference_compose(comp, q))
 
     @pytest.mark.parametrize(
         "p, q",
         [
             (PolyMap(M, 1, 1, [{(2,): 1}]), rot(4)),
-            (PolyMap.from_affine(rot(3)), PolyMap(M, 1, 1, [{(2,): zeta(1), (0,): Fraction(1, 3)}])),
+            (rot(3), PolyMap(M, 1, 1, [{(2,): zeta(1), (0,): Fraction(1, 3)}])),
             (PolyMap(M, 2, 2, [{(1, 0): Fraction(1, 2)}, {(0, 1): Fraction(1, 4)}]), quaternion_map(zeta(1), zeta(2), (1, 0))),
-            (PolyMap.from_affine(quaternion_map(zeta(1), zeta(2), (1, 0))), PolyMap(M, 1, 2, [{(1,): 1}, {(0,): 2}])),
+            (quaternion_map(zeta(1), zeta(2), (1, 0)), PolyMap(M, 1, 2, [{(1,): 1}, {(0,): 2}])),
         ],
         ids=["z^2 after a rotation", "rotation after z^2", "diag(1/2, 1/4)", "1->2 into a similarity"],
     )
     def test_non_similarities_keep_substitution(self, p, q):
         got = p.compose(q)
         _same_poly(got, _reference_compose(p, q))
-        x = Point.of(M, *([Fraction(1, 3)] * (q.dim if isinstance(q, AffineMap) else q.dim_in)))
-        assert got(x) == _reference_call(got, x)
+        _same_poly(q.then(p), _reference_compose(p, q))
+        x = Point.of(M, *([Fraction(1, 3)] * q.dim_in))
+        assert got(x) == _reference_call(got, x) == p(q(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_lifts_match_the_references(self, data):
+        m = data.draw(st.sampled_from(SUPPORTED_CONDUCTORS))
+        a, b, c = (data.draw(st.integers(0, 2)) for _ in range(3))
+        q, p = data.draw(lifts(m, a, b)), data.draw(lifts(m, b, c))
+        for f in (p, q):
+            _same_poly(f, f)
+            _same_poly(PolyMap(m, f.dim_in, f.dim_out, f.coords), _data(f, m))
+        _same_poly(p.compose(q), _reference_compose(p, q))
+        _same_poly(q.then(p), _reference_compose(p, q))
+        x = Point(tuple(data.draw(cycnums(m)) for _ in range(a)))
+        assert q(x) == _reference_call(q, x)
+        assert p.compose(q)(x) == p(q(x))

@@ -114,9 +114,7 @@ class TestMorphisms:
         g = z2_ball_action(dim=1)
         minus = g.rep["s"]
         ident = AffineMap.identity(2, 1)
-        from orbatlas.geometry import PolyMap
-
-        unit_maps = {"U": ("U", PolyMap.identity(2, 1))}
+        unit_maps = {"U": ("U", ident)}
 
         def bad_arrow_map(a):
             # re-route every arrow through the deck swap on one component

@@ -208,8 +208,7 @@ class TestCheckMorita:
             return ActionGroupoid(m, ball, [(lab, ident) for lab in labels], mult=mult, inv=inv)
 
         src, dst = trivial_cyclic("g", 3), trivial_cyclic("h", 2)
-        unit = PolyMap.from_affine(ident)
-        mor = GroupoidMorphism(src, dst, {"U": ("U", unit)}, lambda a: Arrow("h0", a.point))
+        mor = GroupoidMorphism(src, dst, {"U": ("U", ident)}, lambda a: Arrow("h0", a.point))
         report = check_morita(mor, samples=6, seed=0)
         details = dict(report.condition_ii.failures())
         assert details["arrow map injective on sampled fibers"].endswith("collapse")

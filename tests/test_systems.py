@@ -293,12 +293,12 @@ def _one_chart_atlas(cid, group):
 
 
 class TestGroupMapSolve:
-    """group_map scans the images h . lift for every lift; its outcomes, the
-    failures and the report details are those of the reference scan."""
+    """group_map looks the images h . lift up for every lift; its outcomes,
+    the failures and the report details are those of the reference scan."""
 
     ZETA = AffineMap.scaling(3, 1, CycNum.zeta(3))
     LIFTS = {
-        "identity": PolyMap.identity(3, 1),
+        "identity": AffineMap.identity(3, 1),
         "similarity": PolyMap(3, 1, 1, [{(1,): CycNum.zeta(3) * Fraction(1, 2)}]),
         "constant at the fixed point": PolyMap(3, 1, 1, [{(0,): 0}]),
         "constant off it": PolyMap(3, 1, 1, [{(0,): Fraction(1, 3)}]),
@@ -383,3 +383,45 @@ class TestGroupMapOnePath:
         assert cids == f.src.chart_ids()
         for cid in cids:
             assert list(f.group_map(cid).items()) == list(_conjugation_group_map(f, cid).items())
+
+
+class TestSimilarityLiftsAreAffineMaps:
+    """Every lift, unit map and composite that is a similarity is its interned
+    AffineMap, however it was built or read."""
+
+    @pytest.mark.parametrize("k", range(len(LAWS_GALLERY)))
+    def test_rotation_fixtures_composites_and_documents(self, k):
+        from orbatlas.serialize import cell_from_doc, serialize, system_from_doc
+
+        atlas = LAWS_GALLERY[k]
+        fx = rotation_fixture(atlas, random.Random(7000 + k))
+        ident = AffineMap.identity(atlas.conductor, atlas.dim)
+        gf = compose_compatible(fx.g1, fx.f1)
+        systems = [fx.f1, fx.g1, fx.h1, gf, compose_compatible(fx.h1, gf), identity_system(atlas)]
+        systems += [system_from_doc(json.loads(serialize(f))) for f in (fx.f1, gf)]
+        cell = cell_from_doc(json.loads(serialize(fx.delta)))
+        systems += [cell.src_sys, cell.dst_sys, hcomp_orb(fx.eta, fx.delta).src_sys]
+        for f in systems:
+            assert all(type(lift) is AffineMap for lift in f.lifts.values())
+        assert all(lift is ident for lift in identity_system(atlas).lifts.values())
+        for cid in atlas.chart_ids():
+            assert gf.lift(cid) is fx.g1.lift(cid).compose(fx.f1.lift(cid))
+            assert systems[6].lift(cid) is fx.f1.lift(cid)
+            assert cell.dst_sys.lift(cid) is fx.f2.lift(cid)
+
+    def test_unit_maps(self):
+        from orbatlas.groupoids import GroupoidMorphism
+        from orbatlas.morita import reconstruction_morita_morphism, subatlas_inclusion_morphism
+        from orbatlas.translation import TranslationGroupoid
+
+        a = football(2, 3)
+        ident = AffineMap.identity(a.conductor, a.dim)
+        own = GroupoidMorphism.identity_on(TranslationGroupoid(a))
+        for mor in (
+            own,
+            own.compose(own),
+            subatlas_inclusion_morphism(a, a),
+            reconstruction_morita_morphism(TranslationGroupoid(cone(3))),
+        ):
+            assert all(mp is AffineMap.identity(mor.src.conductor, mor.src.dim) for _, mp in mor.unit_maps.values())
+        assert own.unit_maps and all(mp is ident for _, mp in own.unit_maps.values())
