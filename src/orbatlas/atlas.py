@@ -325,15 +325,11 @@ def validate_chart(chart: Chart) -> Report:
     return rep
 
 
-def stabilizer_indices(chart: Chart, x: Point) -> list[int]:
-    """Positions in the chart group of the elements fixing x."""
+def stabilizer(chart: Chart, x: Point) -> list[AffineMap]:
+    """The elements of the chart group fixing x, in group order."""
     if not point_in_ball(x, chart.ball):
         raise PointOutsideDomainError(f"{x!r} outside chart {chart.cid}")
-    return [i for i, g in enumerate(chart.group) if g(x) == x]
-
-
-def stabilizer(chart: Chart, x: Point) -> list[AffineMap]:
-    return [chart.group[i] for i in stabilizer_indices(chart, x)]
+    return [g for g in chart.group if g(x) == x]
 
 
 def has_trivial_stabilizer(chart: Chart, x: Point) -> bool:

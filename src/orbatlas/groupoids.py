@@ -6,6 +6,12 @@ carrying one similarity, the germ of every arrow over it.  An arrow is stored
 at its source point, so the source is free and the target is the germ at that
 point; every presentation here is etale by construction.  Composability is the
 decidable predicate t(g) = s(h); fiber products are never materialized.
+
+A presentation answers one arrow query, ``arrows_to(u, c)``: the arrows from
+the unit point u into the unit component c.  ``arrows_from`` (those lists over
+the unit components, in order) and ``arrows_between`` (the arrows of
+``arrows_to`` into u2's component whose target is u2) are derived from it once,
+for every presentation.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
+    AtlasMismatchError,
     BoundaryMismatchError,
     NotComposableError,
     PointOutsideDomainError,
@@ -92,15 +99,14 @@ class GroupoidPresentation(ABC):
     def arrow_equal(self, a: Arrow, b: Arrow) -> bool: ...
 
     @abstractmethod
-    def arrows_between(self, u1: UnitPoint, u2: UnitPoint) -> list[Arrow]: ...
+    def arrows_to(self, u: UnitPoint, c: str) -> list[Arrow]:
+        """The arrows from the unit point u into the unit component c; empty
+        when either component is not a unit component of the presentation."""
 
     @abstractmethod
     def arrow_at(self, s: str, t: str, germ: AffineMap, x: Point) -> Arrow:
         """The arrow from (s, x) to t that carries germ; an OrbAtlasError when
         no arrow does."""
-
-    @abstractmethod
-    def arrows_from(self, u: UnitPoint) -> list[Arrow]: ...
 
     @abstractmethod
     def transports(self, ca: str, cb: str) -> Sequence[tuple[AffineMap, Ball]]:
@@ -121,6 +127,12 @@ class GroupoidPresentation(ABC):
     def target(self, a: Arrow) -> UnitPoint:
         comp = self.arrow_component(a.component)
         return UnitPoint(comp.t_component, comp.germ(a.point))
+
+    def arrows_from(self, u: UnitPoint) -> list[Arrow]:
+        return [a for comp in self.unit_components() for a in self.arrows_to(u, comp.label)]
+
+    def arrows_between(self, u1: UnitPoint, u2: UnitPoint) -> list[Arrow]:
+        return [a for a in self.arrows_to(u1, u2.component) if self.target(a) == u2]
 
     def unit_equal(self, u1: UnitPoint, u2: UnitPoint) -> bool:
         return u1.component == u2.component and u1.point == u2.point
@@ -201,7 +213,10 @@ class ActionGroupoid(GroupoidPresentation):
         return list(self._components)
 
     def arrow_component(self, label):
-        return self._components[self.labels.index(label)]
+        try:
+            return self._components[self.labels.index(label)]
+        except ValueError:
+            raise AtlasMismatchError(f"arrow component {label!r} is not an element of this action") from None
 
     def identity(self, u):
         return Arrow(self.labels[0], u.point)
@@ -217,15 +232,8 @@ class ActionGroupoid(GroupoidPresentation):
     def arrow_equal(self, a, b):
         return a.component == b.component and a.point == b.point
 
-    def arrows_between(self, u1, u2):
-        return [
-            Arrow(lab, u1.point)
-            for lab in self.labels
-            if self.rep[lab](u1.point) == u2.point
-        ]
-
-    def arrows_from(self, u):
-        return [Arrow(lab, u.point) for lab in self.labels]
+    def arrows_to(self, u, c):
+        return [Arrow(lab, u.point) for lab in self.labels] if u.component == c == "U" else []
 
     def arrow_at(self, s, t, germ, x):
         """The first label, in label order, whose map is germ."""
@@ -235,7 +243,7 @@ class ActionGroupoid(GroupoidPresentation):
         raise UnsupportedPresentationError("no element of the action carries this germ")
 
     def transports(self, ca, cb):
-        return [(self.rep[lab], self.ball) for lab in self.labels]
+        return [(self.rep[lab], self.ball) for lab in self.labels] if ca == cb == "U" else []
 
     def is_faithful(self) -> bool:
         maps = list(self.rep.values())

@@ -150,10 +150,12 @@ def _hits_witness(m: GroupoidMorphism, w: UnitPoint) -> bool:
     """Does some source unit point map to a point connected to the witness?
 
     The witness itself is tested first, with no arrow built; the arrows out of
-    it are built only when that misses, and the search stops at the first
-    target reached."""
+    it are built only when that misses, only into the components the unit map
+    reaches, and the search stops at the first target reached."""
     dst = m.dst
-    return _reaches(m, w) or any(_reaches(m, dst.target(a)) for a in dst.arrows_from(w))
+    image = {label for label, _ in m.unit_maps.values()}
+    targets = (c.label for c in dst.unit_components() if c.label in image)
+    return _reaches(m, w) or any(_reaches(m, dst.target(a)) for c in targets for a in dst.arrows_to(w, c))
 
 
 def _reaches(m: GroupoidMorphism, z: UnitPoint) -> bool:

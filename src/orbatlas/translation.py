@@ -9,7 +9,9 @@ components are the entries of the atlas's transport tables, one per distinct
 arrow known by its germ at a point is ``arrow_at``: the first entry carrying
 the germ whose domain holds the point.  Products and the images of the functor
 F (``FunctorImage``, built with ``GroupoidMorphism.of_germs``) go through it.
-multiply_triples keeps the span-completion product.
+The arrows out of a unit point into a chart, ``arrows_to``, are read from the
+first leg of the atlas's walk.  multiply_triples keeps the span-completion
+product.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .atlas import Atlas, Embedding, Span, common_span, stabilizer_indices, validate_atlas
+from .atlas import Atlas, Embedding, Span, common_span, validate_atlas
 from .errors import (
     AtlasMismatchError,
     IllTypedError,
     InvalidAtlasError,
     NotComposableError,
 )
-from .geometry import AffineMap, Ball, Point, point_in_ball
+from .geometry import AffineMap, Point, point_in_ball
 from .groupoids import (
     Arrow,
     ArrowComponent,
@@ -179,37 +181,17 @@ class TranslationGroupoid(GroupoidPresentation):
         source point."""
         return self._germ_of(p) == self._germ_of(q)
 
-    def _leg_arrows(self, left: Embedding, domain: Ball, right: Embedding, x: Point, rows) -> list[Arrow]:
-        """The arrows at x of the legs (left, h . right) for the target chart
-        group elements h at the positions in rows: the translates of the
-        entry of the germ right . left^(-1) on left's image, domain."""
-        table = self.atlas.transport_table(left.dst, right.dst)
-        translates = table.translates(table.index(_transition(left, right), domain=domain))
-        return [Arrow((left.dst, right.dst, translates[k]), x) for k in rows]
-
-    def arrows_between(self, u1: UnitPoint, u2: UnitPoint) -> list[Arrow]:
-        """The arrows at the first leg of the atlas's walk with a right leg
-        carrying the walk point to u2 (the span ``Atlas.refine`` finds), one
-        per element of u2's stabilizer."""
-        for _, z, left, domain, rights in self.atlas._walk(u1.component, u1.point, u2.component):
-            for right in rights:
-                if right(z) == u2.point:
-                    rows = stabilizer_indices(self.atlas.chart(u2.component), u2.point)
-                    return self._leg_arrows(left, domain, right, u1.point, rows)
+    def arrows_to(self, u: UnitPoint, cb: str) -> list[Arrow]:
+        """The arrows at the first leg of the atlas's walk into cb: its first
+        right leg, or on u's own chart the first right leg carrying the walk
+        point back to u (the leg itself does), translated by each element of
+        cb's group, in group order."""
+        for _, z, left, domain, rights in self.atlas._walk(u.component, u.point, cb):
+            right = rights[0] if cb != u.component else next(r for r in rights if r(z) == u.point)
+            table = self.atlas.transport_table(u.component, cb)
+            translates = table.translates(table.index(_transition(left, right), domain=domain))
+            return [Arrow((u.component, cb, i), u.point) for i in translates]
         return []
-
-    def arrows_from(self, u: UnitPoint) -> list[Arrow]:
-        """Per target chart, the arrows at the first leg of the atlas's walk:
-        its first right leg, or on u's own chart the first right leg carrying
-        the walk point back to u (the leg itself does), translated by each
-        element of the target chart group."""
-        out = []
-        for cid in self.atlas.chart_ids():
-            for _, z, left, domain, rights in self.atlas._walk(u.component, u.point, cid):
-                right = rights[0] if cid != u.component else next(r for r in rights if r(z) == u.point)
-                out.extend(self._leg_arrows(left, domain, right, u.point, range(len(rights))))
-                break
-        return out
 
     def transports(self, ca, cb):
         """The atlas's distinct (map, domain) pairs from ca to cb."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbatlas.errors import NotComposableError, OrbAtlasError, ParseError, UnsupportedParamsError
+from orbatlas.errors import AtlasMismatchError, NotComposableError, OrbAtlasError, ParseError, UnsupportedParamsError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point
@@ -303,6 +303,29 @@ class TestArrowAt:
             g.arrow_at(component, component, flip, Point.of(g.conductor, Fraction(1, 3)))
         # the CLI exits 2 only for these two classes, and 1 for every other
         assert not isinstance(info.value, (ParseError, UnsupportedParamsError))
+
+
+class TestActionComponents:
+    """An action groupoid has the one unit component "U" and answers about no
+    other."""
+
+    def test_no_arrows_into_an_unknown_component(self):
+        g = z3_action()
+        x = Point.origin(g.conductor, 1)
+        assert g.arrows_between(UnitPoint("U", x), UnitPoint("V", x)) == []
+
+    def test_no_arrows_from_an_unknown_component(self):
+        g = z3_action()
+        assert g.arrows_from(UnitPoint("V", Point.origin(g.conductor, 1))) == []
+
+    def test_transports_only_within_its_component(self):
+        g = z3_action()
+        assert len(g.transports("U", "U")) == 3
+        assert g.transports("U", "V") == g.transports("V", "U") == []
+
+    def test_unknown_label_is_an_atlas_mismatch(self):
+        with pytest.raises(AtlasMismatchError, match="g3"):
+            z3_action().arrow_component("g3")
 
 
 class TestPredicates:

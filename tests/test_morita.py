@@ -830,10 +830,13 @@ class TestWitnessSearchReference:
         sub, full = sub_full_cone3
         m = subatlas_inclusion_morphism(sub, full)
         built = []
-        arrows_from = m.dst.arrows_from
-        m.dst.arrows_from = lambda u: built.append(u) or arrows_from(u)
+        arrows_to = m.dst.arrows_to
+        m.dst.arrows_to = lambda u, c: built.append((u, c)) or arrows_to(u, c)
         for w in m.dst.unit_witness_points():
             assert _hits_witness(m, w)
         # the chart shared with the sub-atlas reaches its witnesses directly;
-        # only the witnesses of the restricted chart need the arrows out of them
-        assert built and all(u.component == "half" for u in built)
+        # only the witnesses of the restricted chart need the arrows out of
+        # them, and only those into the image of the unit map
+        image = {label for label, _ in m.unit_maps.values()}
+        assert "half" not in image
+        assert built and all(u.component == "half" and c in image for u, c in built)
