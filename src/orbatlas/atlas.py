@@ -8,13 +8,15 @@ charts is the finite torsor {h . lambda : h in the target group}, which is how
 an atlas keeps "all possible embeddings" in finite storage.
 
 Two chart points are identified exactly when some chart embeds into both charts
-carrying one marked point to each.  One walk over the invertible legs into the
-first chart (``Atlas._legs``) decides this; ``Atlas.refine``, ``Atlas.locate``
-and the translation groupoid's arrow builders read it.  Two embeddings into one
-chart are completed to a commuting square (``common_span``) by searching the
-stored legs out of the chart of the span ``Atlas.refine`` finds.  The stored
-charts and embeddings are an atlas's only identification data: a witness span
-must have stored legs, and nothing else is recorded.
+carrying one marked point to each.  The rows of the chart pair's transport
+table (``TransportTable``), one per invertible leg into the first chart with
+its right legs into the second, decide this; ``Atlas.refine``,
+``Atlas.locate`` and the translation groupoid's arrows read them.  Two
+embeddings into one chart are completed to a commuting square
+(``common_span``) by searching the stored legs out of the chart of the span
+``Atlas.refine`` finds.  The stored charts and embeddings are an atlas's only
+identification data: a witness span must have stored legs, and nothing else
+is recorded.
 """
 
 from __future__ import annotations
@@ -122,9 +124,9 @@ class Atlas:
         }
         self._family_cache: dict[tuple[str, str], tuple[Embedding, ...]] = {}
         self._member_cache: dict[tuple[str, str], frozenset[AffineMap]] = {}
-        self._leg_cache: dict[str, tuple[tuple[str, Embedding, Ball], ...]] = {}
         self._transport_cache: dict[tuple[str, str], TransportTable] = {}
         self._swap_cache: dict[tuple[str, str, int], int] = {}
+        self._translate_cache: dict[tuple[str, str, int], tuple[int, ...]] = {}
 
     # -- chart and embedding enumeration ------------------------------------
 
@@ -156,20 +158,6 @@ class Atlas:
         self._family_cache[key] = fam
         return fam
 
-    def _legs(self, ca: str) -> tuple[tuple[str, Embedding, Ball], ...]:
-        """(k, left, left(ball of k)) for every invertible embedding left of a
-        chart k into ca: k in chart order, then family order.  The span search
-        walks this table; built on first use and cached per chart."""
-        cached = self._leg_cache.get(ca)
-        if cached is None:
-            cached = self._leg_cache[ca] = tuple(
-                (k, left, map_ball(left.map, chart.ball))
-                for k, chart in self.charts.items()
-                for left in self.family(k, ca)
-                if left.map.is_invertible()
-            )
-        return cached
-
     def transports(self, ca: str, cb: str) -> tuple[tuple[AffineMap, Ball], ...]:
         """The entries of ``transport_table(ca, cb)``."""
         return self.transport_table(ca, cb).entries
@@ -194,6 +182,18 @@ class Atlas:
             self._swap_cache[(ca, cb, i)] = self.transport_table(cb, ca).index(germ.inverse(), domain=domain)
         return self._swap_cache[(ca, cb, i)]
 
+    def translates(self, ca: str, cb: str, i: int) -> tuple[int, ...]:
+        """For each h of cb's group, in group order, the index of the entry
+        (h . germ, domain) of entry i = (germ, domain) of
+        ``transport_table(ca, cb)``; memoized per entry."""
+        if (ca, cb, i) not in self._translate_cache:
+            table = self.transport_table(ca, cb)
+            germ, domain = table.entries[i]
+            self._translate_cache[(ca, cb, i)] = tuple(
+                table.index(h.compose(germ), domain=domain) for h in self.charts[cb].group
+            )
+        return self._translate_cache[(ca, cb, i)]
+
     def in_family(self, e: Embedding) -> bool:
         members = self._member_cache.get((e.src, e.dst))
         if members is None:
@@ -202,34 +202,29 @@ class Atlas:
 
     # -- identification -----------------------------------------------------
 
-    def _walk(self, ci: str, x: Point, cj: str):
-        """(k, left^(-1)(x), left, its image, family(k, cj)) for each leg left :
-        k -> ci whose image holds x and whose chart k has right legs into cj,
-        in leg table order.  Every identification is read from this walk."""
-        for k, left, domain in self._legs(ci):
-            rights = self.family(k, cj)
-            if rights and point_in_ball(x, domain):
-                yield k, left.map.inverse()(x), left, domain, rights
-
     def refine(self, ci: str, x: Point, cj: str, y: Point) -> Span | None:
-        """A span identifying (ci, x) with (cj, y), or None: at the first leg
-        of the walk with a right leg carrying left^(-1)(x) to y, the first
-        such right leg.  For a valid atlas the stored families realize every
-        identification in one step, so this is the whole search."""
-        for k, z, left, _, rights in self._walk(ci, x, cj):
-            for right in rights:
-                if right(z) == y:
-                    return Span(k, z, left, right)
+        """A span identifying (ci, x) with (cj, y), or None: at the first row
+        of ``transport_table(ci, cj)`` whose domain holds x, the first right
+        leg carrying left^(-1)(x) to y.  For a valid atlas the stored families
+        realize every identification in one step, so this is the whole
+        search."""
+        for left, domain, rights in self.transport_table(ci, cj).rows:
+            if point_in_ball(x, domain):
+                z = left.map.inverse()(x)
+                for _, right in rights:
+                    if right(z) == y:
+                        return Span(left.src, z, left, right)
         return None
 
     def locate(self, ci: str, x: Point, cj: str) -> Point | None:
         """Some point of chart cj identified with (ci, x), or None: x itself
-        when ci == cj, else the image under the first right leg at the first
-        leg of the walk."""
+        when ci == cj, else the image of left^(-1)(x) under the first right leg
+        of the first row of ``transport_table(ci, cj)`` whose domain holds x."""
         if ci == cj:
             return x
-        for _, z, _, _, rights in self._walk(ci, x, cj):
-            return rights[0](z)
+        for left, domain, rights in self.transport_table(ci, cj).rows:
+            if point_in_ball(x, domain):
+                return rights[0][1](left.map.inverse()(x))
         return None
 
     def witness_points(self, cid: str) -> list[Point]:
@@ -242,25 +237,38 @@ class Atlas:
 
 
 class TransportTable:
-    """Each distinct (right . left^(-1), left(ball of k)) from chart ca to
-    chart cb through a common chart k, in first-occurrence order over the
-    legs into ca (``Atlas._legs`` order), then the right legs k -> cb in
-    family order, with the first leg pair (left, right) giving each entry:
-    the translation groupoid's arrow components."""
+    """The identification index from chart ca to chart cb.
+
+    ``rows`` holds one row (left, left(ball of k), ((i, right), ...)) per
+    invertible leg left : k -> ca whose chart k has right legs into cb, k in
+    chart order and then family order, with the right legs k -> cb in family
+    order, each with the index i of its entry.  ``entries`` lists each
+    distinct (right . left^(-1), left(ball of k)) once, in first-occurrence
+    order over the rows, and ``legs`` the first leg pair (left, right) giving
+    each: the translation groupoid's arrow components.  A chart id outside
+    the atlas has no legs, so its tables are empty."""
 
     def __init__(self, atlas: Atlas, ca: str, cb: str):
         first: dict = {}
-        for k, left, domain in atlas._legs(ca):
-            unleft = left.map.inverse()
-            for right in atlas.family(k, cb):
-                first.setdefault((right.map.compose(unleft), domain), (left, right))
-        self.route, self.group = (ca, cb), atlas.chart(cb).group
+        rows = []
+        for k, chart in atlas.charts.items():
+            rights = atlas.family(k, cb)
+            for left in atlas.family(k, ca) if rights else ():
+                if not left.map.is_invertible():
+                    continue
+                unleft, domain = left.map.inverse(), map_ball(left.map, chart.ball)
+                row = []
+                for right in rights:
+                    i, _ = first.setdefault((right.map.compose(unleft), domain), (len(first), (left, right)))
+                    row.append((i, right))
+                rows.append((left, domain, tuple(row)))
+        self.route = (ca, cb)
+        self.rows: tuple[tuple[Embedding, Ball, tuple[tuple[int, Embedding], ...]], ...] = tuple(rows)
         self.entries: tuple[tuple[AffineMap, Ball], ...] = tuple(first)
-        self.legs: tuple[tuple[Embedding, Embedding], ...] = tuple(first.values())
+        self.legs: tuple[tuple[Embedding, Embedding], ...] = tuple(leg for _, leg in first.values())
         self._by_germ: dict[AffineMap, list[tuple[int, Ball]]] = {}
         for i, (germ, d) in enumerate(self.entries):
             self._by_germ.setdefault(germ, []).append((i, d))
-        self._translates: dict[int, tuple[int, ...]] = {}
 
     def index(self, germ: AffineMap, x: Point | None = None, domain: Ball | None = None) -> int:
         """The index of the first entry carrying germ on the given domain or,
@@ -269,14 +277,6 @@ class TransportTable:
             if d == domain if domain is not None else point_in_ball(x, d):
                 return i
         raise InvalidAtlasError("no transport {}->{} carries this germ there".format(*self.route))
-
-    def translates(self, i: int) -> tuple[int, ...]:
-        """For each h of the target chart group, in group order, the index of
-        the entry (h . germ, domain) of entry i = (germ, domain); memoized."""
-        if i not in self._translates:
-            germ, domain = self.entries[i]
-            self._translates[i] = tuple(self.index(h.compose(germ), domain=domain) for h in self.group)
-        return self._translates[i]
 
 
 # -- chart-level operations ---------------------------------------------------
@@ -309,19 +309,15 @@ def validate_chart(chart: Chart) -> Report:
             break
     else:
         rep.add("domain preserved", True)
-    closed = True
-    detail = ""
+    members, detail = set(g), ""
     for x in g:
-        if not x.is_invertible() or not any(x.inverse() == y for y in g):
-            closed, detail = False, "missing inverse"
+        if not x.is_invertible() or x.inverse() not in members:
+            detail = "missing inverse"
+        elif any(x.compose(y) not in members for y in g):
+            detail = "missing composite"
+        if detail:
             break
-        for y in g:
-            if not any(x.compose(y) == z for z in g):
-                closed, detail = False, "missing composite"
-                break
-        if not closed:
-            break
-    rep.add("closed under composition and inverse", closed, detail)
+    rep.add("closed under composition and inverse", not detail, detail)
     return rep
 
 

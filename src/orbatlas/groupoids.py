@@ -178,27 +178,31 @@ class ActionGroupoid(GroupoidPresentation):
     def __init__(self, conductor: int, ball: Ball, elements, mult=None, inv=None):
         """elements: list of (label, AffineMap); identity label must come first.
 
-        mult/inv default to composing representative maps, which is only valid
-        when the representation is faithful."""
+        An omitted mult or inv is derived on its own from the representative
+        maps (the first label of each composite or inverse), which is only
+        valid when the representation is faithful; a table passed in is kept."""
         self.conductor = conductor
         self.dim = ball.dim
         self.ball = ball
         self.labels = [lab for lab, _ in elements]
         self.rep = {lab: g for lab, g in elements}
+        labels_of: dict[AffineMap, list] = {}
+        for lab, g in elements:
+            labels_of.setdefault(g, []).append(lab)
         if mult is None:
             mult = {}
             for la, ga in elements:
                 for lb, gb in elements:
-                    comp = gb.compose(ga)
-                    hits = [lc for lc, gc in elements if gc == comp]
+                    hits = labels_of.get(gb.compose(ga), ())
                     if len(hits) != 1:
                         raise BoundaryMismatchError(
                             "ambiguous multiplication table; pass mult explicitly"
                         )
                     mult[(lb, la)] = hits[0]
-            inv = {}
-            for la, ga in elements:
-                inv[la] = next(lc for lc, gc in elements if gc == ga.inverse())
+        if inv is None:
+            if not all(ga.inverse() in labels_of for _, ga in elements):
+                raise BoundaryMismatchError("an element's inverse is not represented; pass inv explicitly")
+            inv = {la: labels_of[ga.inverse()][0] for la, ga in elements}
         self.mult = mult
         self.inv_table = inv
         self._components = [
@@ -246,8 +250,7 @@ class ActionGroupoid(GroupoidPresentation):
         return [(self.rep[lab], self.ball) for lab in self.labels] if ca == cb == "U" else []
 
     def is_faithful(self) -> bool:
-        maps = list(self.rep.values())
-        return all(maps[i] != maps[j] for i in range(len(maps)) for j in range(i + 1, len(maps)))
+        return len(set(self.rep.values())) == len(self.rep)
 
 
 # -- axiom suite ----------------------------------------------------------------

@@ -9,9 +9,9 @@ components are the entries of the atlas's transport tables, one per distinct
 arrow known by its germ at a point is ``arrow_at``: the first entry carrying
 the germ whose domain holds the point.  Products and the images of the functor
 F (``FunctorImage``, built with ``GroupoidMorphism.of_germs``) go through it.
-The arrows out of a unit point into a chart, ``arrows_to``, are read from the
-first leg of the atlas's walk.  multiply_triples keeps the span-completion
-product.
+The arrows out of a unit point into a chart, ``arrows_to``, are the translates
+of the entry recorded on the first row of the transport table whose domain
+holds the point.  multiply_triples keeps the span-completion product.
 """
 
 from __future__ import annotations
@@ -182,15 +182,16 @@ class TranslationGroupoid(GroupoidPresentation):
         return self._germ_of(p) == self._germ_of(q)
 
     def arrows_to(self, u: UnitPoint, cb: str) -> list[Arrow]:
-        """The arrows at the first leg of the atlas's walk into cb: its first
-        right leg, or on u's own chart the first right leg carrying the walk
-        point back to u (the leg itself does), translated by each element of
-        cb's group, in group order."""
-        for _, z, left, domain, rights in self.atlas._walk(u.component, u.point, cb):
-            right = rights[0] if cb != u.component else next(r for r in rights if r(z) == u.point)
-            table = self.atlas.transport_table(u.component, cb)
-            translates = table.translates(table.index(_transition(left, right), domain=domain))
-            return [Arrow((u.component, cb, i), u.point) for i in translates]
+        """The arrows at the first row of ``transport_table(u's chart, cb)``
+        whose domain holds u: the entry of its first right leg, or on u's own
+        chart of its first right leg whose germ fixes u (the row's own left
+        leg does), translated by each element of cb's group, in group order."""
+        ca, x = u.component, u.point
+        table = self.atlas.transport_table(ca, cb)
+        for _, domain, rights in table.rows:
+            if point_in_ball(x, domain):
+                i = next(i for i, _ in rights if ca != cb or table.entries[i][0](x) == x)
+                return [Arrow((ca, cb, j), x) for j in self.atlas.translates(ca, cb, i)]
         return []
 
     def transports(self, ca, cb):

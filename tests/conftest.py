@@ -151,6 +151,29 @@ def reference_arrow(g, ca, cb, germ, x):
     return None
 
 
+def reference_arrows_to(g, u, cb):
+    """The former leg walk of arrows_to, written out: at the first invertible
+    leg left : k -> u's chart (k in chart order, then family order) whose
+    chart k has right legs into cb and whose image holds u, its first right
+    leg (on u's own chart the first one carrying left^(-1)(u) back to u); the
+    entry of h . right . left^(-1) on left's image for each h of cb's group,
+    in group order."""
+    atlas, ca, x = g.atlas, u.component, u.point
+    for k, chart in atlas.charts.items():
+        rights = atlas.family(k, cb)
+        for left in atlas.family(k, ca):
+            if not (rights and left.map.is_invertible()):
+                continue
+            domain = map_ball(left.map, chart.ball)
+            if point_in_ball(x, domain):
+                z = left.map.inverse()(x)
+                right = rights[0] if cb != ca else next(r for r in rights if r(z) == x)
+                germ = right.map.compose(left.map.inverse())
+                entries = atlas.transports(ca, cb)
+                return [Arrow((ca, cb, entries.index((h.compose(germ), domain))), x) for h in atlas.chart(cb).group]
+    return []
+
+
 def distinct_transports(records):
     """The (map, domain) pairs of the records, each once, in first-occurrence
     order."""

@@ -44,6 +44,7 @@ from orbatlas.gallery import (
     teardrop_pair,
 )
 from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, point_in_ball
+from orbatlas.groupoids import UnitPoint
 from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, union_atlas
 from orbatlas.sampling import random_chart_point
 from orbatlas.translation import TranslationGroupoid, Triple
@@ -718,6 +719,34 @@ class TestTransportTable:
                 assert g.transports(ca, cb) is table
 
     @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
+    def test_rows_are_the_record_loop_with_their_entry_indices(self, make):
+        # one row per invertible left leg with right legs into cb, in record
+        # order; each right leg carries the index of its germ on the row's
+        # domain
+        atlas = make()
+        for ca in atlas.chart_ids():
+            for cb in atlas.chart_ids():
+                table = atlas.transport_table(ca, cb)
+                records = reference_transports(atlas, ca, cb)
+                assert [(left, right) for left, _, rights in table.rows for _, right in rights] == [
+                    (t.left, t.right) for t in records
+                ]
+                for left, domain, rights in table.rows:
+                    assert rights and domain == map_ball(left.map, atlas.chart(left.src).ball)
+                    for i, right in rights:
+                        assert i == table.index(right.map.compose(left.map.inverse()), domain=domain)
+
+    def test_chart_id_outside_the_atlas_identifies_nothing(self):
+        atlas = football(2, 3)
+        g = TranslationGroupoid(atlas)
+        for c in atlas.chart_ids():
+            x = atlas.chart(c).ball.center
+            assert atlas.refine(c, x, "zz", x) is None
+            assert atlas.refine("zz", x, c, x) is None
+            assert atlas.locate(c, x, "zz") is None
+            assert g.arrows_to(UnitPoint(c, x), "zz") == []
+
+    @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
     def test_multiply_label_matches_the_record_scan(self, make):
         # the component scan returns the label the former record scan built,
         # for arrows from arrows_from and for arrows under every record label
@@ -738,8 +767,8 @@ class TestTransportTable:
         ids=[*_LEG_TABLE_ATLASES.keys(), "table"],
     )
     def test_leg_search_matches_the_composite_table_walk(self, make):
-        # refine and locate walk the legs into ci; the former answers walked
-        # the composite table transports(ci, cj)
+        # refine and locate walk the rows of transport_table(ci, cj); the
+        # former answers walked the composite records of that chart pair
         atlas = make()
         reference = _ReferenceSpanSearch()
         rng = random.Random(37)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbatlas.errors import AtlasMismatchError, NotComposableError, OrbAtlasError, ParseError, UnsupportedParamsError
+from orbatlas.errors import AtlasMismatchError, BoundaryMismatchError, NotComposableError, OrbAtlasError, ParseError, UnsupportedParamsError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point
@@ -326,6 +326,40 @@ class TestActionComponents:
     def test_unknown_label_is_an_atlas_mismatch(self):
         with pytest.raises(AtlasMismatchError, match="g3"):
             z3_action().arrow_component("g3")
+
+
+class TestActionTables:
+    """Each omitted table of an action groupoid is derived on its own from the
+    representative maps; a table passed in is kept."""
+
+    def test_mult_alone_derives_inv(self):
+        g = z3_action()
+        elements = [(lab, g.rep[lab]) for lab in g.labels]
+        h = ActionGroupoid(g.conductor, g.ball, elements, mult=g.mult)
+        assert h.mult is g.mult and h.inv_table == {"g0": "g0", "g1": "g2", "g2": "g1"}
+        assert check_groupoid_axioms(h, samples=10, seed=0).ok
+
+    def test_inv_alone_is_kept(self):
+        g = z3_action()
+        elements = [(lab, g.rep[lab]) for lab in g.labels]
+        inv = {"g0": "g0", "g1": "g1", "g2": "g2"}
+        h = ActionGroupoid(g.conductor, g.ball, elements, inv=inv)
+        assert h.inv_table is inv and h.mult == g.mult
+
+    def test_repeated_map_is_ambiguous_without_mult(self):
+        m = 2
+        ident = AffineMap.identity(m, 1)
+        with pytest.raises(BoundaryMismatchError, match="ambiguous multiplication table"):
+            ActionGroupoid(m, Ball(Point.origin(m, 1), CycNum.rational(m, 1)), [("e", ident), ("s", ident)])
+
+    def test_unrepresented_inverse_needs_inv(self):
+        # z/2 represented by the rotation zeta_3 with its table passed in:
+        # zeta_3^(-1) is no element's map
+        m = 3
+        elements = [("g0", AffineMap.identity(m, 1)), ("g1", AffineMap.scaling(m, 1, CycNum.zeta(3)))]
+        mult = {("g0", "g0"): "g0", ("g0", "g1"): "g1", ("g1", "g0"): "g1", ("g1", "g1"): "g0"}
+        with pytest.raises(BoundaryMismatchError, match="pass inv explicitly"):
+            ActionGroupoid(m, Ball.of(m, [0], 1), elements, mult=mult)
 
 
 class TestPredicates:

@@ -42,7 +42,7 @@ from orbatlas.translation import (
     multiplication_well_defined_report,
 )
 
-from conftest import record_arrows, reference_arrow, reference_transports, z3_action
+from conftest import record_arrows, reference_arrow, reference_arrows_to, reference_transports, z3_action
 
 M = 3
 
@@ -679,6 +679,24 @@ class TestArrowsTo:
                         assert a == g.arrow_at(u.component, c.label, g.local_bisection(a), a.point)
                         built += 1
             assert built
+
+
+class TestArrowsToRows:
+    """arrows_to reads its entry from the first row of the transport table
+    whose domain holds the point; it gives the arrows (labels and order) of
+    the former walk over the legs."""
+
+    @pytest.mark.parametrize("name", [*VALID_ATLASES, "cone3_repeated"])
+    def test_matches_the_leg_walk(self, name):
+        rng = random.Random(43)
+        for atlas in VALID_ATLASES[name]() if name in VALID_ATLASES else [LABEL_ATLASES[name]()]:
+            g = TranslationGroupoid(atlas)
+            units = g.unit_witness_points() + STABILIZED_UNITS.get(name, [])
+            units += [UnitPoint(e.dst, e(w.point)) for w in atlas.witnesses for e in (w.left, w.right)]
+            units += [UnitPoint(c, random_chart_point(rng, atlas, c)) for c in atlas.chart_ids() for _ in range(2)]
+            for u in units:
+                for cb in atlas.chart_ids():
+                    assert g.arrows_to(u, cb) == reference_arrows_to(g, u, cb), (u, cb)
 
 
 class TestSourcePoint:
