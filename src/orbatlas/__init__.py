@@ -61,7 +61,6 @@ from .systems import (
 )
 from .translation import (
     TranslationGroupoid,
-    Triple,
     build_translation_groupoid,
     check_functor_laws,
 )

@@ -88,8 +88,10 @@ class Span:
     """A chart embedded into two charts, with a marked point.
 
     left : chart -> i  and  right : chart -> j, with left(point) and
-    right(point) the identified pair.  ``Atlas.refine`` answers with one, and
-    an atlas stores its coverage witnesses as spans of stored embeddings.
+    right(point) the identified pair.  ``Atlas.refine`` answers with one, an
+    atlas stores its coverage witnesses as spans of stored embeddings, and the
+    translation groupoid takes one as the triple (left, point, right) of an
+    arrow.
     """
 
     chart: str
@@ -158,16 +160,15 @@ class Atlas:
         self._family_cache[key] = fam
         return fam
 
-    def transports(self, ca: str, cb: str) -> tuple[tuple[AffineMap, Ball], ...]:
-        """The entries of ``transport_table(ca, cb)``."""
-        return self.transport_table(ca, cb).entries
-
     def transport_table(self, ca: str, cb: str) -> TransportTable:
         """The transport table from chart ca to chart cb, built on first use
-        and cached per chart pair."""
+        and cached per chart pair; the empty table of an id outside the atlas
+        is built afresh on each call, so unknown ids leave no cache entry."""
         table = self._transport_cache.get((ca, cb))
         if table is None:
-            table = self._transport_cache[(ca, cb)] = TransportTable(self, ca, cb)
+            table = TransportTable(self, ca, cb)
+            if ca in self.charts and cb in self.charts:
+                self._transport_cache[(ca, cb)] = table
         return table
 
     def swapped(self, ca: str, cb: str, i: int) -> int:
@@ -175,7 +176,8 @@ class Atlas:
         of ``transport_table(ca, cb)`` with its first leg pair swapped: the
         inverse germ on the right leg's image; memoized per entry."""
         if (ca, cb, i) not in self._swap_cache:
-            (germ, _), (_, right) = self.transports(ca, cb)[i], self.transport_table(ca, cb).legs[i]
+            table = self.transport_table(ca, cb)
+            (germ, _), (_, right) = table.entries[i], table.legs[i]
             if not germ.is_invertible():
                 raise InvalidAtlasError(f"{right!r} is not invertible")
             domain = map_ball(right.map, self.charts[right.src].ball)

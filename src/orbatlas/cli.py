@@ -15,13 +15,34 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .atlas import Atlas
+from .atlas import Atlas, validate_atlas
 from .errors import OrbAtlasError, ParseError, UnsupportedParamsError
 from .gallery import GalleryParams, gallery
-from .groupoids import GroupoidPresentation
+from .groupoids import GroupoidPresentation, check_groupoid_axioms, structural_predicates
+from .morita import (
+    bijection_demo,
+    check_morita,
+    reconstruct_atlas,
+    reconstruction_morita_morphism,
+    subatlas_inclusion_morphism,
+)
 from .report import Report
 from .serialize import canonical_bytes, load_document, parse_any, serialize, witnesses_from_doc
-from .translation import TranslationGroupoid, build_translation_groupoid
+from .systems import (
+    CompatibleSystem,
+    OrbNatTrans,
+    check_2cat_laws,
+    rotation_fixture,
+    validate_compatible_system,
+    validate_orb_nat_trans,
+)
+from .translation import (
+    TranslationGroupoid,
+    action_groupoid_oracle_report,
+    build_translation_groupoid,
+    check_functor_laws,
+    multiplication_well_defined_report,
+)
 
 DEFAULT_SAMPLES = 500
 
@@ -111,10 +132,6 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .atlas import validate_atlas
-    from .groupoids import check_groupoid_axioms
-    from .systems import CompatibleSystem, OrbNatTrans, validate_compatible_system, validate_orb_nat_trans
-
     obj = parse_any(args.file)
     if isinstance(obj, TranslationGroupoid):
         obj = build_translation_groupoid(obj.atlas)
@@ -133,9 +150,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_groupoid(args) -> int:
-    from .groupoids import check_groupoid_axioms, structural_predicates
-    from .translation import action_groupoid_oracle_report, multiplication_well_defined_report
-
     g = _load_groupoid(args.file)
     reports = [
         check_groupoid_axioms(g, samples=args.samples, seed=args.seed),
@@ -157,9 +171,6 @@ def cmd_groupoid(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    from .systems import check_2cat_laws, rotation_fixture
-    from .translation import check_functor_laws
-
     atlas = _load_atlas(args.file)
     rng = random.Random(args.seed)
     squares = max(1, args.samples // 100)
@@ -176,8 +187,6 @@ def cmd_laws(args) -> int:
 
 
 def cmd_morita(args) -> int:
-    from .morita import check_morita, subatlas_inclusion_morphism
-
     sub = _load_atlas(args.sub)
     full = _load_atlas(args.full)
     report = check_morita(
@@ -187,9 +196,6 @@ def cmd_morita(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    from .atlas import validate_atlas
-    from .morita import check_morita, reconstruct_atlas, reconstruction_morita_morphism
-
     g = _load_groupoid(args.file)
     recon = reconstruct_atlas(g, samples=max(1, min(5, args.samples // 100)), seed=args.seed)
     reports = [validate_atlas(recon.atlas, samples=20, rng=random.Random(args.seed))]
@@ -203,8 +209,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    from .morita import bijection_demo
-
     u1 = _load_atlas(args.first)
     u2 = _load_atlas(args.second)
     witnesses = None

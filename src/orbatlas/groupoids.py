@@ -11,14 +11,16 @@ A presentation answers one arrow query, ``arrows_to(u, c)``: the arrows from
 the unit point u into the unit component c.  ``arrows_from`` (those lists over
 the unit components, in order) and ``arrows_between`` (the arrows of
 ``arrows_to`` into u2's component whose target is u2) are derived from it once,
-for every presentation.
+for every presentation.  It answers one component query likewise,
+``components_between(ca, cb)``: the arrow components from unit component ca
+to cb, in label order; ``arrow_components`` is those lists over every pair of
+unit components, in order.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -80,7 +82,9 @@ class GroupoidPresentation(ABC):
     def unit_components(self) -> list[UnitComponent]: ...
 
     @abstractmethod
-    def arrow_components(self) -> list[ArrowComponent]: ...
+    def components_between(self, ca: str, cb: str) -> list[ArrowComponent]:
+        """The arrow components from unit component ca to cb, in label order;
+        empty when either is not a unit component of the presentation."""
 
     @abstractmethod
     def arrow_component(self, label) -> ArrowComponent: ...
@@ -108,11 +112,6 @@ class GroupoidPresentation(ABC):
         """The arrow from (s, x) to t that carries germ; an OrbAtlasError when
         no arrow does."""
 
-    @abstractmethod
-    def transports(self, ca: str, cb: str) -> Sequence[tuple[AffineMap, Ball]]:
-        """(map, domain ball) pairs carrying identifications from unit
-        component ca to cb."""
-
     # -- shared derived operations -------------------------------------------
 
     def unit_component(self, label: str) -> UnitComponent:
@@ -120,6 +119,10 @@ class GroupoidPresentation(ABC):
             if comp.label == label:
                 return comp
         raise PointOutsideDomainError(f"no unit component {label!r}")
+
+    def arrow_components(self) -> list[ArrowComponent]:
+        units = [comp.label for comp in self.unit_components()]
+        return [comp for ca in units for cb in units for comp in self.components_between(ca, cb)]
 
     def source(self, a: Arrow) -> UnitPoint:
         return UnitPoint(self.arrow_component(a.component).s_component, a.point)
@@ -178,18 +181,20 @@ class ActionGroupoid(GroupoidPresentation):
     def __init__(self, conductor: int, ball: Ball, elements, mult=None, inv=None):
         """elements: list of (label, AffineMap); identity label must come first.
 
-        An omitted mult or inv is derived on its own from the representative
-        maps (the first label of each composite or inverse), which is only
-        valid when the representation is faithful; a table passed in is kept."""
+        An omitted mult is derived from the representative maps (the label of
+        each composite), which is only valid when the representation is
+        faithful; an omitted inv is read off mult: the inverse of l is the first
+        label l' with mult[(l', l)] the identity label.  A table passed in is
+        kept."""
         self.conductor = conductor
         self.dim = ball.dim
         self.ball = ball
         self.labels = [lab for lab, _ in elements]
         self.rep = {lab: g for lab, g in elements}
-        labels_of: dict[AffineMap, list] = {}
-        for lab, g in elements:
-            labels_of.setdefault(g, []).append(lab)
         if mult is None:
+            labels_of: dict[AffineMap, list] = {}
+            for lab, g in elements:
+                labels_of.setdefault(g, []).append(lab)
             mult = {}
             for la, ga in elements:
                 for lb, gb in elements:
@@ -200,9 +205,10 @@ class ActionGroupoid(GroupoidPresentation):
                         )
                     mult[(lb, la)] = hits[0]
         if inv is None:
-            if not all(ga.inverse() in labels_of for _, ga in elements):
-                raise BoundaryMismatchError("an element's inverse is not represented; pass inv explicitly")
-            inv = {la: labels_of[ga.inverse()][0] for la, ga in elements}
+            e = self.labels[0]
+            inv = {la: next((lb for lb in self.labels if mult.get((lb, la)) == e), None) for la in self.labels}
+            if None in inv.values():
+                raise BoundaryMismatchError("a label has no inverse in mult; pass inv explicitly")
         self.mult = mult
         self.inv_table = inv
         self._components = [
@@ -213,8 +219,8 @@ class ActionGroupoid(GroupoidPresentation):
     def unit_components(self):
         return [UnitComponent("U", self.ball)]
 
-    def arrow_components(self):
-        return list(self._components)
+    def components_between(self, ca, cb):
+        return list(self._components) if ca == cb == "U" else []
 
     def arrow_component(self, label):
         try:
@@ -245,9 +251,6 @@ class ActionGroupoid(GroupoidPresentation):
             if self.rep[lab] == germ:
                 return Arrow(lab, x)
         raise UnsupportedPresentationError("no element of the action carries this germ")
-
-    def transports(self, ca, cb):
-        return [(self.rep[lab], self.ball) for lab in self.labels] if ca == cb == "U" else []
 
     def is_faithful(self) -> bool:
         return len(set(self.rep.values())) == len(self.rep)

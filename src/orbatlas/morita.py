@@ -326,7 +326,7 @@ def _relate_witness_charts(u1: Atlas, wa: WitnessSpan, wb: WitnessSpan) -> Embed
     through the transports of the anchoring atlas; None when exactly disjoint;
     error on partial overlap."""
     footprint = map_ball(wa.left.map, wa.chart.ball)
-    for transition, domain in u1.transports(wa.left.dst, wb.left.dst):
+    for transition, domain in u1.transport_table(wa.left.dst, wb.left.dst).entries:
         if balls_disjoint(domain, footprint):
             continue
         s = wb.left.map.inverse().compose(transition).compose(wa.left.map)
@@ -522,16 +522,16 @@ def reconstruct_atlas(
             if i == j:
                 continue
             ui, uj = entries[i][1], entries[j][1]
-            transports = g.transports(ui.component, uj.component)
+            components = g.components_between(ui.component, uj.component)
             for _ in range(256):
                 r2i, r2j = entries[i][2], entries[j][2]
                 bi = Ball(ui.point, CycNum.rational(g.conductor, r2i))
                 bj = Ball(uj.point, CycNum.rational(g.conductor, r2j))
                 clash = False
-                for t, dom in transports:
-                    if balls_disjoint(bi, dom):
+                for c in components:
+                    if balls_disjoint(bi, c.ball):
                         continue
-                    if not balls_disjoint(map_ball(t, bi), bj):
+                    if not balls_disjoint(map_ball(c.germ, bi), bj):
                         clash = True
                         break
                 if not clash:
@@ -572,9 +572,9 @@ def reconstruction_morita_morphism(
 
 
 def _self_maps(g: GroupoidPresentation, c: str) -> list[AffineMap]:
-    """The distinct maps of g.transports(c, c), in first-occurrence order; for
-    the translation groupoid of a valid atlas, the chart group of c."""
-    return list(dict.fromkeys(t for t, _ in g.transports(c, c)))
+    """The distinct germs of g.components_between(c, c), in first-occurrence
+    order; for the translation groupoid of a valid atlas, the chart group of c."""
+    return list(dict.fromkeys(comp.germ for comp in g.components_between(c, c)))
 
 
 # -- invariants and the bijection demonstration ----------------------------------------
@@ -582,8 +582,8 @@ def _self_maps(g: GroupoidPresentation, c: str) -> list[AffineMap]:
 
 def isotropy_signature(g: GroupoidPresentation) -> tuple[int, tuple[int, ...]]:
     """Dimension plus the set of isotropy orders at component centers, declared
-    witness points, and fixed points of the transports of each component into
-    itself: a Morita invariant at the sampled points."""
+    witness points, and fixed points of the germs of the arrow components from
+    each unit component to itself: a Morita invariant at the sampled points."""
     orders = set()
     probes: list[UnitPoint] = list(g.unit_witness_points())
     for comp in g.unit_components():

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .errors import ConductorMismatchError
-from .field import SUPPORTED_CONDUCTORS, CycNum, _make, real_parts, sign_quadratic
+from .field import SUPPORTED_CONDUCTORS, CycNum, _degree, _make, real_parts, sign_quadratic
 
 # point_in_ball is not called here: it stays importable from this module
 # because bench/tracing.py wraps this module's binding of it.
@@ -93,7 +93,5 @@ def random_chart_point(rng: random.Random, atlas, cid: str) -> Point:
 
 
 def random_cycnum(rng: random.Random, m: int, size: int = 8) -> CycNum:
-    from .field import _degree  # degree of the canonical basis
-
     coeffs = [Fraction(rng.randint(-size, size), rng.randint(1, 4)) for _ in range(_degree(m))]
     return CycNum(m, coeffs)

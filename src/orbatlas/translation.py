@@ -1,14 +1,16 @@
 """The translation groupoid of an atlas and the functor into groupoids.
 
 Arrows are classes of triples (left embedding, marked point, right embedding)
-over a common chart.  A reduced atlas gives an effective groupoid, where an
+over a common chart; a triple is an ``atlas.Span``, the chart being the
+legs' common source.  A reduced atlas gives an effective groupoid, where an
 arrow is the germ of its transition right . left^(-1) at its source point; as
 transitions are similarities, equal germs are equal maps.  The arrow
-components are the entries of the atlas's transport tables, one per distinct
-(germ, domain); equality compares source unit, target chart and germ.  An
-arrow known by its germ at a point is ``arrow_at``: the first entry carrying
-the germ whose domain holds the point.  Products and the images of the functor
-F (``FunctorImage``, built with ``GroupoidMorphism.of_germs``) go through it.
+components from chart ca to chart cb, ``components_between(ca, cb)``, are the
+entries of the atlas's transport table, one per distinct (germ, domain);
+equality compares source unit, target chart and germ.  An arrow known by its
+germ at a point is ``arrow_at``: the first entry carrying the germ whose
+domain holds the point.  Products and the images of the functor F
+(``FunctorImage``, built with ``GroupoidMorphism.of_germs``) go through it.
 The arrows out of a unit point into a chart, ``arrows_to``, are the translates
 of the entry recorded on the first row of the transport table whose domain
 holds the point.  multiply_triples keeps the span-completion product.
@@ -17,7 +19,6 @@ holds the point.  multiply_triples keeps the span-completion product.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .atlas import Atlas, Embedding, Span, common_span, validate_atlas
 from .errors import (
@@ -35,24 +36,15 @@ from .groupoids import (
     GrpNatTrans,
     UnitComponent,
     UnitPoint,
+    hcomp_grp,
     morphisms_equal,
     nat_trans_equal,
+    vcomp_grp,
 )
 from .report import Report
 from .sampling import random_chart_point
-
-
-@dataclass(frozen=True)
-class Triple:
-    """(left, point, right): both embeddings share the source chart of the point."""
-
-    left: Embedding
-    point: Point
-    right: Embedding
-
-    def __post_init__(self):
-        if self.left.src != self.right.src:
-            raise IllTypedError("triple legs do not share a source chart")
+from .systems import compose_compatible, hcomp_orb, identity_system, vcomp_orb
+from .systems import identity_cell as orb_identity_cell
 
 
 def _transition(left: Embedding, right: Embedding) -> AffineMap:
@@ -68,9 +60,10 @@ class TranslationGroupoid(GroupoidPresentation):
     The arrow components from chart ca to chart cb are the entries of the
     atlas's ``transport_table(ca, cb)``, labelled (ca, cb, index): the entry's
     domain is the component's ball, its map the germ, and its first leg pair
-    the arrow's triple.  An arrow built from legs takes the entry of its germ
-    on its left leg's image; an arrow known only by its germ at a point takes
-    the first entry of that germ whose domain holds the point.
+    the legs of the arrow's triple, a ``Span``.  An arrow built from legs
+    takes the entry of its germ on its left leg's image; an arrow known only
+    by its germ at a point takes the first entry of that germ whose domain
+    holds the point.
     """
 
     strategy = "translation"
@@ -89,33 +82,38 @@ class TranslationGroupoid(GroupoidPresentation):
         on a domain holding x; InvalidAtlasError when none does."""
         return Arrow((ca, cb, self.atlas.transport_table(ca, cb).index(germ, x)), x)
 
-    def _germ_of(self, t: Triple) -> tuple[str, str, AffineMap, Point]:
+    def _germ_of(self, t: Span) -> tuple[str, str, AffineMap, Point]:
         """(source chart, target chart, germ, source point) of a triple from outside:
-        its legs must be stored embeddings and its point must lie in the chart."""
+        both legs must leave its chart, be stored embeddings, and its point must
+        lie in the chart."""
+        if not t.chart == t.left.src == t.right.src:
+            raise IllTypedError("triple legs do not both leave its chart")
         for leg in (t.left, t.right):
             if not self.atlas.in_family(leg):
                 raise InvalidAtlasError(f"{leg!r} is not a stored embedding of the atlas")
-        if not point_in_ball(t.point, self.atlas.chart(t.left.src).ball):
+        if not point_in_ball(t.point, self.atlas.chart(t.chart).ball):
             raise InvalidAtlasError("triple point outside its chart")
         return t.left.dst, t.right.dst, _transition(t.left, t.right), t.left(t.point)
 
-    def arrow_of(self, t: Triple) -> Arrow:
+    def arrow_of(self, t: Span) -> Arrow:
         return self.arrow_at(*self._germ_of(t))
 
-    def triple_of(self, a: Arrow) -> Triple:
+    def triple_of(self, a: Arrow) -> Span:
         """The triple of the first leg pair of the arrow's entry."""
         ca, cb, i = self.arrow_component(a.component).label
         left, right = self.atlas.transport_table(ca, cb).legs[i]
-        return Triple(left, left.map.inverse()(a.point), right)
+        return Span(left.src, left.map.inverse()(a.point), left, right)
 
     # -- presentation interface ----------------------------------------------
 
     def unit_components(self):
         return list(self._units)
 
-    def arrow_components(self):
-        pairs = [(ca, cb) for ca in self.atlas.chart_ids() for cb in self.atlas.chart_ids()]
-        return [self.arrow_component((*p, i)) for p in pairs for i in range(len(self.atlas.transports(*p)))]
+    def components_between(self, ca, cb):
+        if ca not in self.atlas.charts or cb not in self.atlas.charts:
+            return []
+        entries = self.atlas.transport_table(ca, cb).entries
+        return [self.arrow_component((ca, cb, i)) for i in range(len(entries))]
 
     def arrow_component(self, label):
         comp = self._components.get(label)
@@ -124,7 +122,7 @@ class TranslationGroupoid(GroupoidPresentation):
                 ca, cb, i = label
                 if not ({ca, cb} <= self.atlas.charts.keys() and i >= 0):
                     raise IndexError(i)
-                germ, domain = self.atlas.transports(ca, cb)[i]
+                germ, domain = self.atlas.transport_table(ca, cb).entries[i]
             except (TypeError, ValueError, IndexError):
                 raise AtlasMismatchError(f"arrow component {label!r} is not over this atlas") from None
             comp = self._components[label] = ArrowComponent(label, domain, germ, ca, cb)
@@ -148,14 +146,14 @@ class TranslationGroupoid(GroupoidPresentation):
         ca = self.arrow_component(a.component).s_component
         return self.arrow_at(ca, self.arrow_component(b.component).t_component, germ, a.point)
 
-    def multiply_triples(self, p: Triple, q: Triple, span=None) -> Triple:
+    def multiply_triples(self, p: Span, q: Span, span=None) -> Span:
         """[left_p . f_left, x_f, right_q . f_right] for a span completion of the
         middle legs; the class does not depend on the completion chosen."""
         if span is None:
             span = common_span(self.atlas, p.right, p.point, q.left, q.point)
         left = self._compose_family(p.left, span.left)
         right = self._compose_family(q.right, span.right)
-        return Triple(left, span.point, right)
+        return Span(span.chart, span.point, left, right)
 
     def _compose_family(self, outer: Embedding, inner: Embedding) -> Embedding:
         comp = outer.map.compose(inner.map)
@@ -176,7 +174,7 @@ class TranslationGroupoid(GroupoidPresentation):
         ca, cb = self.arrow_component(a.component), self.arrow_component(b.component)
         return ca.s_component == cb.s_component and ca.t_component == cb.t_component and ca.germ == cb.germ
 
-    def triples_equal(self, p: Triple, q: Triple) -> bool:
+    def triples_equal(self, p: Span, q: Span) -> bool:
         """The arrows of two triples are equal: the same charts, germ and
         source point."""
         return self._germ_of(p) == self._germ_of(q)
@@ -193,10 +191,6 @@ class TranslationGroupoid(GroupoidPresentation):
                 i = next(i for i, _ in rights if ca != cb or table.entries[i][0](x) == x)
                 return [Arrow((ca, cb, j), x) for j in self.atlas.translates(ca, cb, i)]
         return []
-
-    def transports(self, ca, cb):
-        """The atlas's distinct (map, domain) pairs from ca to cb."""
-        return self.atlas.transports(ca, cb)
 
     def unit_witness_points(self):
         out = []
@@ -277,10 +271,6 @@ def check_functor_laws(fixture, samples: int = 100, seed: int = 0) -> Report:
     g1, g2, g3: V->W; cells delta: f1=>f2, sigma: f2=>f3, eta: g1=>g2,
     mu: g2=>g3.
     """
-    from .systems import compose_compatible, hcomp_orb, identity_system, vcomp_orb
-    from .systems import identity_cell as orb_identity_cell
-    from .groupoids import vcomp_grp, hcomp_grp
-
     F = FunctorImage()
     rep = Report("functor laws")
 

@@ -49,6 +49,18 @@ def z3_action():
     return ActionGroupoid(m, ball, [(f"g{k}", AffineMap.scaling(m, 1, z**k)) for k in range(3)])
 
 
+def z4_by_sign():
+    """z/4 acting on the unit disc through z/2: g1 and g3 both act by -1, so
+    the action is not faithful."""
+    m = 2
+    ball = Ball(Point.origin(m, 1), CycNum.rational(m, 1))
+    ident, minus = AffineMap.identity(m, 1), AffineMap.scaling(m, 1, -1)
+    labels = [f"g{k}" for k in range(4)]
+    mult = {(labels[j], labels[i]): labels[(i + j) % 4] for i in range(4) for j in range(4)}
+    inv = {labels[k]: labels[-k % 4] for k in range(4)}
+    return ActionGroupoid(m, ball, [(lab, minus if k % 2 else ident) for k, lab in enumerate(labels)], mult, inv)
+
+
 def make_sub_full_pair(p: int = 3):
     """A cone(p) atlas alone, and the same atlas enlarged by a restricted chart
     at the origin: the standard sub-atlas inclusion example."""
@@ -133,10 +145,11 @@ def record_arrows(g, u):
     """The arrow of every former transport record out of u's chart whose
     domain holds u, labelled by the table entry of the record's (map,
     domain): every arrow out of u, under each of its labels."""
+    ca = u.component
     return [
-        Arrow((u.component, cj, g.atlas.transports(u.component, cj).index((t.map, t.domain))), u.point)
+        Arrow((ca, cj, g.atlas.transport_table(ca, cj).entries.index((t.map, t.domain))), u.point)
         for cj in g.atlas.chart_ids()
-        for t in reference_transports(g.atlas, u.component, cj)
+        for t in reference_transports(g.atlas, ca, cj)
         if point_in_ball(u.point, t.domain)
     ]
 
@@ -147,7 +160,7 @@ def reference_arrow(g, ca, cb, germ, x):
     table entry of its (map, domain); None when no record carries it."""
     for t in reference_transports(g.atlas, ca, cb):
         if t.map == germ and point_in_ball(x, t.domain):
-            return Arrow((ca, cb, g.atlas.transports(ca, cb).index((t.map, t.domain))), x)
+            return Arrow((ca, cb, g.atlas.transport_table(ca, cb).entries.index((t.map, t.domain))), x)
     return None
 
 
@@ -169,7 +182,7 @@ def reference_arrows_to(g, u, cb):
                 z = left.map.inverse()(x)
                 right = rights[0] if cb != ca else next(r for r in rights if r(z) == x)
                 germ = right.map.compose(left.map.inverse())
-                entries = atlas.transports(ca, cb)
+                entries = atlas.transport_table(ca, cb).entries
                 return [Arrow((ca, cb, entries.index((h.compose(germ), domain))), x) for h in atlas.chart(cb).group]
     return []
 

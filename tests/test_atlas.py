@@ -47,7 +47,7 @@ from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, 
 from orbatlas.groupoids import UnitPoint
 from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, union_atlas
 from orbatlas.sampling import random_chart_point
-from orbatlas.translation import TranslationGroupoid, Triple
+from orbatlas.translation import TranslationGroupoid
 
 from conftest import (
     distinct_transports,
@@ -462,8 +462,8 @@ class TestSpanSearch:
             assert span.right == closing[0]
             assert _is_completion(atlas, span, lam_nl, x_n, lam_pl, x_p)
             assert _is_completion(atlas, ref, lam_nl, x_n, lam_pl, x_p)
-            p = Triple(atlas.identity_embedding(lam_nl.src), x_n, lam_nl)
-            q = Triple(lam_pl, x_p, atlas.identity_embedding(lam_pl.src))
+            p = Span(lam_nl.src, x_n, atlas.identity_embedding(lam_nl.src), lam_nl)
+            q = Span(lam_pl.src, x_p, lam_pl, atlas.identity_embedding(lam_pl.src))
             assert g.triples_equal(g.multiply_triples(p, q, span=span), g.multiply_triples(p, q, span=ref))
             cases += 1
             differing += (span.left, span.right) != (ref.left, ref.right)
@@ -700,23 +700,23 @@ class TestTransportTable:
                 for t in records:
                     assert t.map == t.right.map.compose(t.left.map.inverse())
                     assert t.domain == map_ball(t.left.map, atlas.chart(t.k).ball)
-                table = atlas.transports(ca, cb)
-                assert table == distinct_transports(records)
-                assert atlas.transports(ca, cb) is table
+                table = atlas.transport_table(ca, cb)
+                assert table.entries == distinct_transports(records)
+                assert atlas.transport_table(ca, cb) is table
 
     @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
     def test_transport_records_match_the_composite_build(self, make):
         # the table built over the leg table lists the (map, domain) pair of
         # every record of the former build, each once, in record order; it is
-        # cached on the atlas and is the groupoid's table too
+        # cached on the atlas and its entries are the groupoid's components
         atlas = make()
         g = TranslationGroupoid(atlas)
         for ca in atlas.chart_ids():
             for cb in atlas.chart_ids():
-                table = atlas.transports(ca, cb)
-                assert table == distinct_transports(reference_transports(atlas, ca, cb))
-                assert atlas.transports(ca, cb) is table
-                assert g.transports(ca, cb) is table
+                table = atlas.transport_table(ca, cb)
+                assert table.entries == distinct_transports(reference_transports(atlas, ca, cb))
+                assert atlas.transport_table(ca, cb) is table
+                assert tuple((c.germ, c.ball) for c in g.components_between(ca, cb)) == table.entries
 
     @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
     def test_rows_are_the_record_loop_with_their_entry_indices(self, make):
@@ -745,6 +745,13 @@ class TestTransportTable:
             assert atlas.refine("zz", x, c, x) is None
             assert atlas.locate(c, x, "zz") is None
             assert g.arrows_to(UnitPoint(c, x), "zz") == []
+            assert atlas.transport_table(c, "zz").entries == atlas.transport_table("zz", c).entries == ()
+            assert g.components_between(c, "zz") == g.components_between("zz", c) == []
+            assert atlas.refine(c, x, c, x) is not None
+        # the tables of the chart pairs are kept, the empty ones of an unknown id are not
+        assert atlas._transport_cache and all(
+            {ca, cb} <= atlas.charts.keys() for ca, cb in atlas._transport_cache
+        )
 
     @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
     def test_multiply_label_matches_the_record_scan(self, make):
@@ -831,7 +838,7 @@ class TestSpanTableOracle:
         # the atlas carrying it as a witness fails validation
         atlas, entry = two_disc_table_atlas()
         p = entry.point
-        assert atlas.transports("a", "b") == atlas.transports("b", "a") == ()
+        assert atlas.transport_table("a", "b").entries == atlas.transport_table("b", "a").entries == ()
         assert atlas.locate("a", p, "b") is None and atlas.locate("b", p, "a") is None
         assert atlas.refine("a", p, "b", p) is None and atlas.refine("b", p, "a", p) is None
         failures = validate_atlas(atlas).failures()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbatlas.atlas import Span
 from orbatlas.errors import AtlasMismatchError, BoundaryMismatchError, NotComposableError, OrbAtlasError, ParseError, UnsupportedParamsError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
@@ -23,10 +24,10 @@ from orbatlas.groupoids import (
     validate_grp_nat_trans,
     vcomp_grp,
 )
-from orbatlas.translation import FunctorImage, TranslationGroupoid, Triple, build_translation_groupoid
+from orbatlas.translation import FunctorImage, TranslationGroupoid, build_translation_groupoid
 from orbatlas.systems import rotation_fixture
 
-from conftest import z3_action
+from conftest import z3_action, z4_by_sign
 
 
 def z2_ball_action(dim=2):
@@ -253,7 +254,7 @@ class TestComponentGerm:
                     z = g.atlas.chart(k).ball.center
                     for left in legs:
                         for right in legs:
-                            a = g.arrow_of(Triple(left, z, right))
+                            a = g.arrow_of(Span(left.src, z, left, right))
                             assert g.source(a) == UnitPoint(left.dst, left(z))
                             assert g.local_bisection(a) == right.map.compose(left.map.inverse())
                             assert g.target(a) == UnitPoint(right.dst, right(z))
@@ -264,18 +265,6 @@ class TestComponentGerm:
                 germ = comp.germ
                 assert comp.germ is germ
                 assert g.local_bisection(Arrow(comp.label, comp.ball.center)) is germ
-
-
-def z4_by_sign():
-    """z/4 acting on the unit disc through z/2: g1 and g3 both act by -1, so
-    the action is not faithful."""
-    m = 2
-    ball = Ball(Point.origin(m, 1), CycNum.rational(m, 1))
-    ident, minus = AffineMap.identity(m, 1), AffineMap.scaling(m, 1, -1)
-    labels = [f"g{k}" for k in range(4)]
-    mult = {(labels[j], labels[i]): labels[(i + j) % 4] for i in range(4) for j in range(4)}
-    inv = {labels[k]: labels[-k % 4] for k in range(4)}
-    return ActionGroupoid(m, ball, [(lab, minus if k % 2 else ident) for k, lab in enumerate(labels)], mult, inv)
 
 
 class TestArrowAt:
@@ -320,8 +309,8 @@ class TestActionComponents:
 
     def test_transports_only_within_its_component(self):
         g = z3_action()
-        assert len(g.transports("U", "U")) == 3
-        assert g.transports("U", "V") == g.transports("V", "U") == []
+        assert [c.label for c in g.components_between("U", "U")] == ["g0", "g1", "g2"]
+        assert g.components_between("U", "V") == g.components_between("V", "U") == []
 
     def test_unknown_label_is_an_atlas_mismatch(self):
         with pytest.raises(AtlasMismatchError, match="g3"):
@@ -329,8 +318,24 @@ class TestActionComponents:
 
 
 class TestActionTables:
-    """Each omitted table of an action groupoid is derived on its own from the
-    representative maps; a table passed in is kept."""
+    """An omitted mult is derived from the representative maps and an omitted
+    inv from mult; a table passed in is kept."""
+
+    def test_default_tables_of_the_z3_action(self):
+        g = z3_action()
+        assert g.mult == {
+            (f"g{j}", f"g{i}"): f"g{(i + j) % 3}" for i in range(3) for j in range(3)
+        }
+        assert g.inv_table == {"g0": "g0", "g1": "g2", "g2": "g1"}
+
+    def test_inv_of_a_non_faithful_action_is_read_off_mult(self):
+        # g1 and g3 both act by -1, and mult makes g3, not g1, the inverse
+        # of g1
+        g = z4_by_sign()
+        elements = [(lab, g.rep[lab]) for lab in g.labels]
+        h = ActionGroupoid(g.conductor, g.ball, elements, mult=g.mult)
+        assert h.inv_table == g.inv_table == {"g0": "g0", "g1": "g3", "g2": "g2", "g3": "g1"}
+        assert check_groupoid_axioms(h, samples=30, seed=0).ok
 
     def test_mult_alone_derives_inv(self):
         g = z3_action()
@@ -352,12 +357,20 @@ class TestActionTables:
         with pytest.raises(BoundaryMismatchError, match="ambiguous multiplication table"):
             ActionGroupoid(m, Ball(Point.origin(m, 1), CycNum.rational(m, 1)), [("e", ident), ("s", ident)])
 
-    def test_unrepresented_inverse_needs_inv(self):
+    def test_unrepresented_inverse_is_read_off_mult(self):
         # z/2 represented by the rotation zeta_3 with its table passed in:
-        # zeta_3^(-1) is no element's map
+        # zeta_3^(-1) is no element's map, but g1 g1 = g0 in the table
         m = 3
         elements = [("g0", AffineMap.identity(m, 1)), ("g1", AffineMap.scaling(m, 1, CycNum.zeta(3)))]
         mult = {("g0", "g0"): "g0", ("g0", "g1"): "g1", ("g1", "g0"): "g1", ("g1", "g1"): "g0"}
+        g = ActionGroupoid(m, Ball.of(m, [0], 1), elements, mult=mult)
+        assert g.inv_table == {"g0": "g0", "g1": "g1"}
+
+    def test_no_inverse_label_needs_inv(self):
+        # a table in which no product with g1 is the identity label
+        m = 3
+        elements = [("g0", AffineMap.identity(m, 1)), ("g1", AffineMap.scaling(m, 1, CycNum.zeta(3)))]
+        mult = {("g0", "g0"): "g0", ("g0", "g1"): "g1", ("g1", "g0"): "g1", ("g1", "g1"): "g1"}
         with pytest.raises(BoundaryMismatchError, match="pass inv explicitly"):
             ActionGroupoid(m, Ball.of(m, [0], 1), elements, mult=mult)
 

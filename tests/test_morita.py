@@ -411,8 +411,9 @@ class TestPushforward:
             assert pushed.unit_points[cid] == tuple(h(p) for p in base.unit_points[cid])
         for ca in base.chart_ids():
             for cb in base.chart_ids():
-                assert pushed.transports(ca, cb) == tuple(
-                    (_conjugated(h, germ), map_ball(h, domain)) for germ, domain in base.transports(ca, cb)
+                assert pushed.transport_table(ca, cb).entries == tuple(
+                    (_conjugated(h, germ), map_ball(h, domain))
+                    for germ, domain in base.transport_table(ca, cb).entries
                 )
         rng = random.Random(41)
         hits = 0
@@ -539,14 +540,31 @@ class TestReconstructionReference:
         assert fast == reference
 
     @pytest.mark.parametrize("name", list(RECONSTRUCTION_SOURCES))
-    def test_transports_built_once(self, name):
+    def test_transports_built_once(self, name, monkeypatch):
+        # every component list the reconstruction reads holds the distinct
+        # (germ, domain) pairs of the former records, and later reads of a
+        # chart pair get the components and the table built by the first
         atlas = RECONSTRUCTION_SOURCES[name]()
         g = TranslationGroupoid(atlas)
-        for ca in atlas.chart_ids():
-            for cb in atlas.chart_ids():
-                first = g.transports(ca, cb)
-                assert g.transports(ca, cb) is first is atlas.transports(ca, cb)
-                assert first == distinct_transports(reference_transports(atlas, ca, cb))
+        reads = {}
+        components_between = TranslationGroupoid.components_between
+
+        def recorded(self, ca, cb):
+            comps = components_between(self, ca, cb)
+            reads.setdefault((ca, cb), []).append((comps, atlas.transport_table(ca, cb)))
+            return comps
+
+        monkeypatch.setattr(TranslationGroupoid, "components_between", recorded)
+        for seed in range(2):
+            reconstruct_atlas(g, samples=2, seed=seed)
+        assert any(len(lists) > 1 for lists in reads.values())
+        for (ca, cb), lists in reads.items():
+            first, table = lists[0]
+            want = distinct_transports(reference_transports(atlas, ca, cb))
+            assert tuple((c.germ, c.ball) for c in first) == want
+            for comps, again in lists:
+                assert again is table and len(comps) == len(first)
+                assert all(c is d for c, d in zip(comps, first))
 
 
 def _reference_restrict_r2(chart, x, r2):

@@ -805,13 +805,13 @@ class TestCli:
 
 class TestInternalError:
     def test_unexpected_exception_is_one_line_exit_1(self, cli_dir, monkeypatch, capsys):
-        import orbatlas.groupoids
+        import orbatlas.cli
         from orbatlas.cli import main
 
         def suite(*args, **kwargs):
             raise RuntimeError("suite fault\non two lines")
 
-        monkeypatch.setattr(orbatlas.groupoids, "check_groupoid_axioms", suite)
+        monkeypatch.setattr(orbatlas.cli, "check_groupoid_axioms", suite)
         assert main(["groupoid", str(cli_dir / "cone3.json"), "--samples", "10"]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: internal error: RuntimeError: suite fault on two lines"]
@@ -821,6 +821,7 @@ class TestInternalError:
         # reconstructed at the centre is not closed, so its entry zeta^2 (the
         # swapped entry of zeta) is a germ no element of the action carries;
         # the Morita check is patched to map an arrow over every component first
+        import orbatlas.cli
         import orbatlas.morita
         from orbatlas.cli import main
 
@@ -835,7 +836,7 @@ class TestInternalError:
                 m.Psi(Arrow(c.label, c.ball.center))
             return check_morita(m, samples, seed)
 
-        monkeypatch.setattr(orbatlas.morita, "check_morita", check_every_component)
+        monkeypatch.setattr(orbatlas.cli, "check_morita", check_every_component)
         assert main(["reconstruct", str(tmp_path / "z2.json"), "--samples", "5"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: no element of the action carries this germ"]
 

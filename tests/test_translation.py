@@ -17,11 +17,11 @@ from orbatlas.atlas import (
     stabilizer,
     validate_atlas,
 )
-from orbatlas.errors import InvalidAtlasError, NotComposableError
+from orbatlas.errors import IllTypedError, InvalidAtlasError, NotComposableError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, cone_pair, football, global_quotient, point_atlas, pushforward_pair, teardrop, teardrop_pair
 from orbatlas.geometry import AffineMap, Ball, Point, map_ball
-from orbatlas.groupoids import ActionGroupoid, Arrow, UnitPoint, validate_grp_nat_trans
+from orbatlas.groupoids import ActionGroupoid, Arrow, ArrowComponent, UnitPoint, validate_grp_nat_trans
 from orbatlas.morita import (
     common_refinement,
     reconstruct_atlas,
@@ -35,14 +35,20 @@ from orbatlas.systems import rotation_fixture, rotation_system, OrbNatTrans
 from orbatlas.translation import (
     FunctorImage,
     TranslationGroupoid,
-    Triple,
     action_groupoid_oracle_report,
     build_translation_groupoid,
     check_functor_laws,
     multiplication_well_defined_report,
 )
 
-from conftest import record_arrows, reference_arrow, reference_arrows_to, reference_transports, z3_action
+from conftest import (
+    record_arrows,
+    reference_arrow,
+    reference_arrows_to,
+    reference_transports,
+    z3_action,
+    z4_by_sign,
+)
 
 M = 3
 
@@ -79,31 +85,42 @@ class TestStructureMaps:
         # the inverse is the arrow of the swapped triple: the inverse germ at
         # the target point
         p = Point.of(M, Fraction(1, 4))
-        a = tg.arrow_of(Triple(emb(0), p, emb(1)))
+        a = tg.arrow_of(Span("cone3", p, emb(0), emb(1)))
         inv = tg.inverse(a)
-        assert inv == tg.arrow_of(Triple(emb(1), p, emb(0)))
+        assert inv == tg.arrow_of(Span("cone3", p, emb(1), emb(0)))
         assert inv.point == zrot(1)(p) and tg.local_bisection(inv) == zrot(2)
-        assert tg.triples_equal(tg.triple_of(inv), Triple(emb(1), p, emb(0)))
+        assert tg.triples_equal(tg.triple_of(inv), Span("cone3", p, emb(1), emb(0)))
 
     def test_source_and_target_formulas(self, tg):
         p = Point.of(M, Fraction(1, 4))
-        a = tg.arrow_of(Triple(emb(1), p, emb(2)))
+        a = tg.arrow_of(Span("cone3", p, emb(1), emb(2)))
         assert tg.source(a) == UnitPoint("cone3", zrot(1)(p))
         assert tg.target(a) == UnitPoint("cone3", zrot(2)(p))
 
 
 class TestArrowOf:
-    """arrow_of takes triples from outside, so it keeps both of its checks;
+    """arrow_of takes triples from outside, so it keeps its checks;
     the groupoid's own builders construct the same arrows without them."""
 
     def test_point_outside_its_chart(self, tg):
         with pytest.raises(InvalidAtlasError, match="outside its chart"):
-            tg.arrow_of(Triple(emb(0), Point.of(M, 1), emb(1)))
+            tg.arrow_of(Span("cone3", Point.of(M, 1), emb(0), emb(1)))
+
+    def test_legs_leaving_another_chart_are_ill_typed(self, tg, sub_full_cone3):
+        p = Point.of(M, Fraction(1, 4))
+        with pytest.raises(IllTypedError):
+            tg.arrow_of(Span("half", p, emb(0), emb(1)))
+        _, full = sub_full_cone3
+        g = TranslationGroupoid(full)
+        inc, ident = full.reps[("half", "cone3")], full.identity_embedding("cone3")
+        for span in (Span("half", p, inc, ident), Span("cone3", p, inc, ident), Span("cone3", p, ident, inc)):
+            with pytest.raises(IllTypedError):
+                g.arrow_of(span)
 
     def test_leg_outside_the_stored_family(self, tg):
         half = Embedding("cone3", "cone3", AffineMap.scaling(M, 1, Fraction(1, 2)))
         p = Point.of(M, Fraction(1, 4))
-        for t in (Triple(half, p, emb(1)), Triple(emb(0), p, half)):
+        for t in (Span("cone3", p, half, emb(1)), Span("cone3", p, emb(0), half)):
             with pytest.raises(InvalidAtlasError, match="not a stored embedding"):
                 tg.arrow_of(t)
 
@@ -123,27 +140,27 @@ class TestArrowOf:
 class TestArrowEquality:
     def test_reflexive(self, tg):
         p = Point.of(M, Fraction(1, 4))
-        t = Triple(emb(1), p, emb(2))
+        t = Span("cone3", p, emb(1), emb(2))
         assert tg.triples_equal(t, t)
 
     def test_rotated_representatives_equal(self, tg):
         p = Point.of(M, Fraction(1, 4))
-        t1 = Triple(emb(1), p, emb(2))
-        t2 = Triple(emb(0), zrot(1)(p), emb(1))
+        t1 = Span("cone3", p, emb(1), emb(2))
+        t2 = Span("cone3", zrot(1)(p), emb(0), emb(1))
         assert tg.triples_equal(t1, t2)
 
     def test_distinct_isotropy_arrows_differ(self, tg):
         origin = Point.origin(M, 1)
-        t1 = Triple(emb(0), origin, emb(1))
-        t2 = Triple(emb(0), origin, emb(0))
+        t1 = Span("cone3", origin, emb(0), emb(1))
+        t2 = Span("cone3", origin, emb(0), emb(0))
         assert not tg.triples_equal(t1, t2)
 
     def test_local_triviality(self, tg):
         # within one component, distinct parameter points are never equivalent
         p = Point.of(M, Fraction(1, 4))
         q = Point.of(M, Fraction(1, 8))
-        a = tg.arrow_of(Triple(emb(0), p, emb(1)))
-        b = tg.arrow_of(Triple(emb(0), q, emb(1)))
+        a = tg.arrow_of(Span("cone3", p, emb(0), emb(1)))
+        b = tg.arrow_of(Span("cone3", q, emb(0), emb(1)))
         assert a.component == b.component
         assert not tg.arrow_equal(a, b)
 
@@ -155,13 +172,14 @@ class TestArrowEquality:
         for _ in range(300):
             p = random_chart_point(rng, a3, "cone3")
             g1, g2, h = (rng.randrange(3) for _ in range(3))
-            t1 = Triple(emb(g1), p, emb(g2))
+            t1 = Span("cone3", p, emb(g1), emb(g2))
 
             # translate the representative by h: same class by construction
             def translate(t, k):
-                return Triple(
-                    Embedding("cone3", "cone3", t.left.map.compose(zrot(k).inverse())),
+                return Span(
+                    "cone3",
                     zrot(k)(t.point),
+                    Embedding("cone3", "cone3", t.left.map.compose(zrot(k).inverse())),
                     Embedding("cone3", "cone3", t.right.map.compose(zrot(k).inverse())),
                 )
 
@@ -171,7 +189,7 @@ class TestArrowEquality:
             assert tg.triples_equal(t2, t1)
             t3 = translate(t2, (h + 1) % 3)
             assert tg.triples_equal(t2, t3) and tg.triples_equal(t1, t3)
-            t_other = Triple(emb((g2 + 1) % 3), p, emb(g2))
+            t_other = Span("cone3", p, emb((g2 + 1) % 3), emb(g2))
             if not tg.triples_equal(t1, t_other):
                 assert not tg.triples_equal(t_other, t1)
 
@@ -183,12 +201,12 @@ class TestArrowEquality:
         for left in legs:
             for right in legs:
                 z = random_chart_point(rng, a3, "cone3")
-                a = tg.arrow_of(Triple(left, z, right))
+                a = tg.arrow_of(Span(left.src, z, left, right))
                 assert a.point == left(z)
                 assert tg.source(a) == UnitPoint(left.dst, left(z))
                 assert tg.local_bisection(a)(a.point) == right(z)
                 assert tg.target(a) == UnitPoint(right.dst, right(z))
-                assert tg.triples_equal(tg.triple_of(a), Triple(left, z, right))
+                assert tg.triples_equal(tg.triple_of(a), Span(left.src, z, left, right))
 
     def test_equality_across_source_charts(self, sub_full_cone3):
         # the same identification represented over the restricted chart and
@@ -199,14 +217,12 @@ class TestArrowEquality:
         inc = full.reps[("half", "cone3")]
         rot = full.chart("cone3").group[1]
         x = Point.of(m, Fraction(1, 8))
-        over_half = Triple(inc, x, Embedding("half", "cone3", rot.compose(inc.map)))
-        over_big = Triple(
-            full.identity_embedding("cone3"), x, Embedding("cone3", "cone3", rot)
-        )
+        over_half = Span(inc.src, x, inc, Embedding("half", "cone3", rot.compose(inc.map)))
+        over_big = Span("cone3", x, full.identity_embedding("cone3"), Embedding("cone3", "cone3", rot))
         assert g.triples_equal(over_half, over_big)
         assert g.triples_equal(over_big, over_half)
-        other = Triple(
-            full.identity_embedding("cone3"), x, Embedding("cone3", "cone3", rot.compose(rot))
+        other = Span(
+            "cone3", x, full.identity_embedding("cone3"), Embedding("cone3", "cone3", rot.compose(rot))
         )
         assert not g.triples_equal(over_half, other)
 
@@ -294,26 +310,26 @@ class TestGermRule:
 class TestMultiplication:
     def test_unit_law(self, tg):
         p = Point.of(M, Fraction(1, 4))
-        a = tg.arrow_of(Triple(emb(0), p, emb(1)))
+        a = tg.arrow_of(Span("cone3", p, emb(0), emb(1)))
         e = tg.identity(tg.source(a))
         assert tg.arrow_equal(tg.multiply(e, a), a)
 
     def test_action_law_on_cone(self, tg):
         p = Point.of(M, Fraction(1, 4))
-        a = tg.arrow_of(Triple(emb(0), p, emb(1)))
-        b = tg.arrow_of(Triple(emb(0), zrot(1)(p), emb(1)))
+        a = tg.arrow_of(Span("cone3", p, emb(0), emb(1)))
+        b = tg.arrow_of(Span("cone3", zrot(1)(p), emb(0), emb(1)))
         prod = tg.multiply(a, b)
-        assert tg.triples_equal(tg.triple_of(prod), Triple(emb(0), p, emb(2)))
+        assert tg.triples_equal(tg.triple_of(prod), Span("cone3", p, emb(0), emb(2)))
 
     def test_inverse_law(self, tg):
         p = Point.of(M, Fraction(1, 4))
-        a = tg.arrow_of(Triple(emb(1), p, emb(2)))
+        a = tg.arrow_of(Span("cone3", p, emb(1), emb(2)))
         assert tg.arrow_equal(tg.multiply(a, tg.inverse(a)), tg.identity(tg.source(a)))
 
     def test_not_composable(self, tg):
         p = Point.of(M, Fraction(1, 4))
-        a = tg.arrow_of(Triple(emb(0), p, emb(0)))
-        b = tg.arrow_of(Triple(emb(0), Point.of(M, Fraction(1, 8)), emb(0)))
+        a = tg.arrow_of(Span("cone3", p, emb(0), emb(0)))
+        b = tg.arrow_of(Span("cone3", Point.of(M, Fraction(1, 8)), emb(0), emb(0)))
         with pytest.raises(NotComposableError):
             tg.multiply(a, b)
 
@@ -347,10 +363,12 @@ class TestActionOracle:
 
 
 class AllRecordTransports(TranslationGroupoid):
-    """Every record of the former transport table, duplicates included."""
+    """A component for every record of the former transport table, duplicates
+    included."""
 
-    def transports(self, ca, cb):
-        return [(t.map, t.domain) for t in reference_transports(self.atlas, ca, cb)]
+    def components_between(self, ca, cb):
+        records = reference_transports(self.atlas, ca, cb)
+        return [ArrowComponent((ca, cb, i), t.domain, t.map, ca, cb) for i, t in enumerate(records)]
 
 
 RECONSTRUCT_ATLASES = {
@@ -376,13 +394,13 @@ class TestDistinctTransports:
                 for t in reference_transports(g.atlas, ca, cb):
                     if (t.map, t.domain) not in want:
                         want.append((t.map, t.domain))
-                assert g.transports(ca, cb) == tuple(want)
+                assert [(c.germ, c.ball) for c in g.components_between(ca, cb)] == want
 
     def test_cone6_has_six_distinct_transports(self):
         g = TranslationGroupoid(cone(6))
         assert len(reference_transports(g.atlas, "cone6", "cone6")) == 36
-        assert len(g.atlas.transports("cone6", "cone6")) == 6
-        assert g.transports("cone6", "cone6") is g.atlas.transports("cone6", "cone6")
+        assert len(g.atlas.transport_table("cone6", "cone6").entries) == 6
+        assert len(g.components_between("cone6", "cone6")) == 6
 
     @pytest.mark.parametrize("name", list(RECONSTRUCT_ATLASES))
     def test_reconstruction_bytes_match_all_records(self, name):
@@ -407,7 +425,7 @@ def reference_oracle_checks(atlas, samples, seed):
 
     def to_triple(x, g_index):
         g = chart.group[g_index]
-        return tg.arrow_of(Triple(ident, x, Embedding(cid, cid, g.compose(ident.map))))
+        return tg.arrow_of(Span(ident.src, x, ident, Embedding(cid, cid, g.compose(ident.map))))
 
     ok_bij = ok_s = ok_t = ok_m = ok_i = ok_e = True
     for _ in range(samples):
@@ -530,7 +548,7 @@ def reference_inverse(g, a):
     t = g.triple_of(a)
     germ = t.left.map.compose(t.right.map.inverse())
     domain = map_ball(t.right.map, g.atlas.chart(t.right.src).ball)
-    back = g.atlas.transports(t.right.dst, t.left.dst)
+    back = g.atlas.transport_table(t.right.dst, t.left.dst).entries
     return Arrow((t.right.dst, t.left.dst, back.index((germ, domain))), t.right(t.point))
 
 
@@ -681,6 +699,65 @@ class TestArrowsTo:
             assert built
 
 
+def reference_arrow_components(g):
+    """arrow_components as each presentation wrote it out: an action's
+    component of every element, in label order; a translation groupoid's
+    component (ca, cb, i) of every entry of every transport table, chart
+    pairs in order."""
+    if isinstance(g, ActionGroupoid):
+        return [ArrowComponent(lab, g.ball, g.rep[lab], "U", "U") for lab in g.labels]
+    ids = g.atlas.chart_ids()
+    return [
+        ArrowComponent((ca, cb, i), domain, germ, ca, cb)
+        for ca in ids
+        for cb in ids
+        for i, (germ, domain) in enumerate(g.atlas.transport_table(ca, cb).entries)
+    ]
+
+
+COMPONENT_CASES = {
+    **{name: lambda make=make: [TranslationGroupoid(make())] for name, make in LABEL_ATLASES.items()},
+    "cone_pair3_unions": lambda: [TranslationGroupoid(a) for a in union_atlases(*cone_pair(3))],
+    "teardrop_pair3_unions": lambda: [TranslationGroupoid(a) for a in union_atlases(*teardrop_pair(3))],
+    "z3_action": lambda: [z3_action()],
+    "z4_by_sign": lambda: [z4_by_sign()],
+}
+
+
+class TestComponentsBetween:
+    """components_between is the one component query of a presentation:
+    arrow_components is its lists over every pair of unit components."""
+
+    @pytest.mark.parametrize("name", list(COMPONENT_CASES))
+    def test_components_in_label_order_carry_their_entries(self, name):
+        for g in COMPONENT_CASES[name]():
+            units = [c.label for c in g.unit_components()]
+            for ca in units:
+                for cb in units:
+                    comps = g.components_between(ca, cb)
+                    if isinstance(g, ActionGroupoid):
+                        labels, entries = g.labels, [(g.rep[lab], g.ball) for lab in g.labels]
+                    else:
+                        entries = list(g.atlas.transport_table(ca, cb).entries)
+                        labels = [(ca, cb, i) for i in range(len(entries))]
+                    assert [c.label for c in comps] == labels
+                    assert [(c.germ, c.ball) for c in comps] == entries
+                    assert all((c.s_component, c.t_component) == (ca, cb) for c in comps)
+                    assert all(c is g.arrow_component(c.label) for c in comps)
+
+    @pytest.mark.parametrize("name", list(COMPONENT_CASES))
+    def test_unknown_component_has_no_components(self, name):
+        for g in COMPONENT_CASES[name]():
+            for c in g.unit_components():
+                assert g.components_between(c.label, "zz") == g.components_between("zz", c.label) == []
+            assert g.components_between("zz", "zz") == []
+
+    @pytest.mark.parametrize("name", list(COMPONENT_CASES))
+    def test_arrow_components_match_the_written_out_enumeration(self, name):
+        for g in COMPONENT_CASES[name]():
+            assert g.arrow_components() == reference_arrow_components(g)
+
+
 class TestArrowsToRows:
     """arrows_to reads its entry from the first row of the transport table
     whose domain holds the point; it gives the arrows (labels and order) of
@@ -741,7 +818,7 @@ class TestSourcePoint:
         assert flat not in lefts
         z = atlas.chart(flat.src).ball.center
         with pytest.raises(InvalidAtlasError, match="not invertible"):
-            g.arrow_of(Triple(flat, z, atlas.identity_embedding(flat.src)))
+            g.arrow_of(Span(flat.src, z, flat, atlas.identity_embedding(flat.src)))
         flat_germs = [comp for comp in g.arrow_components() if not comp.germ.is_invertible()]
         assert flat_germs
         for comp in flat_germs:
@@ -774,7 +851,7 @@ class TestEntryTable:
             ((ca, cb, i), germ, domain)
             for ca in ids
             for cb in ids
-            for i, (germ, domain) in enumerate(g.atlas.transports(ca, cb))
+            for i, (germ, domain) in enumerate(g.atlas.transport_table(ca, cb).entries)
         ]
         # each entry's first leg pair gives it, and is the first record that does
         for c in comps:
@@ -791,7 +868,7 @@ def old_route_arrow(system, src_g, dst_g, a):
     the triple's chart, and take the arrow of the image triple."""
     t = src_g.triple_of(a)
     left, right = system.on_embedding(t.left), system.on_embedding(t.right)
-    return dst_g.arrow_of(Triple(left, system.lift(t.left.src)(t.point), right))
+    return dst_g.arrow_of(Span(left.src, system.lift(t.left.src)(t.point), left, right))
 
 
 def old_route_component(delta, dst_g, u):
@@ -799,7 +876,8 @@ def old_route_component(delta, dst_g, u):
     lifted point, delta component]."""
     system = delta.src_sys
     ident = system.dst.identity_embedding(system.theta[u.component])
-    return dst_g.arrow_of(Triple(ident, system.lift(u.component)(u.point), delta.component(u.component)))
+    point = system.lift(u.component)(u.point)
+    return dst_g.arrow_of(Span(ident.src, point, ident, delta.component(u.component)))
 
 
 def old_reconstruction_arrow(g, recon, src, a):
