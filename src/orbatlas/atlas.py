@@ -143,7 +143,9 @@ class Atlas:
 
     def family(self, src: str, dst: str) -> tuple[Embedding, ...]:
         """All embeddings src -> dst: the target-group torsor over the stored
-        representative, or the chart group itself when src == dst."""
+        representative, or the chart group itself when src == dst.  Cached
+        per chart pair; an id outside the atlas has the empty family and
+        leaves no cache entry."""
         key = (src, dst)
         cached = self._family_cache.get(key)
         if cached is not None:
@@ -157,7 +159,8 @@ class Atlas:
             )
         else:
             fam = ()
-        self._family_cache[key] = fam
+        if src in self.charts and dst in self.charts:
+            self._family_cache[key] = fam
         return fam
 
     def transport_table(self, ca: str, cb: str) -> TransportTable:
@@ -197,9 +200,12 @@ class Atlas:
         return self._translate_cache[(ca, cb, i)]
 
     def in_family(self, e: Embedding) -> bool:
-        members = self._member_cache.get((e.src, e.dst))
+        key = (e.src, e.dst)
+        members = self._member_cache.get(key)
         if members is None:
-            members = self._member_cache[(e.src, e.dst)] = frozenset(f.map for f in self.family(e.src, e.dst))
+            members = frozenset(f.map for f in self.family(*key))
+            if e.src in self.charts and e.dst in self.charts:
+                self._member_cache[key] = members
         return e.map in members
 
     # -- identification -----------------------------------------------------

@@ -4,7 +4,8 @@ systems, 2-cells and witness files.
 Rationals travel as "p/q" strings and field elements as length-m coefficient
 arrays; documents are emitted with sorted keys and no whitespace, so
 parse -> serialize -> parse is the identity and serialization after parsing is
-byte-identical to the canonical form.
+byte-identical to the canonical form.  A system or 2-cell document writes
+each distinct atlas once and repeats its bytes under every reference.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from .atlas import Atlas, Chart, Embedding, Span
 from .errors import DimensionMismatchError, NotSimilarityError, ParseError
-from .field import SUPPORTED_CONDUCTORS, CycNum, _degree
+from .field import SUPPORTED_CONDUCTORS, CycNum, _degree, _make
 from .gallery import WitnessSpan
 from .geometry import AffineMap, Ball, Point, PolyMap
 from .groupoids import ActionGroupoid, GroupoidPresentation
@@ -100,9 +101,12 @@ def cyc_from_doc(m: int, doc, where="scalar") -> CycNum:
     if len(doc) != m:
         raise ParseError(f"coefficient array of length {len(doc)}, expected {m}", where)
     coeffs = [_parse_frac(c, where) for c in doc]
-    if any(coeffs[_degree(m):]):
-        raise ParseError(f"coefficient array is not reduced below degree {_degree(m)}", where)
-    return CycNum(m, coeffs)
+    d = _degree(m)
+    if any(coeffs[d:]):
+        raise ParseError(f"coefficient array is not reduced below degree {d}", where)
+    # the entries from d on are zero, so the first d are already canonical: nothing is left to reduce mod Phi_m
+    den = lcm(*(q.denominator for q in coeffs[:d]))
+    return _make(m, [q.numerator * (den // q.denominator) for q in coeffs[:d]], den)
 
 
 def point_to_doc(p: Point) -> list:
@@ -380,12 +384,25 @@ def groupoid_from_doc(doc) -> GroupoidPresentation:
 # -- compatible systems and 2-cells -------------------------------------------------
 
 
-def system_to_doc(f: CompatibleSystem) -> dict:
-    src_doc, dst_doc = atlas_to_doc(f.src), atlas_to_doc(f.dst)
+def _atlas_ref(atlas: Atlas, written: dict) -> dict:
+    """A fresh inline reference to atlas; written maps each Atlas already
+    written in the same document to its (doc, doc_hash) pair, so an atlas is
+    written and hashed once and its references share the one doc."""
+    if atlas not in written:
+        doc = atlas_to_doc(atlas)
+        written[atlas] = doc, doc_hash(doc)
+    doc, h = written[atlas]
+    return {"inline": doc, "hash": h}
+
+
+def system_to_doc(f: CompatibleSystem, written: dict | None = None) -> dict:
+    """A compatible system; written (Atlas -> (doc, doc_hash)) is shared by
+    the two systems of one 2-cell document."""
+    written = {} if written is None else written
     return {
         "kind": "system",
-        "src": {"inline": src_doc, "hash": doc_hash(src_doc)},
-        "dst": {"inline": dst_doc, "hash": doc_hash(dst_doc)},
+        "src": _atlas_ref(f.src, written),
+        "dst": _atlas_ref(f.dst, written),
         "theta": dict(sorted(f.theta.items())),
         "assignment": [
             {"pair": [i, j], "dst_pair": [e.src, e.dst], **affine_to_doc(e.map)}
@@ -396,18 +413,23 @@ def system_to_doc(f: CompatibleSystem) -> dict:
 
 
 def _atlas_ref_from_doc(ref, base_dir: Path | None, parsed: dict):
-    """The atlas a reference names; parsed maps doc_hash to the atlases
+    """The atlas a reference names.  parsed maps doc_hash to the atlases
     already read from the same document, so equal references share one
-    Atlas."""
+    Atlas, and each path under base_dir to its loaded (doc, doc_hash) pair,
+    so a file is read once per document."""
     if "inline" in _typed(ref, dict, "atlas reference"):
         doc = ref["inline"]
+        h = doc_hash(doc)
     elif "path" in ref:
         if base_dir is None:
             raise ParseError("atlas reference by path needs a base directory")
-        doc = load_document(base_dir / _typed(ref["path"], str, "atlas path"))
+        path = base_dir / _typed(ref["path"], str, "atlas path")
+        if path not in parsed:
+            doc = load_document(path)
+            parsed[path] = doc, doc_hash(doc)
+        doc, h = parsed[path]
     else:
         raise ParseError("atlas reference needs 'inline' or 'path'")
-    h = doc_hash(doc)
     if "hash" in ref and h != ref["hash"]:
         raise ParseError("atlas reference hash mismatch")
     if h not in parsed:
@@ -416,8 +438,8 @@ def _atlas_ref_from_doc(ref, base_dir: Path | None, parsed: dict):
 
 
 def system_from_doc(doc, base_dir: Path | None = None, parsed: dict | None = None) -> CompatibleSystem:
-    """A compatible system; parsed (doc_hash -> Atlas) is shared by the two
-    systems of one 2-cell document."""
+    """A compatible system; parsed (doc_hash -> Atlas, path -> (doc,
+    doc_hash)) is shared by the two systems of one 2-cell document."""
     if _kind(doc) != "system":
         raise ParseError("document is not a compatible system")
     parsed = {} if parsed is None else parsed
@@ -443,10 +465,11 @@ def system_from_doc(doc, base_dir: Path | None = None, parsed: dict | None = Non
 
 
 def cell_to_doc(delta: OrbNatTrans) -> dict:
+    written: dict = {}
     return {
         "kind": "cell",
-        "src_system": system_to_doc(delta.src_sys),
-        "dst_system": system_to_doc(delta.dst_sys),
+        "src_system": system_to_doc(delta.src_sys, written),
+        "dst_system": system_to_doc(delta.dst_sys, written),
         "components": {
             cid: {"src": e.src, "dst": e.dst, **affine_to_doc(e.map)}
             for cid, e in sorted(delta.components.items())

@@ -279,3 +279,33 @@ def reference_mul_nums(phi, m, a, b):
             for j, y in enumerate(b):
                 conv[i + j] += x * y
     return reference_combine(phi, m, 1, conv)
+
+
+def reference_cell_to_doc(delta):
+    """The former 2-cell writer: every atlas reference of both systems
+    written and hashed afresh."""
+    from orbatlas.serialize import affine_to_doc, atlas_to_doc, doc_hash, poly_to_doc
+
+    def system(f):
+        src_doc, dst_doc = atlas_to_doc(f.src), atlas_to_doc(f.dst)
+        return {
+            "kind": "system",
+            "src": {"inline": src_doc, "hash": doc_hash(src_doc)},
+            "dst": {"inline": dst_doc, "hash": doc_hash(dst_doc)},
+            "theta": dict(sorted(f.theta.items())),
+            "assignment": [
+                {"pair": [i, j], "dst_pair": [e.src, e.dst], **affine_to_doc(e.map)}
+                for (i, j), e in sorted(f.assign.items())
+            ],
+            "lifts": {cid: poly_to_doc(p) for cid, p in sorted(f.lifts.items())},
+        }
+
+    return {
+        "kind": "cell",
+        "src_system": system(delta.src_sys),
+        "dst_system": system(delta.dst_sys),
+        "components": {
+            cid: {"src": e.src, "dst": e.dst, **affine_to_doc(e.map)}
+            for cid, e in sorted(delta.components.items())
+        },
+    }

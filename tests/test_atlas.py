@@ -747,11 +747,14 @@ class TestTransportTable:
             assert g.arrows_to(UnitPoint(c, x), "zz") == []
             assert atlas.transport_table(c, "zz").entries == atlas.transport_table("zz", c).entries == ()
             assert g.components_between(c, "zz") == g.components_between("zz", c) == []
+            assert atlas.family(c, "zz") == atlas.family("zz", c) == ()
+            identity = atlas.identity_embedding(c).map
+            assert not atlas.in_family(Embedding(c, "zz", identity)) and not atlas.in_family(Embedding("zz", c, identity))
             assert atlas.refine(c, x, c, x) is not None
-        # the tables of the chart pairs are kept, the empty ones of an unknown id are not
-        assert atlas._transport_cache and all(
-            {ca, cb} <= atlas.charts.keys() for ca, cb in atlas._transport_cache
-        )
+            assert atlas.in_family(atlas.identity_embedding(c))
+        # the tables, families and members of the chart pairs are kept, the empty ones of an unknown id are not
+        for cache in (atlas._transport_cache, atlas._family_cache, atlas._member_cache):
+            assert cache and all({ca, cb} <= atlas.charts.keys() for ca, cb in cache)
 
     @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
     def test_multiply_label_matches_the_record_scan(self, make):

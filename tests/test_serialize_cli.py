@@ -26,6 +26,7 @@ from orbatlas.serialize import (
     atlas_from_doc,
     canonical_bytes,
     cell_from_doc,
+    cell_to_doc,
     cyc_from_doc,
     cyc_to_doc,
     doc_hash,
@@ -38,10 +39,10 @@ from orbatlas.serialize import (
     witnesses_from_doc,
     witnesses_to_doc,
 )
-from orbatlas.systems import CompatibleSystem, rotation_fixture
+from orbatlas.systems import CompatibleSystem, identity_cell, rotation_fixture
 from orbatlas.translation import TranslationGroupoid
 
-from conftest import two_disc_table_atlas
+from conftest import reference_cell_to_doc, two_disc_table_atlas
 
 
 class TestRoundTrips:
@@ -147,6 +148,36 @@ class TestRoundTrips:
         with pytest.raises(ParseError):
             system_from_doc(doc, base_dir=tmp_path)
 
+    def test_path_read_once_per_document(self, tmp_path, monkeypatch):
+        import orbatlas.serialize as ser
+
+        loads = []
+
+        def counted(path):
+            loads.append(path)
+            return load_document(path)
+
+        monkeypatch.setattr(ser, "load_document", counted)
+        fx = rotation_fixture(cone(3), random.Random(1))
+        doc = json.loads(serialize(fx.f1))
+        atlas_doc = doc["src"]["inline"]
+        (tmp_path / "base.json").write_bytes(canonical_bytes(atlas_doc))
+        ref = {"path": "base.json", "hash": doc_hash(atlas_doc)}
+        doc["src"], doc["dst"] = dict(ref), dict(ref)
+        assert serialize(system_from_doc(doc, base_dir=tmp_path)) == serialize(fx.f1)
+        assert len(loads) == 1
+        # the file is read once, and the second reference's hash is still compared
+        doc["dst"]["hash"] = "0" * 64
+        with pytest.raises(ParseError, match="atlas reference hash mismatch"):
+            system_from_doc(doc, base_dir=tmp_path)
+        assert len(loads) == 2
+        # all four references of a 2-cell read the file once
+        cell = json.loads(serialize(fx.delta))
+        for key in ("src_system", "dst_system"):
+            cell[key]["src"], cell[key]["dst"] = dict(ref), dict(ref)
+        assert serialize(cell_from_doc(cell, base_dir=tmp_path)) == serialize(fx.delta)
+        assert len(loads) == 3
+
     def test_witness_documents(self):
         from orbatlas.gallery import cone_pair
 
@@ -154,6 +185,62 @@ class TestRoundTrips:
         doc = witnesses_to_doc(ws)
         back = witnesses_from_doc(json.loads(canonical_bytes(doc)), u1.conductor)
         assert canonical_bytes(witnesses_to_doc(back)) == canonical_bytes(doc)
+
+
+class TestCellWriter:
+    """The 2-cell writer writes and hashes each distinct Atlas once per
+    document, with the bytes of the former writer, which wrote and hashed
+    every reference afresh."""
+
+    LAWS_GALLERY = {
+        "cone2": lambda: cone(2),
+        "cone3": lambda: cone(3),
+        "cone4": lambda: cone(4),
+        "cone6": lambda: cone(6),
+        "football23": lambda: football(2, 3),
+        "teardrop3": lambda: teardrop(3),
+        "quot22": lambda: global_quotient(2, 2),
+        "point": point_atlas,
+        "cone4m12": lambda: cone(4, conductor=12),
+        "football34m12": lambda: football(3, 4, conductor=12),
+    }
+
+    @staticmethod
+    def written(delta) -> list:
+        """The four atlas references of delta's document, after checking its
+        bytes against the former writer and its round trip; no two
+        references are one dict."""
+        doc = cell_to_doc(delta)
+        raw = canonical_bytes(doc)
+        assert raw == canonical_bytes(reference_cell_to_doc(delta)) == serialize(delta)
+        assert serialize(cell_from_doc(json.loads(raw))) == raw
+        refs = [doc[system][end] for system in ("src_system", "dst_system") for end in ("src", "dst")]
+        assert len({id(ref) for ref in refs}) == len(refs)
+        return refs
+
+    @pytest.mark.parametrize("make", LAWS_GALLERY.values(), ids=LAWS_GALLERY.keys())
+    def test_rotation_fixtures(self, make):
+        fx = rotation_fixture(make(), random.Random(7))
+        for delta in (fx.delta, fx.sigma, fx.eta, fx.mu):
+            refs = self.written(delta)
+            assert len({id(ref["inline"]) for ref in refs}) == 1
+
+    def test_systems_joining_two_atlases(self):
+        # the lift z -> z^3 carries cone(6)'s rotations onto cone(2)'s at conductor 6
+        src, dst = cone(6), cone(2, conductor=6)
+        cube = PolyMap(6, 1, 1, [{(3,): 1}])
+        refs = self.written(identity_cell(CompatibleSystem(src, dst, {"cone6": "cone2"}, {}, {"cone6": cube})))
+        assert [ref["inline"]["conductor"] for ref in refs] == [6] * 4
+        assert refs[0]["inline"] is refs[2]["inline"] is not refs[1]["inline"] is refs[3]["inline"]
+        assert refs[0]["hash"] != refs[1]["hash"]
+
+    def test_equal_valued_distinct_atlases(self):
+        src, dst = cone(3), cone(3)
+        identity = AffineMap.identity(src.conductor, src.dim)
+        refs = self.written(identity_cell(CompatibleSystem(src, dst, {"cone3": "cone3"}, {}, {"cone3": identity})))
+        # each Atlas object is written once; the two writes have the same bytes
+        assert refs[0]["inline"] is refs[2]["inline"] is not refs[1]["inline"] is refs[3]["inline"]
+        assert refs[0]["inline"] == refs[1]["inline"] and len({ref["hash"] for ref in refs}) == 1
 
 
 class TestGalleryParams:
@@ -186,7 +273,23 @@ class TestCoefficientStrings:
         coeffs = data.draw(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=2 * m))
         scale = data.draw(st.integers(min_value=1, max_value=10**30))
         x = CycNum(m, [c * scale for c in coeffs])
-        assert cyc_to_doc(x) == [f"{c.numerator}/{c.denominator}" for c in x.coeffs]
+        doc = cyc_to_doc(x)
+        assert doc == [f"{c.numerator}/{c.denominator}" for c in x.coeffs]
+        # and the reader's one-step build gives what the general constructor does
+        assert cyc_from_doc(m, doc) == x == CycNum(m, [Fraction(s) for s in doc])
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (["0/1", "0/1", "1/1"], "scalar: coefficient array is not reduced below degree 2"),
+            (["1/2", "0/2", "0/1"], "scalar: bad rational '0/2': expected a string n/d in lowest terms, d >= 1"),
+            (["1/2", 1, "0/1"], "scalar: bad rational 1: expected a string n/d in lowest terms, d >= 1"),
+        ],
+    )
+    def test_cyc_from_doc_errors(self, doc, message):
+        with pytest.raises(ParseError) as info:
+            cyc_from_doc(3, doc)
+        assert str(info.value) == message
 
     CANONICAL = ["0/1", "-3/4", "12/1", "1/1000000007"]
 
