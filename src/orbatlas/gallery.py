@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atlas import Atlas, Chart, Embedding, Span, identity_span, restrict_chart
+from .atlas import Atlas, Chart, Embedding, Span, WitnessSpan, identity_span, restrict_chart
 from .errors import UnsupportedParamsError
 from .field import SUPPORTED_CONDUCTORS, CycNum
 from .geometry import AffineMap, Ball, Point, balls_disjoint, map_ball
+from .morita import pushforward_atlas
 
 GALLERY_NAMES = ("cone", "football", "teardrop", "global_quotient", "point")
 
@@ -210,22 +211,11 @@ def teardrop_pair(p: int, conductor: int | None = None):
     return u1, u2, witnesses
 
 
-@dataclass(frozen=True)
-class WitnessSpan:
-    """A chart embedded into one chart of each of two atlases."""
-
-    chart: Chart
-    left: Embedding  # into a chart of the first atlas
-    right: Embedding  # into a chart of the second atlas
-
-
 def pushforward_pair(base: Atlas):
     """An atlas together with its pushforward along the similarity
     z -> zeta_m z / 2 + (1/3, 0, ..., 0), and one witness per chart: a
     restriction at the chart's centre, its left leg the identity into the
     chart and its right leg that similarity into the pushed chart."""
-    from .morita import pushforward_atlas
-
     m, dim = base.conductor, base.dim
     shift = Point(tuple(CycNum.rational(m, Fraction(1, 3) if i == 0 else 0) for i in range(dim)))
     h = AffineMap.scaling(m, dim, CycNum.zeta(m) * Fraction(1, 2)).shift(shift)

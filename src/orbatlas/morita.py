@@ -18,12 +18,13 @@ from .atlas import (
     Chart,
     Embedding,
     Span,
+    WitnessSpan,
     _composable_reps,
-    embedding_conditions,
     find_conjugator,
     identity_span,
     separation_radius,
     validate_chart,
+    validate_embedding,
 )
 from .errors import (
     InvalidAtlasError,
@@ -33,7 +34,6 @@ from .errors import (
     WitnessInvalidError,
 )
 from .field import CycNum
-from .gallery import WitnessSpan
 from .geometry import (
     AffineMap,
     Ball,
@@ -177,16 +177,6 @@ def _reaches(m: GroupoidMorphism, z: UnitPoint) -> bool:
 # -- atlas equivalence -----------------------------------------------------------
 
 
-def _embedding_problems(e: Embedding, src_chart: Chart, dst_chart: Chart) -> list[str]:
-    injective, inside, missing = embedding_conditions(e.map, src_chart, dst_chart)
-    failed = (
-        (injective, "not injective"),
-        (inside, "image ball not inside the target"),
-        (not missing, "equivariance fails"),
-    )
-    return [problem for ok, problem in failed if not ok]
-
-
 def validate_witness(w: WitnessSpan, u1: Atlas, u2: Atlas) -> list[str]:
     problems = []
     chart_report = validate_chart(w.chart)
@@ -196,10 +186,8 @@ def validate_witness(w: WitnessSpan, u1: Atlas, u2: Atlas) -> list[str]:
         if leg.dst not in atlas.charts:
             problems.append(f"{side} leg targets unknown chart {leg.dst}")
             continue
-        problems.extend(
-            f"{side} leg: {p}"
-            for p in _embedding_problems(leg, w.chart, atlas.chart(leg.dst))
-        )
+        sub = validate_embedding(leg, w.chart, atlas.chart(leg.dst))
+        problems.extend(f"{side} leg: {name}" for name, _ in sub.failures())
     return problems
 
 
@@ -263,8 +251,8 @@ def is_refinement(u: Atlas, v: Atlas, gamma: RefinementData) -> Report:
             rep.add(f"chart {cid} carried", False, f"unknown target {target}")
             continue
         e = Embedding(cid, target, gamma.embeddings[cid])
-        problems = _embedding_problems(e, u.chart(cid), v.chart(target))
-        rep.add(f"chart {cid} embeds into {target}", not problems, "; ".join(problems))
+        sub = validate_embedding(e, u.chart(cid), v.chart(target))
+        rep.add(f"chart {cid} embeds into {target}", sub.ok, "; ".join(n for n, _ in sub.failures()))
     return rep
 
 
@@ -335,7 +323,7 @@ def _relate_witness_charts(u1: Atlas, wa: WitnessSpan, wb: WitnessSpan) -> Embed
             continue
         if ball_in_ball(image, wb.chart.ball):
             e = Embedding(wa.chart.cid, wb.chart.cid, s)
-            if _embedding_problems(e, wa.chart, wb.chart):
+            if not validate_embedding(e, wa.chart, wb.chart).ok:
                 raise WitnessInvalidError(
                     f"transport of {wa.chart.cid} into {wb.chart.cid} is not an embedding"
                 )

@@ -18,10 +18,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
 
-from .atlas import Atlas, Chart, Embedding, Span
+from .atlas import Atlas, Chart, Embedding, Span, WitnessSpan
 from .errors import DimensionMismatchError, NotSimilarityError, ParseError
 from .field import SUPPORTED_CONDUCTORS, CycNum, _degree, _make
-from .gallery import WitnessSpan
 from .geometry import AffineMap, Ball, Point, PolyMap
 from .groupoids import ActionGroupoid, GroupoidPresentation
 from .oracles import SPAN_SEARCH

@@ -43,7 +43,7 @@ from .groupoids import (
 )
 from .report import Report
 from .sampling import random_chart_point
-from .systems import compose_compatible, hcomp_orb, identity_system, vcomp_orb
+from .systems import CompatibleSystem, compose_compatible, hcomp_orb, identity_system, vcomp_orb
 from .systems import identity_cell as orb_identity_cell
 
 
@@ -220,35 +220,35 @@ def build_translation_groupoid(atlas: Atlas, validate: bool = True) -> Translati
 class FunctorImage:
     """The functor F on atlases, compatible systems and their 2-cells, caching
     the groupoids and morphism images over a fixed fixture so that functor-law
-    checks compare composites inside identical objects."""
+    checks compare composites inside identical objects.  The caches are keyed
+    by the atlas and system objects themselves, so F holds each of them for
+    its own lifetime and a freed object's id cannot alias a later one."""
 
     def __init__(self):
-        self._groupoids: dict[int, TranslationGroupoid] = {}
-        self._morphisms: dict[int, GroupoidMorphism] = {}
+        self._groupoids: dict[Atlas, TranslationGroupoid] = {}
+        self._morphisms: dict[CompatibleSystem, GroupoidMorphism] = {}
 
     def on_atlas(self, atlas: Atlas) -> TranslationGroupoid:
-        key = id(atlas)
-        if key not in self._groupoids:
-            self._groupoids[key] = TranslationGroupoid(atlas)
-        return self._groupoids[key]
+        if atlas not in self._groupoids:
+            self._groupoids[atlas] = TranslationGroupoid(atlas)
+        return self._groupoids[atlas]
 
-    def on_system(self, system) -> GroupoidMorphism:
+    def on_system(self, system: CompatibleSystem) -> GroupoidMorphism:
         """Units map by the lifts; an arrow over the entry with first legs
         (left, right) maps to the germ of (F(left), F(right)) at the lifted
         point, which the cube condition F(left) . lift = lift . left makes
         F(left) of the lifted triple point."""
-        key = id(system)
-        if key not in self._morphisms:
+        if system not in self._morphisms:
 
             def germ_of(c: ArrowComponent) -> AffineMap:
                 legs = system.src.transport_table(c.s_component, c.t_component).legs[c.label[2]]
                 return _transition(*map(system.on_embedding, legs))
 
             unit_maps = {cid: (system.theta[cid], system.lift(cid)) for cid in system.src.chart_ids()}
-            self._morphisms[key] = GroupoidMorphism.of_germs(
+            self._morphisms[system] = GroupoidMorphism.of_germs(
                 self.on_atlas(system.src), self.on_atlas(system.dst), unit_maps, germ_of
             )
-        return self._morphisms[key]
+        return self._morphisms[system]
 
     def on_cell(self, delta) -> GrpNatTrans:
         """u -> the germ of the delta component at the lifted point (the arrow

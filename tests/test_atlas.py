@@ -23,6 +23,7 @@ from orbatlas.atlas import (
     validate_atlas,
     validate_chart,
     validate_embedding,
+    validate_span,
 )
 from orbatlas.errors import (
     InvalidAtlasError,
@@ -45,7 +46,7 @@ from orbatlas.gallery import (
 )
 from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, point_in_ball
 from orbatlas.groupoids import UnitPoint
-from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, union_atlas
+from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, reconstruct_atlas, union_atlas
 from orbatlas.sampling import random_chart_point
 from orbatlas.translation import TranslationGroupoid
 
@@ -502,9 +503,10 @@ class TestAtlasValidation:
         chart = cone3_m12.chart("cone3")
         small = Chart("small", Ball.of(M, [0], Fraction(1, 4)), tuple(rotation_group(M, 1, 3)))
         bad = Embedding("cone3", "small", AffineMap.identity(M, 1))
+        assert validate_embedding(bad, chart, small).failures() == [("image inside target domain", "")]
         atlas = Atlas(M, 1, [chart, small], [bad])
         rep = validate_atlas(atlas, rng=random.Random(0))
-        assert not rep.ok
+        assert ("representative cone3->small", "image inside target domain") in rep.failures()
 
     def test_common_span_random_pairs(self, cone3_m12, football23, teardrop3):
         # sampled oracle-identified pairs: the completed square always commutes
@@ -533,6 +535,66 @@ class TestAtlasValidation:
                 assert ident.map.compose(span.left.map) == left.map.compose(span.right.map)
                 assert span.left(span.point) == p
                 assert span.right(span.point) == raw.point
+
+
+def _validation_queries(atlas):
+    """The queries validate_atlas asks refine, in its order: both ends of each
+    valid witness span, then every unit witness point against itself."""
+    queries = [
+        (w.left.dst, w.left(w.point), w.right.dst, w.right(w.point))
+        for w in atlas.witnesses
+        if validate_span(atlas, w).ok
+    ]
+    return queries + [(cid, p, cid, p) for cid in atlas.chart_ids() for p in atlas.witness_points(cid)]
+
+
+_VALIDATION_ATLASES = {
+    "cone2": lambda: cone(2),
+    "cone3": lambda: cone(3),
+    "cone4": lambda: cone(4),
+    "cone6": lambda: cone(6),
+    "football23": lambda: football(2, 3),
+    "teardrop3": lambda: teardrop(3),
+    "quot22": lambda: global_quotient(2, 2),
+    "point": point_atlas,
+    "cone4-m12": lambda: cone(4, conductor=12),
+    "football34-m12": lambda: football(3, 4, conductor=12),
+    "cone3-union1": lambda: _refinement_atlases(cone_pair(3))[1],
+    "cone3-union2": lambda: _refinement_atlases(cone_pair(3))[2],
+    "teardrop3-union1": lambda: _refinement_atlases(teardrop_pair(3))[1],
+    "teardrop3-union2": lambda: _refinement_atlases(teardrop_pair(3))[2],
+    "reconstructed-football23": lambda: reconstruct_atlas(TranslationGroupoid(football(2, 3)), samples=2, seed=0).atlas,
+}
+
+
+class TestValidationQueries:
+    """validate_atlas asks refine each query once; its "oracle deterministic"
+    row is recorded by construction, and this guards what it stands for."""
+
+    @pytest.mark.parametrize("name", list(_VALIDATION_ATLASES))
+    def test_refine_answers_each_query_alike_twice(self, name):
+        atlas = _VALIDATION_ATLASES[name]()
+        queries = _validation_queries(atlas)
+        assert queries
+        for q in queries:
+            first = atlas.refine(*q)
+            assert first is not None and first == atlas.refine(*q)
+
+    @pytest.mark.parametrize("name", list(_VALIDATION_ATLASES))
+    def test_refine_called_once_per_query(self, name, monkeypatch):
+        atlas = _VALIDATION_ATLASES[name]()
+        queries = _validation_queries(atlas)
+        calls = []
+        refine = Atlas.refine
+
+        def counted(self, *q):
+            calls.append(q)
+            return refine(self, *q)
+
+        monkeypatch.setattr(Atlas, "refine", counted)
+        rep = validate_atlas(atlas)
+        assert rep.ok, rep.failures()
+        assert calls == queries
 
 
 def _reference_refine(atlas, ci, x, cj, y):

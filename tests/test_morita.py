@@ -1,8 +1,12 @@
 """Morita checks, atlas equivalence, refinements, pushforwards, reconstruction."""
 
+import ast
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from orbatlas.atlas import (
     restrict_chart,
     separation_radius,
     validate_atlas,
+    validate_embedding,
 )
 from orbatlas.errors import NotASubAtlasError, NotEquivalentError, WitnessInvalidError
 from orbatlas.field import CycNum, sign_real
@@ -48,7 +53,6 @@ from orbatlas.groupoids import (
     validate_groupoid_morphism,
 )
 from orbatlas.morita import (
-    _embedding_problems,
     _hits_witness,
     _reaches,
     _self_maps,
@@ -253,6 +257,16 @@ class TestEquivalence:
     def test_no_witnesses_is_not_equivalence_evidence(self, cone3):
         assert not atlases_equivalent(cone3, cone3, []).ok
 
+    def test_failing_leg_is_named_by_the_embedding_checks(self):
+        # w0's ball (r2 = 9/64) scaled by 4 leaves the unit disc; the scaling
+        # is still injective and equivariant
+        u1, u2, ws = cone_pair(3)
+        w = ws[0]
+        scaled = AffineMap.scaling(u1.conductor, 1, 4).compose(w.left.map)
+        bad = WitnessSpan(w.chart, Embedding(w.left.src, w.left.dst, scaled), w.right)
+        rep = atlases_equivalent(u1, u2, [bad, ws[1]])
+        assert rep.failures() == [("witness 0 valid", "first leg: image inside target domain")]
+
 
 class TestRefinement:
     def test_identity_refinement(self, cone3):
@@ -271,6 +285,12 @@ class TestRefinement:
     def test_missing_embedding_fails(self, cone3):
         gamma = RefinementData({}, {})
         assert not is_refinement(cone3, cone3, gamma).ok
+
+    def test_failing_embedding_is_named_by_the_embedding_checks(self, cone3):
+        # z -> 0 maps the disc into itself and commutes with every rotation
+        gamma = RefinementData({"cone3": "cone3"}, {"cone3": AffineMap.scaling(cone3.conductor, 1, 0)})
+        rep = is_refinement(cone3, cone3, gamma)
+        assert rep.failures() == [("chart cone3 embeds into cone3", "injective")]
 
     def test_common_refinement_two_radii(self):
         u1, u2, ws = cone_pair(3)
@@ -329,7 +349,7 @@ def _record_walk_relate(u1, wa, wb):
             continue
         if ball_in_ball(image, wb.chart.ball):
             e = Embedding(wa.chart.cid, wb.chart.cid, s)
-            if _embedding_problems(e, wa.chart, wb.chart):
+            if not validate_embedding(e, wa.chart, wb.chart).ok:
                 raise WitnessInvalidError(
                     f"transport of {wa.chart.cid} into {wb.chart.cid} is not an embedding"
                 )
@@ -858,3 +878,37 @@ class TestWitnessSearchReference:
         image = {label for label, _ in m.unit_maps.values()}
         assert "half" not in image
         assert built and all(u.component == "half" and c in image for u, c in built)
+
+
+class TestImportGraph:
+    """The span types live in the atlas layer, so the examples module and the
+    Morita layer import in one direction only, each at module level."""
+
+    def test_morita_does_not_load_the_gallery(self):
+        import orbatlas
+
+        code = "import sys, orbatlas.morita; sys.exit(int('orbatlas.gallery' in sys.modules))"
+        env = {"PYTHONPATH": str(Path(orbatlas.__file__).parents[1]), "PATH": ""}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+
+    def test_no_function_level_import(self):
+        import orbatlas
+
+        found = []
+        for path in sorted(Path(orbatlas.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found += [
+                        f"{path.name}:{node.lineno}"
+                        for node in ast.walk(fn)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                    ]
+        assert found == []
+
+    def test_gallery_re_exports_the_witness_span(self):
+        import orbatlas.atlas
+        import orbatlas.gallery
+
+        assert orbatlas.gallery.WitnessSpan is orbatlas.atlas.WitnessSpan
