@@ -8,10 +8,13 @@ charts is the finite torsor {h . lambda : h in the target group}, which is how
 an atlas keeps "all possible embeddings" in finite storage.
 
 Two chart points are identified exactly when some chart embeds into both charts
-carrying one marked point to each.  The rows of the chart pair's transport
-table (``TransportTable``), one per invertible leg into the first chart with
-its right legs into the second, decide this; ``Atlas.refine``,
-``Atlas.locate`` and the translation groupoid's arrows read them.  Two
+carrying one marked point to each, that is, when an arrow of the translation
+groupoid joins them.  The chart pair's transport table (``TransportTable``)
+lists those arrows once, as ``ArrowComponent``s: each distinct transition
+right . left^(-1) through a common chart on the image of its left leg.  One
+walk over the list (``TransportTable.first``) answers ``Atlas.refine``,
+``Atlas.locate`` and the groupoid's ``arrows_to``; an arrow known by its germ
+at a point, or exactly by its germ and ball, is looked up by germ.  Two
 embeddings into one chart are completed to a commuting square
 (``common_span``) by searching the stored legs out of the chart of the span
 ``Atlas.refine`` finds.  The stored charts and embeddings are an atlas's only
@@ -21,7 +24,6 @@ is recorded.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,6 +100,20 @@ class Span:
     point: Point
     left: Embedding
     right: Embedding
+
+
+@dataclass(frozen=True)
+class ArrowComponent:
+    """One labeled piece of a groupoid's arrow space: a ball of the source unit
+    component and the similarity germ carrying it into the target one.  The
+    arrow over the component at x has source (s_component, x) and target
+    (t_component, germ(x))."""
+
+    label: object
+    ball: Ball
+    germ: AffineMap
+    s_component: str
+    t_component: str
 
 
 @dataclass(frozen=True)
@@ -185,28 +201,27 @@ class Atlas:
         return table
 
     def swapped(self, ca: str, cb: str, i: int) -> int:
-        """The index, in ``transport_table(cb, ca)``, of the inverse of entry
-        i = (germ, domain) of ``transport_table(ca, cb)``: the inverse germ on
-        germ(domain), which is the image of the entry's right leg; memoized
-        per entry."""
+        """The index, in ``transport_table(cb, ca)``, of the inverse of
+        component i of ``transport_table(ca, cb)``: the inverse germ on
+        germ(ball), which is the image of the component's right leg; memoized
+        per component."""
         if (ca, cb, i) not in self._swap_cache:
-            germ, domain = self.transport_table(ca, cb).entries[i]
-            if not germ.is_invertible():
-                raise InvalidAtlasError(f"the germ of transport entry {(ca, cb, i)} is not invertible")
-            self._swap_cache[(ca, cb, i)] = self.transport_table(cb, ca).index(
-                germ.inverse(), domain=map_ball(germ, domain)
-            )
+            c = self.transport_table(ca, cb).components[i]
+            if not c.germ.is_invertible():
+                raise InvalidAtlasError(f"the germ of transport component {(ca, cb, i)} is not invertible")
+            back = self.transport_table(cb, ca)
+            self._swap_cache[(ca, cb, i)] = back.exact(c.germ.inverse(), map_ball(c.germ, c.ball))
         return self._swap_cache[(ca, cb, i)]
 
     def translates(self, ca: str, cb: str, i: int) -> tuple[int, ...]:
-        """For each h of cb's group, in group order, the index of the entry
-        (h . germ, domain) of entry i = (germ, domain) of
-        ``transport_table(ca, cb)``; memoized per entry."""
+        """For each h of cb's group, in group order, the index of the
+        component (h . germ, ball) of component i of ``transport_table(ca,
+        cb)``; memoized per component."""
         if (ca, cb, i) not in self._translate_cache:
             table = self.transport_table(ca, cb)
-            germ, domain = table.entries[i]
+            c = table.components[i]
             self._translate_cache[(ca, cb, i)] = tuple(
-                table.index(h.compose(germ), domain=domain) for h in self.charts[cb].group
+                table.exact(h.compose(c.germ), c.ball) for h in self.charts[cb].group
             )
         return self._translate_cache[(ca, cb, i)]
 
@@ -222,30 +237,28 @@ class Atlas:
     # -- identification -----------------------------------------------------
 
     def refine(self, ci: str, x: Point, cj: str, y: Point) -> Span | None:
-        """A span identifying (ci, x) with (cj, y), or None: over the rows of
-        ``transport_table(ci, cj)`` whose domain holds x, in row order, the
-        first right leg carrying left^(-1)(x) to y.  For a valid atlas the
-        stored families realize every identification in one step, so this is
-        the whole search; the answer depends only on the stored charts and
+        """A span identifying (ci, x) with (cj, y), or None: the first leg
+        pair of the first component of ``transport_table(ci, cj)`` whose ball
+        holds x and whose germ carries x to y.  For a valid atlas the stored
+        families realize every identification in one step, so this is the
+        whole search; the answer depends only on the stored charts and
         embeddings."""
-        for left, domain, rights in self.transport_table(ci, cj).rows:
-            if point_in_ball(x, domain):
-                z = left.map.inverse()(x)
-                for _, right in rights:
-                    if right(z) == y:
-                        return Span(left.src, z, left, right)
-        return None
+        table = self.transport_table(ci, cj)
+        i = table.first(x, y)
+        if i is None:
+            return None
+        left, right = table.legs[i]
+        return Span(left.src, left.map.inverse()(x), left, right)
 
     def locate(self, ci: str, x: Point, cj: str) -> Point | None:
         """Some point of chart cj identified with (ci, x), or None: x itself
-        when ci == cj, else the image of left^(-1)(x) under the first right leg
-        of the first row of ``transport_table(ci, cj)`` whose domain holds x."""
+        when ci == cj, else the image of x under the first component of
+        ``transport_table(ci, cj)`` whose ball holds x."""
         if ci == cj:
             return x
-        for left, domain, rights in self.transport_table(ci, cj).rows:
-            if point_in_ball(x, domain):
-                return rights[0][1](left.map.inverse()(x))
-        return None
+        table = self.transport_table(ci, cj)
+        i = table.first(x)
+        return None if i is None else table.components[i].germ(x)
 
     def witness_points(self, cid: str) -> list[Point]:
         """Declared unit witness points of a chart, always including the center."""
@@ -257,46 +270,68 @@ class Atlas:
 
 
 class TransportTable:
-    """The identification index from chart ca to chart cb.
+    """The arrow components from chart ca to chart cb.
 
-    ``rows`` holds one row (left, left(ball of k), ((i, right), ...)) per
-    invertible leg left : k -> ca whose chart k has right legs into cb, k in
-    chart order and then family order, with the right legs k -> cb in family
-    order, each with the index i of its entry.  ``entries`` lists each
-    distinct (right . left^(-1), left(ball of k)) once, in first-occurrence
-    order over the rows, and ``legs`` the first leg pair (left, right) giving
-    each: the translation groupoid's arrow components.  A chart id outside
-    the atlas has no legs, so its tables are empty."""
+    ``components`` lists each distinct transition right . left^(-1) through a
+    common chart k, on the ball left(ball of k), once: over the invertible
+    legs left : k -> ca whose chart k has right legs into cb, k in chart order
+    and then family order, and the right legs k -> cb in family order, in
+    first-occurrence order.  Component i is labelled (ca, cb, i), and
+    ``legs[i]`` is the first leg pair (left, right) giving it.  Components
+    first met on one left leg share that leg's ball object.  A chart id
+    outside the atlas has no legs, so its tables are empty."""
 
     def __init__(self, atlas: Atlas, ca: str, cb: str):
-        first: dict = {}
-        rows = []
+        exact: dict[tuple[AffineMap, Ball], int] = {}
+        components, legs = [], []
         for k, chart in atlas.charts.items():
             rights = atlas.family(k, cb)
             for left in atlas.family(k, ca) if rights else ():
                 if not left.map.is_invertible():
                     continue
-                unleft, domain = left.map.inverse(), map_ball(left.map, chart.ball)
-                row = []
+                unleft, ball = left.map.inverse(), map_ball(left.map, chart.ball)
                 for right in rights:
-                    i, _ = first.setdefault((right.map.compose(unleft), domain), (len(first), (left, right)))
-                    row.append((i, right))
-                rows.append((left, domain, tuple(row)))
+                    germ = right.map.compose(unleft)
+                    if (germ, ball) not in exact:
+                        exact[(germ, ball)] = len(components)
+                        components.append(ArrowComponent((ca, cb, len(components)), ball, germ, ca, cb))
+                        legs.append((left, right))
         self.route = (ca, cb)
-        self.rows: tuple[tuple[Embedding, Ball, tuple[tuple[int, Embedding], ...]], ...] = tuple(rows)
-        self.entries: tuple[tuple[AffineMap, Ball], ...] = tuple(first)
-        self.legs: tuple[tuple[Embedding, Embedding], ...] = tuple(leg for _, leg in first.values())
-        self._by_germ: dict[AffineMap, list[tuple[int, Ball]]] = {}
-        for i, (germ, d) in enumerate(self.entries):
-            self._by_germ.setdefault(germ, []).append((i, d))
+        self.components: tuple[ArrowComponent, ...] = tuple(components)
+        self.legs: tuple[tuple[Embedding, Embedding], ...] = tuple(legs)
+        self._exact = exact
+        self._by_germ: dict[AffineMap, list[ArrowComponent]] = {}
+        for c in components:
+            self._by_germ.setdefault(c.germ, []).append(c)
 
-    def index(self, germ: AffineMap, x: Point | None = None, domain: Ball | None = None) -> int:
-        """The index of the first entry carrying germ on the given domain or,
-        with none given, on a domain holding x."""
-        for i, d in self._by_germ.get(germ, ()):
-            if d == domain if domain is not None else point_in_ball(x, d):
+    def first(self, x: Point, y: Point | None = None) -> int | None:
+        """The index of the first component whose ball holds x and, given y,
+        whose germ carries x to y; None when none does.  Each run of
+        components sharing one ball object tests that ball once."""
+        ball = inside = None
+        for i, c in enumerate(self.components):
+            if c.ball is not ball:
+                ball, inside = c.ball, point_in_ball(x, c.ball)
+            if inside and (y is None or c.germ(x) == y):
                 return i
-        raise InvalidAtlasError("no transport {}->{} carries this germ there".format(*self.route))
+        return None
+
+    def index(self, germ: AffineMap, x: Point) -> int:
+        """The index of the first component carrying germ on a ball holding x."""
+        for c in self._by_germ.get(germ, ()):
+            if point_in_ball(x, c.ball):
+                return c.label[2]
+        raise self._missing()
+
+    def exact(self, germ: AffineMap, ball: Ball) -> int:
+        """The index of the component carrying germ on exactly this ball."""
+        i = self._exact.get((germ, ball))
+        if i is None:
+            raise self._missing()
+        return i
+
+    def _missing(self) -> InvalidAtlasError:
+        return InvalidAtlasError("no transport {}->{} carries this germ there".format(*self.route))
 
 
 # -- chart-level operations ---------------------------------------------------
@@ -414,10 +449,6 @@ def overlap_transport(e: Embedding, h: AffineMap, atlas: Atlas) -> AffineMap | N
     raise InvalidAtlasError(f"{h!r} meets the image of {e!r} but is not induced by the source group")
 
 
-def _short_hash(*parts: str) -> str:
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:8]
-
-
 def separation_radius(x: Point, r2: Fraction, container: Ball, maps) -> Fraction | None:
     """The first r2 / 4^k (k < 256) whose ball about x lies inside the
     container and is disjoint from its image under every map that moves x, or
@@ -435,10 +466,8 @@ def separation_radius(x: Point, r2: Fraction, container: Ball, maps) -> Fraction
     return None
 
 
-def restrict_chart(
-    chart: Chart, x: Point, r2: Fraction, cid: str | None = None
-) -> tuple[Chart, Embedding]:
-    """Sub-chart at x: the stabilizer acting on the ball of
+def restrict_chart(chart: Chart, x: Point, r2: Fraction, cid: str) -> tuple[Chart, Embedding]:
+    """Sub-chart cid at x: the stabilizer acting on the ball of
     ``separation_radius`` (from r2, inside the chart ball), which every other
     group element moves off itself."""
     stab = stabilizer(chart, x)
@@ -446,8 +475,6 @@ def restrict_chart(
     if r2 is None:
         raise InvalidAtlasError("restriction radius search did not terminate")
     m = chart.ball.r2.m
-    if cid is None:
-        cid = f"{chart.cid}~{_short_hash(chart.cid, repr(x), str(r2))}"
     sub = Chart(cid, Ball(x, CycNum.rational(m, r2)), tuple(stab))
     inclusion = Embedding(cid, chart.cid, AffineMap.identity(m, chart.dim))
     return sub, inclusion

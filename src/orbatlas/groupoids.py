@@ -14,7 +14,8 @@ the unit components, in order) and ``arrows_between`` (the arrows of
 for every presentation.  It answers one component query likewise,
 ``components_between(ca, cb)``: the arrow components from unit component ca
 to cb, in label order; ``arrow_components`` is those lists over every pair of
-unit components, in order.
+unit components, in order.  ``ArrowComponent`` is defined in ``atlas``, whose
+transport tables build the translation groupoid's components.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from .atlas import ArrowComponent
 from .errors import (
     AtlasMismatchError,
     BoundaryMismatchError,
@@ -48,20 +50,6 @@ class UnitComponent:
 
 
 @dataclass(frozen=True)
-class ArrowComponent:
-    """One labeled piece of the arrow space: a ball of the source unit
-    component and the similarity germ carrying it into the target one.  The
-    arrow over the component at x has source (s_component, x) and target
-    (t_component, germ(x))."""
-
-    label: object
-    ball: Ball
-    germ: AffineMap
-    s_component: str
-    t_component: str
-
-
-@dataclass(frozen=True)
 class Arrow:
     """The arrow of a component at its source point."""
 
@@ -82,7 +70,7 @@ class GroupoidPresentation(ABC):
     def unit_components(self) -> list[UnitComponent]: ...
 
     @abstractmethod
-    def components_between(self, ca: str, cb: str) -> list[ArrowComponent]:
+    def components_between(self, ca: str, cb: str) -> tuple[ArrowComponent, ...]:
         """The arrow components from unit component ca to cb, in label order;
         empty when either is not a unit component of the presentation."""
 
@@ -211,16 +199,13 @@ class ActionGroupoid(GroupoidPresentation):
                 raise BoundaryMismatchError("a label has no inverse in mult; pass inv explicitly")
         self.mult = mult
         self.inv_table = inv
-        self._components = [
-            ArrowComponent(lab, ball, self.rep[lab], "U", "U")
-            for lab in self.labels
-        ]
+        self._components = tuple(ArrowComponent(lab, ball, self.rep[lab], "U", "U") for lab in self.labels)
 
     def unit_components(self):
         return [UnitComponent("U", self.ball)]
 
     def components_between(self, ca, cb):
-        return list(self._components) if ca == cb == "U" else []
+        return self._components if ca == cb == "U" else ()
 
     def arrow_component(self, label):
         try:

@@ -314,10 +314,10 @@ def _relate_witness_charts(u1: Atlas, wa: WitnessSpan, wb: WitnessSpan) -> Embed
     through the transports of the anchoring atlas; None when exactly disjoint;
     error on partial overlap."""
     footprint = map_ball(wa.left.map, wa.chart.ball)
-    for transition, domain in u1.transport_table(wa.left.dst, wb.left.dst).entries:
-        if balls_disjoint(domain, footprint):
+    for c in u1.transport_table(wa.left.dst, wb.left.dst).components:
+        if balls_disjoint(c.ball, footprint):
             continue
-        s = wb.left.map.inverse().compose(transition).compose(wa.left.map)
+        s = wb.left.map.inverse().compose(c.germ).compose(wa.left.map)
         image = map_ball(s, wa.chart.ball)
         if balls_disjoint(image, wb.chart.ball):
             continue
@@ -446,25 +446,6 @@ def pushforward_atlas(h: AffineMap, atlas: Atlas) -> Atlas:
         witnesses=[Span(w.chart, h(w.point), moved(w.left), moved(w.right)) for w in atlas.witnesses],
         unit_points={cid: tuple(h(p) for p in pts) for cid, pts in atlas.unit_points.items()},
     )
-
-
-def presentations_structurally_equal(g1: GroupoidPresentation, g2: GroupoidPresentation) -> bool:
-    units1, units2 = g1.unit_components(), g2.unit_components()
-    if [(u.label, u.ball) for u in units1] != [(u.label, u.ball) for u in units2]:
-        return False
-    comps1, comps2 = g1.arrow_components(), g2.arrow_components()
-    if len(comps1) != len(comps2):
-        return False
-    for a, b in zip(comps1, comps2):
-        if (
-            a.label != b.label
-            or not balls_equal(a.ball, b.ball)
-            or a.germ != b.germ
-            or a.s_component != b.s_component
-            or a.t_component != b.t_component
-        ):
-            return False
-    return True
 
 
 # -- reconstruction -------------------------------------------------------------------
@@ -620,20 +601,16 @@ def bijection_demo(
     else:
         atlas_side = "inequivalent" if sig1 != sig2 else "not determined"
         details.add("no witnesses supplied", True)
-    if sig1 != sig2:
-        groupoid_side = "inequivalent"
-        chain = None
-    elif witnesses:
+    chain = None
+    groupoid_side = "inequivalent" if sig1 != sig2 else "not found at this bound"
+    if sig1 == sig2 and atlas_side == "equivalent":
+        # a witness the atlas side refused is already reported there
         try:
             chain = morita_equivalence_chain(u1, u2, witnesses, samples=samples, seed=seed)
-            groupoid_side = "equivalent" if chain.verdict else "not found at this bound"
-        except (NotEquivalentError, WitnessInvalidError) as exc:
-            chain = None
-            groupoid_side = "not found at this bound"
+            if chain.verdict:
+                groupoid_side = "equivalent"
+        except WitnessInvalidError as exc:
             details.warn(str(exc))
-    else:
-        chain = None
-        groupoid_side = "not found at this bound"
     verdict = BijectionVerdict(atlas_side, groupoid_side, chain, details)
     details.add("verdicts agree", verdict.verdicts_agree, f"atlas: {atlas_side}; groupoid: {groupoid_side}")
     return verdict

@@ -306,8 +306,9 @@ def atlas_from_doc(doc) -> Atlas:
 
 
 def _component_table(g: TranslationGroupoid) -> list:
-    """Each arrow component under its label (source, target, index): an entry
-    of the transport table between the two charts, its germ and its domain."""
+    """Each arrow component under its label (source, target, index): a
+    component of the transport table between the two charts, its germ and
+    its ball."""
     return [
         dict(zip(("source", "target", "index"), c.label), germ=affine_to_doc(c.germ),
              center=point_to_doc(c.ball.center), radius2=_radius_to_doc(c.ball.r2))

@@ -5,22 +5,22 @@ over a common chart; a triple is an ``atlas.Span``, the chart being the
 legs' common source.  A reduced atlas gives an effective groupoid, where an
 arrow is the germ of its transition right . left^(-1) at its source point; as
 transitions are similarities, equal germs are equal maps.  The arrow
-components from chart ca to chart cb, ``components_between(ca, cb)``, are the
-entries of the atlas's transport table, one per distinct (germ, domain);
-equality compares source unit, target chart and germ.  An arrow known by its
-germ at a point is ``arrow_at``: the first entry carrying the germ whose
-domain holds the point.  Products and the images of the functor F
-(``FunctorImage``, built with ``GroupoidMorphism.of_germs``) go through it.
-The arrows out of a unit point into a chart, ``arrows_to``, are the translates
-of the entry recorded on the first row of the transport table whose domain
-holds the point.  multiply_triples keeps the span-completion product.
+components from chart ca to chart cb, ``components_between(ca, cb)``, are
+the one component list of the atlas's transport table, shared by every
+groupoid of the atlas; equality compares source unit, target chart and germ.
+The table answers the groupoid's three lookups: its walk gives ``arrows_to``
+(the translates of the first component holding the point), its by-germ index
+gives ``arrow_at`` (an arrow known by its germ at a point, through which
+products and the images of the functor F go), and its exact (germ, ball)
+index gives ``identity`` and ``inverse``.  multiply_triples keeps the
+span-completion product.
 """
 
 from __future__ import annotations
 
 import random
 
-from .atlas import Atlas, Embedding, Span, common_span, validate_atlas
+from .atlas import ArrowComponent, Atlas, Embedding, Span, common_span, validate_atlas
 from .errors import (
     AtlasMismatchError,
     IllTypedError,
@@ -30,7 +30,6 @@ from .errors import (
 from .geometry import AffineMap, Point, point_in_ball
 from .groupoids import (
     Arrow,
-    ArrowComponent,
     GroupoidMorphism,
     GroupoidPresentation,
     GrpNatTrans,
@@ -57,13 +56,11 @@ def _transition(left: Embedding, right: Embedding) -> AffineMap:
 class TranslationGroupoid(GroupoidPresentation):
     """Groupoid of chart-point identifications of an atlas.
 
-    The arrow components from chart ca to chart cb are the entries of the
-    atlas's ``transport_table(ca, cb)``, labelled (ca, cb, index): the entry's
-    domain is the component's ball, its map the germ, and its first leg pair
-    the legs of the arrow's triple, a ``Span``.  An arrow built from legs
-    takes the entry of its germ on its left leg's image; an arrow known only
-    by its germ at a point takes the first entry of that germ whose domain
-    holds the point.
+    The arrow components from chart ca to chart cb are the components of
+    the atlas's ``transport_table(ca, cb)``, labelled (ca, cb, index); the
+    first leg pair of a component gives the legs of its arrows' triple, a
+    ``Span``.  An arrow known by its germ at a point takes the first
+    component of that germ whose ball holds the point.
     """
 
     strategy = "translation"
@@ -78,8 +75,8 @@ class TranslationGroupoid(GroupoidPresentation):
     # -- triples <-> arrows ---------------------------------------------------
 
     def arrow_at(self, ca: str, cb: str, germ: AffineMap, x: Point) -> Arrow:
-        """The arrow of germ at x from ca to cb: the first entry carrying germ
-        on a domain holding x; InvalidAtlasError when none does."""
+        """The arrow of germ at x from ca to cb: the first component carrying
+        germ on a ball holding x; InvalidAtlasError when none does."""
         return Arrow((ca, cb, self.atlas.transport_table(ca, cb).index(germ, x)), x)
 
     def _germ_of(self, t: Span) -> tuple[str, str, AffineMap, Point]:
@@ -99,7 +96,7 @@ class TranslationGroupoid(GroupoidPresentation):
         return self.arrow_at(*self._germ_of(t))
 
     def triple_of(self, a: Arrow) -> Span:
-        """The triple of the first leg pair of the arrow's entry."""
+        """The triple of the first leg pair of the arrow's component."""
         ca, cb, i = self.arrow_component(a.component).label
         left, right = self.atlas.transport_table(ca, cb).legs[i]
         return Span(left.src, left.map.inverse()(a.point), left, right)
@@ -110,36 +107,32 @@ class TranslationGroupoid(GroupoidPresentation):
         return list(self._units)
 
     def components_between(self, ca, cb):
-        if ca not in self.atlas.charts or cb not in self.atlas.charts:
-            return []
-        entries = self.atlas.transport_table(ca, cb).entries
-        return [self.arrow_component((ca, cb, i)) for i in range(len(entries))]
+        return self.atlas.transport_table(ca, cb).components
 
     def arrow_component(self, label):
         comp = self._components.get(label)
         if comp is None:
             try:
                 ca, cb, i = label
-                if not ({ca, cb} <= self.atlas.charts.keys() and i >= 0):
+                if i < 0:
                     raise IndexError(i)
-                germ, domain = self.atlas.transport_table(ca, cb).entries[i]
+                comp = self._components[label] = self.atlas.transport_table(ca, cb).components[i]
             except (TypeError, ValueError, IndexError):
                 raise AtlasMismatchError(f"arrow component {label!r} is not over this atlas") from None
-            comp = self._components[label] = ArrowComponent(label, domain, germ, ca, cb)
         return comp
 
     def identity(self, u: UnitPoint) -> Arrow:
         c, chart = u.component, self.atlas.chart(u.component)
-        return Arrow((c, c, self.atlas.transport_table(c, c).index(chart.identity(), domain=chart.ball)), u.point)
+        return Arrow((c, c, self.atlas.transport_table(c, c).exact(chart.identity(), chart.ball)), u.point)
 
     def inverse(self, a: Arrow) -> Arrow:
-        """The entry of the swapped first leg pair, at the target point."""
+        """The component of the swapped first leg pair, at the target point."""
         ca, cb, i = self.arrow_component(a.component).label
         return Arrow((cb, ca, self.atlas.swapped(ca, cb, i)), self.target(a).point)
 
     def multiply(self, a: Arrow, b: Arrow) -> Arrow:
-        """The first entry from s(a)'s chart to t(b)'s chart carrying
-        germ(b) . germ(a) whose domain holds s(a)."""
+        """The first component from s(a)'s chart to t(b)'s chart carrying
+        germ(b) . germ(a) whose ball holds s(a)."""
         if not self.composable(a, b):
             raise NotComposableError("t(first) != s(second)")
         germ = self.local_bisection(b).compose(self.local_bisection(a))
@@ -180,17 +173,12 @@ class TranslationGroupoid(GroupoidPresentation):
         return self._germ_of(p) == self._germ_of(q)
 
     def arrows_to(self, u: UnitPoint, cb: str) -> list[Arrow]:
-        """The arrows at the first row of ``transport_table(u's chart, cb)``
-        whose domain holds u: the entry of its first right leg, or on u's own
-        chart of its first right leg whose germ fixes u (the row's own left
-        leg does), translated by each element of cb's group, in group order."""
+        """The translates, by each element of cb's group in group order, of
+        the first component of ``transport_table(u's chart, cb)`` whose ball
+        holds u; on u's own chart, of the first whose germ also fixes u."""
         ca, x = u.component, u.point
-        table = self.atlas.transport_table(ca, cb)
-        for _, domain, rights in table.rows:
-            if point_in_ball(x, domain):
-                i = next(i for i, _ in rights if ca != cb or table.entries[i][0](x) == x)
-                return [Arrow((ca, cb, j), x) for j in self.atlas.translates(ca, cb, i)]
-        return []
+        i = self.atlas.transport_table(ca, cb).first(x, x if ca == cb else None)
+        return [] if i is None else [Arrow((ca, cb, j), x) for j in self.atlas.translates(ca, cb, i)]
 
     def unit_witness_points(self):
         out = []
@@ -234,7 +222,7 @@ class FunctorImage:
         return self._groupoids[atlas]
 
     def on_system(self, system: CompatibleSystem) -> GroupoidMorphism:
-        """Units map by the lifts; an arrow over the entry with first legs
+        """Units map by the lifts; an arrow over the component with first legs
         (left, right) maps to the germ of (F(left), F(right)) at the lifted
         point, which the cube condition F(left) . lift = lift . left makes
         F(left) of the lifted triple point."""
@@ -323,7 +311,7 @@ def action_groupoid_oracle_report(atlas: Atlas, samples: int = 200, seed: int = 
     tg = TranslationGroupoid(atlas)
     rng = random.Random(seed)
     group = chart.group
-    labels = [(cid, cid, atlas.transport_table(cid, cid).index(g, domain=chart.ball)) for g in group]
+    labels = [(cid, cid, atlas.transport_table(cid, cid).exact(g, chart.ball)) for g in group]
 
     def to_triple(x: Point, g_index: int) -> Arrow:
         return Arrow(labels[g_index], x)

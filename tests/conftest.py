@@ -141,13 +141,19 @@ def reference_transports(atlas, ca, cb):
     return table
 
 
+def component_index(atlas, ca, cb, germ, ball):
+    """The index of the component of ``transport_table(ca, cb)`` with this
+    germ and ball, found by scanning the component list."""
+    return [(c.germ, c.ball) for c in atlas.transport_table(ca, cb).components].index((germ, ball))
+
+
 def record_arrows(g, u):
     """The arrow of every former transport record out of u's chart whose
-    domain holds u, labelled by the table entry of the record's (map,
+    domain holds u, labelled by the table component of the record's (map,
     domain): every arrow out of u, under each of its labels."""
     ca = u.component
     return [
-        Arrow((ca, cj, g.atlas.transport_table(ca, cj).entries.index((t.map, t.domain))), u.point)
+        Arrow((ca, cj, component_index(g.atlas, ca, cj, t.map, t.domain)), u.point)
         for cj in g.atlas.chart_ids()
         for t in reference_transports(g.atlas, ca, cj)
         if point_in_ball(u.point, t.domain)
@@ -157,34 +163,64 @@ def record_arrows(g, u):
 def reference_arrow(g, ca, cb, germ, x):
     """The arrow of germ at x as the former record scan found it: the first
     record from ca to cb with this map whose domain holds x, labelled by the
-    table entry of its (map, domain); None when no record carries it."""
+    table component of its (map, domain); None when no record carries it."""
     for t in reference_transports(g.atlas, ca, cb):
         if t.map == germ and point_in_ball(x, t.domain):
-            return Arrow((ca, cb, g.atlas.transport_table(ca, cb).entries.index((t.map, t.domain))), x)
+            return Arrow((ca, cb, component_index(g.atlas, ca, cb, t.map, t.domain)), x)
     return None
 
 
-def reference_arrows_to(g, u, cb):
-    """The former leg walk of arrows_to, written out: at the first invertible
-    leg left : k -> u's chart (k in chart order, then family order) whose
-    chart k has right legs into cb and whose image holds u, its first right
-    leg (on u's own chart the first one carrying left^(-1)(u) back to u); the
-    entry of h . right . left^(-1) on left's image for each h of cb's group,
-    in group order."""
-    atlas, ca, x = g.atlas, u.component, u.point
+def reference_row_walk(atlas, ci, x, cj, y=None):
+    """The former row walk of the transport table, written out: over the
+    rows, one per invertible leg left : k -> ci whose chart k has right legs
+    into cj (k in chart order, then family order), whose domain left(ball of
+    k) holds x, in row order, the first right leg k -> cj (in family order)
+    carrying left^(-1)(x) to y, or any right leg when y is None.  Returns
+    (left, right, domain), or None."""
     for k, chart in atlas.charts.items():
-        rights = atlas.family(k, cb)
-        for left in atlas.family(k, ca):
+        rights = atlas.family(k, cj)
+        for left in atlas.family(k, ci):
             if not (rights and left.map.is_invertible()):
                 continue
             domain = map_ball(left.map, chart.ball)
             if point_in_ball(x, domain):
                 z = left.map.inverse()(x)
-                right = rights[0] if cb != ca else next(r for r in rights if r(z) == x)
-                germ = right.map.compose(left.map.inverse())
-                entries = atlas.transport_table(ca, cb).entries
-                return [Arrow((ca, cb, entries.index((h.compose(germ), domain))), x) for h in atlas.chart(cb).group]
-    return []
+                for right in rights:
+                    if y is None or right(z) == y:
+                        return left, right, domain
+    return None
+
+
+def reference_refine(atlas, ci, x, cj, y):
+    """``Atlas.refine`` as the row walk answered it."""
+    hit = reference_row_walk(atlas, ci, x, cj, y)
+    if hit is None:
+        return None
+    left, right, _ = hit
+    return Span(left.src, left.map.inverse()(x), left, right)
+
+
+def reference_locate(atlas, ci, x, cj):
+    """``Atlas.locate`` as the row walk answered it: the first right leg of
+    the first row holding x."""
+    if ci == cj:
+        return x
+    hit = reference_row_walk(atlas, ci, x, cj)
+    return None if hit is None else hit[1](hit[0].map.inverse()(x))
+
+
+def reference_arrows_to(g, u, cb):
+    """``arrows_to`` as the row walk answered it: at the first row holding u,
+    its first right leg (on u's own chart the first one carrying
+    left^(-1)(u) back to u); the component of h . right . left^(-1) on the
+    row's domain for each h of cb's group, in group order."""
+    atlas, ca, x = g.atlas, u.component, u.point
+    hit = reference_row_walk(atlas, ca, x, cb, x if ca == cb else None)
+    if hit is None:
+        return []
+    left, right, domain = hit
+    germ = right.map.compose(left.map.inverse())
+    return [Arrow((ca, cb, component_index(atlas, ca, cb, h.compose(germ), domain)), x) for h in atlas.chart(cb).group]
 
 
 def distinct_transports(records):

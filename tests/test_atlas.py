@@ -55,7 +55,10 @@ from conftest import (
     make_sub_full_pair,
     record_arrows,
     reference_arrow,
+    reference_arrows_to,
     reference_common_span,
+    reference_locate,
+    reference_refine,
     reference_transports,
     three_disc_table_atlas,
     two_disc_table_atlas,
@@ -124,7 +127,7 @@ class TestConjugator:
 
     def test_rotated_inclusion(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
-        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
+        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4), cid="sub")
         h = find_conjugator(chart, inc.map, zrot(4).compose(inc.map))
         assert h == zrot(4)
 
@@ -146,7 +149,7 @@ class TestConjugator:
     def test_torsor_has_group_size(self, cone3_m12):
         # {h . lam} has exactly |G| distinct elements and round-trips
         chart = cone3_m12.chart("cone3")
-        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
+        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4), cid="sub")
         images = [h.compose(inc.map) for h in chart.group]
         assert len({hash(f) for f in images}) == len(chart.group)
         for h in chart.group:
@@ -209,7 +212,7 @@ class TestConjugatorSolve:
 
     def test_embedding_conditions_and_overlap_transport(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
-        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
+        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4), cid="sub")
         assert embedding_conditions(inc.map, sub, chart) == (True, True, [])
         # a trivial target group misses every element but the identity
         trivial = Chart("t", Ball.of(M, [0], 1), (zrot(0),))
@@ -286,7 +289,7 @@ class TestConjugatorScan:
 class TestInducedHomomorphism:
     def test_inclusion_restricts_identically(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
-        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
+        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4), cid="sub")
         atlas = Atlas(M, 1, [chart, sub], [inc])
         table = induced_homomorphism(inc, atlas)
         for g, h in table.items():
@@ -302,7 +305,7 @@ class TestInducedHomomorphism:
     def test_homomorphism_on_full_table(self):
         atlas = cone(6)
         chart = atlas.chart("cone6")
-        sub, inc = restrict_chart(chart, Point.origin(6, 1), Fraction(1, 4))
+        sub, inc = restrict_chart(chart, Point.origin(6, 1), Fraction(1, 4), cid="sub")
         big = Atlas(6, 1, [chart, sub], [inc])
         table = induced_homomorphism(inc, big)
         elems = list(table)
@@ -317,20 +320,20 @@ class TestInducedHomomorphism:
 class TestOverlapTransport:
     def test_identity(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
-        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
+        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4), cid="sub")
         atlas = Atlas(M, 1, [chart, sub], [inc])
         assert overlap_transport(inc, chart.identity(), atlas).is_identity()
 
     def test_invariant_subball_transports_rotation(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
-        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
+        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4), cid="sub")
         atlas = Atlas(M, 1, [chart, sub], [inc])
         g = overlap_transport(inc, zrot(4), atlas)
         assert g == zrot(4)
 
     def test_disjoint_translate_returns_none(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
-        sub, inc = restrict_chart(chart, Point.of(M, Fraction(1, 2)), Fraction(1, 64))
+        sub, inc = restrict_chart(chart, Point.of(M, Fraction(1, 2)), Fraction(1, 64), cid="sub")
         atlas = Atlas(M, 1, [chart, sub], [inc])
         assert overlap_transport(inc, zrot(4), atlas) is None
         # and the images are exactly disjoint
@@ -339,7 +342,7 @@ class TestOverlapTransport:
 
     def test_round_trip_through_induced_map(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
-        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
+        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4), cid="sub")
         atlas = Atlas(M, 1, [chart, sub], [inc])
         table = induced_homomorphism(inc, atlas)
         for g, h in table.items():
@@ -349,7 +352,7 @@ class TestOverlapTransport:
 class TestRestrictChart:
     def test_origin_restriction_keeps_group(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
-        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4))
+        sub, inc = restrict_chart(chart, Point.origin(M, 1), Fraction(1, 4), cid="sub")
         assert len(sub.group) == 3
         assert sub.ball.r2 == Fraction(1, 4)
         assert validate_chart(sub).ok
@@ -358,7 +361,7 @@ class TestRestrictChart:
     def test_generic_point_gets_trivial_group_and_separation(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
         p = Point.of(M, Fraction(1, 4))
-        sub, _ = restrict_chart(chart, p, Fraction(1, 2))
+        sub, _ = restrict_chart(chart, p, Fraction(1, 2), cid="sub")
         assert len(sub.group) == 1
         for g in chart.group:
             if g.is_identity():
@@ -368,7 +371,7 @@ class TestRestrictChart:
     def test_restriction_matches_stabilizer(self, cone3_m12):
         chart = cone3_m12.chart("cone3")
         for pt in (Point.origin(M, 1), Point.of(M, Fraction(1, 4))):
-            sub, _ = restrict_chart(chart, pt, Fraction(1, 8))
+            sub, _ = restrict_chart(chart, pt, Fraction(1, 8), cid="sub")
             assert set(sub.group) == set(stabilizer(chart, pt))
 
 
@@ -630,6 +633,13 @@ def _reference_locate(atlas, ci, x, cj):
     return None
 
 
+def _outside(ball):
+    """A point at distance r2 + 1 from the centre of a ball of positive
+    dimension, along the first coordinate: outside it, as (r2 + 1)^2 > r2."""
+    c = ball.center.coords
+    return Point((c[0] + ball.r2 + 1,) + c[1:])
+
+
 def _span_key(span):
     if span is None:
         return None
@@ -763,40 +773,70 @@ class TestTransportTable:
                     assert t.map == t.right.map.compose(t.left.map.inverse())
                     assert t.domain == map_ball(t.left.map, atlas.chart(t.k).ball)
                 table = atlas.transport_table(ca, cb)
-                assert table.entries == distinct_transports(records)
+                assert tuple((c.germ, c.ball) for c in table.components) == distinct_transports(records)
                 assert atlas.transport_table(ca, cb) is table
 
     @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
     def test_transport_records_match_the_composite_build(self, make):
-        # the table built over the leg table lists the (map, domain) pair of
-        # every record of the former build, each once, in record order; it is
-        # cached on the atlas and its entries are the groupoid's components
+        # the table lists the (map, domain) pair of every record of the
+        # former build, each once, in record order, as the components
+        # (ca, cb, i) with their first leg pair; it is cached on the atlas and
+        # its components are the groupoid's
         atlas = make()
         g = TranslationGroupoid(atlas)
         for ca in atlas.chart_ids():
             for cb in atlas.chart_ids():
                 table = atlas.transport_table(ca, cb)
-                assert table.entries == distinct_transports(reference_transports(atlas, ca, cb))
+                comps = table.components
+                assert tuple((c.germ, c.ball) for c in comps) == distinct_transports(reference_transports(atlas, ca, cb))
+                assert [(c.label, c.s_component, c.t_component) for c in comps] == [
+                    ((ca, cb, i), ca, cb) for i in range(len(comps))
+                ]
+                assert len(table.legs) == len(comps)
+                for i, (c, (left, right)) in enumerate(zip(comps, table.legs)):
+                    assert c.ball == map_ball(left.map, atlas.chart(left.src).ball)
+                    assert c.germ == right.map.compose(left.map.inverse())
+                    assert table.exact(c.germ, c.ball) == i
+                    # components first met on one left leg share its ball object
+                    if i and table.legs[i - 1][0] is left:
+                        assert comps[i - 1].ball is c.ball
                 assert atlas.transport_table(ca, cb) is table
-                assert tuple((c.germ, c.ball) for c in g.components_between(ca, cb)) == table.entries
+                assert g.components_between(ca, cb) is comps
 
     @pytest.mark.parametrize("make", _SCAN_ATLASES.values(), ids=_SCAN_ATLASES.keys())
-    def test_rows_are_the_record_loop_with_their_entry_indices(self, make):
-        # one row per invertible left leg with right legs into cb, in record
-        # order; each right leg carries the index of its germ on the row's
-        # domain
+    def test_walk_matches_the_row_walk(self, make):
+        # refine, locate and arrows_to read one walk over the components; the
+        # former answers walked the rows, one per left leg, written out in
+        # conftest; queries at chart centres, declared unit points, the
+        # images of centres under every stored embedding (points fixed by the
+        # image of the source stabilizer, some in a later image than the
+        # representative's), seeded chart points and a point in no domain,
+        # against every chart and against their own
         atlas = make()
-        for ca in atlas.chart_ids():
-            for cb in atlas.chart_ids():
-                table = atlas.transport_table(ca, cb)
-                records = reference_transports(atlas, ca, cb)
-                assert [(left, right) for left, _, rights in table.rows for _, right in rights] == [
-                    (t.left, t.right) for t in records
-                ]
-                for left, domain, rights in table.rows:
-                    assert rights and domain == map_ball(left.map, atlas.chart(left.src).ball)
-                    for i, right in rights:
-                        assert i == table.index(right.map.compose(left.map.inverse()), domain=domain)
+        g = TranslationGroupoid(atlas)
+        rng = random.Random(53)
+        queries = [(c, p) for c in atlas.chart_ids() for p in atlas.witness_points(c)]
+        queries += [
+            (e.dst, h(e(atlas.chart(e.src).ball.center))) for e in atlas.reps.values() for h in atlas.chart(e.dst).group
+        ]
+        queries += [(c, random_chart_point(rng, atlas, c)) for c in atlas.chart_ids()]
+        far = [(c, _outside(atlas.chart(c).ball)) for c in atlas.chart_ids() if atlas.dim]
+        hits = 0
+        for ci, x in queries + far:
+            for cj in atlas.chart_ids():
+                y = atlas.locate(ci, x, cj)
+                assert y == reference_locate(atlas, ci, x, cj)
+                targets = [random_chart_point(rng, atlas, cj)]
+                targets += [h(p) for p in {y, x if ci == cj else None} - {None} for h in atlas.chart(cj).group]
+                for t in targets:
+                    span = atlas.refine(ci, x, cj, t)
+                    assert _span_key(span) == _span_key(reference_refine(atlas, ci, x, cj, t))
+                    hits += span is not None
+                u = UnitPoint(ci, x)
+                assert g.arrows_to(u, cj) == reference_arrows_to(g, u, cj), (u, cj)
+        assert hits
+        for ci, x in far:
+            assert all(g.arrows_to(UnitPoint(ci, x), cj) == [] for cj in atlas.chart_ids())
 
     def test_chart_id_outside_the_atlas_identifies_nothing(self):
         atlas = football(2, 3)
@@ -807,8 +847,8 @@ class TestTransportTable:
             assert atlas.refine("zz", x, c, x) is None
             assert atlas.locate(c, x, "zz") is None
             assert g.arrows_to(UnitPoint(c, x), "zz") == []
-            assert atlas.transport_table(c, "zz").entries == atlas.transport_table("zz", c).entries == ()
-            assert g.components_between(c, "zz") == g.components_between("zz", c) == []
+            assert atlas.transport_table(c, "zz").components == atlas.transport_table("zz", c).components == ()
+            assert g.components_between(c, "zz") == g.components_between("zz", c) == ()
             assert atlas.family(c, "zz") == atlas.family("zz", c) == ()
             identity = atlas.identity_embedding(c).map
             assert not atlas.in_family(Embedding(c, "zz", identity)) and not atlas.in_family(Embedding("zz", c, identity))
@@ -903,7 +943,7 @@ class TestSpanTableOracle:
         # the atlas carrying it as a witness fails validation
         atlas, entry = two_disc_table_atlas()
         p = entry.point
-        assert atlas.transport_table("a", "b").entries == atlas.transport_table("b", "a").entries == ()
+        assert atlas.transport_table("a", "b").components == atlas.transport_table("b", "a").components == ()
         assert atlas.locate("a", p, "b") is None and atlas.locate("b", p, "a") is None
         assert atlas.refine("a", p, "b", p) is None and atlas.refine("b", p, "a", p) is None
         failures = validate_atlas(atlas).failures()

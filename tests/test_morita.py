@@ -63,7 +63,6 @@ from orbatlas.morita import (
     is_refinement,
     isotropy_signature,
     morita_equivalence_chain,
-    presentations_structurally_equal,
     pushforward_atlas,
     reconstruct_atlas,
     reconstruction_morita_morphism,
@@ -412,9 +411,9 @@ class TestPushforward:
     def test_identity_similarity(self, cone3):
         pushed = pushforward_atlas(AffineMap.identity(cone3.conductor, 1), cone3)
         assert serialize(pushed) == serialize(cone3)
-        assert presentations_structurally_equal(
-            TranslationGroupoid(cone3), TranslationGroupoid(pushed)
-        )
+        g, g_pushed = TranslationGroupoid(cone3), TranslationGroupoid(pushed)
+        assert g.unit_components() == g_pushed.unit_components()
+        assert g.arrow_components() == g_pushed.arrow_components()
 
     @pytest.mark.parametrize("hname", ["pair-map", "expand", "half-turn"])
     @pytest.mark.parametrize("make", _PUSH_BASES.values(), ids=_PUSH_BASES.keys())
@@ -431,10 +430,9 @@ class TestPushforward:
             assert pushed.unit_points[cid] == tuple(h(p) for p in base.unit_points[cid])
         for ca in base.chart_ids():
             for cb in base.chart_ids():
-                assert pushed.transport_table(ca, cb).entries == tuple(
-                    (_conjugated(h, germ), map_ball(h, domain))
-                    for germ, domain in base.transport_table(ca, cb).entries
-                )
+                assert [(c.germ, c.ball) for c in pushed.transport_table(ca, cb).components] == [
+                    (_conjugated(h, c.germ), map_ball(h, c.ball)) for c in base.transport_table(ca, cb).components
+                ]
         rng = random.Random(41)
         hits = 0
         for _ in range(8):
@@ -744,6 +742,31 @@ class TestBijectionDemo:
         assert (v.atlas_side, v.groupoid_side) == ("not determined", "not found at this bound")
         assert not v.agreement and v.verdicts_agree
         assert [ok for name, ok, _ in v.details.checks if name == "verdicts agree"] == [True]
+
+    def test_invalid_witness_fails_once_and_builds_no_chain(self):
+        # the atlas side names the leg that leaves its target chart; no chain
+        # is built over witnesses it refused, so nothing repeats the failure
+        u1, u2, ws = cone_pair(3)
+        w = ws[0]
+        scaled = AffineMap.scaling(u1.conductor, 1, 4).compose(w.left.map)
+        bad = WitnessSpan(w.chart, Embedding(w.left.src, w.left.dst, scaled), w.right)
+        v = bijection_demo(u1, u2, [bad, ws[1]], samples=5, seed=0)
+        assert (v.atlas_side, v.groupoid_side, v.chain) == ("inequivalent", "not found at this bound", None)
+        assert v.details.warnings == []
+        assert ("atlas equivalence: witness 0 valid", "first leg: image inside target domain") in v.details.failures()
+
+    def test_partially_overlapping_witnesses_are_a_warning(self):
+        # both witnesses are valid spans, so the atlas side passes; the
+        # refinement cannot relate charts that partially overlap
+        u1, u2, ws = cone_pair(3)
+        m = u1.conductor
+        centre = ws[1].chart.ball.center + Point.of(m, Fraction(1, 16))
+        w2, _ = restrict_chart(u1.chart("cone3"), centre, Fraction(1, 256), cid="w2")
+        ident = AffineMap.identity(m, 1)
+        extra = WitnessSpan(w2, Embedding("w2", "cone3", ident), Embedding("w2", "cone3", ident))
+        v = bijection_demo(u1, u2, [*ws, extra], samples=5, seed=0)
+        assert (v.atlas_side, v.groupoid_side, v.chain) == ("equivalent", "not found at this bound", None)
+        assert v.details.warnings == ["witness charts w1, w2 partially overlap"]
 
     def test_signature_values(self):
         assert isotropy_signature(TranslationGroupoid(cone(3))) == (1, (1, 3))

@@ -17,7 +17,7 @@ from orbatlas.atlas import (
     stabilizer,
     validate_atlas,
 )
-from orbatlas.errors import IllTypedError, InvalidAtlasError, NotComposableError
+from orbatlas.errors import AtlasMismatchError, IllTypedError, InvalidAtlasError, NotComposableError
 from orbatlas.field import CycNum
 from orbatlas.gallery import cone, cone_pair, football, global_quotient, point_atlas, pushforward_pair, teardrop, teardrop_pair
 from orbatlas.geometry import AffineMap, Ball, Point, map_ball
@@ -42,6 +42,8 @@ from orbatlas.translation import (
 )
 
 from conftest import (
+    component_index,
+    distinct_transports,
     record_arrows,
     reference_arrow,
     reference_arrows_to,
@@ -334,8 +336,6 @@ class TestMultiplication:
             tg.multiply(a, b)
 
     def test_foreign_arrow_rejected(self, tg):
-        from orbatlas.errors import AtlasMismatchError
-
         other = build_translation_groupoid(football(2, 3), validate=False)
         rng = random.Random(0)
         foreign = rng.choice(other.arrows_from(other.random_unit(rng)))
@@ -399,7 +399,7 @@ class TestDistinctTransports:
     def test_cone6_has_six_distinct_transports(self):
         g = TranslationGroupoid(cone(6))
         assert len(reference_transports(g.atlas, "cone6", "cone6")) == 36
-        assert len(g.atlas.transport_table("cone6", "cone6").entries) == 6
+        assert len(g.atlas.transport_table("cone6", "cone6").components) == 6
         assert len(g.components_between("cone6", "cone6")) == 6
 
     @pytest.mark.parametrize("name", list(RECONSTRUCT_ATLASES))
@@ -543,13 +543,12 @@ def reference_arrows_between(g, u1, u2):
 
 
 def reference_inverse(g, a):
-    """The table entry of a's first leg pair swapped: the inverse germ on the
-    image of the right leg, at the target point."""
+    """The table component of a's first leg pair swapped: the inverse germ on
+    the image of the right leg, at the target point."""
     t = g.triple_of(a)
     germ = t.left.map.compose(t.right.map.inverse())
     domain = map_ball(t.right.map, g.atlas.chart(t.right.src).ball)
-    back = g.atlas.transport_table(t.right.dst, t.left.dst).entries
-    return Arrow((t.right.dst, t.left.dst, back.index((germ, domain))), t.right(t.point))
+    return Arrow((t.right.dst, t.left.dst, component_index(g.atlas, t.right.dst, t.left.dst, germ, domain)), t.right(t.point))
 
 
 def reference_arrow_equal(g, a, b):
@@ -587,8 +586,8 @@ STABILIZED_UNITS = {"s3": [UnitPoint("s3", Point.of(3, Fraction(1, 4), Fraction(
 
 
 class TestLabelTables:
-    """arrows_from, arrows_between and inverse label arrows by entries of the
-    transport tables; they must give the arrows (labels, points and order)
+    """arrows_from, arrows_between and inverse label arrows by components of
+    the transport tables; they must give the arrows (labels, points and order)
     that composing each leg and scanning the former record table gives, and
     arrow_equal's same-component shortcut must agree with the three-part
     rule."""
@@ -643,7 +642,7 @@ class TestLabelTables:
 
     def test_unclosed_chart_group_raises(self):
         # group (zeta, id): zeta . zeta is not in the group, so the atlas is
-        # refused; unvalidated, its arrows are still entries of its table
+        # refused; unvalidated, its arrows are still components of its table
         base = cone(3)
         chart = base.chart("cone3")
         zeta = next(h for h in chart.group if not h.is_identity())
@@ -702,8 +701,8 @@ class TestArrowsTo:
 def reference_arrow_components(g):
     """arrow_components as each presentation wrote it out: an action's
     component of every element, in label order; a translation groupoid's
-    component (ca, cb, i) of every entry of every transport table, chart
-    pairs in order."""
+    component (ca, cb, i) of every distinct transport record of every chart
+    pair, chart pairs in order."""
     if isinstance(g, ActionGroupoid):
         return [ArrowComponent(lab, g.ball, g.rep[lab], "U", "U") for lab in g.labels]
     ids = g.atlas.chart_ids()
@@ -711,7 +710,7 @@ def reference_arrow_components(g):
         ArrowComponent((ca, cb, i), domain, germ, ca, cb)
         for ca in ids
         for cb in ids
-        for i, (germ, domain) in enumerate(g.atlas.transport_table(ca, cb).entries)
+        for i, (germ, domain) in enumerate(distinct_transports(reference_transports(g.atlas, ca, cb)))
     ]
 
 
@@ -729,7 +728,7 @@ class TestComponentsBetween:
     arrow_components is its lists over every pair of unit components."""
 
     @pytest.mark.parametrize("name", list(COMPONENT_CASES))
-    def test_components_in_label_order_carry_their_entries(self, name):
+    def test_components_in_label_order_carry_their_transports(self, name):
         for g in COMPONENT_CASES[name]():
             units = [c.label for c in g.unit_components()]
             for ca in units:
@@ -738,7 +737,7 @@ class TestComponentsBetween:
                     if isinstance(g, ActionGroupoid):
                         labels, entries = g.labels, [(g.rep[lab], g.ball) for lab in g.labels]
                     else:
-                        entries = list(g.atlas.transport_table(ca, cb).entries)
+                        entries = list(distinct_transports(reference_transports(g.atlas, ca, cb)))
                         labels = [(ca, cb, i) for i in range(len(entries))]
                     assert [c.label for c in comps] == labels
                     assert [(c.germ, c.ball) for c in comps] == entries
@@ -749,19 +748,57 @@ class TestComponentsBetween:
     def test_unknown_component_has_no_components(self, name):
         for g in COMPONENT_CASES[name]():
             for c in g.unit_components():
-                assert g.components_between(c.label, "zz") == g.components_between("zz", c.label) == []
-            assert g.components_between("zz", "zz") == []
+                assert g.components_between(c.label, "zz") == g.components_between("zz", c.label) == ()
+            assert g.components_between("zz", "zz") == ()
 
     @pytest.mark.parametrize("name", list(COMPONENT_CASES))
     def test_arrow_components_match_the_written_out_enumeration(self, name):
         for g in COMPONENT_CASES[name]():
             assert g.arrow_components() == reference_arrow_components(g)
 
+    @pytest.mark.parametrize("name", list(LABEL_ATLASES))
+    def test_groupoids_of_one_atlas_share_the_table_records(self, name):
+        # the records are built once, by the atlas's transport tables; a
+        # groupoid only indexes them by label
+        atlas = LABEL_ATLASES[name]()
+        g, h = TranslationGroupoid(atlas), TranslationGroupoid(atlas)
+        for ca in atlas.chart_ids():
+            for cb in atlas.chart_ids():
+                comps = g.components_between(ca, cb)
+                assert comps is h.components_between(ca, cb) is atlas.transport_table(ca, cb).components
+                for c in comps:
+                    assert g.arrow_component(c.label) is h.arrow_component(c.label) is c
+
+    def test_arrow_component_is_the_atlas_record(self):
+        import orbatlas.atlas
+        import orbatlas.groupoids
+
+        assert orbatlas.groupoids.ArrowComponent is orbatlas.atlas.ArrowComponent
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            ("cone3", "cone3", -1),
+            ("cone3", "cone3", 3),
+            ("cone3", "zz", 0),
+            ("zz", "cone3", 0),
+            ("cone3", "cone3"),
+            ("cone3", "cone3", 0, 1),
+            ("cone3", "cone3", "0"),
+            0,
+        ],
+        ids=["negative", "past-the-end", "unknown-target", "unknown-source", "pair", "quadruple", "str-index", "int"],
+    )
+    def test_label_outside_the_atlas_is_a_mismatch(self, label):
+        g = TranslationGroupoid(cone(3))
+        with pytest.raises(AtlasMismatchError, match="not over this atlas"):
+            g.arrow_component(label)
+
 
 class TestArrowsToRows:
-    """arrows_to reads its entry from the first row of the transport table
-    whose domain holds the point; it gives the arrows (labels and order) of
-    the former walk over the legs."""
+    """arrows_to translates the first component of the transport table whose
+    ball holds the point; it gives the arrows (labels and order) of the
+    former walk over the legs."""
 
     @pytest.mark.parametrize("name", [*VALID_ATLASES, "cone3_repeated"])
     def test_matches_the_leg_walk(self, name):
@@ -814,7 +851,7 @@ class TestSourcePoint:
         # the flat leg is never a left leg of the table, and it cannot be
         # inverted from outside or as the right leg of an arrow
         flat = atlas.reps[(reps[0].src, reps[0].dst)]
-        lefts = [left for ca in atlas.chart_ids() for cb in atlas.chart_ids() for left, _ in atlas.transport_table(ca, cb).legs]
+        lefts = [leg[0] for ca in atlas.chart_ids() for cb in atlas.chart_ids() for leg in atlas.transport_table(ca, cb).legs]
         assert flat not in lefts
         z = atlas.chart(flat.src).ball.center
         with pytest.raises(InvalidAtlasError, match="not invertible"):
@@ -827,8 +864,8 @@ class TestSourcePoint:
 
 
 class TestEntryTable:
-    """The arrow components are the entries of the atlas's transport tables,
-    one per distinct germ and domain, labelled (source, target, index)."""
+    """The arrow components are those of the atlas's transport tables, one
+    per distinct germ and domain, labelled (source, target, index)."""
 
     @pytest.mark.parametrize(
         "make, count",
@@ -851,7 +888,7 @@ class TestEntryTable:
             ((ca, cb, i), germ, domain)
             for ca in ids
             for cb in ids
-            for i, (germ, domain) in enumerate(g.atlas.transport_table(ca, cb).entries)
+            for i, (germ, domain) in enumerate(distinct_transports(reference_transports(g.atlas, ca, cb)))
         ]
         # each entry's first leg pair gives it, and is the first record that does
         for c in comps:
