@@ -306,13 +306,9 @@ class TransportTable:
 
     def first(self, x: Point, y: Point | None = None) -> int | None:
         """The index of the first component whose ball holds x and, given y,
-        whose germ carries x to y; None when none does.  Each run of
-        components sharing one ball object tests that ball once."""
-        ball = inside = None
+        whose germ carries x to y; None when none does."""
         for i, c in enumerate(self.components):
-            if c.ball is not ball:
-                ball, inside = c.ball, point_in_ball(x, c.ball)
-            if inside and (y is None or c.germ(x) == y):
+            if point_in_ball(x, c.ball) and (y is None or c.germ(x) == y):
                 return i
         return None
 

@@ -12,13 +12,23 @@ The maps the program builds come from the finite germ sets of the atlases in
 play (chart-group elements, stored embeddings and their composites and
 inverses), so few distinct values are live at once.  A ``PolyMap`` is never a
 similarity: built from a similarity's coordinates, it is that ``AffineMap``.
+
+Next to its composites, each map keeps its images f(p), and each ``Ball``
+keeps its membership answers p in ball, each in a table the map or ball owns
+and keys weakly by the point (a ``WeakKeyDictionary``, so equal points share
+an entry).  An entry lives only while both its point and its map or ball are
+alive: a long-lived point keeps no transient ball or map alive, and a
+transient point leaves every table when it is collected.  A call that raises
+(a dimension or conductor mismatch) stores nothing and raises again on every
+call.  A ball's table is not part of its value: copies and pickles of a ball
+start with an empty one.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from weakref import WeakValueDictionary
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .errors import ConductorMismatchError, DimensionMismatchError, NotSimilarityError
 from .field import SUPPORTED_CONDUCTORS, _AUT, _MUL, CycNum, _make, _real_nums, sign_quadratic, sign_real
@@ -101,7 +111,7 @@ class AffineMap:
     value when there is one, so ``==`` is ``is``; the hash stays the value's,
     hash((a, b.coords)), so no iteration order depends on object ids."""
 
-    __slots__ = ("a", "b", "dim", "_factor", "_inv", "_hash", "_after", "__weakref__")
+    __slots__ = ("a", "b", "dim", "_factor", "_inv", "_hash", "_after", "_images", "__weakref__")
 
     def __new__(cls, a: tuple[tuple[CycNum, ...], ...], b: Point):
         n = len(b.coords)
@@ -125,6 +135,7 @@ class AffineMap:
         obj._inv = None
         obj._hash = None
         obj._after = {}
+        obj._images = WeakKeyDictionary()
         return obj
 
     def __reduce__(self):
@@ -247,10 +258,16 @@ class AffineMap:
     # -- action and composition ----------------------------------------------
 
     def __call__(self, p: Point) -> Point:
+        """f(p), computed once per live point: the image is kept in f's table,
+        keyed weakly by p, so an equal point reads it back."""
+        out = self._images.get(p)
+        if out is not None:
+            return out
         z = p.coords
         if len(z) != self.dim:
             raise DimensionMismatchError(f"point of dim {len(z)} under map of dim {self.dim}")
-        return Point(tuple(_dot(bi, row, z) for bi, row in zip(self.b.coords, self.a)))
+        out = self._images[p] = Point(tuple(_dot(bi, row, z) for bi, row in zip(self.b.coords, self.a)))
+        return out
 
     def then(self, f: AffineMap) -> AffineMap | PolyMap:
         return f.compose(self)
@@ -338,10 +355,20 @@ def _dot(acc: CycNum, xs, ys) -> CycNum:
 
 @dataclass(frozen=True)
 class Ball:
-    """Open ball with center in C^n and exact squared radius (real subfield)."""
+    """Open ball with center in C^n and exact squared radius (real subfield).
+
+    ``_members`` is the ball's table of membership answers, keyed weakly by
+    point; it is not a field, so equality, hashing, copies and pickles see the
+    centre and radius alone."""
 
     center: Point
     r2: CycNum
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", WeakKeyDictionary())
+
+    def __reduce__(self):
+        return (Ball, (self.center, self.r2))
 
     @property
     def dim(self) -> int:
@@ -355,16 +382,24 @@ class Ball:
 
 def point_in_ball(p: Point, ball: Ball) -> bool:
     """|p - c|^2 < r2, decided by one sign of the integer numerators of
-    den * r_d * (r2 - |p - c|^2), where den is the denominator of |p - c|^2.
-    A point of another dimension or conductor than the ball raises, as the
-    ball predicates do; in dimension 0 the ball is the one point."""
+    den * r_d * (r2 - |p - c|^2), where den is the denominator of |p - c|^2,
+    once per live point: the answer is kept in the ball's table, keyed weakly
+    by p.  A point of another dimension or conductor than the ball raises, as
+    the ball predicates do; in dimension 0 the ball is the one point."""
+    members = ball._members
+    inside = members.get(p)
+    if inside is not None:
+        return inside
     if ball.dim == p.dim == 0:
-        return True
-    r2 = ball.r2
-    nums, den = _dist2_nums(p, ball.center, r2.m)
-    rd = r2._d
-    diff = [den * a - rd * b for a, b in zip(r2._n, nums)]
-    return sign_quadratic(*_real_nums(r2.m, diff)) > 0
+        inside = True
+    else:
+        r2 = ball.r2
+        nums, den = _dist2_nums(p, ball.center, r2.m)
+        rd = r2._d
+        diff = [den * a - rd * b for a, b in zip(r2._n, nums)]
+        inside = sign_quadratic(*_real_nums(r2.m, diff)) > 0
+    members[p] = inside
+    return inside
 
 
 def map_ball(f: AffineMap, ball: Ball) -> Ball:

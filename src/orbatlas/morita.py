@@ -267,7 +267,12 @@ def common_refinement(u1: Atlas, u2: Atlas, witnesses) -> CommonRefinement:
     """Atlas assembled from the witness charts, related to each other by exact
     transports of the first atlas: every pair of witness charts must be nested
     or disjoint in the underlying space."""
-    eq = atlases_equivalent(u1, u2, witnesses)
+    return _refinement(u1, witnesses, atlases_equivalent(u1, u2, witnesses))
+
+
+def _refinement(u1: Atlas, witnesses, eq: Report) -> CommonRefinement:
+    """``common_refinement`` given the atlases' equivalence report eq: a
+    failed report raises NotEquivalentError."""
     if not eq.ok:
         raise NotEquivalentError("; ".join(n for n, _ in eq.failures()))
     charts = []
@@ -398,11 +403,15 @@ class MoritaChain:
 
 
 def morita_equivalence_chain(
-    u1: Atlas, u2: Atlas, witnesses, samples: int = 60, seed: int = 0
+    u1: Atlas, u2: Atlas, witnesses, samples: int = 60, seed: int = 0, *, _equivalence: Report | None = None
 ) -> MoritaChain:
     """F(u1) ~ F(refinement) ~ F(u2): each step is a sub-atlas inclusion into a
-    union atlas, checked by the Morita conditions."""
-    ref = common_refinement(u1, u2, witnesses)
+    union atlas, checked by the Morita conditions.  ``bijection_demo`` passes
+    the ``atlases_equivalent`` report it has already made as _equivalence, so
+    the witnesses are checked once per demo."""
+    if _equivalence is None:
+        _equivalence = atlases_equivalent(u1, u2, witnesses)
+    ref = _refinement(u1, witnesses, _equivalence)
     union1 = union_atlas(u1, ref.atlas, ref.into_first)
     union2 = union_atlas(u2, ref.atlas, ref.into_second)
     steps = {
@@ -606,7 +615,7 @@ def bijection_demo(
     if sig1 == sig2 and atlas_side == "equivalent":
         # a witness the atlas side refused is already reported there
         try:
-            chain = morita_equivalence_chain(u1, u2, witnesses, samples=samples, seed=seed)
+            chain = morita_equivalence_chain(u1, u2, witnesses, samples=samples, seed=seed, _equivalence=eq)
             if chain.verdict:
                 groupoid_side = "equivalent"
         except WitnessInvalidError as exc:

@@ -8,9 +8,10 @@ from typing import NamedTuple
 import pytest
 
 from orbatlas.atlas import Atlas, Chart, Embedding, Span, find_conjugator, restrict_chart, stabilizer
-from orbatlas.field import CycNum, sign_real
+from orbatlas.errors import DimensionMismatchError
+from orbatlas.field import CycNum, _real_nums, sign_quadratic, sign_real
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
-from orbatlas.geometry import AffineMap, Ball, Point, map_ball, point_in_ball
+from orbatlas.geometry import AffineMap, Ball, Point, _dist2_nums, _dot, map_ball, point_in_ball
 from orbatlas.groupoids import ActionGroupoid, Arrow
 
 M = 12
@@ -254,6 +255,27 @@ def reference_dist2(p, q):
     for a, b in zip(p.coords, q.coords):
         total = total + (a - b) * (a - b).conj()
     return total
+
+
+def reference_apply(f, p):
+    """f(p) computed afresh on every call, one ``_dot`` per row, as
+    ``AffineMap.__call__`` computes an image it has not stored."""
+    z = p.coords
+    if len(z) != f.dim:
+        raise DimensionMismatchError(f"point of dim {len(z)} under map of dim {f.dim}")
+    return Point(tuple(_dot(bi, row, z) for bi, row in zip(f.b.coords, f.a)))
+
+
+def reference_point_in_ball(p, ball):
+    """|p - c|^2 < r2 decided afresh on every call from the integer numerators,
+    as ``point_in_ball`` decides an answer it has not stored."""
+    if ball.dim == p.dim == 0:
+        return True
+    r2 = ball.r2
+    nums, den = _dist2_nums(p, ball.center, r2.m)
+    rd = r2._d
+    diff = [den * a - rd * b for a, b in zip(r2._n, nums)]
+    return sign_quadratic(*_real_nums(r2.m, diff)) > 0
 
 
 def reference_ball_in_ball(b1, b2):

@@ -1,6 +1,8 @@
 """Charts, embeddings, the chart-group lemmas and the span machinery."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -48,6 +50,7 @@ from orbatlas.geometry import AffineMap, Ball, Point, balls_disjoint, map_ball, 
 from orbatlas.groupoids import UnitPoint
 from orbatlas.morita import _close_reps, common_refinement, pushforward_atlas, reconstruct_atlas, union_atlas
 from orbatlas.sampling import random_chart_point
+from orbatlas.serialize import serialize
 from orbatlas.translation import TranslationGroupoid
 
 from conftest import (
@@ -908,6 +911,37 @@ class TestTransportTable:
         # across charts only where a representative relates two
         assert same_chart > 0
         assert (hits > same_chart) == bool(atlas.reps)
+
+
+class TestCopyAndPickle:
+    """A Ball, a Chart and an Atlas whose tables are built (transport tables,
+    families, and the images and membership answers its maps and balls keep)
+    copy, deep-copy and pickle to equal values; an Atlas compares by its
+    canonical bytes, and a copy answers the queries the original answered."""
+
+    @pytest.mark.parametrize(
+        "name", ["cone3", "football23", "quot22", "point", "sub-full-cone3"]
+    )
+    def test_used_atlas_round_trips(self, name):
+        atlas = _SCAN_ATLASES[name]()
+        g = TranslationGroupoid(atlas)
+        rng = random.Random(53)
+        pairs = [g.random_composable_pair(rng) for _ in range(4)]
+        products = [g.multiply(a, b) for a, b in pairs]
+        queries = [(ca, atlas.chart(ca).ball.center, cb) for ca in atlas.chart_ids() for cb in atlas.chart_ids()]
+        answers = [atlas.locate(*q) for q in queries]
+        assert all(point_in_ball(x, atlas.chart(ca).ball) for ca, x, _ in queries)
+        assert any(c.ball._members for t in atlas._transport_cache.values() for c in t.components)
+        want = serialize(atlas)
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            for cid in atlas.chart_ids():
+                chart = atlas.chart(cid)
+                assert clone(chart.ball) == chart.ball
+                assert clone(chart) == chart
+            twin = clone(atlas)
+            assert serialize(twin) == want
+            assert [twin.locate(*q) for q in queries] == answers
+            assert [TranslationGroupoid(twin).multiply(a, b) for a, b in pairs] == products
 
 
 class TestSpanTableOracle:

@@ -1,8 +1,11 @@
 """Similarity maps, ball predicates and polynomial maps."""
 
+import copy
 import gc
 import itertools
+import pickle
 import random
+import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -30,7 +33,13 @@ from orbatlas.geometry import (
 from orbatlas.systems import check_2cat_laws, rotation_fixture
 from orbatlas.translation import check_functor_laws
 
-from conftest import reference_ball_in_ball, reference_balls_disjoint, reference_dist2
+from conftest import (
+    reference_apply,
+    reference_ball_in_ball,
+    reference_balls_disjoint,
+    reference_dist2,
+    reference_point_in_ball,
+)
 
 M = 12
 
@@ -639,6 +648,90 @@ class TestMismatchedInputs:
             dist2(Point.of(3, 1), Point.of(4, 1))
         with pytest.raises(ConductorMismatchError):
             dist2(Point((CycNum.rational(3, 1), CycNum.rational(4, 1))), Point.of(3, 1, 1))
+
+
+class TestPointTables:
+    """Each map keeps its images f(p) and each ball its answers p in ball, in
+    tables keyed weakly by the point: the answers are the reference bodies'
+    on repeated and on equal but distinct points, a call that raises stores
+    nothing, and an entry dies with its point, its map or its ball."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_tables_match_the_reference_bodies(self, data):
+        m = data.draw(st.sampled_from(SUPPORTED_CONDUCTORS), label="m")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        f = data.draw(similarities(m, dim), label="f")
+        ball = Ball(Point(tuple(data.draw(cycnums(m)) for _ in range(dim))), data.draw(radii(m)))
+        points = [Point(tuple(data.draw(cycnums(m)) for _ in range(dim))) for _ in range(3)]
+        points += [ball.center, f(ball.center), points[0]]
+        for p in points:
+            twin = pickle.loads(pickle.dumps(p))
+            assert twin == p and twin is not p
+            image = f(p)
+            assert image == reference_apply(f, p)
+            assert f(p) is image and f(twin) is image
+            for q in (p, image):
+                want = reference_point_in_ball(q, ball)
+                assert point_in_ball(q, ball) is want
+                assert point_in_ball(q, ball) is want
+                assert point_in_ball(pickle.loads(pickle.dumps(q)), ball) is want
+
+    @pytest.mark.parametrize(
+        "target, p, error",
+        [
+            (rot(1), Point.of(M, 0, 5), DimensionMismatchError),
+            (rot(1), Point.of(3, 1), ConductorMismatchError),
+            (AffineMap.identity(M, 2), Point.of(M, 1), DimensionMismatchError),
+            (Ball.of(3, [0], 1), Point.of(3, 0, 5), DimensionMismatchError),
+            (Ball.of(3, [0], 1), Point.of(4, 1), ConductorMismatchError),
+            (Ball(Point(()), CycNum.rational(3, 1)), Point.of(3, 7), DimensionMismatchError),
+        ],
+        ids=["apply-dim", "apply-conductor", "apply-dim2", "ball-dim", "ball-conductor", "ball-dim0"],
+    )
+    def test_mismatch_raises_on_every_call_and_stores_nothing(self, target, p, error):
+        # the same point and the same map or ball on both calls
+        is_ball = isinstance(target, Ball)
+        for _ in range(2):
+            with pytest.raises(error):
+                point_in_ball(p, target) if is_ball else target(p)
+        assert p not in (target._members if is_ball else target._images)
+
+    def test_transient_point_leaves_both_tables(self):
+        f = rot(1).shift(Point.of(M, Fraction(1, 3)))
+        ball = Ball.of(M, [0], 4)
+        p = Point.of(M, Fraction(1, 9973))
+        image = f(p)
+        assert point_in_ball(p, ball) and point_in_ball(image, ball)
+        assert p in f._images and p in ball._members and image in ball._members
+        dead_p, dead_image = weakref.ref(p), weakref.ref(image)
+        del p, image
+        gc.collect()
+        assert dead_p() is None and dead_image() is None
+        probe = Point.of(M, Fraction(1, 9973))
+        assert probe not in f._images and probe not in ball._members
+        assert f(probe) not in ball._members
+
+    def test_transient_ball_and_map_are_collected(self):
+        # a long-lived point keeps no ball or map it was tested against alive
+        p = Point.of(M, Fraction(2, 7))
+        ball = Ball.of(M, [Fraction(1, 3)], Fraction(1, 9973))
+        f = AffineMap.scaling(M, 1, Fraction(9973, 7)).shift(Point.of(M, Fraction(1, 9973)))
+        assert not point_in_ball(p, ball)
+        f(p)
+        dead_ball, dead_map = weakref.ref(ball), weakref.ref(f)
+        del ball, f
+        gc.collect()
+        assert dead_ball() is None and dead_map() is None
+
+    def test_ball_copies_and_pickles_leave_the_table(self):
+        ball = Ball.of(M, [Fraction(1, 3)], 1)
+        p = Point.of(M, Fraction(1, 2))
+        assert point_in_ball(p, ball) and p in ball._members
+        for twin in (copy.copy(ball), copy.deepcopy(ball), pickle.loads(pickle.dumps(ball))):
+            assert twin == ball and hash(twin) == hash(ball) and twin is not ball
+            assert not twin._members
+            assert point_in_ball(p, twin)
 
 
 class TestPolyMap:

@@ -52,6 +52,7 @@ from orbatlas.groupoids import (
     check_groupoid_axioms,
     validate_groupoid_morphism,
 )
+from orbatlas import morita
 from orbatlas.morita import (
     _hits_witness,
     _reaches,
@@ -767,6 +768,37 @@ class TestBijectionDemo:
         v = bijection_demo(u1, u2, [*ws, extra], samples=5, seed=0)
         assert (v.atlas_side, v.groupoid_side, v.chain) == ("equivalent", "not found at this bound", None)
         assert v.details.warnings == ["witness charts w1, w2 partially overlap"]
+
+    @pytest.fixture
+    def equivalence_calls(self, monkeypatch):
+        calls = []
+
+        def counted(u1, u2, witnesses):
+            calls.append((u1, u2))
+            return atlases_equivalent(u1, u2, witnesses)
+
+        monkeypatch.setattr(morita, "atlases_equivalent", counted)
+        return calls
+
+    def test_witnesses_are_checked_once_per_demo(self, equivalence_calls):
+        u1, u2, ws = cone_pair(3)
+        v = bijection_demo(u1, u2, ws, samples=5, seed=0)
+        assert (v.atlas_side, v.groupoid_side) == ("equivalent", "equivalent")
+        assert v.chain is not None and equivalence_calls == [(u1, u2)]
+
+    def test_direct_calls_check_the_witnesses(self, equivalence_calls):
+        u1, u2, ws = cone_pair(3)
+        morita_equivalence_chain(u1, u2, ws, samples=5, seed=0)
+        common_refinement(u1, u2, ws)
+        assert equivalence_calls == [(u1, u2)] * 2
+        w = ws[0]
+        scaled = AffineMap.scaling(u1.conductor, 1, 4).compose(w.left.map)
+        bad = [WitnessSpan(w.chart, Embedding(w.left.src, w.left.dst, scaled), w.right), ws[1]]
+        for witnesses in (bad, []):
+            with pytest.raises(NotEquivalentError):
+                common_refinement(u1, u2, witnesses)
+            with pytest.raises(NotEquivalentError):
+                morita_equivalence_chain(u1, u2, witnesses, samples=5, seed=0)
 
     def test_signature_values(self):
         assert isotropy_signature(TranslationGroupoid(cone(3))) == (1, (1, 3))
