@@ -8,11 +8,17 @@ coefficients, so reduction, complex conjugation and the other Galois
 automorphisms act on the numerators by integer rows.  Products and the
 automorphisms zeta -> zeta^a are straight-line integer kernels generated at
 import from those rows of Phi_m, one product per conductor and one
-automorphism per unit a mod m.
+automorphism per unit a mod m; sums and differences are termwise kernels, one
+per degree.  Two elements over the same denominator are added over it, not
+over its square.  The automorphism zeta -> zeta^a has an integer matrix whose
+inverse, that of zeta -> zeta^(1/a), is an integer matrix too, so it keeps the
+gcd of the numerators: the conjugate (and the negative) of a reduced element
+is reduced by construction and is built without a gcd.
 
 The real subfield of every supported field is Q, Q(sqrt 2) (m = 8) or
 Q(sqrt 3) (m = 12).  A real element is (a + b sqrt d) / (2 den) with integers
-a, b read off its numerators, so its sign is decided from integers alone.
+a, b read off its numerators, so its sign is decided from integers alone, on
+each call, with no cache.
 """
 
 from __future__ import annotations
@@ -67,12 +73,13 @@ def _sum(terms) -> str:
     return out.replace("+ -", "- ") or "0"
 
 
-def _kernel(name: str, params: tuple, d: int, body: list[str], outputs: list[str]):
-    """The function name(*params) that unpacks each numerator vector p into
-    p0, ..., p(d-1), runs the body lines and returns the tuple of the outputs,
-    compiled from source built from this module's integer tables alone."""
+def _kernel(name: str, params: tuple, d: int, body: list[str], outputs: list[str], scalars: tuple = ()):
+    """The function name(*params, *scalars) that unpacks each numerator
+    vector p into p0, ..., p(d-1), runs the body lines and returns the tuple
+    of the outputs, compiled from source built from this module's integer
+    tables alone."""
     unpack = [", ".join(f"{p}{i}" for i in range(d)) + f", = {p}" for p in params]
-    src = "\n    ".join([f"def {name}({', '.join(params)}):", *unpack, *body, f"return ({', '.join(outputs)},)"])
+    src = "\n    ".join([f"def {name}({', '.join(params + scalars)}):", *unpack, *body, f"return ({', '.join(outputs)},)"])
     scope = {}
     exec(compile(src, f"<{name}>", "exec"), scope)
     return scope[name]
@@ -94,6 +101,23 @@ def _aut_kernel(m: int, a: int):
     out = [_sum((rows[a * k % m][t], f"n{k}") for k in range(d)) for t in range(d)]
     return _kernel(f"aut{m}_{a}", ("n",), d, [], out)
 
+
+def _termwise(name: str, term: str, scalars: tuple = ()) -> dict:
+    """Per conductor, the kernel (a, b, *scalars) -> (term at i for i < d),
+    where term is a source template in a{i}, b{i} and the scalars; one kernel
+    per degree d."""
+    kernels = {
+        d: _kernel(f"{name}{d}", ("a", "b"), d, [], [term.format(i=i) for i in range(d)], scalars)
+        for d in set(map(_degree, _CYCLOTOMIC))
+    }
+    return {m: kernels[_degree(m)] for m in _CYCLOTOMIC}
+
+
+# Termwise kernels on numerator vectors: a + b and a - b over a common
+# denominator, and a * s + b * t over the product of two denominators.
+_ADD = _termwise("add", "a{i} + b{i}")
+_SUB = _termwise("sub", "a{i} - b{i}")
+_LIN = _termwise("lin", "a{i} * s + b{i} * t", ("s", "t"))
 
 # Straight-line kernels generated from _ROWS: _MUL[m](a, b) multiplies two
 # numerator vectors, and _AUT[m][a](n) applies zeta -> zeta^a for each a in
@@ -124,15 +148,19 @@ def _make(m: int, nums, den: int) -> CycNum:
     g = gcd(den, *nums)
     if den < 0:
         g = -g
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
     x = object.__new__(CycNum)
-    x.m = m
-    if g == 1:
-        x._n = tuple(nums)
-        x._d = den
-    else:
-        x._n = tuple([n // g for n in nums])
-        x._d = den // g
-    x._hash = None
+    x.m, x._n, x._d, x._hash = m, tuple(nums), den, None
+    return x
+
+
+def _reduced(m: int, nums: tuple, den: int) -> CycNum:
+    """The element nums / den for a tuple of canonical numerators and a
+    positive den that already have no common factor."""
+    x = object.__new__(CycNum)
+    x.m, x._n, x._d, x._hash = m, nums, den, None
     return x
 
 
@@ -214,17 +242,21 @@ class CycNum:
     def __add__(self, other):
         o = self._coerce(other)
         da, db = self._d, o._d
-        return _make(self.m, [x * db + y * da for x, y in zip(self._n, o._n)], da * db)
+        if da == db:
+            return _make(self.m, _ADD[self.m](self._n, o._n), da)
+        return _make(self.m, _LIN[self.m](self._n, o._n, db, da), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.m, [-x for x in self._n], self._d)
+        return _reduced(self.m, tuple([-x for x in self._n]), self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         da, db = self._d, o._d
-        return _make(self.m, [x * db - y * da for x, y in zip(self._n, o._n)], da * db)
+        if da == db:
+            return _make(self.m, _SUB[self.m](self._n, o._n), da)
+        return _make(self.m, _LIN[self.m](self._n, o._n, db, -da), da * db)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -280,7 +312,7 @@ class CycNum:
     def conj(self) -> CycNum:
         """Complex conjugation, zeta -> zeta^(-1); a real element is its own conjugate."""
         nums = self._conj_nums()
-        return self if nums == self._n else _make(self.m, nums, self._d)
+        return self if nums == self._n else _reduced(self.m, nums, self._d)
 
     def is_real(self) -> bool:
         return self._conj_nums() == self._n
@@ -330,14 +362,17 @@ def sign_quadratic(a: int, b: int, d: int) -> int:
 
 @functools.lru_cache(maxsize=1 << 14)
 def _sign_cached(x: CycNum) -> int:
-    """Sign of an element outside Q, which is real only for m = 8 or 12."""
+    """Sign of an element outside Q, which is real only for m = 8 or 12.
+    sign_real does not call it; bench/tracing.py reads its cache_info()."""
     a, b, d, _ = real_parts(x)
     return sign_quadratic(a, b, d)
 
 
 def sign_real(x: CycNum) -> int:
     """Exact sign of an element of the real subfield: -1, 0 or +1."""
-    if x.is_rational():
-        n = x._n[0]
-        return (n > 0) - (n < 0)
-    return _sign_cached(x)
+    n = x._n
+    if not any(n[1:]):
+        return (n[0] > 0) - (n[0] < 0)
+    if x._conj_nums() != n:
+        raise NotRealError(f"{x!r} is not fixed by conjugation")
+    return sign_quadratic(*_real_nums(x.m, n))

@@ -9,7 +9,7 @@ import pytest
 
 from orbatlas.atlas import Atlas, Chart, Embedding, Span, find_conjugator, restrict_chart, stabilizer
 from orbatlas.errors import DimensionMismatchError
-from orbatlas.field import CycNum, _real_nums, sign_quadratic, sign_real
+from orbatlas.field import CycNum, _make, _real_nums, real_parts, sign_quadratic, sign_real
 from orbatlas.gallery import cone, football, global_quotient, point_atlas, teardrop
 from orbatlas.geometry import AffineMap, Ball, Point, _dist2_nums, _dot, map_ball, point_in_ball
 from orbatlas.groupoids import ActionGroupoid, Arrow
@@ -337,6 +337,26 @@ def reference_mul_nums(phi, m, a, b):
             for j, y in enumerate(b):
                 conv[i + j] += x * y
     return reference_combine(phi, m, 1, conv)
+
+
+def reference_add(x, y):
+    """The former sum: every pair of numerators over the product of the two
+    denominators, then reduced."""
+    da, db = x._d, y._d
+    return _make(x.m, [a * db + b * da for a, b in zip(x._n, y._n)], da * db)
+
+
+def reference_sub(x, y):
+    """The former difference, over the product of the two denominators."""
+    da, db = x._d, y._d
+    return _make(x.m, [a * db - b * da for a, b in zip(x._n, y._n)], da * db)
+
+
+def reference_sign(x):
+    """The former sign route of an element of the real subfield: its integer
+    parts, then the sign of a + b sqrt d; NotRealError for any other x."""
+    a, b, d, _ = real_parts(x)
+    return sign_quadratic(a, b, d)
 
 
 def reference_cell_to_doc(delta):

@@ -17,12 +17,13 @@ from orbatlas.field import (
     SUPPORTED_CONDUCTORS,
     CycNum,
     _degree,
+    _make,
     real_parts,
     sign_quadratic,
     sign_real,
 )
 
-from conftest import reference_combine, reference_mul_nums
+from conftest import reference_add, reference_combine, reference_mul_nums, reference_sign, reference_sub
 
 CONDUCTOR = 12
 
@@ -130,8 +131,11 @@ class TestSign:
         assert sign_real(t - 1) == 1
 
     def test_not_real(self):
-        with pytest.raises(NotRealError):
-            sign_real(z())
+        for m in [m for m in SUPPORTED_CONDUCTORS if m > 2]:
+            for x in (CycNum.zeta(m), CycNum.zeta(m) + Fraction(1, 3), CycNum.zeta(m, -1) * 5):
+                with pytest.raises(NotRealError) as info:
+                    sign_real(x)
+                assert str(info.value) == f"{x!r} is not fixed by conjugation"
 
     def test_near_cancellation_at_large_height(self):
         # s = zeta - zeta^3 = sqrt 2 in Q(zeta_8); (1 - s)^n has about 0.38 n
@@ -252,6 +256,66 @@ class TestGeneratedKernels:
         zm = CycNum.zeta(m)
         for k in range(-2 * m, 2 * m):
             assert CycNum.zeta(m, k) == zm**k
+
+
+@st.composite
+def _elements(draw, m):
+    """An element given by numerators and a denominator, then reduced: small
+    and large heights, denominator 1 and the zero element included."""
+    height = draw(st.sampled_from((1, 8, 2**40, 2**130)))
+    nums = draw(st.lists(st.integers(-height, height), min_size=_degree(m), max_size=_degree(m)))
+    den = draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2**70)))
+    return _make(m, nums, den)
+
+
+@st.composite
+def _pairs(draw, m):
+    """Two elements whose denominators are unequal, equal by construction,
+    or 1, and the pair x, conj(x) behind every real element x + conj(x)."""
+    x = draw(_elements(m))
+    kind = draw(st.sampled_from(("any", "shift", "conj", "zero", "integer")))
+    if kind == "any":
+        y = draw(_elements(m))
+    elif kind == "shift":  # x + k for an integer k keeps the denominator of x
+        y = x + draw(st.integers(-(2**80), 2**80))
+    elif kind == "conj":
+        y = x.conj()
+    elif kind == "zero":
+        y = CycNum.rational(m, 0)
+    else:
+        y = CycNum.rational(m, draw(st.integers(-(2**80), 2**80)))
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+class TestAgainstFormerRoutes:
+    """Sums, differences and signs against the former routes kept in conftest:
+    sums over the product of the denominators, and signs through real_parts."""
+
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_sum_difference_and_sign_equal_the_former_routes(self, m, data):
+        x, y = data.draw(_pairs(m))
+        for got, want in ((x + y, reference_add(x, y)), (x - y, reference_sub(x, y))):
+            assert (got.m, got._n, got._d) == (want.m, want._n, want._d)
+        for t in (x + x.conj(), x + y + (x + y).conj(), x - y, x):
+            try:
+                want = reference_sign(t)
+            except NotRealError:
+                with pytest.raises(NotRealError):
+                    sign_real(t)
+            else:
+                assert sign_real(t) == want
+
+    @pytest.mark.parametrize("m", SUPPORTED_CONDUCTORS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_conjugate_and_negative_are_canonical(self, m, data):
+        x, y = data.draw(_pairs(m))
+        for t in (x, y, x + y, x * y):
+            for got in (t.conj(), -t):
+                assert got._d > 0 and gcd(got._d, *got._n) == 1
+            assert t.conj().conj() == t and -(-t) == t
 
 
 @pytest.mark.parametrize(
